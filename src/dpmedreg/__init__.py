@@ -58,7 +58,6 @@ from .gcd import (
     BatchPlan,
     GcdConfig,
     GcdTrace,
-    coordinate_step,
     coordinate_step_vector,
     fit_gcd_private,
     gcd_step_probe,
@@ -98,7 +97,7 @@ __all__ = [
     "default_coefficient_bound", "weighted_ridge_solve", "irls_fit",
     "irls_sensitivity", "fit_irls_private", "irls_accuracy_bound",
     "irls_sensitivity_probe",
-    "GcdConfig", "BatchPlan", "GcdTrace", "split_batches", "coordinate_step",
+    "GcdConfig", "BatchPlan", "GcdTrace", "split_batches",
     "coordinate_step_vector", "fit_gcd_private", "gcd_step_probe",
     "GeneratorSpec", "ScalingRecord", "default_generator_spec", "generate",
     "normalize", "unscale_theta", "read_csv", "write_csv",

@@ -1,5 +1,5 @@
-"""Benchmark plumbing shared by the CLI and the test suite: named fitters with
-per-algorithm defaults, replicate loops, and table rendering.
+"""Benchmark plumbing shared by the CLI and the test suite: the algorithm
+table, replicate loops, and table rendering.
 
 Algorithm ids: alg1 = objective-perturbed smoothing, alg2 = output-perturbed
 reweighted least squares, alg3 = noisy batched greedy coordinate descent;
@@ -9,7 +9,8 @@ baseline-smooth and baseline-irls are their noiseless counterparts.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 
@@ -22,8 +23,10 @@ from .smoothing import SmoothingConfig, fit_smoothed_baseline, fit_smoothed_priv
 
 __all__ = [
     "ALGORITHMS",
-    "ALGO_FLAGS",
+    "ALGORITHM_TABLE",
+    "Algorithm",
     "CellResult",
+    "PROTOCOL_EPSILON",
     "resolve_params",
     "run_fit",
     "run_cell",
@@ -32,43 +35,90 @@ __all__ = [
     "tables_to_markdown",
 ]
 
-ALGORITHMS = ("alg1", "alg2", "alg3", "baseline-smooth", "baseline-irls")
+# The one protocol default that no config dataclass carries: the configs
+# leave epsilon unset, the benchmark protocol fixes it.
+PROTOCOL_EPSILON = 0.1
 
-# Flags each algorithm accepts on top of the always-allowed ones; explicitly
-# supplied flags outside this set are usage errors.
-ALGO_FLAGS = {
-    "alg1": {"epsilon", "lam", "gamma", "seed"},
-    "baseline-smooth": {"lam", "gamma"},
-    "alg2": {"epsilon", "lam", "e", "tau", "n0", "v", "seed"},
-    "baseline-irls": {"lam", "e", "tau", "n0"},
-    "alg3": {"epsilon", "lam", "ell", "n0", "init", "seed"},
-}
 
-_DEFAULTS = {
-    "epsilon": 0.1,
-    "lam": 0.002,
-    "gamma": 0.05,
-    "e": 0.2,
-    "tau": 1e-6,
-    "v": None,
-    "ell": 0.1,
-    "init": "ridge",
+@dataclass(frozen=True)
+class Algorithm:
+    """One row of the algorithm table: ``knobs`` maps each CLI knob to its
+    ``config`` field, whose default is the knob's; ``run(data, cfg, rng)``
+    returns (theta, extras).  Private algorithms take epsilon and a seed."""
+
+    config: type
+    knobs: dict[str, str]
+    run: Callable[[Dataset, object, RngStream | None], tuple[Theta, dict]]
+
+    @property
+    def private(self) -> bool:
+        return "epsilon" in self.knobs
+
+
+# The runners look their fitters up as module globals on every call, so a
+# fitter replaced on this module (say, by a tracer) sees every fit.
+def _alg1(data, cfg, rng):
+    report = fit_smoothed_private(data, cfg, rng)
+    return report.theta, {"b_norm": report.b_norm, "solver_iters": report.solver_iters}
+
+
+def _alg2(data, cfg, rng):
+    report = fit_irls_private(data, cfg, rng)
+    return report.theta, {
+        "noise_scale": report.noise_scale,
+        "noise": report.noise,
+        "iterations": report.trace.iterations,
+    }
+
+
+def _alg3(data, cfg, rng):
+    trace = fit_gcd_private(data, cfg, rng)
+    return trace.final, {"dropped": trace.plan.dropped}
+
+
+def _baseline_smooth(data, cfg, rng):
+    return fit_smoothed_baseline(data, cfg), {}
+
+
+def _baseline_irls(data, cfg, rng):
+    trace = irls_fit(data, cfg)
+    return trace.final, {"iterations": trace.iterations, "converged": trace.converged}
+
+
+ALGORITHM_TABLE = {
+    "alg1": Algorithm(SmoothingConfig, {"epsilon": "epsilon", "lam": "lam", "gamma": "gamma"}, _alg1),
+    "alg2": Algorithm(
+        IrlsConfig,
+        {"epsilon": "epsilon", "lam": "lam", "e": "e", "tau": "tau", "n0": "max_iters", "v": "v"},
+        _alg2,
+    ),
+    "alg3": Algorithm(
+        GcdConfig,
+        {"epsilon": "epsilon", "lam": "lam", "ell": "ell", "n0": "batches", "init": "init"},
+        _alg3,
+    ),
+    "baseline-smooth": Algorithm(SmoothingConfig, {"lam": "lam", "gamma": "gamma"}, _baseline_smooth),
+    "baseline-irls": Algorithm(
+        IrlsConfig, {"lam": "lam", "e": "e", "tau": "tau", "n0": "max_iters"}, _baseline_irls
+    ),
 }
-_N0_DEFAULT = {"alg2": 200, "baseline-irls": 200, "alg3": 40}
+ALGORITHMS = tuple(ALGORITHM_TABLE)
+
+
+def _algorithm(algo: str) -> Algorithm:
+    if algo not in ALGORITHM_TABLE:
+        raise ValueError(f"unknown algorithm {algo!r}")
+    return ALGORITHM_TABLE[algo]
 
 
 def resolve_params(algo: str, overrides: dict) -> dict:
-    """Fill unspecified knobs with the protocol defaults for ``algo``."""
-    if algo not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algo!r}")
-    params = {}
-    for key in ALGO_FLAGS[algo]:
-        if key == "seed":
-            continue
-        if key == "n0":
-            params[key] = _N0_DEFAULT[algo]
-        else:
-            params[key] = _DEFAULTS[key]
+    """Knob values for ``algo``: the config field defaults (epsilon
+    :data:`PROTOCOL_EPSILON`), replaced by every non-None override."""
+    entry = _algorithm(algo)
+    defaults = {f.name: f.default for f in fields(entry.config)}
+    params = {knob: defaults[field] for knob, field in entry.knobs.items()}
+    if entry.private:
+        params["epsilon"] = PROTOCOL_EPSILON
     for key, value in overrides.items():
         if value is not None:
             if key not in params:
@@ -78,53 +128,12 @@ def resolve_params(algo: str, overrides: dict) -> dict:
 
 
 def run_fit(algo: str, data: Dataset, params: dict, rng: RngStream | None) -> tuple[Theta, float, dict]:
-    """Dispatch one fit on normalized data; returns (theta, elapsed, extras)."""
-    extras: dict = {}
-    if algo == "alg1":
-        cfg = SmoothingConfig(epsilon=params["epsilon"], lam=params["lam"], gamma=params["gamma"])
-        start = time.perf_counter()
-        report = fit_smoothed_private(data, cfg, rng)
-        elapsed = time.perf_counter() - start
-        theta = report.theta
-        extras = {"b_norm": report.b_norm, "solver_iters": report.solver_iters}
-    elif algo == "baseline-smooth":
-        cfg = SmoothingConfig(lam=params["lam"], gamma=params["gamma"])
-        start = time.perf_counter()
-        theta = fit_smoothed_baseline(data, cfg)
-        elapsed = time.perf_counter() - start
-    elif algo == "alg2":
-        cfg = IrlsConfig(
-            epsilon=params["epsilon"], lam=params["lam"], e=params["e"],
-            tau=params["tau"], max_iters=params["n0"], v=params["v"],
-        )
-        start = time.perf_counter()
-        report = fit_irls_private(data, cfg, rng)
-        elapsed = time.perf_counter() - start
-        theta = report.theta
-        extras = {
-            "noise_scale": report.noise_scale,
-            "noise": report.noise,
-            "iterations": report.trace.iterations,
-        }
-    elif algo == "baseline-irls":
-        cfg = IrlsConfig(lam=params["lam"], e=params["e"], tau=params["tau"], max_iters=params["n0"])
-        start = time.perf_counter()
-        trace = irls_fit(data, cfg)
-        elapsed = time.perf_counter() - start
-        theta = trace.final
-        extras = {"iterations": trace.iterations, "converged": trace.converged}
-    elif algo == "alg3":
-        cfg = GcdConfig(
-            epsilon=params["epsilon"], lam=params["lam"], ell=params["ell"],
-            batches=params["n0"], init=params["init"],
-        )
-        start = time.perf_counter()
-        trace = fit_gcd_private(data, cfg, rng)
-        elapsed = time.perf_counter() - start
-        theta = trace.final
-        extras = {"dropped": trace.plan.dropped}
-    else:
-        raise ValueError(f"unknown algorithm {algo!r}")
+    """One fit on normalized data; returns (theta, elapsed, extras)."""
+    entry = _algorithm(algo)
+    cfg = entry.config(**{field: params[knob] for knob, field in entry.knobs.items()})
+    start = time.perf_counter()
+    theta, extras = entry.run(data, cfg, rng)
+    elapsed = time.perf_counter() - start
     return theta, elapsed, extras
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 import time
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .bench import (
-    ALGO_FLAGS,
+    ALGORITHM_TABLE,
     ALGORITHMS,
     CellResult,
     parameter_names,
@@ -31,6 +32,7 @@ from .bench import (
 )
 from .datagen import (
     GeneratorSpec,
+    default_generator_spec,
     generate,
     normalize,
     read_csv,
@@ -41,13 +43,19 @@ from .gcd import GcdConfig, gcd_step_probe
 from .irls import IrlsConfig, fit_irls_private, irls_accuracy_bound, irls_sensitivity_probe
 from .sampling import RngStream, gamma_tail_bound, sample_l1_perturbation, sample_laplace
 from .smoothing import SmoothingConfig, fit_smoothed_baseline, fit_smoothed_private, smoothing_accuracy_bound
-from .datagen import default_generator_spec
 
 SEED_ENV = "DPMEDREG_SEED"
 
 
-def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV, "0"))
+def _resolve_seed(parser, given: int | None) -> int:
+    """``--seed`` when given, else the DPMEDREG_SEED variable, else 0."""
+    if given is not None:
+        return given
+    text = os.environ.get(SEED_ENV, "0")
+    try:
+        return int(text)
+    except ValueError:
+        parser.error(f"{SEED_ENV} must be an integer, got {text!r}")
 
 
 def _positive_int(text: str) -> int:
@@ -64,12 +72,6 @@ def _beta_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
 
 
-def _write_manifest(path: str, entries: dict) -> None:
-    lines = [f"{key}={entries[key]}" for key in sorted(entries)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def _fingerprint(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -77,21 +79,21 @@ def _fingerprint(path: str) -> str:
     return digest.hexdigest()
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+def _emit(text: str, path: str | None, stream) -> None:
+    if path:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
+        stream.write(text)
 
 
-def _manifest_path(out: str | None, command: str, seed: int) -> str | None:
-    if out:
-        return out + ".manifest"
-    return None
+def _write_manifest(out: str | None, entries: dict) -> None:
+    """Sorted key=value lines to ``<out>.manifest``, or to stderr without ``out``."""
+    text = "".join(f"{key}={entries[key]}\n" for key in sorted(entries))
+    _emit(text, out + ".manifest" if out else None, sys.stderr)
 
 
-def _cmd_generate(parser, args) -> int:
+def _cmd_generate(parser, args, seed: int) -> int:
     beta = args.beta if args.beta is not None else [3.0, 0.0, -4.0]
     if args.d is not None and args.d != len(beta):
         parser.error(f"--d {args.d} does not match beta length {len(beta)}")
@@ -104,7 +106,7 @@ def _cmd_generate(parser, args) -> int:
         n=args.n, d=len(beta), mu=args.mu, beta=beta, noise_scale=args.noise_scale, **kwargs
     )
     start = time.perf_counter()
-    X, Y, truth = generate(spec, RngStream(args.seed))
+    X, Y, truth = generate(spec, RngStream(seed))
     write_csv(args.out, X, Y)
     wall = time.perf_counter() - start
     manifest = {
@@ -115,42 +117,39 @@ def _cmd_generate(parser, args) -> int:
         "beta": ",".join(repr(float(b)) for b in spec.beta),
         "noise_scale": spec.noise_scale,
         "box": f"{spec.box[0]},{spec.box[1]}",
-        "seed": args.seed,
+        "seed": seed,
         "out": args.out,
         "dataset_fingerprint": f"n={spec.n};sha256={_fingerprint(args.out)}",
         "wall_time": wall,
         "artifact_version": __version__,
     }
-    _write_manifest(args.out + ".manifest", manifest)
+    _write_manifest(args.out, manifest)
     return 0
 
 
-def _check_algo_flags(parser, args) -> None:
-    supplied = {
-        name: getattr(args, name)
-        for name in ("epsilon", "lam", "gamma", "e", "tau", "v", "ell", "n0", "init", "seed")
-        if getattr(args, name, None) is not None
-    }
-    allowed = ALGO_FLAGS[args.algo]
-    for name in supplied:
-        if name not in allowed:
-            flag = "lambda" if name == "lam" else name.replace("_", "-")
+# Every knob flag of ``fit`` by argparse dest; an algorithm's table row says
+# which of them it accepts.
+_KNOBS = tuple(dict.fromkeys(knob for entry in ALGORITHM_TABLE.values() for knob in entry.knobs))
+
+
+def _fit_overrides(parser, args) -> dict:
+    """The algorithm's knob flags as given to ``fit``; any other knob flag
+    given (or ``--seed`` for a baseline) is a usage error."""
+    entry = ALGORITHM_TABLE[args.algo]
+    accepted = set(entry.knobs) | ({"seed"} if entry.private else set())
+    for name in _KNOBS + ("seed",):
+        if getattr(args, name) is not None and name not in accepted:
+            flag = "lambda" if name == "lam" else name
             parser.error(f"flag --{flag} does not apply to algorithm {args.algo}")
+    return {name: getattr(args, name) for name in entry.knobs}
 
 
-def _cmd_fit(parser, args) -> int:
-    _check_algo_flags(parser, args)
-    overrides = {
-        key: getattr(args, key)
-        for key in ("epsilon", "lam", "gamma", "e", "tau", "v", "ell", "n0", "init")
-        if hasattr(args, key)
-    }
-    params = resolve_params(args.algo, {k: v for k, v in overrides.items() if v is not None})
-    seed = args.seed if args.seed is not None else _default_seed()
+def _cmd_fit(parser, args, seed: int) -> int:
+    params = resolve_params(args.algo, _fit_overrides(parser, args))
+    start = time.perf_counter()
     X, Y = read_csv(args.data)
     data, record = normalize(X, Y, args.target_b)
-    rng = RngStream(seed)
-    theta, elapsed, extras = run_fit(args.algo, data, params, rng)
+    theta, elapsed, _ = run_fit(args.algo, data, params, RngStream(seed))
     est = unscale_theta(theta, record)
     names = parameter_names(data.d)
     values = est.as_vector()
@@ -167,7 +166,8 @@ def _cmd_fit(parser, args) -> int:
         for name, value in zip(names, values):
             lines.append(f"| {args.algo} | {name} | {value:.6f} | {elapsed:.4f} |")
         text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    _emit(text, args.out, sys.stdout)
+    wall = time.perf_counter() - start
     manifest = {
         "command": "fit",
         "algo": args.algo,
@@ -177,20 +177,15 @@ def _cmd_fit(parser, args) -> int:
         "dataset_fingerprint": f"n={data.n};sha256={_fingerprint(args.data)}",
         "x_scale": record.x_scale,
         "y_scale": record.y_scale,
-        "wall_time": elapsed,
+        "wall_time": wall,
         "artifact_version": __version__,
     }
     manifest.update({f"param_{k}": v for k, v in sorted(params.items())})
-    target = _manifest_path(args.out, "fit", seed)
-    if target:
-        _write_manifest(target, manifest)
-    else:
-        sys.stderr.write("".join(f"{k}={manifest[k]}\n" for k in sorted(manifest)))
+    _write_manifest(args.out, manifest)
     return 0
 
 
-def _cmd_bench(parser, args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+def _cmd_bench(parser, args, seed: int) -> int:
     algos = args.algo_list.split(",")
     for algo in algos:
         if algo not in ALGORITHMS:
@@ -210,7 +205,7 @@ def _cmd_bench(parser, args) -> int:
             cell_id += 1
     wall = time.perf_counter() - wall_start
     text = rows_to_csv(cells) if args.format == "csv" else tables_to_markdown(cells)
-    _emit(text, args.out)
+    _emit(text, args.out, sys.stdout)
     manifest = {
         "command": "bench",
         "replicates": args.replicates,
@@ -224,11 +219,7 @@ def _cmd_bench(parser, args) -> int:
     for algo, params in resolved.items():
         for key, value in params.items():
             manifest[f"param_{algo}_{key}"] = value
-    target = _manifest_path(args.out, "bench", seed)
-    if target:
-        _write_manifest(target, manifest)
-    else:
-        sys.stderr.write("".join(f"{k}={manifest[k]}\n" for k in sorted(manifest)))
+    _write_manifest(args.out, manifest)
     return 0
 
 
@@ -240,7 +231,10 @@ def _probe_samplers(trials: int, seed: int, report) -> bool:
     cdf = np.where(xs < 0, 0.5 * np.exp(xs), 1.0 - 0.5 * np.exp(-xs))
     grid = np.arange(1, trials + 1) / trials
     ks = float(np.max(np.maximum(np.abs(grid - cdf), np.abs(grid - 1.0 / trials - cdf))))
-    ok &= report("laplace_ks", ks, 0.01, ks < 0.01)
+    # Dvoretzky-Kiefer-Wolfowitz: a correct sampler exceeds this with
+    # probability at most 2 exp(-20); 0.01 at the default 100 000 trials
+    ks_bound = math.sqrt(10 / trials)
+    ok &= report("laplace_ks", ks, ks_bound, ks < ks_bound)
 
     d = 3
     eps = 0.1
@@ -250,7 +244,10 @@ def _probe_samplers(trials: int, seed: int, report) -> bool:
     mean = float(norms.mean())
     expect = (d + 1) * 4.0 / eps
     rel = abs(mean - expect) / expect
-    ok &= report("gamma_norm_mean_rel_err", rel, 0.02, rel < 0.02)
+    # the Gamma(d + 1) norm's relative standard error is 1/sqrt((d + 1) trials),
+    # so this is about 12.6 of them; 0.02 at the default 100 000 trials
+    rel_bound = math.sqrt(40 / trials)
+    ok &= report("gamma_norm_mean_rel_err", rel, rel_bound, rel < rel_bound)
 
     for alpha in (0.5, 0.1, 0.01):
         bound = gamma_tail_bound(d, alpha, eps)
@@ -309,13 +306,12 @@ def _probe_bounds(trials: int, seed: int, report) -> bool:
     return ok
 
 
-# Per-target trial defaults: distribution checks need many draws for their
-# fixed thresholds, the Monte-Carlo coverage check needs full refits.
+# Per-target trial defaults: the sampler thresholds shrink as 1/sqrt(trials),
+# the Monte-Carlo coverage check needs full refits.
 _PROBE_TRIALS = {"samplers": 100_000, "alg2": 1000, "alg3": 1000, "bounds": 200}
 
 
-def _cmd_probe(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+def _cmd_probe(args, seed: int) -> int:
     trials = args.trials if args.trials is not None else _PROBE_TRIALS[args.target]
 
     def report(name: str, observed: float, bound: float, passed: bool) -> bool:
@@ -347,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--beta", type=_beta_list, default=None, help="comma-separated, default 3,0,-4")
     gen.add_argument("--noise-scale", dest="noise_scale", type=float, default=2.0)
     gen.add_argument("--box", type=_beta_list, default=None, help="covariate box lo,hi")
-    gen.add_argument("--seed", type=int, default=_default_seed())
+    gen.add_argument("--seed", type=int, default=None)
     gen.add_argument("--out", required=True)
 
     fit = sub.add_parser("fit", help="fit one algorithm on a CSV table")
@@ -386,15 +382,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    seed = _resolve_seed(parser, args.seed)
     try:
         if args.command == "generate":
-            return _cmd_generate(parser, args)
+            return _cmd_generate(parser, args, seed)
         if args.command == "fit":
-            return _cmd_fit(parser, args)
+            return _cmd_fit(parser, args, seed)
         if args.command == "bench":
-            return _cmd_bench(parser, args)
+            return _cmd_bench(parser, args, seed)
         if args.command == "probe":
-            return _cmd_probe(args)
+            return _cmd_probe(args, seed)
         parser.error(f"unknown command {args.command!r}")
     except SystemExit:
         raise

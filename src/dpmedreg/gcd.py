@@ -9,10 +9,12 @@ iteration.
 
 Step rule per coefficient: stop when both one-sided derivatives are
 nonnegative; otherwise move against whichever side is negative (forward by
--eta d_plus when d_plus < 0, else backward by eta d_minus).  At smooth points
-this is exactly a gradient step of length eta |gradient|, and the step
-magnitude never exceeds the magnitude of the chosen derivative times eta, so
-one-record sensitivity of the whole step vector stays at most 2 eta / n0.
+-eta d_plus when d_plus < 0, else backward by eta d_minus).  The ridge term
+enters the forward derivative as +lam beta_k and the backward one as
+-lam beta_k, so at smooth points d_plus == -d_minus and the rule is exactly a
+gradient step of length eta |gradient|.  The step magnitude never exceeds the
+magnitude of the chosen derivative times eta, so one-record sensitivity of the
+whole step vector stays at most 2 eta / n0.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .irls import weighted_ridge_solve
-from .model import Dataset, Theta, _one_sided_slopes
+from .model import Dataset, Theta, _coordinate_step
 from .sampling import RngStream
 from .verification import ProbeResult, make_neighbor_pair, random_dataset, random_theta
 
@@ -32,7 +34,6 @@ __all__ = [
     "BatchPlan",
     "GcdTrace",
     "split_batches",
-    "coordinate_step",
     "coordinate_step_vector",
     "fit_gcd_private",
     "gcd_step_probe",
@@ -102,44 +103,22 @@ def split_batches(n: int, n_batches: int, rng: RngStream) -> BatchPlan:
     )
 
 
-def _step_from_slopes(d_plus: float, d_minus: float, eta: float) -> float:
-    if d_plus < 0.0:
-        return -eta * d_plus
-    if d_minus < 0.0:
-        return eta * d_minus
-    return 0.0
-
-
-def coordinate_step(
-    theta: Theta, X: np.ndarray, Y: np.ndarray, lam: float, k: int, eta: float
-) -> float:
-    """Signed pre-noise update for coefficient k on one batch.
-
-    |step| <= eta (1 + lam |beta_k|) always, because each one-sided slope is
-    an average of entries bounded by |x_ik| <= 1 plus the ridge term.
-    """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if not 0 <= k < X.shape[1]:
-        raise IndexError(f"coordinate k={k} out of range for d={X.shape[1]}")
-    r = theta.mu + X @ theta.beta - Y
-    d_plus, d_minus = _one_sided_slopes(r, X[:, k], X.shape[0], lam * float(theta.beta[k]))
-    return _step_from_slopes(d_plus, d_minus, eta)
-
-
 def coordinate_step_vector(
     theta: Theta, X: np.ndarray, Y: np.ndarray, lam: float, eta: float
 ) -> np.ndarray:
-    """All d pre-noise coordinate steps evaluated at one fixed theta (no
-    sequential update), as used by the sensitivity probe."""
+    """All d pre-noise coordinate steps on one batch, evaluated at one fixed
+    theta (no sequential update), as used by the sensitivity probe.
+
+    |step_k| <= eta (1 + lam |beta_k|) always, because each one-sided slope
+    is an average of entries bounded by |x_ik| <= 1 plus the ridge term.
+    """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     r = theta.mu + X @ theta.beta - Y
     n0 = X.shape[0]
     out = np.empty(X.shape[1])
     for k in range(X.shape[1]):
-        d_plus, d_minus = _one_sided_slopes(r, X[:, k], n0, lam * float(theta.beta[k]))
-        out[k] = _step_from_slopes(d_plus, d_minus, eta)
+        out[k] = _coordinate_step(r, X[:, k], n0, lam * float(theta.beta[k]), eta)[2]
     return out
 
 
@@ -190,8 +169,7 @@ def fit_gcd_private(data: Dataset, cfg: GcdConfig, rng: RngStream) -> GcdTrace:
         scale = 0.0 if noiseless else 2.0 * eta / (cfg.epsilon * n0)
         r = mu + Xb @ beta - Yb
         for k in range(data.d):
-            d_plus, d_minus = _one_sided_slopes(r, Xb[:, k], n0, cfg.lam * float(beta[k]))
-            step = _step_from_slopes(d_plus, d_minus, eta)
+            step = _coordinate_step(r, Xb[:, k], n0, cfg.lam * float(beta[k]), eta)[2]
             u = 0.0 if noiseless else float(rng.laplaces(scale, 1)[0])
             move = step + u
             beta[k] += move

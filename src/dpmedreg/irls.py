@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .model import Dataset, Theta, residuals
+from .model import Dataset, Theta, design_matrix, residuals
 from .sampling import RngStream, sample_laplace
 from .verification import ProbeResult, make_neighbor_pair, random_dataset
 
@@ -136,7 +136,7 @@ def weighted_ridge_solve(data: Dataset, weights: np.ndarray, lam: float) -> Thet
         raise ValueError("weights must be positive and finite")
     if lam < 0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
-    Xt = np.column_stack([np.ones(data.n), data.X])
+    Xt = design_matrix(data.X)
     A = Xt.T @ (Xt * w[:, None])
     diag = np.arange(1, data.d + 1)
     A[diag, diag] += data.n * lam / 2.0

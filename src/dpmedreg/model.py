@@ -22,6 +22,7 @@ __all__ = [
     "smoothed_objective",
     "smoothed_gradient",
     "directional_derivatives",
+    "design_matrix",
     "perturbed_objective_le",
 ]
 
@@ -160,6 +161,27 @@ def huber_rho(t, gamma: float):
     return out
 
 
+def design_matrix(X: np.ndarray) -> np.ndarray:
+    """Intercept-augmented design (1, X), so that (1, X) @ (mu, beta) = mu + X beta."""
+    return np.column_stack([np.ones(X.shape[0]), X])
+
+
+def _band_signs(r: np.ndarray, gamma: float) -> np.ndarray:
+    return np.where(r < -gamma, -1.0, np.where(r > gamma, 1.0, 0.0))
+
+
+def _smoothed_terms(Xt: np.ndarray, Y: np.ndarray, omega: np.ndarray, gamma: float, ridge, tilt):
+    """(r, s, w, grad) of mean_i rho_gamma(r_i) + (1/2) sum_j ridge_j omega_j^2
+    + tilt'omega at r = Xt omega - Y: residuals, band signs (inclusive band),
+    in-band indicators 1 - s^2, and the gradient the smoothed solver uses."""
+    r = Xt @ omega - Y
+    s = _band_signs(r, gamma)
+    w = 1.0 - s * s
+    bracket = (w * r) / gamma + s
+    grad = Xt.T @ bracket / Y.shape[0] + ridge * omega + tilt
+    return r, s, w, grad
+
+
 def sign_vector(r: np.ndarray, gamma: float) -> np.ndarray:
     """Three-way sign of each residual against the band [-gamma, gamma].
 
@@ -168,8 +190,7 @@ def sign_vector(r: np.ndarray, gamma: float) -> np.ndarray:
     """
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    r = np.asarray(r, dtype=float)
-    return np.where(r < -gamma, -1, np.where(r > gamma, 1, 0)).astype(int)
+    return _band_signs(np.asarray(r, dtype=float), gamma).astype(int)
 
 
 def smoothed_objective(theta: Theta, data: Dataset, cfg: ObjectiveConfig) -> float:
@@ -186,40 +207,49 @@ def smoothed_gradient(theta: Theta, data: Dataset, cfg: ObjectiveConfig) -> Thet
 
     The per-sample factor (r_i / gamma) inside the band and sign(r_i) outside
     always lies in [-1, 1]; at |r_i| == gamma the two branches coincide, so the
-    inclusive band assignment is immaterial here.
+    inclusive band assignment is immaterial here.  This is the solver's
+    gradient with an unpenalized intercept and no tilt.
     """
-    r = residuals(theta, data)
-    s = sign_vector(r, cfg.gamma).astype(float)
-    w = 1.0 - s * s
-    bracket = (w * r) / cfg.gamma + s
-    dmu = float(bracket.sum() / data.n)
-    dbeta = data.X.T @ bracket / data.n + cfg.lam * theta.beta
-    return Theta(mu=dmu, beta=dbeta)
+    if theta.d != data.d:
+        raise ValueError(f"theta has d={theta.d} but data has d={data.d}")
+    ridge = np.full(data.d + 1, cfg.lam)
+    ridge[0] = 0.0
+    _, _, _, grad = _smoothed_terms(
+        design_matrix(data.X), data.Y, theta.as_vector(), cfg.gamma, ridge, 0.0
+    )
+    return Theta.from_vector(grad)
 
 
-def _one_sided_slopes(r: np.ndarray, xk: np.ndarray, n: int, lam_beta_k: float):
-    """Forward/backward coordinate slopes of the mean absolute residual."""
+def _coordinate_step(r: np.ndarray, xk: np.ndarray, n: int, lam_beta_k: float, eta: float):
+    """(d_plus, d_minus, step): one-sided slopes of the mean absolute residual
+    plus (lam/2) beta'beta along +/- coordinate k, and alg3's step, which is
+    -eta d_plus if d_plus < 0, else eta d_minus if d_minus < 0, else 0."""
     pos = r > 0
     neg = r < 0
     zero = ~(pos | neg)
     kink = float(np.abs(xk[zero]).sum())
     swing = float(xk[pos].sum() - xk[neg].sum())
     d_plus = (swing + kink) / n + lam_beta_k
-    d_minus = (-swing + kink) / n + lam_beta_k
-    return d_plus, d_minus
+    d_minus = (-swing + kink) / n - lam_beta_k
+    if d_plus < 0.0:
+        return d_plus, d_minus, -eta * d_plus
+    if d_minus < 0.0:
+        return d_plus, d_minus, eta * d_minus
+    return d_plus, d_minus, 0.0
 
 
 def directional_derivatives(theta: Theta, data: Dataset, lam: float, k: int):
     """One-sided derivatives of :func:`objective_l1` along +/- coordinate k.
 
     Samples with r_i exactly zero contribute |x_ik| to both sides.  The ridge
-    term contributes lam * beta_k to both returned values, so away from kinks
-    d_plus == -d_minus + 2 lam beta_k.  ``k`` is a 0-based coordinate index.
+    term contributes +lam beta_k forward and -lam beta_k backward, so away
+    from kinks d_plus == -d_minus.  ``k`` is a 0-based coordinate index.
     """
     if not 0 <= k < data.d:
         raise IndexError(f"coordinate k={k} out of range for d={data.d}")
     r = residuals(theta, data)
-    return _one_sided_slopes(r, data.X[:, k], data.n, lam * float(theta.beta[k]))
+    d_plus, d_minus, _ = _coordinate_step(r, data.X[:, k], data.n, lam * float(theta.beta[k]), 0.0)
+    return d_plus, d_minus
 
 
 def perturbed_objective_le(

@@ -19,13 +19,12 @@ piecewise quadratic whose breakpoints are band crossings).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .model import Dataset, Theta
+from .model import Dataset, Theta, _smoothed_terms, design_matrix
 from .sampling import RngStream, sample_l1_perturbation
 
 __all__ = [
@@ -70,7 +69,6 @@ class SmoothingReport:
     b_norm: float
     solver_iters: int
     final_grad_norm: float
-    elapsed: float
 
 
 class ConvergenceError(RuntimeError):
@@ -83,16 +81,16 @@ class ConvergenceError(RuntimeError):
         self.iters = iters
 
 
-def _exact_line_search(r, delta, gamma, n, q1, q2):
+def _exact_line_search(r, s, delta, gamma, n, q1, q2):
     """Exact argmin over alpha >= 0 of the 1-d restriction.
 
     phi(alpha) = mean_i rho_gamma(r_i + alpha delta_i) + q1 alpha + (q2/2) alpha^2.
     phi' is continuous, piecewise linear and nondecreasing; its breakpoints are
-    the alphas where a sample crosses the +/-gamma band.  Requires phi'(0) < 0.
-    Raises if the slope never becomes nonnegative (descent ray is unbounded).
+    the alphas where a sample crosses the +/-gamma band.  ``s`` holds the band
+    signs of ``r``.  Requires phi'(0) < 0.  Raises if the slope never becomes
+    nonnegative (descent ray is unbounded).
     """
-    inband = np.abs(r) <= gamma
-    s = np.where(r < -gamma, -1.0, np.where(r > gamma, 1.0, 0.0))
+    inband = s == 0.0
     A0 = float(np.where(inband, r * delta / gamma, s * delta).sum()) / n + q1
     B0 = float(np.where(inband, delta * delta / gamma, 0.0).sum()) / n + q2
     if A0 >= 0.0:
@@ -100,8 +98,8 @@ def _exact_line_search(r, delta, gamma, n, q1, q2):
 
     d_pos = delta > 0
     d_neg = delta < 0
-    below = r < -gamma
-    above = r > gamma
+    below = s < 0.0
+    above = s > 0.0
     # Each residual trajectory r_i + alpha delta_i is monotone, so it enters
     # the band at most once and exits at most once.
     ent_mask = (d_pos & below) | (d_neg & above)
@@ -152,21 +150,18 @@ def _exact_line_search(r, delta, gamma, n, q1, q2):
 def _minimize_smoothed(data: Dataset, lam, gamma, tilt, tol, max_iters):
     """Minimize the tilted smoothed objective; returns (omega, iters, grad_norm)."""
     n, d = data.n, data.d
-    Xt = np.column_stack([np.ones(n), data.X])
+    Xt = design_matrix(data.X)
     ridge = np.empty(d + 1)
     ridge[0] = 2.0 / math.sqrt(n)
     ridge[1:] = lam
     omega = np.zeros(d + 1)
-    gnorm = math.inf
-    for it in range(max_iters):
-        r = Xt @ omega - data.Y
-        s = np.where(r < -gamma, -1.0, np.where(r > gamma, 1.0, 0.0))
-        w = 1.0 - s * s
-        bracket = (w * r) / gamma + s
-        grad = Xt.T @ bracket / n + ridge * omega + tilt
+    for it in range(max_iters + 1):
+        r, s, w, grad = _smoothed_terms(Xt, data.Y, omega, gamma, ridge, tilt)
         gnorm = float(np.abs(grad).max())
         if gnorm <= tol:
             return omega, it, gnorm
+        if it == max_iters:
+            break
 
         H = (Xt.T * w) @ Xt / (n * gamma)
         H[np.diag_indices_from(H)] += ridge
@@ -189,7 +184,7 @@ def _minimize_smoothed(data: Dataset, lam, gamma, tilt, tol, max_iters):
         q1 = float((ridge * omega + tilt) @ p)
         q2 = float(ridge @ (p * p))
         try:
-            alpha = _exact_line_search(r, delta, gamma, n, q1, q2)
+            alpha = _exact_line_search(r, s, delta, gamma, n, q1, q2)
         except FloatingPointError as exc:
             raise ConvergenceError(str(exc), Theta.from_vector(omega), gnorm, it) from None
         if alpha <= 0.0:
@@ -203,12 +198,6 @@ def _minimize_smoothed(data: Dataset, lam, gamma, tilt, tol, max_iters):
                 it,
             )
         omega = omega + alpha * p
-    r = Xt @ omega - data.Y
-    s = np.where(r < -gamma, -1.0, np.where(r > gamma, 1.0, 0.0))
-    bracket = ((1.0 - s * s) * r) / gamma + s
-    gnorm = float(np.abs(Xt.T @ bracket / n + ridge * omega + tilt).max())
-    if gnorm <= tol:
-        return omega, max_iters, gnorm
     raise ConvergenceError(
         f"no convergence in {max_iters} iterations (grad norm {gnorm:.3e})",
         Theta.from_vector(omega),
@@ -232,7 +221,6 @@ def fit_smoothed_private(data: Dataset, cfg: SmoothingConfig, rng: RngStream) ->
     """
     if cfg.epsilon is None:
         raise ValueError("private fit requires epsilon")
-    start = time.perf_counter()
     if math.isinf(cfg.epsilon):
         b = np.zeros(data.d + 1)
     else:
@@ -240,14 +228,12 @@ def fit_smoothed_private(data: Dataset, cfg: SmoothingConfig, rng: RngStream) ->
     omega, iters, gnorm = _minimize_smoothed(
         data, cfg.lam, cfg.gamma, b / data.n, cfg.solver_tol, cfg.max_iters
     )
-    elapsed = time.perf_counter() - start
     return SmoothingReport(
         theta=Theta.from_vector(omega),
         noise=b,
         b_norm=float(np.abs(b).sum()),
         solver_iters=iters,
         final_grad_norm=gnorm,
-        elapsed=elapsed,
     )
 
 

@@ -73,10 +73,48 @@ def test_fit_baseline_rejects_seed(small_csv):
     assert info.value.code == 2
 
 
-def test_fit_rejects_foreign_knob(small_csv):
-    with pytest.raises(SystemExit) as info:
-        main(["fit", "--algo", "alg2", "--data", str(small_csv), "--gamma", "0.1"])
-    assert info.value.code == 2
+# The flags each algorithm accepts, as the README documents them, and a valid
+# value for every knob flag of ``fit``.
+ACCEPTED_FLAGS = {
+    "alg1": {"epsilon", "lambda", "gamma", "seed"},
+    "alg2": {"epsilon", "lambda", "e", "tau", "v", "n0", "seed"},
+    "alg3": {"epsilon", "lambda", "ell", "n0", "init", "seed"},
+    "baseline-smooth": {"lambda", "gamma"},
+    "baseline-irls": {"lambda", "e", "tau", "n0"},
+}
+FLAG_VALUES = {
+    "epsilon": "0.1", "lambda": "0.01", "gamma": "0.1", "e": "0.2", "tau": "1e-6",
+    "v": "2.0", "n0": "5", "ell": "0.1", "init": "zero", "seed": "4",
+}
+
+
+def test_fit_rejects_foreign_knob(small_csv, capsys):
+    # every (algorithm, flag it does not accept) pair is a usage error naming the flag
+    pairs = [
+        (algo, flag) for algo, accepted in ACCEPTED_FLAGS.items()
+        for flag in FLAG_VALUES if flag not in accepted
+    ]
+    assert len(pairs) == 27
+    for algo, flag in pairs:
+        argv = ["fit", "--algo", algo, "--data", str(small_csv), f"--{flag}", FLAG_VALUES[flag]]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2, (algo, flag)
+        assert f"flag --{flag} does not apply to algorithm {algo}" in capsys.readouterr().err
+
+
+def test_fit_accepts_its_own_knobs(small_csv, tmp_path):
+    # all accepted flags at once reach the manifest; n0 is alg2's iteration
+    # cap and alg3's batch count
+    for algo, accepted in ACCEPTED_FLAGS.items():
+        out = tmp_path / f"{algo}.csv"
+        argv = ["fit", "--algo", algo, "--data", str(small_csv), "--out", str(out)]
+        for flag in sorted(accepted):
+            argv += [f"--{flag}", FLAG_VALUES[flag]]
+        assert main(argv) == 0, algo
+        manifest = (tmp_path / f"{algo}.csv.manifest").read_text(encoding="utf-8")
+        assert "param_lam=0.01" in manifest
+        assert ("param_n0=5" in manifest) == ("n0" in accepted)
 
 
 def test_fit_row_deterministic(small_csv, capsys):
@@ -109,6 +147,10 @@ def test_fit_writes_manifest_with_fingerprint(small_csv, tmp_path):
     assert f"sha256={digest}" in manifest
     assert "param_ell=0.1" in manifest
     assert "param_n0=40" in manifest
+    # wall_time covers CSV read through result write, elapsed_seconds the fit alone
+    elapsed = float(out.read_text(encoding="utf-8").splitlines()[1].split(",")[-1])
+    wall = float(manifest.split("wall_time=")[1].splitlines()[0])
+    assert wall > elapsed > 0.0
 
 
 def test_fit_missing_file_is_runtime_error(capsys):
@@ -165,14 +207,20 @@ def test_probe_bounds_passes(capsys):
 
 
 def test_probe_samplers_passes(capsys):
-    # default trial count; the fixed thresholds assume it
-    assert main(["probe", "--target", "samplers", "--seed", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "laplace_ks" in out
-    assert "FAIL" not in out
+    # the default 100 000 trials, where the thresholds are 0.01 and 0.02, and
+    # 10 000 trials, where seed 7's KS distance of 0.0147 exceeds 0.01 but not
+    # the scaled sqrt(10 / 10 000)
+    for argv, ks_line in (
+        (["--seed", "3"], "bound=0.01 PASS"),
+        (["--trials", "10000", "--seed", "7"], "observed=0.014702 bound=0.0316228 PASS"),
+    ):
+        assert main(["probe", "--target", "samplers", *argv]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("laplace_ks: ") and out.splitlines()[0].endswith(ks_line)
+        assert "FAIL" not in out
 
 
-def test_env_variable_provides_default_seed(tmp_path, monkeypatch):
+def test_env_variable_provides_default_seed(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("DPMEDREG_SEED", "123")
     a = tmp_path / "env.csv"
     b = tmp_path / "flag.csv"
@@ -180,3 +228,11 @@ def test_env_variable_provides_default_seed(tmp_path, monkeypatch):
     assert main(["generate", "--n", "30", "--seed", "123", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert "seed=123" in (tmp_path / "env.csv.manifest").read_text(encoding="utf-8")
+    # a value that is not an integer is a usage error naming the variable,
+    # and an explicit --seed never reads it
+    monkeypatch.setenv("DPMEDREG_SEED", "abc")
+    with pytest.raises(SystemExit) as info:
+        main(["generate", "--n", "10", "--out", str(tmp_path / "bad.csv")])
+    assert info.value.code == 2
+    assert "DPMEDREG_SEED" in capsys.readouterr().err
+    assert main(["generate", "--n", "10", "--seed", "1", "--out", str(tmp_path / "ok.csv")]) == 0

@@ -9,7 +9,6 @@ from dpmedreg import (
     GcdConfig,
     RngStream,
     Theta,
-    coordinate_step,
     coordinate_step_vector,
     fit_gcd_private,
     gcd_step_probe,
@@ -64,34 +63,35 @@ def test_step_zero_at_joint_kink():
     beta = np.array([1.0, 2.0])
     Y = X @ beta
     theta = Theta(0.0, beta)
-    for k in range(2):
-        assert coordinate_step(theta, X, Y, 0.0, k, eta=0.1) == 0.0
+    assert np.all(coordinate_step_vector(theta, X, Y, 0.0, eta=0.1) == 0.0)
 
 
 def test_step_equals_gradient_step_at_smooth_points(rng):
-    # away from kinks with lam = 0 the rule is exactly -eta * slope, and the
-    # slope equals a one-sided difference because the loss is locally linear
+    # away from kinks the rule is exactly -eta * gradient, with or without the
+    # ridge term; a central difference recovers that gradient because the loss
+    # is locally linear and the ridge term quadratic
     eta = 0.07
     h = 1e-4  # stays inside one linear segment since min |r_i| > 1e-3 and |x| <= 1
-    checked = 0
-    t = 0
-    while checked < 30:
-        sub = rng.derive(t)
-        t += 1
-        data, _ = bounded_instance(sub, n=25, d=3)
-        theta = Theta(float(sub.uniforms(-1, 1, 1)[0]), sub.uniforms(-1, 1, 3))
-        if float(np.min(np.abs(residuals(theta, data)))) < 1e-3:
-            continue
-        checked += 1
-        for k in range(3):
-            step = coordinate_step(theta, data.X, data.Y, 0.0, k, eta)
-            ek = np.zeros(3)
-            ek[k] = h
-            grad = (
-                objective_l1(Theta(theta.mu, theta.beta + ek), data, 0.0)
-                - objective_l1(theta, data, 0.0)
-            ) / h
-            assert abs(step - (-eta * grad)) <= 1e-11
+    for lam in (0.0, 0.3):
+        checked = 0
+        t = 0
+        while checked < 30:
+            sub = rng.derive(t)
+            t += 1
+            data, _ = bounded_instance(sub, n=25, d=3)
+            theta = Theta(float(sub.uniforms(-1, 1, 1)[0]), sub.uniforms(-1, 1, 3))
+            if float(np.min(np.abs(residuals(theta, data)))) < 1e-3:
+                continue
+            checked += 1
+            steps = coordinate_step_vector(theta, data.X, data.Y, lam, eta)
+            for k in range(3):
+                ek = np.zeros(3)
+                ek[k] = h
+                grad = (
+                    objective_l1(Theta(theta.mu, theta.beta + ek), data, lam)
+                    - objective_l1(Theta(theta.mu, theta.beta - ek), data, lam)
+                ) / (2 * h)
+                assert abs(steps[k] - (-eta * grad)) <= 1e-11
 
 
 def test_step_magnitude_bound(rng):
@@ -100,9 +100,8 @@ def test_step_magnitude_bound(rng):
         sub = rng.derive(t)
         data, _ = bounded_instance(sub, n=20, d=2)
         theta = Theta(float(sub.uniforms(-2, 2, 1)[0]), sub.uniforms(-2, 2, 2))
-        for k in range(2):
-            step = coordinate_step(theta, data.X, data.Y, lam, k, eta)
-            assert abs(step) <= eta * (1.0 + lam * abs(theta.beta[k])) + 1e-15
+        steps = coordinate_step_vector(theta, data.X, data.Y, lam, eta)
+        assert np.all(np.abs(steps) <= eta * (1.0 + lam * np.abs(theta.beta)) + 1e-15)
 
 
 def test_fit_fixed_point_stays_put():
@@ -163,14 +162,6 @@ def test_fit_requires_enough_rows():
     cfg = GcdConfig(epsilon=1.0, batches=10)
     with pytest.raises(ValueError):
         fit_gcd_private(data, cfg, RngStream(0))
-
-
-def test_step_vector_matches_per_coordinate(rng):
-    data, _ = bounded_instance(rng, n=30, d=3)
-    theta = Theta(0.2, np.array([0.1, -0.4, 0.3]))
-    vec = coordinate_step_vector(theta, data.X, data.Y, 0.01, 0.1)
-    for k in range(3):
-        assert vec[k] == coordinate_step(theta, data.X, data.Y, 0.01, k, 0.1)
 
 
 def test_step_probe_dominated_and_scales():

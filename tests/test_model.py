@@ -286,7 +286,8 @@ def test_directional_derivatives_match_one_sided_differences(rng):
 
 
 def test_directional_derivatives_ridge_identity(rng):
-    # away from kinks: d_plus == -d_minus + 2 lam beta_k
+    # away from kinks the ridge term adds +lam beta_k forward and -lam beta_k
+    # backward, so the two one-sided slopes are exact negatives
     lam = 0.3
     for t in range(25):
         sub = rng.derive(t)
@@ -296,7 +297,10 @@ def test_directional_derivatives_ridge_identity(rng):
             continue
         for k in range(3):
             dp, dm = directional_derivatives(theta, data, lam, k)
-            assert dp == pytest.approx(-dm + 2 * lam * theta.beta[k], abs=1e-12)
+            dp0, dm0 = directional_derivatives(theta, data, 0.0, k)
+            assert dp == pytest.approx(-dm, abs=1e-12)
+            assert dp == pytest.approx(dp0 + lam * theta.beta[k], abs=1e-12)
+            assert dm == pytest.approx(dm0 - lam * theta.beta[k], abs=1e-12)
 
 
 def test_directional_derivatives_convexity_sum(rng):
