@@ -75,7 +75,8 @@ def _beta_list(text: str) -> list[float]:
 def _fingerprint(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        digest.update(fh.read())
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
     return digest.hexdigest()
 
 

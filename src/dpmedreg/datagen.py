@@ -9,11 +9,20 @@ which amplifies both the intercept damping term and the perturbation noise by
 an order of magnitude.  The box is recorded in run manifests and can be
 overridden.  Bounds produced by :func:`normalize` are treated as public
 knowledge by the fitters; data-dependent scaling is not itself privatized.
+
+Data files are UTF-8 CSV with header x1,...,xd,y and LF line endings (CRLF
+is also read), one shortest round-trip float per field, so a generated file
+is byte-identical for a fixed seed and reads back to the exact doubles.
+Blank lines are skipped; a malformed or non-finite row is a ``ValueError``
+naming ``path:line``.  Rows are parsed by numpy's parser, which also refuses
+tokens Python's ``float`` takes, such as digit-group underscores (``1_0``)
+and non-ASCII digits.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,6 +130,10 @@ def unscale_theta(theta: Theta, rec: ScalingRecord) -> Theta:
     )
 
 
+# Rows formatted per write by :func:`write_csv`.
+_CSV_BLOCK_ROWS = 8192
+
+
 def _expected_header(d: int) -> list[str]:
     return [f"x{j}" for j in range(1, d + 1)] + ["y"]
 
@@ -129,24 +142,64 @@ def write_csv(path, X: np.ndarray, Y: np.ndarray) -> None:
     """UTF-8, LF-terminated CSV with header x1,...,xd,y.
 
     Floats are written with shortest round-trip formatting, so
-    write-then-read reproduces the exact doubles.
+    write-then-read reproduces the exact doubles.  Raises ``ValueError``
+    for a table :func:`read_csv` would refuse: X not (n, d) with d >= 1,
+    Y not (n,), n = 0, or a non-finite value.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    lines = [",".join(_expected_header(X.shape[1]))]
-    for i in range(X.shape[0]):
-        lines.append(",".join([repr(float(v)) for v in X[i]] + [repr(float(Y[i]))]))
+    if X.ndim != 2 or X.shape[1] < 1 or Y.shape != X.shape[:1] or X.shape[0] < 1:
+        raise ValueError(
+            f"need X (n, d) with d >= 1 and Y (n,) with matching n >= 1, "
+            f"got X {X.shape} and Y {Y.shape}"
+        )
+    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+        raise ValueError("non-finite value rejected")
+    width = X.shape[1] + 1
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(_expected_header(X.shape[1])) + "\n")
+        # Formatting a block at a time keeps the strings of only one block
+        # alive; repr of a Python float is the shortest round-trip form.
+        for start in range(0, X.shape[0], _CSV_BLOCK_ROWS):
+            stop = start + _CSV_BLOCK_ROWS
+            values = map(repr, np.column_stack([X[start:stop], Y[start:stop]]).ravel().tolist())
+            fh.write("\n".join(map(",".join, zip(*[values] * width))) + "\n")
+
+
+def _first_bad_line(path, d: int, reason: str) -> ValueError:
+    """The error for the first data line of ``path`` that is not d + 1
+    finite floats, naming it as ``path:line``; ``reason`` if every line
+    passes (a token Python's ``float`` accepts but numpy's parser refuses).
+    Line numbers count the header as line 1 and include blank lines."""
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != d + 1:
+                return ValueError(f"{path}:{lineno}: expected {d + 1} fields, got {len(parts)}")
+            try:
+                values = [float(p) for p in parts]
+            except ValueError as exc:
+                return ValueError(f"{path}:{lineno}: {exc}")
+            if not all(math.isfinite(v) for v in values):
+                return ValueError(f"{path}:{lineno}: non-finite value rejected")
+    return ValueError(f"{path}: {reason}")
 
 
 def read_csv(path):
-    """Read a table written by :func:`write_csv`; d is inferred from the header."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+    """Read a table written by :func:`write_csv`; d is inferred from the header.
+
+    Blank lines are skipped.  A malformed or non-finite row raises
+    ``ValueError`` naming ``path:line``.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline()
+    if not first:
         raise ValueError(f"{path}: empty file")
-    header = lines[0].split(",")
+    header = first.rstrip("\n").split(",")
     d = len(header) - 1
     if d < 1:
         raise ValueError(f"{path}: header must name at least one covariate and y")
@@ -154,21 +207,17 @@ def read_csv(path):
     for got, want in zip(header, expected):
         if got != want:
             raise ValueError(f"{path}: header column {got!r} does not match expected {want!r}")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != d + 1:
-            raise ValueError(f"{path}:{lineno}: expected {d + 1} fields, got {len(parts)}")
-        try:
-            values = [float(p) for p in parts]
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"{path}:{lineno}: non-finite value rejected")
-        rows.append(values)
-    if not rows:
+    try:
+        with warnings.catch_warnings():
+            # A header-only file is reported below as "no data rows".
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(
+                path, delimiter=",", skiprows=1, comments=None, ndmin=2, encoding="utf-8"
+            )
+    except ValueError as exc:
+        raise _first_bad_line(path, d, str(exc)) from None
+    if table.shape[0] == 0:
         raise ValueError(f"{path}: no data rows")
-    table = np.array(rows, dtype=float)
+    if table.shape[1] != d + 1 or not np.isfinite(table).all():
+        raise _first_bad_line(path, d, "malformed or non-finite row")
     return table[:, :d], table[:, d]

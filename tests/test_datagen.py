@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from dpmedreg import (
     unscale_theta,
     write_csv,
 )
+from dpmedreg.datagen import _CSV_BLOCK_ROWS
 from dpmedreg.smoothing import SmoothingConfig, fit_smoothed_baseline
 
 
@@ -138,3 +141,99 @@ def test_csv_infers_dimension(tmp_path):
     X, Y = read_csv(path)
     assert X.shape == (1, 4)
     assert Y.shape == (1,)
+
+
+def _reference_csv_bytes(X, Y):
+    """Row-by-row formatting, the reference for the block-wise writer."""
+    lines = [",".join([f"x{j}" for j in range(1, X.shape[1] + 1)] + ["y"])]
+    for i in range(X.shape[0]):
+        lines.append(",".join([repr(float(v)) for v in X[i]] + [repr(float(Y[i]))]))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("n", [1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1])
+def test_csv_written_bytes_match_row_reference(tmp_path, n):
+    rng = RngStream(n)
+    X = rng.uniforms(-1, 1, 2 * n).reshape(n, 2)
+    Y = rng.laplaces(2.0, n)
+    path = tmp_path / "t.csv"
+    write_csv(path, X, Y)
+    assert path.read_bytes() == _reference_csv_bytes(X, Y)
+
+
+def test_csv_round_trip_edge_doubles(tmp_path):
+    edge = [5e-324, -0.0, 1e-05, 1e16, 1.7976931348623157e308, 1 / 3]
+    X = np.array([edge, edge[::-1]])
+    Y = np.array([-5e-324, -1.7976931348623157e308])
+    path = tmp_path / "t.csv"
+    write_csv(path, X, Y)
+    X2, Y2 = read_csv(path)
+    assert np.array_equal(X.view(np.int64), X2.view(np.int64))
+    assert np.array_equal(Y.view(np.int64), Y2.view(np.int64))
+
+
+def test_csv_accepts_crlf(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"x1,y\r\n0.5,1.0\r\n-0.25,2.0\r\n")
+    X, Y = read_csv(path)
+    assert X.tolist() == [[0.5], [-0.25]]
+    assert Y.tolist() == [1.0, 2.0]
+
+
+def test_csv_skips_blank_lines_and_counts_them(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("x1,y\n0.5,1.0\n\n0.25,2.0\n\n", encoding="utf-8")
+    X, Y = read_csv(path)
+    assert X.tolist() == [[0.5], [0.25]]
+    assert Y.tolist() == [1.0, 2.0]
+    path.write_text("x1,y\n0.5,1.0\n\nnan,2.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r":4: non-finite"):
+        read_csv(path)
+
+
+@pytest.mark.parametrize("bad", ["#0.5,1.0", "   ", "1_0,2.0"])
+def test_csv_rejects_hash_whitespace_and_underscore_lines(tmp_path, bad):
+    path = tmp_path / "t.csv"
+    path.write_text(f"x1,y\n0.5,1.0\n{bad}\n0.25,2.0\n", encoding="utf-8")
+    # Python's float takes digit-group underscores, so that line is refused
+    # by the parser's own message rather than by line number.
+    match = r"t\.csv: " if "_" in bad else r"t\.csv:3: "
+    with pytest.raises(ValueError, match=match):
+        read_csv(path)
+
+
+def test_csv_header_only_raises_without_warning(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("x1,x2,y\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no data rows"):
+            read_csv(path)
+
+
+def test_csv_single_row_keeps_two_dimensions(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, np.array([[0.5, -0.5]]), np.array([1.5]))
+    X, Y = read_csv(path)
+    assert X.shape == (1, 2)
+    assert Y.shape == (1,)
+
+
+@pytest.mark.parametrize(
+    "X, Y, match",
+    [
+        (np.zeros((2, 2)), np.array([1.0, 2.0, 3.0]), r"need X \(n, d\)"),
+        (np.zeros(2), np.zeros(2), r"need X \(n, d\)"),
+        (np.zeros((2, 0)), np.zeros(2), r"need X \(n, d\)"),
+        (np.zeros((2, 1)), np.zeros((2, 1)), r"need X \(n, d\)"),
+        (np.zeros((0, 2)), np.zeros(0), r"need X \(n, d\)"),
+        (np.array([[np.nan, 0.0]]), np.zeros(1), "non-finite"),
+        (np.zeros((1, 2)), np.array([np.inf]), "non-finite"),
+    ],
+    ids=["y-too-long", "x-1d", "d-zero", "y-2d", "n-zero", "x-nan", "y-inf"],
+)
+def test_write_csv_rejects_what_read_csv_refuses(tmp_path, X, Y, match):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=match):
+        write_csv(path, X, Y)
+    assert not path.exists()
