@@ -31,6 +31,7 @@ from .sampling import (
     RngStream,
     gamma_tail_bound,
     sample_l1_perturbation,
+    sample_l1_perturbations,
     sample_laplace,
 )
 from .smoothing import (
@@ -90,7 +91,7 @@ __all__ = [
     "smoothed_objective", "smoothed_gradient", "directional_derivatives",
     "perturbed_objective_le",
     "RngStream", "NoiseVector", "sample_laplace", "sample_l1_perturbation",
-    "gamma_tail_bound",
+    "sample_l1_perturbations", "gamma_tail_bound",
     "SmoothingConfig", "SmoothingReport", "ConvergenceError",
     "fit_smoothed_baseline", "fit_smoothed_private", "smoothing_accuracy_bound",
     "IrlsConfig", "IrlsTrace", "IrlsReport", "SingularSystemError",

@@ -41,7 +41,7 @@ from .datagen import (
 )
 from .gcd import GcdConfig, gcd_step_probe
 from .irls import IrlsConfig, fit_irls_private, irls_accuracy_bound, irls_sensitivity_probe
-from .sampling import RngStream, gamma_tail_bound, sample_l1_perturbation, sample_laplace
+from .sampling import RngStream, gamma_tail_bound, sample_l1_perturbations, sample_laplace
 from .smoothing import SmoothingConfig, fit_smoothed_baseline, fit_smoothed_private, smoothing_accuracy_bound
 
 SEED_ENV = "DPMEDREG_SEED"
@@ -239,9 +239,9 @@ def _probe_samplers(trials: int, seed: int, report) -> bool:
 
     d = 3
     eps = 0.1
-    norms = np.array(
-        [sample_l1_perturbation(d + 1, eps, rng.derive(1, i)).l1_norm for i in range(trials)]
-    )
+    # row i is drawn from rng.derive(1).derive(i), the stream rng.derive(1, i)
+    values = sample_l1_perturbations(d + 1, eps, rng.derive(1), trials)
+    norms = np.abs(values, out=values).sum(axis=1)
     mean = float(norms.mean())
     expect = (d + 1) * 4.0 / eps
     rel = abs(mean - expect) / expect

@@ -13,10 +13,10 @@ knowledge by the fitters; data-dependent scaling is not itself privatized.
 Data files are UTF-8 CSV with header x1,...,xd,y and LF line endings (CRLF
 is also read), one shortest round-trip float per field, so a generated file
 is byte-identical for a fixed seed and reads back to the exact doubles.
-Blank lines are skipped; a malformed or non-finite row is a ``ValueError``
-naming ``path:line``.  Rows are parsed by numpy's parser, which also refuses
-tokens Python's ``float`` takes, such as digit-group underscores (``1_0``)
-and non-ASCII digits.
+Blank lines are skipped; a malformed or non-finite row, or a line that is
+not UTF-8, is a ``ValueError`` naming ``path:line``.  Rows are parsed by
+numpy's parser, which also refuses tokens Python's ``float`` takes, such as
+digit-group underscores (``1_0``) and non-ASCII digits.
 """
 
 from __future__ import annotations
@@ -166,15 +166,26 @@ def write_csv(path, X: np.ndarray, Y: np.ndarray) -> None:
             fh.write("\n".join(map(",".join, zip(*[values] * width))) + "\n")
 
 
+def _decode_line(path, lineno: int, raw: bytes) -> str:
+    """One line of a data file as text without its LF or CRLF ending."""
+    try:
+        line = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(
+            f"{path}:{lineno}: not valid UTF-8 (byte {raw[exc.start]:#04x} at offset {exc.start})"
+        ) from None
+    return line.removesuffix("\n").removesuffix("\r")
+
+
 def _first_bad_line(path, d: int, reason: str) -> ValueError:
     """The error for the first data line of ``path`` that is not d + 1
     finite floats, naming it as ``path:line``; ``reason`` if every line
     passes (a token Python's ``float`` accepts but numpy's parser refuses).
     Line numbers count the header as line 1 and include blank lines."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         fh.readline()
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
+        for lineno, raw in enumerate(fh, start=2):
+            line = _decode_line(path, lineno, raw)
             if not line:
                 continue
             parts = line.split(",")
@@ -192,14 +203,16 @@ def _first_bad_line(path, d: int, reason: str) -> ValueError:
 def read_csv(path):
     """Read a table written by :func:`write_csv`; d is inferred from the header.
 
-    Blank lines are skipped.  A malformed or non-finite row raises
-    ``ValueError`` naming ``path:line``.
+    Blank lines are skipped.  A malformed or non-finite row, or a line that
+    is not UTF-8, raises ``ValueError`` naming ``path:line``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    # Only the header line is decoded here: a bad byte further down is left
+    # to the parser and then named by line in _first_bad_line.
+    with open(path, "rb") as fh:
         first = fh.readline()
     if not first:
         raise ValueError(f"{path}: empty file")
-    header = first.rstrip("\n").split(",")
+    header = _decode_line(path, 1, first).split(",")
     d = len(header) - 1
     if d < 1:
         raise ValueError(f"{path}: header must name at least one covariate and y")

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .model import Dataset, Theta, design_matrix, residuals
 from .sampling import RngStream, sample_laplace
@@ -141,12 +141,20 @@ def weighted_ridge_solve(data: Dataset, weights: np.ndarray, lam: float) -> Thet
     diag = np.arange(1, data.d + 1)
     A[diag, diag] += data.n * lam / 2.0
     rhs = Xt.T @ (w * data.Y)
-    try:
-        omega = cho_solve(cho_factor(A, lower=True), rhs)
-    except np.linalg.LinAlgError as exc:
+    if not (np.isfinite(A).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    # The LAPACK calls and flags of scipy's cho_factor/cho_solve, without
+    # their batching and copying wrappers.
+    c, info = dpotrf(A, lower=True, overwrite_a=False, clean=False)
+    if info > 0:
         raise SingularSystemError(
             "weighted normal equations are singular (rank-deficient X with lam == 0?)"
-        ) from exc
+        )
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of potrf")
+    omega, info = dpotrs(c, rhs, lower=True, overwrite_b=False)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of potrs")
     return Theta.from_vector(omega)
 
 

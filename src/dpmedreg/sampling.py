@@ -3,7 +3,11 @@ Gamma-norm / uniform-L1-direction perturbation vector.
 
 Every sampler is an inverse-CDF construction (no rejection steps), so a fixed
 (seed, stream) pair replays bit-identically.  All randomness in the package
-flows through :class:`RngStream`.
+flows through :class:`RngStream`.  Each uniform is the top 53 bits of one raw
+PCG64 output, ``((raw >> 11) + 0.5) / 2**53``: the same stream that
+``Generator.integers(0, 2**53)`` gives, without its per-call overhead.
+:func:`sample_l1_perturbations` draws row ``i`` from ``rng.derive(i)``, so
+it equals ``count`` calls of :func:`sample_l1_perturbation` bit for bit.
 """
 
 from __future__ import annotations
@@ -18,12 +22,33 @@ __all__ = [
     "NoiseVector",
     "sample_laplace",
     "sample_l1_perturbation",
+    "sample_l1_perturbations",
     "gamma_tail_bound",
 ]
 
 _TWO53 = float(2**53)
 
 _NOISE_KINDS = ("laplace_iid", "l1_gamma_direction")
+
+# Rows of :func:`sample_l1_perturbations` drawn and transformed together.
+_L1_BLOCK_ROWS = 8192
+
+
+def _open_unit(raw: np.ndarray) -> np.ndarray:
+    """Uniforms strictly inside (0, 1) from raw 64-bit outputs: the top 53
+    bits pick one of 2**53 equal cells and the uniform is its midpoint."""
+    return ((raw >> 11).astype(float) + 0.5) / _TWO53
+
+
+def _exponential(u: np.ndarray, scale: float) -> np.ndarray:
+    """Inverse CDF of the exponential with mean ``scale``."""
+    return -float(scale) * np.log(u)
+
+
+def _laplace(u: np.ndarray, scale: float) -> np.ndarray:
+    """Inverse CDF of the Laplace with scale ``scale``."""
+    u = u - 0.5
+    return -float(scale) * np.sign(u) * np.log1p(-2.0 * np.abs(u))
 
 
 class RngStream:
@@ -38,7 +63,10 @@ class RngStream:
 
     def __init__(self, seed: int, stream: int = 0, *, _path: tuple = ()):
         self.seed = int(seed)
-        path = tuple(int(p) for p in _path) if _path else (int(stream),)
+        self._bind(tuple(map(int, _path)) if _path else (int(stream),))
+
+    def _bind(self, path: tuple) -> None:
+        """Attach the generator of (self.seed, path); path is already ints."""
         self.stream = path[0] if len(path) == 1 else path
         self._path = path
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=path)
@@ -46,19 +74,24 @@ class RngStream:
 
     def derive(self, *subids: int) -> "RngStream":
         """Independent child stream; children with distinct subids are independent."""
-        return RngStream(self.seed, _path=self._path + tuple(int(s) for s in subids))
+        child = RngStream.__new__(RngStream)
+        child.seed = self.seed
+        child._bind(self._path + tuple(map(int, subids)))
+        return child
+
+    def _raw(self, k: int) -> np.ndarray:
+        """The next k raw 64-bit PCG64 outputs."""
+        return self._gen.bit_generator.random_raw(int(k))
 
     def uniform_open(self, k: int) -> np.ndarray:
-        """k uniforms strictly inside (0, 1); one 53-bit integer per draw."""
-        ints = self._gen.integers(0, 2**53, size=int(k), dtype=np.int64)
-        return (ints.astype(float) + 0.5) / _TWO53
+        """k uniforms strictly inside (0, 1); one raw output per draw."""
+        return _open_unit(self._raw(k))
 
     def exponentials(self, scale: float, k: int) -> np.ndarray:
-        return -float(scale) * np.log(self.uniform_open(k))
+        return _exponential(self.uniform_open(k), scale)
 
     def laplaces(self, scale: float, k: int) -> np.ndarray:
-        u = self.uniform_open(k) - 0.5
-        return -float(scale) * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+        return _laplace(self.uniform_open(k), scale)
 
     def uniforms(self, lo: float, hi: float, k: int) -> np.ndarray:
         return lo + (hi - lo) * self.uniform_open(k)
@@ -111,6 +144,24 @@ def sample_laplace(scale: float, k: int, rng: RngStream) -> NoiseVector:
     return NoiseVector(values=rng.laplaces(scale, k), scale=float(scale), kind="laplace_iid")
 
 
+def _l1_scale(dim: int, epsilon: float) -> float:
+    if dim < 1:
+        raise ValueError(f"need dim >= 1, got {dim}")
+    if not (epsilon > 0 and math.isfinite(epsilon)):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    return 4.0 / epsilon
+
+
+def _l1_rows(u: np.ndarray, scale: float, out: np.ndarray) -> None:
+    """Perturbation rows from uniforms: row i of ``u`` holds the ``dim``
+    uniforms of the norm's exponentials, then the ``dim`` of the direction's
+    Laplaces; row i of ``out`` (rows, dim) receives that draw."""
+    dim = out.shape[1]
+    norms = _exponential(u[:, :dim], scale).sum(axis=1, keepdims=True)
+    raw = _laplace(u[:, dim:], 1.0)
+    np.multiply(norms, raw / np.abs(raw).sum(axis=1, keepdims=True), out=out)
+
+
 def sample_l1_perturbation(dim: int, epsilon: float, rng: RngStream) -> NoiseVector:
     """Random vector b with density proportional to exp(-epsilon ||b||_1 / 4).
 
@@ -119,15 +170,32 @@ def sample_l1_perturbation(dim: int, epsilon: float, rng: RngStream) -> NoiseVec
     direction uniform on the L1 sphere (``dim`` unit-Laplace draws divided by
     their L1 norm).  Draw order: norm first, then direction.
     """
-    if dim < 1:
-        raise ValueError(f"need dim >= 1, got {dim}")
-    if not (epsilon > 0 and math.isfinite(epsilon)):
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    scale = 4.0 / epsilon
-    norm = float(rng.exponentials(scale, dim).sum())
-    raw = rng.laplaces(1.0, dim)
-    direction = raw / np.abs(raw).sum()
-    return NoiseVector(values=norm * direction, scale=scale, kind="l1_gamma_direction")
+    scale = _l1_scale(dim, epsilon)
+    values = np.empty((1, dim))
+    _l1_rows(rng.uniform_open(2 * dim)[None, :], scale, values)
+    return NoiseVector(values=values[0], scale=scale, kind="l1_gamma_direction")
+
+
+def sample_l1_perturbations(dim: int, epsilon: float, rng: RngStream, count: int) -> np.ndarray:
+    """``count`` draws of :func:`sample_l1_perturbation` as a (count, dim)
+    array; row i is ``sample_l1_perturbation(dim, epsilon, rng.derive(i))``
+    bit for bit.
+
+    Children are derived one at a time and dropped after their ``2 dim`` raw
+    outputs are copied out, so memory stays at one block of raw draws plus
+    the result, whatever ``count`` is.
+    """
+    scale = _l1_scale(dim, epsilon)
+    if count < 1:
+        raise ValueError(f"need count >= 1, got {count}")
+    out = np.empty((count, dim))
+    raw = np.empty((min(count, _L1_BLOCK_ROWS), 2 * dim), dtype=np.uint64)
+    for start in range(0, count, _L1_BLOCK_ROWS):
+        block = raw[: min(count - start, _L1_BLOCK_ROWS)]
+        for j in range(block.shape[0]):
+            block[j] = rng.derive(start + j)._raw(2 * dim)
+        _l1_rows(_open_unit(block), scale, out[start : start + block.shape[0]])
+    return out
 
 
 def gamma_tail_bound(d: int, alpha: float, epsilon: float) -> float:

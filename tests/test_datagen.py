@@ -128,6 +128,20 @@ def test_csv_malformed_row_names_line(tmp_path):
         read_csv(path)
 
 
+def test_csv_non_utf8_data_line_names_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"x1,y\n1,2\n\xff,3\n")
+    with pytest.raises(ValueError, match=r"bad\.csv:3: not valid UTF-8"):
+        read_csv(path)
+
+
+def test_csv_non_utf8_header_names_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"x\xff1,y\n1,2\n")
+    with pytest.raises(ValueError, match=r"bad\.csv:1: not valid UTF-8"):
+        read_csv(path)
+
+
 def test_csv_rejects_non_finite(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x1,y\nnan,0.2\n", encoding="utf-8")

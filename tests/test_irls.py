@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from dpmedreg import (
     Dataset,
@@ -17,9 +18,11 @@ from dpmedreg import (
     irls_sensitivity,
     irls_sensitivity_probe,
     perturbed_objective_le,
+    random_dataset,
     residuals,
     weighted_ridge_solve,
 )
+from dpmedreg.model import design_matrix
 
 from conftest import benchmark_instance, bounded_instance
 
@@ -54,6 +57,41 @@ def test_weighted_solve_singular_raises():
     data = Dataset(X=np.zeros((3, 1)), Y=np.array([1.0, 2.0, 3.0]), B=3.0)
     with pytest.raises(SingularSystemError):
         weighted_ridge_solve(data, np.ones(3), lam=0.0)
+
+
+@pytest.mark.parametrize("n", [50, 5000])
+def test_weighted_solve_bits_match_scipy_cholesky(n):
+    # the direct LAPACK calls must give exactly what cho_factor/cho_solve give
+    for t in range(5):
+        sub = RngStream(77).derive(n, t)
+        data = random_dataset(n, 3, 2.0, sub)
+        w = 1.0 / (np.abs(sub.laplaces(1.0, n)) + 0.2)
+        for lam in (0.0, 0.002, 0.3):
+            Xt = design_matrix(data.X)
+            A = Xt.T @ (Xt * w[:, None])
+            A[np.arange(1, 4), np.arange(1, 4)] += n * lam / 2.0
+            expected = cho_solve(cho_factor(A, lower=True), Xt.T @ (w * data.Y))
+            got = weighted_ridge_solve(data, w, lam).as_vector()
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def test_zero_column_without_ridge_is_singular(rng):
+    data, _ = bounded_instance(rng, n=20, d=3)
+    X = data.X.copy()
+    X[:, 1] = 0.0
+    flat = Dataset(X=X, Y=data.Y, B=data.B)
+    with pytest.raises(SingularSystemError):
+        weighted_ridge_solve(flat, np.ones(20), lam=0.0)
+    with pytest.raises(SingularSystemError):
+        irls_fit(flat, IrlsConfig(lam=0.0, v=1.0))
+    # any ridge makes the same system definite
+    assert np.all(np.isfinite(weighted_ridge_solve(flat, np.ones(20), lam=0.01).as_vector()))
+
+
+def test_weighted_solve_rejects_non_finite_system(rng):
+    data, _ = bounded_instance(rng, n=5, d=1)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        weighted_ridge_solve(data, np.ones(5), lam=math.inf)
 
 
 def test_weighted_solve_weight_validation(rng):

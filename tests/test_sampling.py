@@ -8,8 +8,23 @@ from dpmedreg import (
     RngStream,
     gamma_tail_bound,
     sample_l1_perturbation,
+    sample_l1_perturbations,
     sample_laplace,
 )
+from dpmedreg.sampling import _L1_BLOCK_ROWS
+
+STREAMS = [(0, (0,)), (7, (3,)), (20240901, (1, 5)), (2**40 + 3, (2, 9, 4))]
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _twin(seed, path):
+    """The stream as a bare numpy Generator, built the documented way."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=path)
+    return np.random.Generator(np.random.PCG64(ss))
 
 
 def test_stream_replay_is_bit_identical():
@@ -26,6 +41,81 @@ def test_distinct_streams_differ():
     d = RngStream(123).derive(8).uniform_open(100)
     assert not np.array_equal(c, d)
     assert np.array_equal(c, RngStream(123).derive(7).uniform_open(100))
+
+
+@pytest.mark.parametrize("seed,path", STREAMS)
+def test_uniform_open_is_top_53_bits_of_the_documented_stream(seed, path):
+    # the same stream Generator.integers(0, 2**53) gives, with the other
+    # draws interleaved so the shared state must advance identically
+    rng = RngStream(seed, path[0]).derive(*path[1:])
+    twin = _twin(seed, path)
+    for k in (1, 7, 100_000, 1, 7):
+        ref = (twin.integers(0, 2**53, size=k, dtype=np.int64) + 0.5) / 2.0**53
+        assert _same_bits(rng.uniform_open(k), ref)
+        assert rng.integer(-3, 1000) == int(twin.integers(-3, 1000))
+        assert np.array_equal(rng.permutation(11), twin.permutation(11))
+        u = (twin.integers(0, 2**53, size=5, dtype=np.int64) + 0.5) / 2.0**53 - 0.5
+        ref = -0.7 * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+        assert _same_bits(rng.laplaces(0.7, 5), ref)
+
+
+def test_derive_paths_compose():
+    # derive(1, i), derive(1).derive(i) and a fresh stream on the same path agree
+    for seed in (0, 5, 123456789):
+        root = RngStream(seed)
+        for i in (0, 1, 99_999):
+            a, b, c = root.derive(1, i), root.derive(1).derive(i), RngStream(seed, _path=(0, 1, i))
+            assert a.stream == b.stream == c.stream == (0, 1, i)
+            draws = [s.uniform_open(9) for s in (a, b, c)]
+            assert _same_bits(draws[0], draws[1]) and _same_bits(draws[0], draws[2])
+            assert a.integer(0, 10**9) == b.integer(0, 10**9) == c.integer(0, 10**9)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 9, 17])
+def test_l1_perturbation_matches_reference_formula(dim):
+    # the draw as a plain numpy computation on the documented stream:
+    # dim exponentials summed for the norm, then dim unit Laplaces
+    for seed, path in STREAMS:
+        rng = RngStream(seed, path[0]).derive(*path[1:])
+        twin = _twin(seed, path)
+        for eps in (0.1, 3.0):
+            u = (twin.integers(0, 2**53, size=2 * dim, dtype=np.int64) + 0.5) / 2.0**53
+            norm = float((-(4.0 / eps) * np.log(u[:dim])).sum())
+            c = u[dim:] - 0.5
+            raw = -1.0 * np.sign(c) * np.log1p(-2.0 * np.abs(c))
+            expected = norm * (raw / np.abs(raw).sum())
+            assert _same_bits(sample_l1_perturbation(dim, eps, rng).values, expected)
+
+
+@pytest.mark.parametrize("count", [1, _L1_BLOCK_ROWS - 1, _L1_BLOCK_ROWS, _L1_BLOCK_ROWS + 1])
+def test_batched_perturbations_equal_single_draws(count):
+    rng = RngStream(11).derive(4)
+    batch = sample_l1_perturbations(4, 0.3, rng, count)
+    assert batch.shape == (count, 4)
+    for i in {0, min(1, count - 1), count // 2, max(count - 2, 0), count - 1}:
+        single = sample_l1_perturbation(4, 0.3, rng.derive(i))
+        assert _same_bits(batch[i], single.values)
+        assert _same_bits(np.abs(batch[i]).sum(), single.l1_norm)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 9, 17])
+def test_batched_perturbations_equal_single_draws_in_every_row(dim):
+    rng = RngStream(12)
+    batch = sample_l1_perturbations(dim, 2.0, rng, 300)
+    single = np.array([sample_l1_perturbation(dim, 2.0, rng.derive(i)).values for i in range(300)])
+    assert _same_bits(batch, single)
+
+
+def test_batched_perturbations_validation():
+    for dim, eps in ((0, 1.0), (4, 0.0), (4, -1.0), (4, math.inf), (4, math.nan)):
+        with pytest.raises(ValueError) as single:
+            sample_l1_perturbation(dim, eps, RngStream(0))
+        with pytest.raises(ValueError) as batch:
+            sample_l1_perturbations(dim, eps, RngStream(0), 10)
+        assert str(batch.value) == str(single.value)
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="count"):
+            sample_l1_perturbations(4, 1.0, RngStream(0), count)
 
 
 def test_uniform_open_strictly_interior():
@@ -84,16 +174,15 @@ def test_l1_perturbation_norm_is_the_gamma_draw():
 
 def test_l1_perturbation_gamma_mean():
     dim, eps = 4, 0.1
-    norms = np.array(
-        [sample_l1_perturbation(dim, eps, RngStream(5).derive(i)).l1_norm for i in range(100_000)]
-    )
+    # row i is the draw of RngStream(5).derive(i), bit for bit
+    norms = np.abs(sample_l1_perturbations(dim, eps, RngStream(5), 100_000)).sum(axis=1)
     expected = dim * 4.0 / eps  # 160
     assert abs(float(norms.mean()) - expected) / expected < 0.02
 
 
 def test_l1_perturbation_sign_symmetry():
     rng = RngStream(6)
-    vals = np.array([np.asarray(sample_l1_perturbation(2, 1.0, rng.derive(i)).values) for i in range(100_000)])
+    vals = sample_l1_perturbations(2, 1.0, rng, 100_000)
     for k in range(2):
         frac = float(np.mean(vals[:, k] > 0))
         assert abs(frac - 0.5) < 0.01
@@ -102,10 +191,8 @@ def test_l1_perturbation_sign_symmetry():
 def test_l1_perturbation_direction_shares_are_symmetric_dirichlet():
     rng = RngStream(7)
     dim = 4
-    shares = np.empty((100_000, dim))
-    for i in range(100_000):
-        v = np.abs(np.asarray(sample_l1_perturbation(dim, 0.5, rng.derive(i)).values))
-        shares[i] = v / v.sum()
+    v = np.abs(sample_l1_perturbations(dim, 0.5, rng, 100_000))
+    shares = v / v.sum(axis=1, keepdims=True)
     means = shares.mean(axis=0)
     assert np.all(np.abs(means - 1.0 / dim) < 0.01 * (1.0 / dim))  # within 1% of 1/dim
 
@@ -137,9 +224,7 @@ def test_gamma_tail_bound_monotone_and_limit():
 def test_gamma_tail_bound_empirical_coverage():
     d, eps = 3, 0.1
     rng = RngStream(8)
-    norms = np.array(
-        [sample_l1_perturbation(d + 1, eps, rng.derive(i)).l1_norm for i in range(100_000)]
-    )
+    norms = np.abs(sample_l1_perturbations(d + 1, eps, rng, 100_000)).sum(axis=1)
     for alpha in (0.5, 0.1, 0.01):
         bound = gamma_tail_bound(d, alpha, eps)
         assert float(np.mean(norms <= bound)) >= 1.0 - alpha
