@@ -65,6 +65,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _n_list(text: str) -> str:
+    """Comma-separated positive integers, returned as given for the manifest."""
+    try:
+        if all(int(part) >= 1 for part in text.split(",")):
+            return text
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected comma-separated positive integers, got {text!r}")
+
+
 def _beta_list(text: str) -> list[float]:
     try:
         return [float(p) for p in text.split(",")]
@@ -192,8 +202,6 @@ def _cmd_bench(parser, args, seed: int) -> int:
         if algo not in ALGORITHMS:
             parser.error(f"unknown algorithm {algo!r} in --algo-list")
     n_values = [int(v) for v in args.n_list.split(",")]
-    if any(n < 1 for n in n_values):
-        parser.error("--n-list entries must be positive")
     cells: list[CellResult] = []
     resolved: dict[str, dict] = {}
     wall_start = time.perf_counter()
@@ -307,27 +315,26 @@ def _probe_bounds(trials: int, seed: int, report) -> bool:
     return ok
 
 
-# Per-target trial defaults: the sampler thresholds shrink as 1/sqrt(trials),
-# the Monte-Carlo coverage check needs full refits.
-_PROBE_TRIALS = {"samplers": 100_000, "alg2": 1000, "alg3": 1000, "bounds": 200}
+# Probe target -> (runner, default trials).  The sampler thresholds shrink as
+# 1/sqrt(trials); the Monte-Carlo coverage check needs full refits.
+_PROBES = {
+    "alg2": (_probe_alg2, 1000),
+    "alg3": (_probe_alg3, 1000),
+    "samplers": (_probe_samplers, 100_000),
+    "bounds": (_probe_bounds, 200),
+}
 
 
-def _cmd_probe(args, seed: int) -> int:
-    trials = args.trials if args.trials is not None else _PROBE_TRIALS[args.target]
+def _cmd_probe(parser, args, seed: int) -> int:
+    runner, default_trials = _PROBES[args.target]
+    trials = args.trials if args.trials is not None else default_trials
 
     def report(name: str, observed: float, bound: float, passed: bool) -> bool:
         status = "PASS" if passed else "FAIL"
         sys.stdout.write(f"{name}: observed={observed:.6g} bound={bound:.6g} {status}\n")
         return passed
 
-    runners = {
-        "samplers": _probe_samplers,
-        "alg2": _probe_alg2,
-        "alg3": _probe_alg3,
-        "bounds": _probe_bounds,
-    }
-    ok = runners[args.target](trials, seed, report)
-    return 0 if ok else 1
+    return 0 if runner(trials, seed, report) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,6 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a synthetic benchmark table as CSV")
+    gen.set_defaults(run=_cmd_generate)
     gen.add_argument("--n", type=_positive_int, default=5000)
     gen.add_argument("--d", type=_positive_int, default=None, help="must match --beta length")
     gen.add_argument("--mu", type=float, default=2.0)
@@ -348,6 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True)
 
     fit = sub.add_parser("fit", help="fit one algorithm on a CSV table")
+    fit.set_defaults(run=_cmd_fit)
     fit.add_argument("--algo", required=True, choices=ALGORITHMS)
     fit.add_argument("--data", required=True)
     fit.add_argument("--target-b", dest="target_b", type=float, default=2.0)
@@ -365,15 +374,17 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--out", default=None)
 
     bench = sub.add_parser("bench", help="replicate benchmark over algorithms and sizes")
+    bench.set_defaults(run=_cmd_bench)
     bench.add_argument("--replicates", type=_positive_int, default=20)
-    bench.add_argument("--n-list", dest="n_list", default="5000")
+    bench.add_argument("--n-list", dest="n_list", type=_n_list, default="5000")
     bench.add_argument("--algo-list", dest="algo_list", default="alg1,alg2,alg3")
     bench.add_argument("--format", choices=("csv", "markdown"), default="markdown")
     bench.add_argument("--seed", type=int, default=None)
     bench.add_argument("--out", default=None)
 
     probe = sub.add_parser("probe", help="empirical domination and distribution checks")
-    probe.add_argument("--target", required=True, choices=("alg2", "alg3", "samplers", "bounds"))
+    probe.set_defaults(run=_cmd_probe)
+    probe.add_argument("--target", required=True, choices=_PROBES)
     probe.add_argument("--trials", type=_positive_int, default=None)
     probe.add_argument("--seed", type=int, default=None)
 
@@ -385,21 +396,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     seed = _resolve_seed(parser, args.seed)
     try:
-        if args.command == "generate":
-            return _cmd_generate(parser, args, seed)
-        if args.command == "fit":
-            return _cmd_fit(parser, args, seed)
-        if args.command == "bench":
-            return _cmd_bench(parser, args, seed)
-        if args.command == "probe":
-            return _cmd_probe(args, seed)
-        parser.error(f"unknown command {args.command!r}")
-    except SystemExit:
-        raise
+        return args.run(parser, args, seed)
     except (ValueError, OSError, RuntimeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ import numpy as np
 from .irls import weighted_ridge_solve
 from .model import Dataset, Theta, _coordinate_step
 from .sampling import RngStream
-from .verification import ProbeResult, make_neighbor_pair, random_dataset, random_theta
+from .verification import ProbeResult, neighbor_probe, random_theta
 
 __all__ = [
     "GcdConfig",
@@ -200,16 +200,12 @@ def gcd_step_probe(
     between the two step vectors must stay within 2 eta / n0 (a 1e-12
     float-roundoff allowance is folded into the reported bound).
     """
-    if trials < 1:
-        raise ValueError("need trials >= 1")
     eta = cfg.ell
-    bound = 2.0 * eta / n0 + 1e-12
-    worst = 0.0
-    for t in range(trials):
-        sub = rng.derive(t)
-        pair = make_neighbor_pair(random_dataset(n0, d, B, sub), rng=sub)
+
+    def shift(pair, sub):
         theta = random_theta(d, sub)
         s_a = coordinate_step_vector(theta, pair.a.X, pair.a.Y, cfg.lam, eta)
         s_b = coordinate_step_vector(theta, pair.b.X, pair.b.Y, cfg.lam, eta)
-        worst = max(worst, float(np.abs(s_a - s_b).sum()))
-    return ProbeResult(observed=worst, bound=bound, trials=trials)
+        return float(np.abs(s_a - s_b).sum())
+
+    return neighbor_probe(n0, d, B, trials, 2.0 * eta / n0 + 1e-12, rng, shift)

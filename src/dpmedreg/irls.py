@@ -16,11 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .model import Dataset, Theta, design_matrix, residuals
+from .model import Dataset, Theta, _spd_solve, design_matrix, residuals
 from .sampling import RngStream, sample_laplace
-from .verification import ProbeResult, make_neighbor_pair, random_dataset
+from .verification import ProbeResult, neighbor_probe
 
 __all__ = [
     "IrlsConfig",
@@ -126,8 +125,8 @@ class IrlsReport:
 def weighted_ridge_solve(data: Dataset, weights: np.ndarray, lam: float) -> Theta:
     """Unique minimizer of (1/n) sum_i w_i r_i^2 + (lam/2) beta'beta.
 
-    Solved through the (d+1) x (d+1) normal equations by symmetric
-    positive-definite factorization; the intercept is not penalized.
+    Solved through the (d+1) x (d+1) normal equations by the one Cholesky
+    solve of :mod:`dpmedreg.model`; the intercept is not penalized.
     """
     w = np.asarray(weights, dtype=float)
     if w.shape != (data.n,):
@@ -140,21 +139,11 @@ def weighted_ridge_solve(data: Dataset, weights: np.ndarray, lam: float) -> Thet
     A = Xt.T @ (Xt * w[:, None])
     diag = np.arange(1, data.d + 1)
     A[diag, diag] += data.n * lam / 2.0
-    rhs = Xt.T @ (w * data.Y)
-    if not (np.isfinite(A).all() and np.isfinite(rhs).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    # The LAPACK calls and flags of scipy's cho_factor/cho_solve, without
-    # their batching and copying wrappers.
-    c, info = dpotrf(A, lower=True, overwrite_a=False, clean=False)
-    if info > 0:
+    omega = _spd_solve(A, Xt.T @ (w * data.Y))
+    if omega is None:
         raise SingularSystemError(
             "weighted normal equations are singular (rank-deficient X with lam == 0?)"
         )
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of potrf")
-    omega, info = dpotrs(c, rhs, lower=True, overwrite_b=False)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of potrs")
     return Theta.from_vector(omega)
 
 
@@ -262,16 +251,11 @@ def irls_sensitivity_probe(
     reweighted fit on both sides, and reports the largest observed L1 output
     difference against the analytic constant.
     """
-    if trials < 1:
-        raise ValueError("need trials >= 1")
-    v = _resolve_v(cfg, B)
-    bound = irls_sensitivity(d, n, B, cfg.lam, cfg.e, v)
-    worst = 0.0
-    for t in range(trials):
-        sub = rng.derive(t)
-        pair = make_neighbor_pair(random_dataset(n, d, B, sub), rng=sub)
+    bound = irls_sensitivity(d, n, B, cfg.lam, cfg.e, _resolve_v(cfg, B))
+
+    def shift(pair, sub):
         fit_a = irls_fit(pair.a, cfg).final
         fit_b = irls_fit(pair.b, cfg).final
-        diff = abs(fit_a.mu - fit_b.mu) + float(np.abs(fit_a.beta - fit_b.beta).sum())
-        worst = max(worst, diff)
-    return ProbeResult(observed=worst, bound=bound, trials=trials)
+        return abs(fit_a.mu - fit_b.mu) + float(np.abs(fit_a.beta - fit_b.beta).sum())
+
+    return neighbor_probe(n, d, B, trials, bound, rng, shift)

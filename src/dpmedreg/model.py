@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 __all__ = [
     "Dataset",
@@ -22,7 +23,6 @@ __all__ = [
     "smoothed_objective",
     "smoothed_gradient",
     "directional_derivatives",
-    "design_matrix",
     "perturbed_objective_le",
 ]
 
@@ -114,19 +114,16 @@ class Theta:
 
 @dataclass(frozen=True)
 class ObjectiveConfig:
-    """Shared objective knobs: ridge weight, smoothing width, weight floor."""
+    """Shared objective knobs: ridge weight and smoothing width."""
 
     lam: float = 0.002
     gamma: float = 0.05
-    e: float = 0.2
 
     def __post_init__(self) -> None:
         if self.lam < 0:
             raise ValueError(f"lam must be nonnegative, got {self.lam}")
         if not self.gamma > 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if not self.e > 0:
-            raise ValueError(f"e must be positive, got {self.e}")
 
 
 def residuals(theta: Theta, data: Dataset) -> np.ndarray:
@@ -164,6 +161,26 @@ def huber_rho(t, gamma: float):
 def design_matrix(X: np.ndarray) -> np.ndarray:
     """Intercept-augmented design (1, X), so that (1, X) @ (mu, beta) = mu + X beta."""
     return np.column_stack([np.ones(X.shape[0]), X])
+
+
+def _spd_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """Solution of A x = rhs by Cholesky factorization of the symmetric
+    matrix A (lower triangle), or None when A is not positive definite.
+
+    These are the LAPACK calls and flags of scipy's cho_factor/cho_solve,
+    without their batching and copying wrappers; A and rhs are not modified.
+    """
+    if not (np.isfinite(A).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    c, info = dpotrf(A, lower=True, overwrite_a=False, clean=False)
+    if info > 0:
+        return None
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of potrf")
+    x, info = dpotrs(c, rhs, lower=True, overwrite_b=False)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of potrs")
+    return x
 
 
 def _band_signs(r: np.ndarray, gamma: float) -> np.ndarray:

@@ -22,9 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .model import Dataset, Theta, _smoothed_terms, design_matrix
+from .model import Dataset, Theta, _smoothed_terms, _spd_solve, design_matrix
 from .sampling import RngStream, sample_l1_perturbation
 
 __all__ = [
@@ -165,18 +164,19 @@ def _minimize_smoothed(data: Dataset, lam, gamma, tilt, tol, max_iters):
 
         H = (Xt.T * w) @ Xt / (n * gamma)
         H[np.diag_indices_from(H)] += ridge
-        p = None
+        # Newton direction from the one Cholesky solve of dpmedreg.model;
+        # while H is not positive definite, retry with growing Levenberg damping.
         damp = 0.0
         base = max(float(np.trace(H)) / (d + 1), 1.0)
         for _ in range(10):
-            try:
+            Hd = H
+            if damp:
                 Hd = H.copy()
-                if damp:
-                    Hd[np.diag_indices_from(Hd)] += damp
-                p = cho_solve(cho_factor(Hd, lower=True), -grad)
+                Hd[np.diag_indices_from(Hd)] += damp
+            p = _spd_solve(Hd, -grad)
+            if p is not None:
                 break
-            except np.linalg.LinAlgError:
-                damp = max(damp * 10.0, 1e-12 * base)
+            damp = max(damp * 10.0, 1e-12 * base)
         if p is None or not np.all(np.isfinite(p)) or float(grad @ p) >= 0.0:
             p = -grad
 

@@ -1,5 +1,6 @@
 """Independent oracles and probe machinery: brute-force L1 fits on tiny
-instances, bounded random datasets, and one-record-neighbor dataset pairs."""
+instances, bounded random datasets, one-record-neighbor dataset pairs, and
+the neighbor-pair probe loop that the alg2 and alg3 sensitivity probes share."""
 
 from __future__ import annotations
 
@@ -198,3 +199,20 @@ class ProbeResult:
     @property
     def ok(self) -> bool:
         return self.observed <= self.bound
+
+
+def neighbor_probe(n: int, d: int, B: float, trials: int, bound: float, rng: RngStream, shift):
+    """Largest ``shift(pair, sub)`` over ``trials`` random neighbor pairs of
+    n x d datasets bounded by B, reported against ``bound``.
+
+    Trial t draws the base dataset and then the replaced record from
+    ``sub = rng.derive(t)``; ``shift`` may draw further from ``sub``.
+    """
+    if trials < 1:
+        raise ValueError("need trials >= 1")
+    worst = 0.0
+    for t in range(trials):
+        sub = rng.derive(t)
+        pair = make_neighbor_pair(random_dataset(n, d, B, sub), rng=sub)
+        worst = max(worst, shift(pair, sub))
+    return ProbeResult(observed=worst, bound=bound, trials=trials)

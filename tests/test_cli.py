@@ -189,6 +189,21 @@ def test_bench_rejects_unknown_algorithm():
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("n_list", ["abc", "400,,500", "0"])
+def test_bench_rejects_bad_n_list(n_list, capsys):
+    # a non-integer, empty or non-positive entry is a usage error naming the flag
+    with pytest.raises(SystemExit) as info:
+        main(["bench", "--algo-list", "alg3", "--n-list", n_list])
+    assert info.value.code == 2
+    assert "argument --n-list" in capsys.readouterr().err
+
+
+def test_bench_manifest_keeps_n_list_as_given(capsys):
+    argv = ["bench", "--replicates", "1", "--n-list", "400,500", "--algo-list", "alg3"]
+    assert main(argv) == 0
+    assert "n_list=400,500\n" in capsys.readouterr().err
+
+
 def test_probe_alg3_passes(capsys):
     assert main(["probe", "--target", "alg3", "--trials", "60", "--seed", "3"]) == 0
     out = capsys.readouterr().out

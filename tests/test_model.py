@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from dpmedreg import (
     Dataset,
@@ -14,6 +15,7 @@ from dpmedreg import (
     smoothed_gradient,
     smoothed_objective,
 )
+from dpmedreg.model import _smoothed_terms, _spd_solve, design_matrix
 from dpmedreg.verification import random_theta
 
 from conftest import bounded_instance
@@ -356,3 +358,30 @@ def test_perturbed_objective_forms(rng):
     assert perturbed_objective_le(theta, data, lam, e, form="mm") == pytest.approx(mm)
     with pytest.raises(ValueError):
         perturbed_objective_le(theta, data, lam, e, form="other")
+
+
+def test_spd_solve_rejects_indefinite_and_non_finite():
+    assert _spd_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2)) is None
+    assert _spd_solve(np.zeros((2, 2)), np.ones(2)) is None
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _spd_solve(np.array([[1.0, 0.0], [0.0, np.inf]]), np.ones(2))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _spd_solve(np.eye(2), np.array([1.0, np.nan]))
+
+
+def test_spd_solve_bits_match_scipy_cholesky_on_newton_hessians(rng):
+    # alg1's Newton system at a random iterate: in-band pseudo-Hessian plus ridge
+    for n, d, gamma in ((50, 2, 0.5), (300, 3, 0.05), (2000, 5, 0.2)):
+        data, _ = bounded_instance(rng, n=n, d=d)
+        Xt = design_matrix(data.X)
+        ridge = np.full(d + 1, 0.002)
+        ridge[0] = 2.0 / np.sqrt(n)
+        omega = random_theta(d, rng, scale=0.5).as_vector()
+        _, _, w, grad = _smoothed_terms(Xt, data.Y, omega, gamma, ridge, 0.0)
+        H = (Xt.T * w) @ Xt / (n * gamma)
+        H[np.diag_indices_from(H)] += ridge
+        before = H.copy()
+        got = _spd_solve(H, -grad)
+        expected = cho_solve(cho_factor(H, lower=True), -grad)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        assert np.array_equal(H, before)

@@ -17,6 +17,7 @@ from dpmedreg import (
     smoothed_objective,
     smoothing_accuracy_bound,
 )
+from dpmedreg import model, smoothing
 
 from conftest import benchmark_instance, bounded_instance
 
@@ -113,6 +114,29 @@ def test_private_fit_full_gradient_small(rng):
     g = smoothed_gradient(theta, data, ObjectiveConfig(lam=cfg.lam, gamma=cfg.gamma))
     full = np.concatenate(([g.mu + 2 * theta.mu / math.sqrt(data.n)], g.beta))
     full += report.noise / data.n
+    assert float(np.abs(full).max()) <= cfg.solver_tol
+
+
+def test_zero_column_without_ridge_takes_damped_newton_steps(rng, monkeypatch):
+    # lam = 0 and a zero column leave every Newton matrix singular, so the
+    # solver must fall back to its Levenberg-damped retry to make progress
+    data, _ = bounded_instance(rng, n=100, d=3)
+    X = data.X.copy()
+    X[:, 1] = 0.0
+    flat = Dataset(X=X, Y=data.Y, B=data.B)
+    solves = []
+
+    def recording_solve(A, rhs):
+        solves.append(model._spd_solve(A, rhs))
+        return solves[-1]
+
+    monkeypatch.setattr(smoothing, "_spd_solve", recording_solve)
+    cfg = SmoothingConfig(lam=0.0, gamma=1e-4)
+    theta = fit_smoothed_baseline(flat, cfg)
+    assert any(x is None for x in solves)
+    assert theta.beta[1] == 0.0
+    g = smoothed_gradient(theta, flat, ObjectiveConfig(lam=cfg.lam, gamma=cfg.gamma))
+    full = np.concatenate(([g.mu + 2 * theta.mu / math.sqrt(flat.n)], g.beta))
     assert float(np.abs(full).max()) <= cfg.solver_tol
 
 
