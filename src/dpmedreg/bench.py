@@ -59,7 +59,10 @@ class Algorithm:
 # fitter replaced on this module (say, by a tracer) sees every fit.
 def _alg1(data, cfg, rng):
     report = fit_smoothed_private(data, cfg, rng)
-    return report.theta, {"b_norm": report.b_norm, "solver_iters": report.solver_iters}
+    return report.theta, {
+        "b_norm": float(np.abs(report.noise).sum()),
+        "solver_iters": report.solver_iters,
+    }
 
 
 def _alg2(data, cfg, rng):
@@ -162,7 +165,6 @@ def run_cell(
     cell_id: int,
     params: dict,
     spec: GeneratorSpec | None = None,
-    target_b: float = 2.0,
 ) -> CellResult:
     """Run ``replicates`` independent generate+fit rounds for one cell.
 
@@ -178,7 +180,7 @@ def run_cell(
     truth_vec = spec.truth.as_vector()
     for rep in range(replicates):
         X, Y, truth = generate(spec, root.derive(cell_id, rep, 0))
-        data, record = normalize(X, Y, target_b)
+        data, record = normalize(X, Y)
         theta, dt, _ = run_fit(algo, data, params, root.derive(cell_id, rep, 1))
         est = unscale_theta(theta, record)
         estimates[rep] = est.as_vector()

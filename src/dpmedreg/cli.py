@@ -235,8 +235,7 @@ def _cmd_bench(parser, args, seed: int) -> int:
 def _probe_samplers(trials: int, seed: int, report) -> bool:
     rng = RngStream(seed)
     ok = True
-    draws = np.asarray(sample_laplace(1.0, trials, rng.derive(0)).values)
-    xs = np.sort(draws)
+    xs = np.sort(sample_laplace(1.0, trials, rng.derive(0)))
     cdf = np.where(xs < 0, 0.5 * np.exp(xs), 1.0 - 0.5 * np.exp(-xs))
     grid = np.arange(1, trials + 1) / trials
     ks = float(np.max(np.maximum(np.abs(grid - cdf), np.abs(grid - 1.0 / trials - cdf))))
@@ -307,7 +306,7 @@ def _probe_bounds(trials: int, seed: int, report) -> bool:
         data, _ = normalize(X, Y)
         rep_out = fit_irls_private(data, cfg2, root.derive(1, rep, 1))
         bound2 = irls_accuracy_bound(
-            data.d, alpha, data.n, cfg2.lam, cfg2.epsilon, cfg2.e, rep_out.v, data.B
+            data.d, alpha, data.n, cfg2.lam, cfg2.epsilon, cfg2.e, rep_out.trace.v, data.B
         )
         hits += float(np.abs(rep_out.noise).sum()) <= bound2
     cover = hits / trials

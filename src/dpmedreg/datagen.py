@@ -92,11 +92,10 @@ class ScalingRecord:
 
     x_scale: float
     y_scale: float
-    B: float
 
     def __post_init__(self) -> None:
-        if not (self.x_scale > 0 and self.y_scale > 0 and self.B > 0):
-            raise ValueError("scales and B must be positive")
+        if not (self.x_scale > 0 and self.y_scale > 0):
+            raise ValueError("scales must be positive")
 
 
 def normalize(X: np.ndarray, Y: np.ndarray, target_b: float = 2.0):
@@ -119,7 +118,7 @@ def normalize(X: np.ndarray, Y: np.ndarray, target_b: float = 2.0):
     max_y = float(np.abs(Y).max())
     y_scale = max_y / target_b if max_y > target_b else 1.0
     data = Dataset(X=X / x_scale, Y=Y / y_scale, B=target_b)
-    return data, ScalingRecord(x_scale=x_scale, y_scale=y_scale, B=target_b)
+    return data, ScalingRecord(x_scale=x_scale, y_scale=y_scale)
 
 
 def unscale_theta(theta: Theta, rec: ScalingRecord) -> Theta:

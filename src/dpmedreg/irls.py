@@ -98,8 +98,6 @@ class IrlsTrace:
     """
 
     thetas: tuple[Theta, ...]
-    mu_changes: tuple[float, ...]
-    beta_changes: tuple[float, ...]
     converged: bool
     iterations: int
     bracket_violations: int
@@ -112,13 +110,13 @@ class IrlsTrace:
 
 @dataclass(frozen=True)
 class IrlsReport:
-    """Private-fit result: noisy estimate plus noise metadata and the trace."""
+    """Private-fit result: noisy estimate plus (read-only) noise, its
+    metadata and the trace; the coefficient bound used is ``trace.v``."""
 
     theta: Theta
     noise: np.ndarray
     noise_scale: float
     sensitivity: float
-    v: float
     trace: IrlsTrace
 
 
@@ -157,8 +155,6 @@ def irls_fit(data: Dataset, cfg: IrlsConfig) -> IrlsTrace:
     w_hi = 1.0 / cfg.e
     theta = weighted_ridge_solve(data, np.ones(data.n), cfg.lam)
     thetas = [theta]
-    mu_changes: list[float] = []
-    beta_changes: list[float] = []
     converged = False
     violations = 0
     iterations = 0
@@ -171,16 +167,12 @@ def irls_fit(data: Dataset, cfg: IrlsConfig) -> IrlsTrace:
         dmu = abs(new.mu - theta.mu)
         dbeta = float(np.abs(new.beta - theta.beta).sum())
         thetas.append(new)
-        mu_changes.append(dmu)
-        beta_changes.append(dbeta)
         theta = new
         if dmu <= cfg.tau and dbeta <= cfg.tau:
             converged = True
             break
     return IrlsTrace(
         thetas=tuple(thetas),
-        mu_changes=tuple(mu_changes),
-        beta_changes=tuple(beta_changes),
         converged=converged,
         iterations=iterations,
         bracket_violations=violations,
@@ -210,19 +202,17 @@ def fit_irls_private(data: Dataset, cfg: IrlsConfig, rng: RngStream) -> IrlsRepo
     if cfg.epsilon is None:
         raise ValueError("private fit requires epsilon")
     trace = irls_fit(data, cfg)
-    v = trace.v
-    c = irls_sensitivity(data.d, data.n, data.B, cfg.lam, cfg.e, v)
+    c = irls_sensitivity(data.d, data.n, data.B, cfg.lam, cfg.e, trace.v)
     if math.isinf(cfg.epsilon):
         scale = 0.0
         noise = np.zeros(data.d + 1)
     else:
         scale = c / cfg.epsilon
-        noise = np.asarray(sample_laplace(scale, data.d + 1, rng).values)
+        noise = sample_laplace(scale, data.d + 1, rng)
+    noise.setflags(write=False)
     base = trace.final
     theta = Theta(mu=base.mu + noise[0], beta=base.beta + noise[1:])
-    return IrlsReport(
-        theta=theta, noise=noise, noise_scale=scale, sensitivity=c, v=v, trace=trace
-    )
+    return IrlsReport(theta=theta, noise=noise, noise_scale=scale, sensitivity=c, trace=trace)
 
 
 def irls_accuracy_bound(

@@ -15,7 +15,6 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 __all__ = [
     "Dataset",
     "Theta",
-    "ObjectiveConfig",
     "residuals",
     "objective_l1",
     "huber_rho",
@@ -112,20 +111,6 @@ class Theta:
         return cls(mu=float(omega[0]), beta=omega[1:])
 
 
-@dataclass(frozen=True)
-class ObjectiveConfig:
-    """Shared objective knobs: ridge weight and smoothing width."""
-
-    lam: float = 0.002
-    gamma: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.lam < 0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-
-
 def residuals(theta: Theta, data: Dataset) -> np.ndarray:
     """r_i = mu + X_i . beta - Y_i for every sample."""
     if theta.d != data.d:
@@ -210,16 +195,21 @@ def sign_vector(r: np.ndarray, gamma: float) -> np.ndarray:
     return _band_signs(np.asarray(r, dtype=float), gamma).astype(int)
 
 
-def smoothed_objective(theta: Theta, data: Dataset, cfg: ObjectiveConfig) -> float:
-    """Mean smoothed absolute residual plus the ridge penalty."""
+def _check_smoothing_knobs(lam: float, gamma: float) -> None:
+    if lam < 0:
+        raise ValueError(f"lam must be nonnegative, got {lam}")
+    if not gamma > 0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
+
+
+def smoothed_objective(theta: Theta, data: Dataset, lam: float, gamma: float) -> float:
+    """Mean smoothed absolute residual plus the ridge penalty (lam/2) beta'beta."""
+    _check_smoothing_knobs(lam, gamma)
     r = residuals(theta, data)
-    return float(
-        np.sum(huber_rho(r, cfg.gamma)) / data.n
-        + 0.5 * cfg.lam * theta.beta @ theta.beta
-    )
+    return float(np.sum(huber_rho(r, gamma)) / data.n + 0.5 * lam * theta.beta @ theta.beta)
 
 
-def smoothed_gradient(theta: Theta, data: Dataset, cfg: ObjectiveConfig) -> Theta:
+def smoothed_gradient(theta: Theta, data: Dataset, lam: float, gamma: float) -> Theta:
     """Gradient of :func:`smoothed_objective`, returned in Theta shape.
 
     The per-sample factor (r_i / gamma) inside the band and sign(r_i) outside
@@ -227,13 +217,12 @@ def smoothed_gradient(theta: Theta, data: Dataset, cfg: ObjectiveConfig) -> Thet
     inclusive band assignment is immaterial here.  This is the solver's
     gradient with an unpenalized intercept and no tilt.
     """
+    _check_smoothing_knobs(lam, gamma)
     if theta.d != data.d:
         raise ValueError(f"theta has d={theta.d} but data has d={data.d}")
-    ridge = np.full(data.d + 1, cfg.lam)
+    ridge = np.full(data.d + 1, lam)
     ridge[0] = 0.0
-    _, _, _, grad = _smoothed_terms(
-        design_matrix(data.X), data.Y, theta.as_vector(), cfg.gamma, ridge, 0.0
-    )
+    _, _, _, grad = _smoothed_terms(design_matrix(data.X), data.Y, theta.as_vector(), gamma, ridge, 0.0)
     return Theta.from_vector(grad)
 
 

@@ -13,13 +13,11 @@ it equals ``count`` calls of :func:`sample_l1_perturbation` bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "RngStream",
-    "NoiseVector",
     "sample_laplace",
     "sample_l1_perturbation",
     "sample_l1_perturbations",
@@ -27,8 +25,6 @@ __all__ = [
 ]
 
 _TWO53 = float(2**53)
-
-_NOISE_KINDS = ("laplace_iid", "l1_gamma_direction")
 
 # Rows of :func:`sample_l1_perturbations` drawn and transformed together.
 _L1_BLOCK_ROWS = 8192
@@ -107,32 +103,7 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream={self.stream})"
 
 
-@dataclass(frozen=True)
-class NoiseVector:
-    """A realized noise draw plus the scale and family it came from."""
-
-    values: np.ndarray
-    scale: float
-    kind: str
-
-    def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float)
-        if values.ndim != 1 or values.shape[0] < 1:
-            raise ValueError("values must be a nonempty 1-d vector")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "scale", float(self.scale))
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-        if self.kind not in _NOISE_KINDS:
-            raise ValueError(f"kind must be one of {_NOISE_KINDS}, got {self.kind!r}")
-
-    @property
-    def l1_norm(self) -> float:
-        return float(np.abs(self.values).sum())
-
-
-def sample_laplace(scale: float, k: int, rng: RngStream) -> NoiseVector:
+def sample_laplace(scale: float, k: int, rng: RngStream) -> np.ndarray:
     """k i.i.d. draws with density (1/2c) exp(-|x|/c), c = scale.
 
     Inverse CDF from one uniform per draw: x = -c sign(u - 1/2) ln(1 - 2|u - 1/2|).
@@ -141,7 +112,7 @@ def sample_laplace(scale: float, k: int, rng: RngStream) -> NoiseVector:
         raise ValueError(f"scale must be positive, got {scale}")
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    return NoiseVector(values=rng.laplaces(scale, k), scale=float(scale), kind="laplace_iid")
+    return rng.laplaces(scale, k)
 
 
 def _l1_scale(dim: int, epsilon: float) -> float:
@@ -162,7 +133,7 @@ def _l1_rows(u: np.ndarray, scale: float, out: np.ndarray) -> None:
     np.multiply(norms, raw / np.abs(raw).sum(axis=1, keepdims=True), out=out)
 
 
-def sample_l1_perturbation(dim: int, epsilon: float, rng: RngStream) -> NoiseVector:
+def sample_l1_perturbation(dim: int, epsilon: float, rng: RngStream) -> np.ndarray:
     """Random vector b with density proportional to exp(-epsilon ||b||_1 / 4).
 
     ||b||_1 is drawn as the sum of ``dim`` i.i.d. exponentials of mean
@@ -173,7 +144,7 @@ def sample_l1_perturbation(dim: int, epsilon: float, rng: RngStream) -> NoiseVec
     scale = _l1_scale(dim, epsilon)
     values = np.empty((1, dim))
     _l1_rows(rng.uniform_open(2 * dim)[None, :], scale, values)
-    return NoiseVector(values=values[0], scale=scale, kind="l1_gamma_direction")
+    return values[0]
 
 
 def sample_l1_perturbations(dim: int, epsilon: float, rng: RngStream, count: int) -> np.ndarray:

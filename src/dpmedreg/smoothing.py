@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Dataset, Theta, _smoothed_terms, _spd_solve, design_matrix
-from .sampling import RngStream, sample_l1_perturbation
+from .sampling import RngStream, gamma_tail_bound, sample_l1_perturbation
 
 __all__ = [
     "SmoothingConfig",
@@ -38,7 +38,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SmoothingConfig:
-    """Knobs for the smoothed fit; epsilon is only used by the private path."""
+    """Knobs for the smoothed fit; epsilon is only used by the private path.
+
+    A finite epsilon needs lam > 0: objective perturbation is private only for
+    a strongly convex regularizer (Chaudhuri, Monteleoni and Sarwate, JMLR
+    2011), and without the ridge the tilt b'omega/n can make the program
+    unbounded below along a coefficient.
+    """
 
     epsilon: float | None = None
     lam: float = 0.002
@@ -51,6 +57,8 @@ class SmoothingConfig:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.lam < 0:
             raise ValueError(f"lam must be nonnegative, got {self.lam}")
+        if self.lam == 0 and self.epsilon is not None and math.isfinite(self.epsilon):
+            raise ValueError("lam (lambda) must be positive when epsilon is finite")
         if not self.gamma > 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if not self.solver_tol > 0:
@@ -61,11 +69,11 @@ class SmoothingConfig:
 
 @dataclass(frozen=True)
 class SmoothingReport:
-    """Private-fit result: estimate plus realized noise and solver metadata."""
+    """Private-fit result: estimate plus realized (read-only) noise and
+    solver metadata."""
 
     theta: Theta
     noise: np.ndarray
-    b_norm: float
     solver_iters: int
     final_grad_norm: float
 
@@ -224,14 +232,14 @@ def fit_smoothed_private(data: Dataset, cfg: SmoothingConfig, rng: RngStream) ->
     if math.isinf(cfg.epsilon):
         b = np.zeros(data.d + 1)
     else:
-        b = np.asarray(sample_l1_perturbation(data.d + 1, cfg.epsilon, rng).values)
+        b = sample_l1_perturbation(data.d + 1, cfg.epsilon, rng)
+    b.setflags(write=False)
     omega, iters, gnorm = _minimize_smoothed(
         data, cfg.lam, cfg.gamma, b / data.n, cfg.solver_tol, cfg.max_iters
     )
     return SmoothingReport(
         theta=Theta.from_vector(omega),
         noise=b,
-        b_norm=float(np.abs(b).sum()),
         solver_iters=iters,
         final_grad_norm=gnorm,
     )
@@ -239,7 +247,12 @@ def fit_smoothed_private(data: Dataset, cfg: SmoothingConfig, rng: RngStream) ->
 
 def smoothing_accuracy_bound(d: int, alpha: float, n: int, lam: float, epsilon: float) -> float:
     """(1 - alpha)-probability bound on the L1 distance between the baseline
-    and the objective-perturbed minimizer:
+    and the objective-perturbed minimizer.
+
+    The tilt b'omega/n moves the minimizer by at most ||b||_1 / (n kappa),
+    where kappa = min(lam, 2/sqrt(n)) is the program's strong-convexity
+    modulus; ||b||_1 stays below :func:`gamma_tail_bound` with probability
+    1 - alpha, so the bound is
 
         4 (d+1) ln((d+1)/alpha) / (n min(lam, 2/sqrt(n)) epsilon).
     """
@@ -249,5 +262,4 @@ def smoothing_accuracy_bound(d: int, alpha: float, n: int, lam: float, epsilon: 
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if not lam > 0 or not epsilon > 0:
         raise ValueError("lam and epsilon must be positive")
-    curvature = min(lam, 2.0 / math.sqrt(n))
-    return 4.0 * (d + 1) * math.log((d + 1) / alpha) / (n * curvature * epsilon)
+    return gamma_tail_bound(d, alpha, epsilon) / (n * min(lam, 2.0 / math.sqrt(n)))

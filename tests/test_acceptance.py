@@ -17,7 +17,6 @@ from dpmedreg import (
     GcdConfig,
     GridSpec,
     IrlsConfig,
-    ObjectiveConfig,
     RngStream,
     SmoothingConfig,
     Theta,
@@ -72,11 +71,10 @@ def test_criterion_1_smoothing_vs_exact():
     for t in range(100):
         sub = rng.derive(t)
         data, d = _tiny_instance(sub, t)
-        cfg = ObjectiveConfig(lam=0.0, gamma=gamma_obj)
         for _ in range(3):
             theta = random_theta(d, sub, scale=2.0)
             gap = abs(
-                objective_l1(theta, data, 0.0) - smoothed_objective(theta, data, cfg)
+                objective_l1(theta, data, 0.0) - smoothed_objective(theta, data, 0.0, gamma_obj)
             )
             worst_gap = max(worst_gap, gap)
         oracle = oracle_l1_fit(data, 0.0, GridSpec(radius=4.0, resolution=1e-4))
@@ -101,7 +99,7 @@ def test_criterion_1_smoothing_vs_exact():
 def test_criterion_2_gradient_correctness():
     start = time.perf_counter()
     rng = RngStream(77)
-    cfg = ObjectiveConfig(lam=0.01, gamma=0.05)
+    lam, gamma = 0.01, 0.05
     h = 1e-6
     worst_central = 0.0
     worst_sided = 0.0
@@ -118,19 +116,19 @@ def test_criterion_2_gradient_correctness():
         data = Dataset(X=X, Y=Y, B=2.0)
         theta = random_theta(d, sub)
         r = residuals(theta, data)
-        if float(np.min(np.abs(np.abs(r) - cfg.gamma))) < 1e-3 or float(np.min(np.abs(r))) < 1e-3:
+        if float(np.min(np.abs(np.abs(r) - gamma))) < 1e-3 or float(np.min(np.abs(r))) < 1e-3:
             continue
         checked += 1
-        g = smoothed_gradient(theta, data, cfg)
-        up = smoothed_objective(Theta(theta.mu + h, theta.beta), data, cfg)
-        dn = smoothed_objective(Theta(theta.mu - h, theta.beta), data, cfg)
+        g = smoothed_gradient(theta, data, lam, gamma)
+        up = smoothed_objective(Theta(theta.mu + h, theta.beta), data, lam, gamma)
+        dn = smoothed_objective(Theta(theta.mu - h, theta.beta), data, lam, gamma)
         worst_central = max(worst_central, abs(g.mu - (up - dn) / (2 * h)))
         base = objective_l1(theta, data, 0.0)
         for k in range(d):
             ek = np.zeros(d)
             ek[k] = h
-            upb = smoothed_objective(Theta(theta.mu, theta.beta + ek), data, cfg)
-            dnb = smoothed_objective(Theta(theta.mu, theta.beta - ek), data, cfg)
+            upb = smoothed_objective(Theta(theta.mu, theta.beta + ek), data, lam, gamma)
+            dnb = smoothed_objective(Theta(theta.mu, theta.beta - ek), data, lam, gamma)
             worst_central = max(worst_central, abs(g.beta[k] - (upb - dnb) / (2 * h)))
             dp, dm = directional_derivatives(theta, data, 0.0, k)
             fwd = (objective_l1(Theta(theta.mu, theta.beta + ek), data, 0.0) - base) / h
@@ -285,7 +283,7 @@ def test_criterion_6_bound_coverage():
         data, _, _ = benchmark_instance(10_000, root.derive(1, rep))
         report = fit_irls_private(data, cfg2, root.derive(1, rep, 1))
         bound2 = irls_accuracy_bound(
-            data.d, alpha, data.n, cfg2.lam, cfg2.epsilon, cfg2.e, report.v, data.B
+            data.d, alpha, data.n, cfg2.lam, cfg2.epsilon, cfg2.e, report.trace.v, data.B
         )
         hits2 += float(np.abs(report.noise).sum()) <= bound2
     cover1, cover2 = hits1 / 200, hits2 / 200
@@ -301,7 +299,7 @@ def test_criterion_6_bound_coverage():
 
 def test_criterion_7_sampler_distributions():
     start = time.perf_counter()
-    draws = np.sort(np.asarray(sample_laplace(1.0, 100_000, RngStream(3)).values))
+    draws = np.sort(sample_laplace(1.0, 100_000, RngStream(3)))
     cdf = np.where(draws < 0, 0.5 * np.exp(draws), 1.0 - 0.5 * np.exp(-draws))
     n = draws.shape[0]
     hi = np.arange(1, n + 1) / n
@@ -309,7 +307,7 @@ def test_criterion_7_sampler_distributions():
     d, eps = 3, 0.1
     rng = RngStream(8)
     norms = np.array(
-        [sample_l1_perturbation(d + 1, eps, rng.derive(i)).l1_norm for i in range(100_000)]
+        [np.abs(sample_l1_perturbation(d + 1, eps, rng.derive(i))).sum() for i in range(100_000)]
     )
     mean_rel = abs(float(norms.mean()) - (d + 1) * 4.0 / eps) / ((d + 1) * 4.0 / eps)
     coverage_ok = True

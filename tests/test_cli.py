@@ -158,6 +158,13 @@ def test_fit_missing_file_is_runtime_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_fit_alg1_refuses_zero_lambda(small_csv, capsys):
+    argv = ["fit", "--algo", "alg1", "--data", str(small_csv), "--lambda", "0", "--seed", "1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "lambda" in err
+
+
 def test_bench_single_replicate_deterministic(capsys):
     argv = [
         "bench", "--replicates", "2", "--n-list", "400",

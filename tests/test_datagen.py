@@ -82,11 +82,11 @@ def test_normalize_rejects_zero_design():
 
 
 def test_unscale_theta_simple():
-    rec = ScalingRecord(x_scale=2.0, y_scale=3.0, B=2.0)
+    rec = ScalingRecord(x_scale=2.0, y_scale=3.0)
     out = unscale_theta(Theta(1.0, np.array([1.0])), rec)
     assert out.mu == pytest.approx(3.0)
     assert out.beta[0] == pytest.approx(1.5)
-    ident = ScalingRecord(x_scale=1.0, y_scale=1.0, B=2.0)
+    ident = ScalingRecord(x_scale=1.0, y_scale=1.0)
     same = unscale_theta(Theta(0.7, np.array([-0.2])), ident)
     assert same.mu == 0.7 and same.beta[0] == -0.2
 

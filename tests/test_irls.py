@@ -141,8 +141,9 @@ def test_irls_benchmark_converges_quickly():
     assert trace.iterations < 30
     assert trace.bracket_violations == 0
     # converged means the last move was within tau in both blocks
-    assert trace.mu_changes[-1] <= cfg.tau
-    assert trace.beta_changes[-1] <= cfg.tau
+    prev, last = trace.thetas[-2:]
+    assert abs(last.mu - prev.mu) <= cfg.tau
+    assert float(np.abs(last.beta - prev.beta).sum()) <= cfg.tau
 
 
 def test_irls_descent_and_iterate_bounds():
@@ -209,6 +210,15 @@ def test_private_fit_infinite_epsilon_matches_noiseless(rng):
     assert report.theta.mu == plain.final.mu
     assert np.array_equal(report.theta.beta, plain.final.beta)
     assert np.all(report.noise == 0.0)
+
+
+def test_private_fit_noise_is_read_only(rng):
+    data, _ = bounded_instance(rng, n=50, d=2)
+    for epsilon in (0.1, math.inf):
+        report = fit_irls_private(data, IrlsConfig(epsilon=epsilon, lam=0.01, e=0.2), RngStream(4))
+        assert not report.noise.flags.writeable
+        with pytest.raises(ValueError):
+            report.noise[0] = 1.0
 
 
 def test_private_fit_noise_metadata(rng):

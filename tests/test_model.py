@@ -4,7 +4,6 @@ from scipy.linalg import cho_factor, cho_solve
 
 from dpmedreg import (
     Dataset,
-    ObjectiveConfig,
     Theta,
     directional_derivatives,
     huber_rho,
@@ -124,39 +123,39 @@ def test_sign_vector_matches_elementwise_oracle(rng):
             assert s[i] == 0
 
 
-def _quadratic_decomposition(theta, data, cfg):
+def _quadratic_decomposition(theta, data, lam, gamma):
     # per-sample quadratic/linear split of the smoothed loss
     r = residuals(theta, data)
-    s = sign_vector(r, cfg.gamma).astype(float)
+    s = sign_vector(r, gamma).astype(float)
     w = 1.0 - s * s
-    pieces = w * r * r / (2 * cfg.gamma) + s * (r - 0.5 * cfg.gamma * s)
-    return float(pieces.sum() / data.n + 0.5 * cfg.lam * theta.beta @ theta.beta)
+    pieces = w * r * r / (2 * gamma) + s * (r - 0.5 * gamma * s)
+    return float(pieces.sum() / data.n + 0.5 * lam * theta.beta @ theta.beta)
 
 
 def test_smoothed_objective_equals_decomposition(rng):
     for t in range(20):
         sub = rng.derive(t)
         data, _ = bounded_instance(sub, n=40, d=3)
-        cfg = ObjectiveConfig(lam=0.05, gamma=0.1)
+        lam, gamma = 0.05, 0.1
         theta = random_theta(3, sub)
-        direct = smoothed_objective(theta, data, cfg)
-        assert abs(direct - _quadratic_decomposition(theta, data, cfg)) <= 1e-12
+        direct = smoothed_objective(theta, data, lam, gamma)
+        assert abs(direct - _quadratic_decomposition(theta, data, lam, gamma)) <= 1e-12
 
 
 def test_smoothed_objective_outer_branch_equals_l1_shift():
     # all residuals outside the band: smoothed = exact minus gamma/2
     data = Dataset(X=np.zeros((3, 1)), Y=np.array([1.0, 2.0, 3.0]), B=3.0)
-    cfg = ObjectiveConfig(lam=0.0, gamma=0.05)
+    lam, gamma = 0.0, 0.05
     theta = Theta(0.0, np.zeros(1))
-    assert smoothed_objective(theta, data, cfg) == pytest.approx(
-        objective_l1(theta, data, 0.0) - cfg.gamma / 2
+    assert smoothed_objective(theta, data, lam, gamma) == pytest.approx(
+        objective_l1(theta, data, 0.0) - gamma / 2
     )
 
 
 def test_smoothed_objective_zero_case():
     data = Dataset(X=np.zeros((4, 2)), Y=np.zeros(4), B=1.0)
-    cfg = ObjectiveConfig(lam=0.7, gamma=0.1)
-    assert smoothed_objective(Theta(0.0, np.zeros(2)), data, cfg) == 0.0
+    lam, gamma = 0.7, 0.1
+    assert smoothed_objective(Theta(0.0, np.zeros(2)), data, lam, gamma) == 0.0
 
 
 def test_uniform_smoothing_gap(rng):
@@ -164,44 +163,56 @@ def test_uniform_smoothing_gap(rng):
     for t in range(30):
         sub = rng.derive(t)
         data, _ = bounded_instance(sub, n=30, d=2)
-        cfg = ObjectiveConfig(lam=0.4, gamma=0.08)
+        lam, gamma = 0.4, 0.08
         theta = random_theta(2, sub, scale=2.0)
-        gap = objective_l1(theta, data, cfg.lam) - smoothed_objective(theta, data, cfg)
-        assert -1e-14 <= gap <= cfg.gamma / 2 + 1e-14
+        gap = objective_l1(theta, data, lam) - smoothed_objective(theta, data, lam, gamma)
+        assert -1e-14 <= gap <= gamma / 2 + 1e-14
 
 
 def test_smoothed_objective_convexity(rng):
     for t in range(30):
         sub = rng.derive(t)
         data, _ = bounded_instance(sub, n=25, d=2)
-        cfg = ObjectiveConfig(lam=0.02, gamma=0.05)
+        lam, gamma = 0.02, 0.05
         t1 = random_theta(2, sub, scale=2.0)
         t2 = random_theta(2, sub, scale=2.0)
         a = float(sub.uniform_open(1)[0])
         mid = Theta(a * t1.mu + (1 - a) * t2.mu, a * t1.beta + (1 - a) * t2.beta)
-        lhs = smoothed_objective(mid, data, cfg)
-        rhs = a * smoothed_objective(t1, data, cfg) + (1 - a) * smoothed_objective(t2, data, cfg)
+        lhs = smoothed_objective(mid, data, lam, gamma)
+        rhs = a * smoothed_objective(t1, data, lam, gamma) + (1 - a) * smoothed_objective(
+            t2, data, lam, gamma
+        )
         assert lhs <= rhs + 1e-12
+
+
+def test_smoothed_objective_and_gradient_reject_bad_knobs():
+    data = Dataset(X=np.zeros((2, 1)), Y=np.zeros(2), B=1.0)
+    theta = Theta(0.0, np.zeros(1))
+    for fn in (smoothed_objective, smoothed_gradient):
+        with pytest.raises(ValueError, match="lam"):
+            fn(theta, data, -0.1, 0.05)
+        with pytest.raises(ValueError, match="gamma"):
+            fn(theta, data, 0.0, 0.0)
 
 
 def test_smoothed_gradient_simple_case():
     # single sample sitting mid-band: bracket value r/gamma = 1/2
     gamma = 0.1
     data = Dataset(X=np.array([[0.5]]), Y=np.array([-gamma / 2]), B=1.0)
-    g = smoothed_gradient(Theta(0.0, np.zeros(1)), data, ObjectiveConfig(lam=0.0, gamma=gamma))
+    g = smoothed_gradient(Theta(0.0, np.zeros(1)), data, 0.0, gamma)
     assert g.mu == pytest.approx(0.5)
     assert g.beta[0] == pytest.approx(0.25)
 
 
 def test_smoothed_gradient_zero_at_perfect_fit(rng):
     data, beta = bounded_instance(rng, n=20, d=2, noise=1e-12)
-    g = smoothed_gradient(Theta(0.0, beta), data, ObjectiveConfig(lam=0.0, gamma=0.05))
+    g = smoothed_gradient(Theta(0.0, beta), data, 0.0, 0.05)
     assert abs(g.mu) < 1e-10
     assert np.all(np.abs(g.beta) < 1e-10)
 
 
 def test_smoothed_gradient_matches_central_differences(rng):
-    cfg = ObjectiveConfig(lam=0.01, gamma=0.05)
+    lam, gamma = 0.01, 0.05
     h = 1e-6
     checked = 0
     t = 0
@@ -213,18 +224,18 @@ def test_smoothed_gradient_matches_central_differences(rng):
         theta = random_theta(d, sub)
         r = residuals(theta, data)
         # stay clear of the band edges so the finite difference is one-branch
-        if float(np.min(np.abs(np.abs(r) - cfg.gamma))) < 1e-3:
+        if float(np.min(np.abs(np.abs(r) - gamma))) < 1e-3:
             continue
         checked += 1
-        g = smoothed_gradient(theta, data, cfg)
-        up = smoothed_objective(Theta(theta.mu + h, theta.beta), data, cfg)
-        dn = smoothed_objective(Theta(theta.mu - h, theta.beta), data, cfg)
+        g = smoothed_gradient(theta, data, lam, gamma)
+        up = smoothed_objective(Theta(theta.mu + h, theta.beta), data, lam, gamma)
+        dn = smoothed_objective(Theta(theta.mu - h, theta.beta), data, lam, gamma)
         assert abs(g.mu - (up - dn) / (2 * h)) < 1e-5
         for k in range(d):
             ek = np.zeros(d)
             ek[k] = h
-            up = smoothed_objective(Theta(theta.mu, theta.beta + ek), data, cfg)
-            dn = smoothed_objective(Theta(theta.mu, theta.beta - ek), data, cfg)
+            up = smoothed_objective(Theta(theta.mu, theta.beta + ek), data, lam, gamma)
+            dn = smoothed_objective(Theta(theta.mu, theta.beta - ek), data, lam, gamma)
             assert abs(g.beta[k] - (up - dn) / (2 * h)) < 1e-5
 
 

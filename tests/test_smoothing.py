@@ -6,7 +6,6 @@ import pytest
 from dpmedreg import (
     ConvergenceError,
     Dataset,
-    ObjectiveConfig,
     RngStream,
     SmoothingConfig,
     Theta,
@@ -17,6 +16,7 @@ from dpmedreg import (
     smoothed_objective,
     smoothing_accuracy_bound,
 )
+from dpmedreg.verification import random_dataset
 from dpmedreg import model, smoothing
 
 from conftest import benchmark_instance, bounded_instance
@@ -24,7 +24,7 @@ from conftest import benchmark_instance, bounded_instance
 
 def _tilted_objective(theta, data, cfg, tilt):
     return (
-        smoothed_objective(theta, data, ObjectiveConfig(lam=cfg.lam, gamma=cfg.gamma))
+        smoothed_objective(theta, data, cfg.lam, cfg.gamma)
         + float(tilt @ theta.as_vector()) / data.n
         + theta.mu**2 / math.sqrt(data.n)
     )
@@ -69,9 +69,31 @@ def test_private_fit_infinite_epsilon_equals_baseline(rng):
     cfg = SmoothingConfig(epsilon=math.inf, lam=0.01, gamma=0.05)
     base = fit_smoothed_baseline(data, cfg)
     report = fit_smoothed_private(data, cfg, rng)
-    assert report.b_norm == 0.0
+    assert np.all(report.noise == 0.0)
     assert abs(report.theta.mu - base.mu) <= 1e-7
     assert np.all(np.abs(report.theta.beta - base.beta) <= 1e-7)
+
+
+def test_private_fit_noise_is_read_only(rng):
+    data, _ = bounded_instance(rng, n=50, d=2)
+    for epsilon in (0.1, math.inf):
+        cfg = SmoothingConfig(epsilon=epsilon, lam=0.01, gamma=0.05)
+        report = fit_smoothed_private(data, cfg, RngStream(4))
+        assert not report.noise.flags.writeable
+        with pytest.raises(ValueError):
+            report.noise[0] = 1.0
+
+
+def test_private_fit_refuses_zero_lam_at_finite_epsilon():
+    # without the ridge the tilt can make the program unbounded below; the
+    # fit must refuse before it runs, not fail after max_iters Newton steps
+    data = random_dataset(20, 2, 1.0, RngStream(5).derive(0))
+    with pytest.raises(ValueError, match="lam"):
+        fit_smoothed_private(data, SmoothingConfig(epsilon=0.1, lam=0.0), RngStream(1))
+    # the baseline and the noiseless private fit keep accepting lam = 0
+    base = fit_smoothed_baseline(data, SmoothingConfig(lam=0.0))
+    report = fit_smoothed_private(data, SmoothingConfig(epsilon=math.inf, lam=0.0), RngStream(1))
+    assert np.array_equal(report.theta.as_vector(), base.as_vector())
 
 
 def test_private_fit_deterministic_given_seed(rng):
@@ -97,7 +119,7 @@ def test_private_fit_gradient_and_shift_bound():
         dist = abs(base.mu - report.theta.mu) + float(
             np.abs(base.beta - report.theta.beta).sum()
         )
-        bound = report.b_norm / (data.n * min(cfg.lam, 2.0 / math.sqrt(data.n)))
+        bound = float(np.abs(report.noise).sum()) / (data.n * min(cfg.lam, 2.0 / math.sqrt(data.n)))
         assert dist <= bound
         # optimality certificate for the tilted program
         assert _tilted_objective(report.theta, data, cfg, report.noise) <= (
@@ -111,7 +133,7 @@ def test_private_fit_full_gradient_small(rng):
     report = fit_smoothed_private(data, cfg, rng)
     # rebuild the tilted gradient at the solution
     theta = report.theta
-    g = smoothed_gradient(theta, data, ObjectiveConfig(lam=cfg.lam, gamma=cfg.gamma))
+    g = smoothed_gradient(theta, data, cfg.lam, cfg.gamma)
     full = np.concatenate(([g.mu + 2 * theta.mu / math.sqrt(data.n)], g.beta))
     full += report.noise / data.n
     assert float(np.abs(full).max()) <= cfg.solver_tol
@@ -135,7 +157,7 @@ def test_zero_column_without_ridge_takes_damped_newton_steps(rng, monkeypatch):
     theta = fit_smoothed_baseline(flat, cfg)
     assert any(x is None for x in solves)
     assert theta.beta[1] == 0.0
-    g = smoothed_gradient(theta, flat, ObjectiveConfig(lam=cfg.lam, gamma=cfg.gamma))
+    g = smoothed_gradient(theta, flat, cfg.lam, cfg.gamma)
     full = np.concatenate(([g.mu + 2 * theta.mu / math.sqrt(flat.n)], g.beta))
     assert float(np.abs(full).max()) <= cfg.solver_tol
 
