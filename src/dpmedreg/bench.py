@@ -3,11 +3,12 @@ table, replicate loops, and table rendering.
 
 Algorithm ids: alg1 = objective-perturbed smoothing, alg2 = output-perturbed
 reweighted least squares, alg3 = noisy batched greedy coordinate descent;
-baseline-smooth and baseline-irls are their noiseless counterparts.
+baseline-smooth and baseline-irls are alg1 and alg2 at epsilon = inf.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, fields
 from typing import Callable
@@ -16,10 +17,10 @@ import numpy as np
 
 from .datagen import GeneratorSpec, default_generator_spec, generate, normalize, unscale_theta
 from .gcd import GcdConfig, fit_gcd_private
-from .irls import IrlsConfig, fit_irls_private, irls_fit
+from .irls import IrlsConfig, fit_irls_private
 from .model import Dataset, Theta
 from .sampling import RngStream
-from .smoothing import SmoothingConfig, fit_smoothed_baseline, fit_smoothed_private
+from .smoothing import SmoothingConfig, fit_smoothed_private
 
 __all__ = [
     "ALGORITHMS",
@@ -44,7 +45,8 @@ PROTOCOL_EPSILON = 0.1
 class Algorithm:
     """One row of the algorithm table: ``knobs`` maps each CLI knob to its
     ``config`` field, whose default is the knob's; ``run(data, cfg, rng)``
-    returns (theta, extras).  Private algorithms take epsilon and a seed."""
+    returns (theta, extras).  Private algorithms take epsilon and a seed; a
+    row without an epsilon knob runs at epsilon = inf."""
 
     config: type
     knobs: dict[str, str]
@@ -56,36 +58,19 @@ class Algorithm:
 
 
 # The runners look their fitters up as module globals on every call, so a
-# fitter replaced on this module (say, by a tracer) sees every fit.
+# fitter replaced on this module (say, by a tracer) sees every fit.  A
+# baseline row reuses its mechanism's runner at epsilon = inf.
 def _alg1(data, cfg, rng):
-    report = fit_smoothed_private(data, cfg, rng)
-    return report.theta, {
-        "b_norm": float(np.abs(report.noise).sum()),
-        "solver_iters": report.solver_iters,
-    }
+    return fit_smoothed_private(data, cfg, rng).theta, {}
 
 
 def _alg2(data, cfg, rng):
     report = fit_irls_private(data, cfg, rng)
-    return report.theta, {
-        "noise_scale": report.noise_scale,
-        "noise": report.noise,
-        "iterations": report.trace.iterations,
-    }
+    return report.theta, {"noise_scale": report.noise_scale, "noise": report.noise}
 
 
 def _alg3(data, cfg, rng):
-    trace = fit_gcd_private(data, cfg, rng)
-    return trace.final, {"dropped": trace.plan.dropped}
-
-
-def _baseline_smooth(data, cfg, rng):
-    return fit_smoothed_baseline(data, cfg), {}
-
-
-def _baseline_irls(data, cfg, rng):
-    trace = irls_fit(data, cfg)
-    return trace.final, {"iterations": trace.iterations, "converged": trace.converged}
+    return fit_gcd_private(data, cfg, rng).final, {}
 
 
 ALGORITHM_TABLE = {
@@ -100,9 +85,9 @@ ALGORITHM_TABLE = {
         {"epsilon": "epsilon", "lam": "lam", "ell": "ell", "n0": "batches", "init": "init"},
         _alg3,
     ),
-    "baseline-smooth": Algorithm(SmoothingConfig, {"lam": "lam", "gamma": "gamma"}, _baseline_smooth),
+    "baseline-smooth": Algorithm(SmoothingConfig, {"lam": "lam", "gamma": "gamma"}, _alg1),
     "baseline-irls": Algorithm(
-        IrlsConfig, {"lam": "lam", "e": "e", "tau": "tau", "n0": "max_iters"}, _baseline_irls
+        IrlsConfig, {"lam": "lam", "e": "e", "tau": "tau", "n0": "max_iters"}, _alg2
     ),
 }
 ALGORITHMS = tuple(ALGORITHM_TABLE)
@@ -131,9 +116,11 @@ def resolve_params(algo: str, overrides: dict) -> dict:
 
 
 def run_fit(algo: str, data: Dataset, params: dict, rng: RngStream | None) -> tuple[Theta, float, dict]:
-    """One fit on normalized data; returns (theta, elapsed, extras)."""
+    """One fit on normalized data; returns (theta, elapsed, extras).  The
+    extras are alg2's (and baseline-irls's) ``noise`` and ``noise_scale``."""
     entry = _algorithm(algo)
-    cfg = entry.config(**{field: params[knob] for knob, field in entry.knobs.items()})
+    settings = {"epsilon": math.inf} | {field: params[knob] for knob, field in entry.knobs.items()}
+    cfg = entry.config(**settings)
     start = time.perf_counter()
     theta, extras = entry.run(data, cfg, rng)
     elapsed = time.perf_counter() - start
@@ -150,7 +137,6 @@ class CellResult:
     median_elapsed: float
     median_l1_error: float
     truth: Theta
-    replicates: int
 
 
 def parameter_names(d: int) -> list[str]:
@@ -194,7 +180,6 @@ def run_cell(
         median_elapsed=float(np.median(elapsed)),
         median_l1_error=float(np.median(errors)),
         truth=spec.truth,
-        replicates=replicates,
     )
 
 

@@ -22,6 +22,7 @@ from . import __version__
 from .bench import (
     ALGORITHM_TABLE,
     ALGORITHMS,
+    PROTOCOL_EPSILON,
     CellResult,
     parameter_names,
     resolve_params,
@@ -48,14 +49,19 @@ SEED_ENV = "DPMEDREG_SEED"
 
 
 def _resolve_seed(parser, given: int | None) -> int:
-    """``--seed`` when given, else the DPMEDREG_SEED variable, else 0."""
+    """``--seed`` when given, else the DPMEDREG_SEED variable, else 0; a seed
+    that is not a non-negative integer is a usage error naming its source."""
     if given is not None:
-        return given
-    text = os.environ.get(SEED_ENV, "0")
-    try:
-        return int(text)
-    except ValueError:
-        parser.error(f"{SEED_ENV} must be an integer, got {text!r}")
+        source, seed = "--seed", given
+    else:
+        source, text = SEED_ENV, os.environ.get(SEED_ENV, "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            parser.error(f"{SEED_ENV} must be an integer, got {text!r}")
+    if seed < 0:
+        parser.error(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _positive_int(text: str) -> int:
@@ -245,7 +251,7 @@ def _probe_samplers(trials: int, seed: int, report) -> bool:
     ok &= report("laplace_ks", ks, ks_bound, ks < ks_bound)
 
     d = 3
-    eps = 0.1
+    eps = PROTOCOL_EPSILON
     # row i is drawn from rng.derive(1).derive(i), the stream rng.derive(1, i)
     values = sample_l1_perturbations(d + 1, eps, rng.derive(1), trials)
     norms = np.abs(values, out=values).sum(axis=1)
@@ -265,14 +271,12 @@ def _probe_samplers(trials: int, seed: int, report) -> bool:
 
 
 def _probe_alg2(trials: int, seed: int, report) -> bool:
-    cfg = IrlsConfig(lam=0.002, e=0.2)
-    result = irls_sensitivity_probe(50, 3, trials, cfg, RngStream(seed))
+    result = irls_sensitivity_probe(50, 3, trials, IrlsConfig(), RngStream(seed))
     return report("alg2_max_l1_shift", result.observed, result.bound, result.ok)
 
 
 def _probe_alg3(trials: int, seed: int, report) -> bool:
-    cfg = GcdConfig(lam=0.002, ell=0.1)
-    result = gcd_step_probe(50, 3, trials, cfg, RngStream(seed))
+    result = gcd_step_probe(50, 3, trials, GcdConfig(), RngStream(seed))
     return report("alg3_max_step_shift", result.observed, result.bound, result.ok)
 
 
@@ -284,7 +288,7 @@ def _probe_bounds(trials: int, seed: int, report) -> bool:
 
     n1 = 2000
     spec1 = default_generator_spec(n1)
-    cfg1 = SmoothingConfig(epsilon=0.1, lam=0.002, gamma=0.05)
+    cfg1 = SmoothingConfig(epsilon=PROTOCOL_EPSILON)
     bound1 = smoothing_accuracy_bound(spec1.d, alpha, n1, cfg1.lam, cfg1.epsilon)
     hits = 0
     for rep in range(trials):
@@ -299,7 +303,7 @@ def _probe_bounds(trials: int, seed: int, report) -> bool:
 
     n2 = 10_000
     spec2 = default_generator_spec(n2)
-    cfg2 = IrlsConfig(epsilon=0.1, lam=0.002, e=0.2)
+    cfg2 = IrlsConfig(epsilon=PROTOCOL_EPSILON)
     hits = 0
     for rep in range(trials):
         X, Y, _ = generate(spec2, root.derive(1, rep, 0))

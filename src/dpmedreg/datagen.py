@@ -109,8 +109,8 @@ def normalize(X: np.ndarray, Y: np.ndarray, target_b: float = 2.0):
     Y = np.asarray(Y, dtype=float)
     if X.ndim != 2 or Y.ndim != 1 or X.shape[0] != Y.shape[0] or X.shape[0] < 1:
         raise ValueError("need X (n, d) and Y (n,) with matching n >= 1")
-    if not target_b > 0:
-        raise ValueError("target_b must be positive")
+    if not 0 < target_b < math.inf:
+        raise ValueError(f"target_b must be positive and finite, got {target_b}")
     max_row = float(np.abs(X).sum(axis=1).max())
     if max_row == 0.0:
         raise ValueError("design matrix is identically zero")

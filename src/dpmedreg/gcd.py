@@ -54,10 +54,10 @@ class GcdConfig:
     def __post_init__(self) -> None:
         if self.epsilon is not None and not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
-        if not self.ell > 0:
-            raise ValueError(f"ell must be positive, got {self.ell}")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be nonnegative and finite, got {self.lam}")
+        if not 0 < self.ell < math.inf:
+            raise ValueError(f"ell must be positive and finite, got {self.ell}")
         if self.batches < 1:
             raise ValueError("need at least one batch")
         if self.init not in ("ridge", "zero"):
@@ -124,14 +124,15 @@ def coordinate_step_vector(
 
 @dataclass(frozen=True)
 class GcdTrace:
-    """Iterate history: theta after each iteration, exact step sizes, and the
-    realized per-coordinate noise draws."""
+    """Iterate history: the start and theta after each iteration, the
+    realized per-coordinate noise draws (row t for iteration t) and the batch
+    plan.  Iteration t = 0, 1, ... steps with eta_t = ell/(t+1) and draws its
+    noise at scale 2 eta_t/(epsilon n0), n0 = ``plan.batch_size`` (0 at
+    epsilon = inf)."""
 
     thetas: tuple[Theta, ...]
-    etas: tuple[float, ...]
     noises: np.ndarray
     plan: BatchPlan
-    noise_scales: tuple[float, ...]
 
     @property
     def final(self) -> Theta:
@@ -159,8 +160,6 @@ def fit_gcd_private(data: Dataset, cfg: GcdConfig, rng: RngStream) -> GcdTrace:
     noiseless = math.isinf(cfg.epsilon)
 
     thetas = [theta0]
-    etas = []
-    scales = []
     noises = np.zeros((cfg.batches, data.d))
     for t, idx in enumerate(plan.batches):
         Xb = data.X[idx]
@@ -178,16 +177,8 @@ def fit_gcd_private(data: Dataset, cfg: GcdConfig, rng: RngStream) -> GcdTrace:
             noises[t, k] = u
         mu = float(np.mean(Yb - Xb @ beta))
         thetas.append(Theta(mu=mu, beta=beta.copy()))
-        etas.append(eta)
-        scales.append(scale)
     noises.setflags(write=False)
-    return GcdTrace(
-        thetas=tuple(thetas),
-        etas=tuple(etas),
-        noises=noises,
-        plan=plan,
-        noise_scales=tuple(scales),
-    )
+    return GcdTrace(thetas=tuple(thetas), noises=noises, plan=plan)
 
 
 def gcd_step_probe(

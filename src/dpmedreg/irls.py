@@ -61,16 +61,16 @@ class IrlsConfig:
     def __post_init__(self) -> None:
         if self.epsilon is not None and not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
-        if not self.e > 0:
-            raise ValueError(f"e must be positive, got {self.e}")
-        if not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be nonnegative and finite, got {self.lam}")
+        if not 0 < self.e < math.inf:
+            raise ValueError(f"e must be positive and finite, got {self.e}")
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.v is not None and not self.v > 0:
-            raise ValueError(f"v must be positive, got {self.v}")
+        if self.v is not None and not 0 < self.v < math.inf:
+            raise ValueError(f"v must be positive and finite, got {self.v}")
 
 
 def default_coefficient_bound(B: float, lam: float, e: float) -> float:
@@ -191,27 +191,31 @@ def irls_sensitivity(d: int, n: int, B: float, lam: float, e: float, v: float) -
         raise ValueError("B, lam, e and v must be positive")
     reach = math.sqrt(d * v) + B
     curvature = min(2.0 / (2.0 * reach + e), lam)
+    if not curvature > 0:
+        raise ValueError(f"v={v} and B={B} overflow the sensitivity constant")
     return 8.0 * reach / (n * curvature * e)
 
 
 def fit_irls_private(data: Dataset, cfg: IrlsConfig, rng: RngStream) -> IrlsReport:
     """Reweighted fit plus i.i.d. Laplace(c / epsilon) noise per coordinate,
     where c is :func:`irls_sensitivity`.  With epsilon = inf no draw is
-    consumed and the noise is exactly zero.
+    consumed, the noise is exactly zero and the estimate is ``trace.final``
+    itself, the noiseless fit bit for bit.
     """
     if cfg.epsilon is None:
         raise ValueError("private fit requires epsilon")
     trace = irls_fit(data, cfg)
     c = irls_sensitivity(data.d, data.n, data.B, cfg.lam, cfg.e, trace.v)
+    base = trace.final
     if math.isinf(cfg.epsilon):
         scale = 0.0
         noise = np.zeros(data.d + 1)
+        theta = base
     else:
         scale = c / cfg.epsilon
         noise = sample_laplace(scale, data.d + 1, rng)
+        theta = Theta(mu=base.mu + noise[0], beta=base.beta + noise[1:])
     noise.setflags(write=False)
-    base = trace.final
-    theta = Theta(mu=base.mu + noise[0], beta=base.beta + noise[1:])
     return IrlsReport(theta=theta, noise=noise, noise_scale=scale, sensitivity=c, trace=trace)
 
 

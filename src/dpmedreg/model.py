@@ -7,6 +7,7 @@ concurrently without synchronization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +66,8 @@ class Dataset:
             raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
         if Y.shape[0] != n:
             raise ValueError(f"X has {n} rows but Y has {Y.shape[0]} entries")
-        if not B > 0:
-            raise ValueError(f"B must be positive, got {B}")
+        if not 0 < B < math.inf:
+            raise ValueError(f"B must be positive and finite, got {B}")
         max_row = float(np.abs(X).sum(axis=1).max())
         if max_row > 1.0 + _BOUND_SLACK:
             raise ValueError(f"max row L1 norm {max_row} exceeds 1")

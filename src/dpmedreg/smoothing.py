@@ -55,14 +55,14 @@ class SmoothingConfig:
     def __post_init__(self) -> None:
         if self.epsilon is not None and not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be nonnegative and finite, got {self.lam}")
         if self.lam == 0 and self.epsilon is not None and math.isfinite(self.epsilon):
             raise ValueError("lam (lambda) must be positive when epsilon is finite")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if not self.solver_tol > 0:
-            raise ValueError("solver_tol must be positive")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        if not 0 < self.solver_tol < math.inf:
+            raise ValueError(f"solver_tol must be positive and finite, got {self.solver_tol}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 

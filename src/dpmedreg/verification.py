@@ -14,7 +14,6 @@ from .model import Dataset, Theta
 from .sampling import RngStream
 
 __all__ = [
-    "GridSpec",
     "NeighborPair",
     "ProbeResult",
     "oracle_l1_fit",
@@ -23,39 +22,27 @@ __all__ = [
     "random_theta",
 ]
 
-_ROW_SLACK = 1e-9
+# The oracle's grid: points per coordinate on each level, and the cell
+# spacing at which the search stops.
+_GRID_POINTS = 21
+_GRID_RESOLUTION = 1e-4
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Coarse-to-fine grid-search resolution spec.
-
-    Each level lays ``points`` per coordinate across the current box, then
-    recenters on the argmin with a two-cell safety margin.  Search stops once
-    the cell spacing is at most ``resolution`` in every coordinate.
-    """
-
-    radius: float = 4.0
-    resolution: float = 1e-4
-    points: int = 21
-
-    def __post_init__(self) -> None:
-        if not self.radius > 0 or not self.resolution > 0:
-            raise ValueError("radius and resolution must be positive")
-        if self.points < 5:
-            raise ValueError("need at least 5 points per level")
-
-
-def oracle_l1_fit(data: Dataset, lam: float, grid: GridSpec = GridSpec()) -> Theta:
+def oracle_l1_fit(data: Dataset, lam: float, radius: float = 4.0) -> Theta:
     """Brute-force minimizer of the L1 objective by coarse-to-fine grid search.
 
-    Desk scale only (d <= 2, n <= 50).  Ties resolve to the lexicographically
-    first grid point, so the result is deterministic.  Two safeguards keep the
-    search honest on the narrow polyhedral valleys an L1 objective can have:
-    a level whose argmin lands near the box edge while improving the incumbent
-    recenters without shrinking, and the final point is polished by greedy
-    neighbor descent on the resolution lattice until no neighbor improves.
+    Desk scale only (d <= 2, n <= 50).  The first box is [-radius, radius]
+    per coordinate; each level lays a grid across the box and recenters on
+    the argmin with a two-cell safety margin.  Ties resolve to the
+    lexicographically first grid point, so the result is deterministic.  Two
+    safeguards keep the search honest on the narrow polyhedral valleys an L1
+    objective can have: a level whose argmin lands near the box edge while
+    improving the incumbent recenters without shrinking, and the final point
+    is polished by greedy neighbor descent on the resolution lattice until no
+    neighbor improves.
     """
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     if data.d > 2:
         raise ValueError(f"oracle supports d <= 2, got d={data.d}")
     if data.n > 50:
@@ -67,10 +54,10 @@ def oracle_l1_fit(data: Dataset, lam: float, grid: GridSpec = GridSpec()) -> The
         return np.abs(r).mean(axis=0) + 0.5 * lam * np.sum(omegas[:, 1:] ** 2, axis=1)
 
     center = np.zeros(dims)
-    half = np.full(dims, float(grid.radius))
+    half = np.full(dims, float(radius))
     best_val = math.inf
     for _ in range(500):
-        axes = [np.linspace(center[j] - half[j], center[j] + half[j], grid.points) for j in range(dims)]
+        axes = [np.linspace(center[j] - half[j], center[j] + half[j], _GRID_POINTS) for j in range(dims)]
         mesh = np.meshgrid(*axes, indexing="ij")
         omegas = np.stack([m.ravel() for m in mesh], axis=1)
         vals = values(omegas)
@@ -78,7 +65,7 @@ def oracle_l1_fit(data: Dataset, lam: float, grid: GridSpec = GridSpec()) -> The
         level_val = float(vals[pick])
         improved = level_val < best_val - 1e-15 * max(1.0, abs(best_val))
         best_val = min(best_val, level_val)
-        spacing = 2.0 * half / (grid.points - 1)
+        spacing = 2.0 * half / (_GRID_POINTS - 1)
         new_center = omegas[pick]
         on_edge = any(
             abs(new_center[j] - (center[j] - half[j])) < 1.5 * spacing[j]
@@ -88,14 +75,14 @@ def oracle_l1_fit(data: Dataset, lam: float, grid: GridSpec = GridSpec()) -> The
         center = new_center
         if on_edge and improved:
             continue  # track the valley at the current scale
-        if float(spacing.max()) <= grid.resolution:
+        if float(spacing.max()) <= _GRID_RESOLUTION:
             break
         half = 4.0 * spacing
     else:
         raise RuntimeError("grid search failed to localize a minimizer")
 
     offsets = [o for o in itertools.product((-1, 0, 1), repeat=dims) if any(o)]
-    offsets = np.array(offsets, dtype=float) * grid.resolution
+    offsets = np.array(offsets, dtype=float) * _GRID_RESOLUTION
     for _ in range(20000):
         cand = center[None, :] + offsets
         vals = values(cand)
@@ -135,9 +122,10 @@ def make_neighbor_pair(
 ) -> NeighborPair:
     """Replace one record of ``base`` with a bounded record.
 
-    A ``replacement`` of (x_row, y) must satisfy ||x||_1 <= 1 and |y| <= B;
-    when omitted, a random valid record is drawn from ``rng``.  Replacing a
-    record with itself is a degenerate (zero-difference) pair and is rejected.
+    A ``replacement`` of (x_row, y) must satisfy ||x||_1 <= 1 and |y| <= B,
+    which the neighbor's :class:`Dataset` checks; when omitted, a random valid
+    record is drawn from ``rng``.  Replacing a record with itself is a
+    degenerate (zero-difference) pair and is rejected.
     """
     if index is None:
         if rng is None:
@@ -158,10 +146,6 @@ def make_neighbor_pair(
         y_new = float(replacement[1])
         if x_new.shape != (base.d,):
             raise ValueError(f"replacement row must have shape ({base.d},)")
-        if float(np.abs(x_new).sum()) > 1.0 + _ROW_SLACK:
-            raise ValueError("replacement row L1 norm exceeds 1")
-        if abs(y_new) > base.B + _ROW_SLACK:
-            raise ValueError(f"replacement |y| exceeds B={base.B}")
     if np.array_equal(base.X[index], x_new) and base.Y[index] == y_new:
         raise ValueError("replacement equals the original record (degenerate pair)")
     X2 = base.X.copy()
@@ -194,7 +178,6 @@ class ProbeResult:
 
     observed: float
     bound: float
-    trials: int
 
     @property
     def ok(self) -> bool:
@@ -215,4 +198,4 @@ def neighbor_probe(n: int, d: int, B: float, trials: int, bound: float, rng: Rng
         sub = rng.derive(t)
         pair = make_neighbor_pair(random_dataset(n, d, B, sub), rng=sub)
         worst = max(worst, shift(pair, sub))
-    return ProbeResult(observed=worst, bound=bound, trials=trials)
+    return ProbeResult(observed=worst, bound=bound)

@@ -15,7 +15,6 @@ import dpmedreg
 from dpmedreg import (
     Dataset,
     GcdConfig,
-    GridSpec,
     IrlsConfig,
     RngStream,
     SmoothingConfig,
@@ -77,7 +76,7 @@ def test_criterion_1_smoothing_vs_exact():
                 objective_l1(theta, data, 0.0) - smoothed_objective(theta, data, 0.0, gamma_obj)
             )
             worst_gap = max(worst_gap, gap)
-        oracle = oracle_l1_fit(data, 0.0, GridSpec(radius=4.0, resolution=1e-4))
+        oracle = oracle_l1_fit(data, 0.0, radius=4.0)
         base = fit_smoothed_baseline(data, SmoothingConfig(lam=0.0, gamma=1e-4))
         worst_pair = max(
             worst_pair,
@@ -345,12 +344,11 @@ def test_criterion_8_convergence_properties():
         ]
         worst_increase = max(worst_increase, float(np.max(np.diff(vals))))
         worst_iters = max(worst_iters, trace.iterations)
-        g = fit_gcd_private(
-            data, GcdConfig(epsilon=0.1, lam=0.002, ell=0.1, batches=40), root.derive(rep, 1)
-        )
-        for t in range(len(g.etas)):
+        gcd_cfg = GcdConfig(epsilon=0.1, lam=0.002, ell=0.1, batches=40)
+        g = fit_gcd_private(data, gcd_cfg, root.derive(rep, 1))
+        for t in range(gcd_cfg.batches):
             prev = g.thetas[t].beta
-            rhs = g.etas[t] * (1.0 + 0.002 * np.abs(prev)) + np.abs(g.noises[t])
+            rhs = gcd_cfg.ell / (t + 1) * (1.0 + 0.002 * np.abs(prev)) + np.abs(g.noises[t])
             trace_ok &= bool(np.all(np.abs(g.thetas[t + 1].beta - prev) <= rhs + 1e-12))
     ok = worst_increase <= 1e-10 and worst_iters < 30 and trace_ok
     _report(

@@ -20,13 +20,13 @@ PUBLIC = [
     "coordinate_step_vector", "fit_gcd_private", "gcd_step_probe",
     "GeneratorSpec", "ScalingRecord", "default_generator_spec", "generate",
     "normalize", "unscale_theta", "read_csv", "write_csv",
-    "GridSpec", "NeighborPair", "ProbeResult", "oracle_l1_fit",
+    "NeighborPair", "ProbeResult", "oracle_l1_fit",
     "make_neighbor_pair", "random_dataset", "random_theta",
 ]
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC) == 55
+    assert len(PUBLIC) == 54
     assert dpmedreg.__all__ == PUBLIC
     assert len(set(dpmedreg.__all__)) == len(dpmedreg.__all__)
     for name in dpmedreg.__all__:

@@ -258,3 +258,36 @@ def test_env_variable_provides_default_seed(tmp_path, monkeypatch, capsys):
     assert info.value.code == 2
     assert "DPMEDREG_SEED" in capsys.readouterr().err
     assert main(["generate", "--n", "10", "--seed", "1", "--out", str(tmp_path / "ok.csv")]) == 0
+
+
+@pytest.mark.parametrize(
+    "flags, knob",
+    [
+        (["--algo", "alg3", "--init", "zero", "--lambda", "nan", "--seed", "2"], "lam"),
+        (["--algo", "alg1", "--gamma", "inf"], "gamma"),
+        (["--algo", "baseline-smooth", "--gamma", "inf"], "gamma"),
+        (["--algo", "alg2", "--v", "inf"], "v"),
+        (["--algo", "baseline-irls", "--tau", "inf"], "tau"),
+        (["--algo", "alg2", "--target-b", "inf"], "target_b"),
+    ],
+)
+def test_fit_refuses_non_finite_knobs(small_csv, capsys, flags, knob):
+    # each of these used to print a number (or die with a traceback)
+    assert main(["fit", "--data", str(small_csv), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {knob} must be")
+
+
+def test_negative_seed_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as info:
+        main(["generate", "--n", "10", "--seed", "-1", "--out", str(out)])
+    assert info.value.code == 2
+    assert "--seed must be a non-negative integer" in capsys.readouterr().err
+    monkeypatch.setenv("DPMEDREG_SEED", "-3")
+    with pytest.raises(SystemExit) as info:
+        main(["generate", "--n", "10", "--out", str(out)])
+    assert info.value.code == 2
+    assert "DPMEDREG_SEED must be a non-negative integer" in capsys.readouterr().err
+    assert not out.exists()

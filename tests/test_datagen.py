@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -251,3 +252,9 @@ def test_write_csv_rejects_what_read_csv_refuses(tmp_path, X, Y, match):
     with pytest.raises(ValueError, match=match):
         write_csv(path, X, Y)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("target_b", [math.nan, math.inf, -math.inf])
+def test_normalize_refuses_non_finite_target_b(target_b):
+    with pytest.raises(ValueError, match="^target_b must be positive and finite"):
+        normalize(np.array([[0.5], [2.0]]), np.array([1.0, -3.0]), target_b)

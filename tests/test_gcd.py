@@ -119,9 +119,6 @@ def test_fit_trace_metadata_exact():
     trace = fit_gcd_private(data, cfg, RngStream(4))
     n0 = trace.plan.batch_size
     assert n0 == 125
-    for t in range(40):
-        assert trace.etas[t] == cfg.ell / (t + 1)
-        assert trace.noise_scales[t] == 2.0 * trace.etas[t] / (cfg.epsilon * n0)
     assert len(trace.thetas) == 41
 
 
@@ -129,10 +126,10 @@ def test_fit_iterate_stability_inequality():
     data, _, _ = benchmark_instance(5000, RngStream(5))
     cfg = GcdConfig(epsilon=0.1, lam=0.002, ell=0.1, batches=40)
     trace = fit_gcd_private(data, cfg, RngStream(6))
-    for t in range(len(trace.etas)):
+    for t in range(cfg.batches):
         prev = trace.thetas[t].beta
         nxt = trace.thetas[t + 1].beta
-        rhs = trace.etas[t] * (1.0 + cfg.lam * np.abs(prev)) + np.abs(trace.noises[t])
+        rhs = cfg.ell / (t + 1) * (1.0 + cfg.lam * np.abs(prev)) + np.abs(trace.noises[t])
         assert np.all(np.abs(nxt - prev) <= rhs + 1e-12)
 
 
@@ -183,3 +180,17 @@ def test_config_validation():
         GcdConfig(batches=0)
     with pytest.raises(ValueError):
         GcdConfig(init="random")
+
+
+# NaN and both infinities; epsilon alone may be +inf (the noiseless mode)
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("knob", ["lam", "ell"])
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_config_refuses_non_finite_knobs(knob, value):
+    with pytest.raises(ValueError, match=f"^{knob} must be"):
+        GcdConfig(**{knob: value})
+    with pytest.raises(ValueError, match=f"^{knob} must be"):
+        GcdConfig(epsilon=math.inf, **{knob: value})
+    assert GcdConfig(epsilon=math.inf).epsilon == math.inf

@@ -281,3 +281,22 @@ def test_config_validation():
         IrlsConfig(v=0.0)
     with pytest.raises(ValueError):
         irls_sensitivity(3, 5000, 2.0, 0.0, 0.2, 1.0)
+    # sqrt(d v) + B overflows to inf, so the curvature term would be 0
+    with pytest.raises(ValueError, match="overflow"):
+        irls_sensitivity(3, 400, 2.0, 0.002, 0.2, 1e308)
+    with pytest.raises(ValueError, match="overflow"):
+        irls_sensitivity(3, 400, 1e200, 0.002, 0.2, math.inf)
+
+
+# NaN and both infinities; epsilon alone may be +inf (the noiseless mode)
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("knob", ["lam", "e", "tau", "v"])
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_config_refuses_non_finite_knobs(knob, value):
+    with pytest.raises(ValueError, match=f"^{knob} must be"):
+        IrlsConfig(**{knob: value})
+    with pytest.raises(ValueError, match=f"^{knob} must be"):
+        IrlsConfig(epsilon=math.inf, **{knob: value})
+    assert IrlsConfig(epsilon=math.inf).epsilon == math.inf

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
@@ -29,6 +31,9 @@ def test_dataset_invariants_enforced():
         Dataset(X=np.array([[0.5]]), Y=np.array([np.nan]), B=1.0)
     with pytest.raises(ValueError):
         Dataset(X=np.zeros((0, 1)), Y=np.zeros(0), B=1.0)
+    for B in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^B must be positive and finite"):
+            Dataset(X=np.array([[0.5]]), Y=np.array([0.5]), B=B)
     data = Dataset(X=np.array([[0.5]]), Y=np.array([0.5]), B=1.0)
     with pytest.raises(ValueError):
         data.X[0, 0] = 0.0  # immutable

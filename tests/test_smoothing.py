@@ -201,3 +201,17 @@ def test_config_validation():
             SmoothingConfig(),  # epsilon missing
             RngStream(0),
         )
+
+
+# NaN and both infinities; epsilon alone may be +inf (the noiseless mode)
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("knob", ["lam", "gamma", "solver_tol"])
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_config_refuses_non_finite_knobs(knob, value):
+    with pytest.raises(ValueError, match=f"^{knob} must be"):
+        SmoothingConfig(**{knob: value})
+    with pytest.raises(ValueError, match=f"^{knob} must be"):
+        SmoothingConfig(epsilon=math.inf, **{knob: value})
+    assert SmoothingConfig(epsilon=math.inf).epsilon == math.inf

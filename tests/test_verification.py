@@ -3,7 +3,6 @@ import pytest
 
 from dpmedreg import (
     Dataset,
-    GridSpec,
     NeighborPair,
     SmoothingConfig,
     fit_smoothed_baseline,
@@ -18,13 +17,13 @@ from conftest import bounded_instance
 
 def test_oracle_intercept_only_median():
     data = Dataset(X=np.zeros((3, 1)), Y=np.array([1.0, 2.0, 9.0]), B=9.0)
-    theta = oracle_l1_fit(data, 0.0, GridSpec(radius=10.0, resolution=1e-4))
+    theta = oracle_l1_fit(data, 0.0, radius=10.0)
     assert abs(theta.mu - 2.0) <= 2e-4
 
 
 def test_oracle_recovers_exact_linear(rng):
     data, beta = bounded_instance(rng, n=20, d=2, noise=1e-15, beta_scale=1.0)
-    theta = oracle_l1_fit(data, 0.0, GridSpec(radius=2.0, resolution=1e-4))
+    theta = oracle_l1_fit(data, 0.0, radius=2.0)
     assert abs(theta.mu) <= 2e-4
     assert np.all(np.abs(theta.beta - beta) <= 2e-4)
 
@@ -34,7 +33,7 @@ def test_oracle_dominates_smoothed_baseline(rng):
     for t in range(5):
         sub = rng.derive(t)
         data, _ = bounded_instance(sub, n=7, d=1, noise=0.2, beta_scale=1.0)
-        oracle = oracle_l1_fit(data, 0.0, GridSpec(radius=3.0, resolution=1e-4))
+        oracle = oracle_l1_fit(data, 0.0, radius=3.0)
         base = fit_smoothed_baseline(data, SmoothingConfig(lam=0.0, gamma=gamma))
         assert objective_l1(oracle, data, 0.0) <= (
             objective_l1(base, data, 0.0) + gamma / 2 + 2e-4
