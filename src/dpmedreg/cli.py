@@ -1,5 +1,6 @@
 """Command-line front end: generate data, run fitters, run replicate
-benchmarks, and run sensitivity/sampler probes.
+benchmarks, and run the sensitivity/sampler probes of
+:data:`dpmedreg.verification.PROBES`.
 
 Exit codes: 0 success, 1 runtime failure (including a failed probe), 2 usage
 error.  Every result-emitting command writes a key=value manifest sidecar so a
@@ -11,18 +12,15 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import math
 import os
+import re
 import sys
 import time
-
-import numpy as np
 
 from . import __version__
 from .bench import (
     ALGORITHM_TABLE,
     ALGORITHMS,
-    PROTOCOL_EPSILON,
     CellResult,
     parameter_names,
     resolve_params,
@@ -31,21 +29,15 @@ from .bench import (
     run_fit,
     tables_to_markdown,
 )
-from .datagen import (
-    GeneratorSpec,
-    default_generator_spec,
-    generate,
-    normalize,
-    read_csv,
-    unscale_theta,
-    write_csv,
-)
-from .gcd import GcdConfig, gcd_step_probe
-from .irls import IrlsConfig, fit_irls_private, irls_accuracy_bound, irls_sensitivity_probe
-from .sampling import RngStream, gamma_tail_bound, sample_l1_perturbations, sample_laplace
-from .smoothing import SmoothingConfig, fit_smoothed_baseline, fit_smoothed_private, smoothing_accuracy_bound
+from .datagen import GeneratorSpec, generate, normalize, read_csv, unscale_theta, write_csv
+from .sampling import RngStream
+from .verification import PROBES
 
 SEED_ENV = "DPMEDREG_SEED"
+
+# argparse takes a value starting with "-" for a flag unless it matches this;
+# its own test knows no lists or exponents, so `--box -0.5,0.5` would fail.
+_NEGATIVE_VALUE = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 def _resolve_seed(parser, given: int | None) -> int:
@@ -238,106 +230,13 @@ def _cmd_bench(parser, args, seed: int) -> int:
     return 0
 
 
-def _probe_samplers(trials: int, seed: int, report) -> bool:
-    rng = RngStream(seed)
-    ok = True
-    xs = np.sort(sample_laplace(1.0, trials, rng.derive(0)))
-    cdf = np.where(xs < 0, 0.5 * np.exp(xs), 1.0 - 0.5 * np.exp(-xs))
-    grid = np.arange(1, trials + 1) / trials
-    ks = float(np.max(np.maximum(np.abs(grid - cdf), np.abs(grid - 1.0 / trials - cdf))))
-    # Dvoretzky-Kiefer-Wolfowitz: a correct sampler exceeds this with
-    # probability at most 2 exp(-20); 0.01 at the default 100 000 trials
-    ks_bound = math.sqrt(10 / trials)
-    ok &= report("laplace_ks", ks, ks_bound, ks < ks_bound)
-
-    d = 3
-    eps = PROTOCOL_EPSILON
-    # row i is drawn from rng.derive(1).derive(i), the stream rng.derive(1, i)
-    values = sample_l1_perturbations(d + 1, eps, rng.derive(1), trials)
-    norms = np.abs(values, out=values).sum(axis=1)
-    mean = float(norms.mean())
-    expect = (d + 1) * 4.0 / eps
-    rel = abs(mean - expect) / expect
-    # the Gamma(d + 1) norm's relative standard error is 1/sqrt((d + 1) trials),
-    # so this is about 12.6 of them; 0.02 at the default 100 000 trials
-    rel_bound = math.sqrt(40 / trials)
-    ok &= report("gamma_norm_mean_rel_err", rel, rel_bound, rel < rel_bound)
-
-    for alpha in (0.5, 0.1, 0.01):
-        bound = gamma_tail_bound(d, alpha, eps)
-        cover = float(np.mean(norms <= bound))
-        ok &= report(f"gamma_tail_coverage_alpha_{alpha}", cover, 1.0 - alpha, cover >= 1.0 - alpha)
-    return ok
-
-
-def _probe_alg2(trials: int, seed: int, report) -> bool:
-    result = irls_sensitivity_probe(50, 3, trials, IrlsConfig(), RngStream(seed))
-    return report("alg2_max_l1_shift", result.observed, result.bound, result.ok)
-
-
-def _probe_alg3(trials: int, seed: int, report) -> bool:
-    result = gcd_step_probe(50, 3, trials, GcdConfig(), RngStream(seed))
-    return report("alg3_max_step_shift", result.observed, result.bound, result.ok)
-
-
-def _probe_bounds(trials: int, seed: int, report) -> bool:
-    alpha = 0.1
-    floor = 1.0 - alpha - 0.05
-    root = RngStream(seed)
-    ok = True
-
-    n1 = 2000
-    spec1 = default_generator_spec(n1)
-    cfg1 = SmoothingConfig(epsilon=PROTOCOL_EPSILON)
-    bound1 = smoothing_accuracy_bound(spec1.d, alpha, n1, cfg1.lam, cfg1.epsilon)
-    hits = 0
-    for rep in range(trials):
-        X, Y, _ = generate(spec1, root.derive(0, rep, 0))
-        data, _ = normalize(X, Y)
-        base = fit_smoothed_baseline(data, cfg1)
-        noisy = fit_smoothed_private(data, cfg1, root.derive(0, rep, 1)).theta
-        dist = abs(base.mu - noisy.mu) + float(np.abs(base.beta - noisy.beta).sum())
-        hits += dist <= bound1
-    cover = hits / trials
-    ok &= report("alg1_bound_coverage", cover, floor, cover >= floor)
-
-    n2 = 10_000
-    spec2 = default_generator_spec(n2)
-    cfg2 = IrlsConfig(epsilon=PROTOCOL_EPSILON)
-    hits = 0
-    for rep in range(trials):
-        X, Y, _ = generate(spec2, root.derive(1, rep, 0))
-        data, _ = normalize(X, Y)
-        rep_out = fit_irls_private(data, cfg2, root.derive(1, rep, 1))
-        bound2 = irls_accuracy_bound(
-            data.d, alpha, data.n, cfg2.lam, cfg2.epsilon, cfg2.e, rep_out.trace.v, data.B
-        )
-        hits += float(np.abs(rep_out.noise).sum()) <= bound2
-    cover = hits / trials
-    ok &= report("alg2_bound_coverage", cover, floor, cover >= floor)
-    return ok
-
-
-# Probe target -> (runner, default trials).  The sampler thresholds shrink as
-# 1/sqrt(trials); the Monte-Carlo coverage check needs full refits.
-_PROBES = {
-    "alg2": (_probe_alg2, 1000),
-    "alg3": (_probe_alg3, 1000),
-    "samplers": (_probe_samplers, 100_000),
-    "bounds": (_probe_bounds, 200),
-}
-
-
 def _cmd_probe(parser, args, seed: int) -> int:
-    runner, default_trials = _PROBES[args.target]
-    trials = args.trials if args.trials is not None else default_trials
-
-    def report(name: str, observed: float, bound: float, passed: bool) -> bool:
-        status = "PASS" if passed else "FAIL"
-        sys.stdout.write(f"{name}: observed={observed:.6g} bound={bound:.6g} {status}\n")
-        return passed
-
-    return 0 if runner(trials, seed, report) else 1
+    runner, default_trials = PROBES[args.target]
+    results = runner(args.trials if args.trials is not None else default_trials, seed)
+    for r in results:
+        status = "PASS" if r.ok else "FAIL"
+        sys.stdout.write(f"{r.name}: observed={r.observed:.6g} bound={r.bound:.6g} {status}\n")
+    return 0 if all(r.ok for r in results) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,10 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     probe = sub.add_parser("probe", help="empirical domination and distribution checks")
     probe.set_defaults(run=_cmd_probe)
-    probe.add_argument("--target", required=True, choices=_PROBES)
+    probe.add_argument("--target", required=True, choices=PROBES)
     probe.add_argument("--trials", type=_positive_int, default=None)
     probe.add_argument("--seed", type=int, default=None)
 
+    for command in sub.choices.values():
+        command._negative_number_matcher = _NEGATIVE_VALUE
     return parser
 
 

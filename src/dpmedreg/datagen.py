@@ -61,11 +61,15 @@ class GeneratorSpec:
             raise ValueError("need n >= 1 and d >= 1")
         if beta.shape != (self.d,):
             raise ValueError(f"beta must have length d={self.d}, got {beta.shape}")
-        if not self.noise_scale > 0:
-            raise ValueError("noise_scale must be positive")
+        if not math.isfinite(self.mu) or not np.all(np.isfinite(beta)):
+            raise ValueError(f"mu and beta must be finite, got mu={self.mu}, beta={beta.tolist()}")
+        if not 0 < self.noise_scale < math.inf:
+            raise ValueError(f"noise_scale must be positive and finite, got {self.noise_scale}")
         lo, hi = self.box
         if not lo < hi:
             raise ValueError(f"box must satisfy lo < hi, got {self.box}")
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"box must have finite ends and a finite width hi - lo, got {self.box}")
 
     @property
     def truth(self) -> Theta:

@@ -27,7 +27,6 @@ import numpy as np
 from .irls import weighted_ridge_solve
 from .model import Dataset, Theta, _coordinate_step
 from .sampling import RngStream
-from .verification import ProbeResult, neighbor_probe, random_theta
 
 __all__ = [
     "GcdConfig",
@@ -36,7 +35,6 @@ __all__ = [
     "split_batches",
     "coordinate_step_vector",
     "fit_gcd_private",
-    "gcd_step_probe",
 ]
 
 
@@ -107,7 +105,8 @@ def coordinate_step_vector(
     theta: Theta, X: np.ndarray, Y: np.ndarray, lam: float, eta: float
 ) -> np.ndarray:
     """All d pre-noise coordinate steps on one batch, evaluated at one fixed
-    theta (no sequential update), as used by the sensitivity probe.
+    theta (no sequential update), as used by
+    :func:`dpmedreg.verification.gcd_step_probe`.
 
     |step_k| <= eta (1 + lam |beta_k|) always, because each one-sided slope
     is an average of entries bounded by |x_ik| <= 1 plus the ridge term.
@@ -157,46 +156,27 @@ def fit_gcd_private(data: Dataset, cfg: GcdConfig, rng: RngStream) -> GcdTrace:
         theta0 = Theta(mu=0.0, beta=np.zeros(data.d))
     mu = theta0.mu
     beta = np.array(theta0.beta, dtype=float)
-    noiseless = math.isinf(cfg.epsilon)
+    # all noise in one call, row t scaled by 2 eta_t / (epsilon n0), so
+    # noises[t, k] is the (t d + k)-th draw after the batch permutation
+    if math.isinf(cfg.epsilon):
+        noises = np.zeros((cfg.batches, data.d))
+    else:
+        scales = 2.0 * (cfg.ell / np.arange(1, cfg.batches + 1)) / (cfg.epsilon * n0)
+        noises = rng.laplaces(1.0, cfg.batches * data.d).reshape(cfg.batches, data.d) * scales[:, None]
 
     thetas = [theta0]
-    noises = np.zeros((cfg.batches, data.d))
     for t, idx in enumerate(plan.batches):
         Xb = data.X[idx]
         Yb = data.Y[idx]
         eta = cfg.ell / (t + 1)
-        scale = 0.0 if noiseless else 2.0 * eta / (cfg.epsilon * n0)
         r = mu + Xb @ beta - Yb
         for k in range(data.d):
             step = _coordinate_step(r, Xb[:, k], n0, cfg.lam * float(beta[k]), eta)[2]
-            u = 0.0 if noiseless else float(rng.laplaces(scale, 1)[0])
-            move = step + u
+            move = step + noises[t, k]
             beta[k] += move
             if move:
                 r = r + Xb[:, k] * move
-            noises[t, k] = u
         mu = float(np.mean(Yb - Xb @ beta))
         thetas.append(Theta(mu=mu, beta=beta.copy()))
     noises.setflags(write=False)
     return GcdTrace(thetas=tuple(thetas), noises=noises, plan=plan)
-
-
-def gcd_step_probe(
-    n0: int, d: int, trials: int, cfg: GcdConfig, rng: RngStream, B: float = 1.0
-) -> ProbeResult:
-    """Empirical one-record sensitivity of the pre-noise step vector.
-
-    For random batch pairs differing in one record, evaluated at the same
-    random theta with step size eta = ell (the largest), the L1 distance
-    between the two step vectors must stay within 2 eta / n0 (a 1e-12
-    float-roundoff allowance is folded into the reported bound).
-    """
-    eta = cfg.ell
-
-    def shift(pair, sub):
-        theta = random_theta(d, sub)
-        s_a = coordinate_step_vector(theta, pair.a.X, pair.a.Y, cfg.lam, eta)
-        s_b = coordinate_step_vector(theta, pair.b.X, pair.b.Y, cfg.lam, eta)
-        return float(np.abs(s_a - s_b).sum())
-
-    return neighbor_probe(n0, d, B, trials, 2.0 * eta / n0 + 1e-12, rng, shift)

@@ -19,7 +19,6 @@ import numpy as np
 
 from .model import Dataset, Theta, _spd_solve, design_matrix, residuals
 from .sampling import RngStream, sample_laplace
-from .verification import ProbeResult, neighbor_probe
 
 __all__ = [
     "IrlsConfig",
@@ -32,7 +31,6 @@ __all__ = [
     "irls_sensitivity",
     "fit_irls_private",
     "irls_accuracy_bound",
-    "irls_sensitivity_probe",
 ]
 
 
@@ -234,22 +232,3 @@ def irls_accuracy_bound(
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     c = irls_sensitivity(d, n, B, lam, e, v)
     return c * (d + 1) * math.log((d + 1) / alpha) / epsilon
-
-
-def irls_sensitivity_probe(
-    n: int, d: int, trials: int, cfg: IrlsConfig, rng: RngStream, B: float = 1.0
-) -> ProbeResult:
-    """Empirical domination check for :func:`irls_sensitivity`.
-
-    Generates random one-record-differing dataset pairs, runs the noiseless
-    reweighted fit on both sides, and reports the largest observed L1 output
-    difference against the analytic constant.
-    """
-    bound = irls_sensitivity(d, n, B, cfg.lam, cfg.e, _resolve_v(cfg, B))
-
-    def shift(pair, sub):
-        fit_a = irls_fit(pair.a, cfg).final
-        fit_b = irls_fit(pair.b, cfg).final
-        return abs(fit_a.mu - fit_b.mu) + float(np.abs(fit_a.beta - fit_b.beta).sum())
-
-    return neighbor_probe(n, d, B, trials, bound, rng, shift)

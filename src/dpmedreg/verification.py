@@ -1,6 +1,7 @@
-"""Independent oracles and probe machinery: brute-force L1 fits on tiny
-instances, bounded random datasets, one-record-neighbor dataset pairs, and
-the neighbor-pair probe loop that the alg2 and alg3 sensitivity probes share."""
+"""Independent oracles and the probes that check the mechanisms: brute-force
+L1 fits on tiny instances, bounded random datasets, one-record-neighbor
+dataset pairs, and the ``dpmedreg probe`` targets of :data:`PROBES`.  This
+module sits above the mechanisms; none of them imports it."""
 
 from __future__ import annotations
 
@@ -10,8 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bench import PROTOCOL_EPSILON
+from .datagen import default_generator_spec, generate, normalize
+from .gcd import GcdConfig, coordinate_step_vector
+from .irls import IrlsConfig, _resolve_v, fit_irls_private, irls_accuracy_bound, irls_fit, irls_sensitivity
 from .model import Dataset, Theta
-from .sampling import RngStream
+from .sampling import RngStream, gamma_tail_bound, sample_l1_perturbations, sample_laplace
+from .smoothing import SmoothingConfig, fit_smoothed_baseline, fit_smoothed_private, smoothing_accuracy_bound
 
 __all__ = [
     "NeighborPair",
@@ -20,6 +26,8 @@ __all__ = [
     "make_neighbor_pair",
     "random_dataset",
     "random_theta",
+    "irls_sensitivity_probe",
+    "gcd_step_probe",
 ]
 
 # The oracle's grid: points per coordinate on each level, and the cell
@@ -174,19 +182,18 @@ def random_theta(d: int, rng: RngStream, scale: float = 1.0) -> Theta:
 
 @dataclass(frozen=True)
 class ProbeResult:
-    """Outcome of an empirical domination probe against an analytic bound."""
+    """One probe check against its bound; ``ok`` is stored because checks
+    compare in different directions (a distance below, a coverage above)."""
 
+    name: str
     observed: float
     bound: float
-
-    @property
-    def ok(self) -> bool:
-        return self.observed <= self.bound
+    ok: bool
 
 
-def neighbor_probe(n: int, d: int, B: float, trials: int, bound: float, rng: RngStream, shift):
+def neighbor_probe(name: str, n: int, d: int, B: float, trials: int, bound: float, rng: RngStream, shift):
     """Largest ``shift(pair, sub)`` over ``trials`` random neighbor pairs of
-    n x d datasets bounded by B, reported against ``bound``.
+    n x d datasets bounded by B, which must stay at or below ``bound``.
 
     Trial t draws the base dataset and then the replaced record from
     ``sub = rng.derive(t)``; ``shift`` may draw further from ``sub``.
@@ -198,4 +205,129 @@ def neighbor_probe(n: int, d: int, B: float, trials: int, bound: float, rng: Rng
         sub = rng.derive(t)
         pair = make_neighbor_pair(random_dataset(n, d, B, sub), rng=sub)
         worst = max(worst, shift(pair, sub))
-    return ProbeResult(observed=worst, bound=bound)
+    return ProbeResult(name=name, observed=worst, bound=bound, ok=worst <= bound)
+
+
+def irls_sensitivity_probe(
+    n: int, d: int, trials: int, cfg: IrlsConfig, rng: RngStream, B: float = 1.0
+) -> ProbeResult:
+    """Empirical domination check for :func:`dpmedreg.irls.irls_sensitivity`.
+
+    Generates random one-record-differing dataset pairs, runs the noiseless
+    reweighted fit on both sides, and reports the largest observed L1 output
+    difference against the analytic constant.
+    """
+    bound = irls_sensitivity(d, n, B, cfg.lam, cfg.e, _resolve_v(cfg, B))
+
+    def shift(pair, sub):
+        fit_a = irls_fit(pair.a, cfg).final
+        fit_b = irls_fit(pair.b, cfg).final
+        return abs(fit_a.mu - fit_b.mu) + float(np.abs(fit_a.beta - fit_b.beta).sum())
+
+    return neighbor_probe("alg2_max_l1_shift", n, d, B, trials, bound, rng, shift)
+
+
+def gcd_step_probe(
+    n0: int, d: int, trials: int, cfg: GcdConfig, rng: RngStream, B: float = 1.0
+) -> ProbeResult:
+    """Empirical one-record sensitivity of the pre-noise step vector.
+
+    For random batch pairs differing in one record, evaluated at the same
+    random theta with step size eta = ell (the largest), the L1 distance
+    between the two step vectors must stay within 2 eta / n0 (a 1e-12
+    float-roundoff allowance is folded into the reported bound).
+    """
+    eta = cfg.ell
+
+    def shift(pair, sub):
+        theta = random_theta(d, sub)
+        s_a = coordinate_step_vector(theta, pair.a.X, pair.a.Y, cfg.lam, eta)
+        s_b = coordinate_step_vector(theta, pair.b.X, pair.b.Y, cfg.lam, eta)
+        return float(np.abs(s_a - s_b).sum())
+
+    bound = 2.0 * eta / n0 + 1e-12
+    return neighbor_probe("alg3_max_step_shift", n0, d, B, trials, bound, rng, shift)
+
+
+def _probe_alg2(trials: int, seed: int) -> list[ProbeResult]:
+    return [irls_sensitivity_probe(50, 3, trials, IrlsConfig(), RngStream(seed))]
+
+
+def _probe_alg3(trials: int, seed: int) -> list[ProbeResult]:
+    return [gcd_step_probe(50, 3, trials, GcdConfig(), RngStream(seed))]
+
+
+def _probe_samplers(trials: int, seed: int) -> list[ProbeResult]:
+    rng = RngStream(seed)
+    xs = np.sort(sample_laplace(1.0, trials, rng.derive(0)))
+    cdf = np.where(xs < 0, 0.5 * np.exp(xs), 1.0 - 0.5 * np.exp(-xs))
+    grid = np.arange(1, trials + 1) / trials
+    ks = float(np.max(np.maximum(np.abs(grid - cdf), np.abs(grid - 1.0 / trials - cdf))))
+    # Dvoretzky-Kiefer-Wolfowitz: a correct sampler exceeds this with
+    # probability at most 2 exp(-20); 0.01 at the default 100 000 trials
+    ks_bound = math.sqrt(10 / trials)
+    results = [ProbeResult("laplace_ks", ks, ks_bound, ks < ks_bound)]
+
+    d = 3
+    eps = PROTOCOL_EPSILON
+    # row i is drawn from rng.derive(1).derive(i), the stream rng.derive(1, i)
+    values = sample_l1_perturbations(d + 1, eps, rng.derive(1), trials)
+    norms = np.abs(values, out=values).sum(axis=1)
+    expect = (d + 1) * 4.0 / eps
+    rel = abs(float(norms.mean()) - expect) / expect
+    # the Gamma(d + 1) norm's relative standard error is 1/sqrt((d + 1) trials),
+    # so this is about 12.6 of them; 0.02 at the default 100 000 trials
+    rel_bound = math.sqrt(40 / trials)
+    results.append(ProbeResult("gamma_norm_mean_rel_err", rel, rel_bound, rel < rel_bound))
+
+    for alpha in (0.5, 0.1, 0.01):
+        bound = gamma_tail_bound(d, alpha, eps)
+        cover = float(np.mean(norms <= bound))
+        name = f"gamma_tail_coverage_alpha_{alpha}"
+        results.append(ProbeResult(name, cover, 1.0 - alpha, cover >= 1.0 - alpha))
+    return results
+
+
+def _probe_bounds(trials: int, seed: int) -> list[ProbeResult]:
+    alpha = 0.1
+    floor = 1.0 - alpha - 0.05
+    cfg1 = SmoothingConfig(epsilon=PROTOCOL_EPSILON)
+    cfg2 = IrlsConfig(epsilon=PROTOCOL_EPSILON)
+
+    def alg1_hit(data, rng):
+        base = fit_smoothed_baseline(data, cfg1)
+        noisy = fit_smoothed_private(data, cfg1, rng).theta
+        dist = abs(base.mu - noisy.mu) + float(np.abs(base.beta - noisy.beta).sum())
+        return dist <= smoothing_accuracy_bound(data.d, alpha, data.n, cfg1.lam, cfg1.epsilon)
+
+    def alg2_hit(data, rng):
+        report = fit_irls_private(data, cfg2, rng)
+        v = report.trace.v
+        bound = irls_accuracy_bound(data.d, alpha, data.n, cfg2.lam, cfg2.epsilon, cfg2.e, v, data.B)
+        return float(np.abs(report.noise).sum()) <= bound
+
+    # replicate rep of check c draws its data from stream (c, rep, 0) and its
+    # noise from (c, rep, 1)
+    root = RngStream(seed)
+    checks = (("alg1_bound_coverage", 2000, alg1_hit), ("alg2_bound_coverage", 10_000, alg2_hit))
+    results = []
+    for c, (name, n, hit) in enumerate(checks):
+        spec = default_generator_spec(n)
+        hits = 0
+        for rep in range(trials):
+            data, _ = normalize(*generate(spec, root.derive(c, rep, 0))[:2])
+            hits += hit(data, root.derive(c, rep, 1))
+        cover = hits / trials
+        results.append(ProbeResult(name, cover, floor, cover >= floor))
+    return results
+
+
+# Probe target -> (runner, default trials).  A runner takes (trials, seed) and
+# returns its results in the order they are printed.  The sampler thresholds
+# shrink as 1/sqrt(trials); the Monte-Carlo coverage check needs full refits.
+PROBES = {
+    "alg2": (_probe_alg2, 1000),
+    "alg3": (_probe_alg3, 1000),
+    "samplers": (_probe_samplers, 100_000),
+    "bounds": (_probe_bounds, 200),
+}

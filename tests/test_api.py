@@ -15,13 +15,13 @@ PUBLIC = [
     "IrlsConfig", "IrlsTrace", "IrlsReport", "SingularSystemError",
     "default_coefficient_bound", "weighted_ridge_solve", "irls_fit",
     "irls_sensitivity", "fit_irls_private", "irls_accuracy_bound",
-    "irls_sensitivity_probe",
     "GcdConfig", "BatchPlan", "GcdTrace", "split_batches",
-    "coordinate_step_vector", "fit_gcd_private", "gcd_step_probe",
+    "coordinate_step_vector", "fit_gcd_private",
     "GeneratorSpec", "ScalingRecord", "default_generator_spec", "generate",
     "normalize", "unscale_theta", "read_csv", "write_csv",
     "NeighborPair", "ProbeResult", "oracle_l1_fit",
     "make_neighbor_pair", "random_dataset", "random_theta",
+    "irls_sensitivity_probe", "gcd_step_probe",
 ]
 
 

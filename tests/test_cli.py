@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from dpmedreg import ProbeResult, verification
 from dpmedreg.cli import main
 
 
@@ -52,6 +53,39 @@ def test_generate_rejects_mismatched_d(tmp_path):
     with pytest.raises(SystemExit) as info:
         main(["generate", "--d", "2", "--beta", "1,2,3", "--out", str(tmp_path / "x.csv")])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("flag, value", [("--box", "-0.5,0.5"), ("--beta", "-4,0,3")])
+def test_generate_takes_negative_list_values_in_both_spellings(tmp_path, flag, value):
+    # argparse took "-0.5,0.5" after a space for a flag and exited 2
+    outputs = []
+    for spelling in ([flag, value], [f"{flag}={value}"]):
+        out = tmp_path / f"{len(spelling)}.csv"
+        assert main(["generate", "--n", "40", "--seed", "4", *spelling, "--out", str(out)]) == 0
+        manifest = (tmp_path / f"{out.name}.manifest").read_text(encoding="utf-8")
+        lines = [line for line in manifest.splitlines() if not line.startswith(("out=", "wall_time="))]
+        outputs.append((out.read_bytes(), lines))
+    assert outputs[0] == outputs[1]
+    floats = ",".join(repr(float(v)) for v in value.split(","))
+    assert f"{flag[2:]}={floats if flag == '--beta' else value}" in outputs[0][1]
+
+
+@pytest.mark.parametrize(
+    "flags, knob",
+    [
+        (["--noise-scale", "inf"], "noise_scale"),
+        (["--noise-scale", "nan"], "noise_scale"),
+        (["--box", "0,inf"], "box"),
+        (["--box", "-inf,0"], "box"),
+        (["--box=-1e308,1e308"], "box"),
+    ],
+)
+def test_generate_refuses_non_finite_knobs(tmp_path, capsys, flags, knob):
+    # these used to fail only in write_csv, with an error naming no flag
+    out = tmp_path / "g.csv"
+    assert main(["generate", "--n", "10", "--seed", "1", *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {knob} must")
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -240,6 +274,38 @@ def test_probe_samplers_passes(capsys):
         out = capsys.readouterr().out
         assert out.startswith("laplace_ks: ") and out.splitlines()[0].endswith(ks_line)
         assert "FAIL" not in out
+
+
+def _probe_lines(results) -> str:
+    return "".join(
+        f"{r.name}: observed={r.observed:.6g} bound={r.bound:.6g} {'PASS' if r.ok else 'FAIL'}\n"
+        for r in results
+    )
+
+
+@pytest.mark.parametrize("target", ["alg2", "alg3", "samplers", "bounds"])
+def test_probe_prints_its_runners_results(target, capsys):
+    runner, _ = verification.PROBES[target]
+    results = runner(5, 2)
+    assert results and all(isinstance(r, ProbeResult) and isinstance(r.ok, bool) for r in results)
+    code = main(["probe", "--target", target, "--trials", "5", "--seed", "2"])
+    assert code == (0 if all(r.ok for r in results) else 1)
+    assert capsys.readouterr().out == _probe_lines(results)
+
+
+def test_probe_failure_prints_fail_line_and_exits_1(monkeypatch, capsys):
+    calls = []
+
+    def runner(trials, seed):
+        calls.append((trials, seed))
+        return [ProbeResult("held", 0.5, 1.0, True), ProbeResult("broken", 2.5, 1.0, False)]
+
+    monkeypatch.setitem(verification.PROBES, "alg3", (runner, 1234))
+    assert main(["probe", "--target", "alg3", "--seed", "9"]) == 1
+    assert calls == [(1234, 9)]
+    out = capsys.readouterr().out
+    assert out == "held: observed=0.5 bound=1 PASS\nbroken: observed=2.5 bound=1 FAIL\n"
+    assert out == _probe_lines(runner(1, 1))
 
 
 def test_env_variable_provides_default_seed(tmp_path, monkeypatch, capsys):

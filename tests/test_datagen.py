@@ -29,6 +29,33 @@ def test_spec_validation():
         GeneratorSpec(n=10, d=1, mu=0.0, beta=(1.0,), noise_scale=1.0, box=(1.0, 0.0))
 
 
+@pytest.mark.parametrize(
+    "knobs, message",
+    [
+        ({"noise_scale": math.nan}, "noise_scale must be positive and finite"),
+        ({"noise_scale": math.inf}, "noise_scale must be positive and finite"),
+        ({"noise_scale": -math.inf}, "noise_scale must be positive and finite"),
+        ({"box": (0.0, math.inf)}, "box must have finite ends"),
+        ({"box": (-math.inf, 0.0)}, "box must have finite ends"),
+        ({"box": (-1e308, 1e308)}, "box must have finite ends and a finite width"),
+        ({"box": (math.nan, 1.0)}, "box must satisfy lo < hi"),
+        ({"mu": math.inf}, "mu and beta must be finite"),
+        ({"beta": (math.nan,)}, "mu and beta must be finite"),
+    ],
+)
+def test_spec_refuses_non_finite_knobs(knobs, message):
+    # each of these used to build a spec whose draws are not finite
+    spec = {"n": 10, "d": 1, "mu": 0.0, "beta": (1.0,), "noise_scale": 1.0, **knobs}
+    with pytest.raises(ValueError, match=f"^{message}"):
+        GeneratorSpec(**spec)
+
+
+def test_spec_accepts_wide_finite_box():
+    spec = GeneratorSpec(n=10, d=1, mu=0.0, beta=(1.0,), noise_scale=1.0, box=(-1e307, 1e307))
+    X, Y, _ = generate(spec, RngStream(1))
+    assert np.all(np.isfinite(X)) and np.all(np.isfinite(Y))
+
+
 def test_generate_noiseless_is_exactly_linear():
     spec = GeneratorSpec(n=50, d=2, mu=1.0, beta=(2.0, -1.0), noise_scale=1e-300)
     X, Y, truth = generate(spec, RngStream(3))

@@ -154,6 +154,25 @@ def test_fit_deterministic_given_seed():
     assert np.array_equal(t1.noises, t2.noises)
 
 
+@pytest.mark.parametrize("init", ["ridge", "zero"])
+def test_fit_noise_is_one_draw_per_coordinate_in_order(init):
+    # noises[t, k] is the (t d + k)-th Laplace draw after the batch
+    # permutation, at scale 2 eta_t / (epsilon n0), bit for bit
+    data, _, _ = benchmark_instance(1000, RngStream(12))
+    cfg = GcdConfig(epsilon=0.5, batches=7, init=init)
+    trace = fit_gcd_private(data, cfg, RngStream(13))
+    twin = RngStream(13)
+    twin.permutation(data.n)
+    n0 = trace.plan.batch_size
+    for t in range(cfg.batches):
+        scale = 2.0 * (cfg.ell / (t + 1)) / (cfg.epsilon * n0)
+        for k in range(data.d):
+            assert trace.noises[t, k] == twin.laplaces(scale, 1)[0]
+    assert not trace.noises.flags.writeable
+    noiseless = fit_gcd_private(data, GcdConfig(epsilon=math.inf, batches=7, init=init), RngStream(13))
+    assert noiseless.noises.shape == (7, data.d) and np.all(noiseless.noises == 0.0)
+
+
 def test_fit_requires_enough_rows():
     data = Dataset(X=np.zeros((3, 1)), Y=np.zeros(3), B=1.0)
     cfg = GcdConfig(epsilon=1.0, batches=10)

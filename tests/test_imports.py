@@ -1,4 +1,6 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and the
+modules import each other only downward: the mechanisms never import the
+oracles and probes, the benchmark plumbing or the CLI."""
 
 import ast
 from pathlib import Path
@@ -29,6 +31,24 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in used]
 
 
+def package_imports(source: str) -> set[str]:
+    """Package modules the module imports, by name (``from .x import y``,
+    ``from . import x``, ``import dpmedreg.x`` and ``from dpmedreg import x``
+    all give ``x``)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import inside the package spelled from its root
+            base = "dpmedreg" + (f".{node.module}" if node.module else "") if node.level else node.module
+            names = [f"dpmedreg.{alias.name}" for alias in node.names] if base == "dpmedreg" else [base]
+        else:
+            continue
+        found.update(name.split(".")[1] for name in names if name.startswith("dpmedreg."))
+    return found
+
+
 def test_checker_flags_unused_and_accepts_used():
     source = (
         "from __future__ import annotations\n"
@@ -46,3 +66,30 @@ def test_package_modules_have_no_unused_imports():
     assert SOURCES
     found = {path.name: unused_imports(path.read_text(encoding="utf-8")) for path in SOURCES}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_package_import_finder_sees_every_spelling():
+    source = (
+        "import math\n"
+        "import dpmedreg.gcd\n"
+        "from dpmedreg import cli\n"
+        "from dpmedreg.bench import run_fit\n"
+        "from . import irls, model\n"
+        "from .verification import PROBES\n"
+        "from numpy import zeros\n"
+    )
+    assert package_imports(source) == {"gcd", "cli", "bench", "irls", "model", "verification"}
+
+
+# The data model, samplers, data generator and the three mechanisms hold no
+# probe, benchmark or CLI code; the oracles and probes sit above them.
+MECHANISMS = ("model", "sampling", "datagen", "smoothing", "irls", "gcd")
+
+
+def test_modules_import_only_downward():
+    found = {path.stem: package_imports(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert set(MECHANISMS) <= set(found)
+    upward = {name: sorted(found[name] & {"verification", "bench", "cli"}) for name in MECHANISMS}
+    assert {name: names for name, names in upward.items() if names} == {}
+    # only the ``python -m dpmedreg`` entry point runs the CLI
+    assert sorted(name for name, names in found.items() if "cli" in names) == ["__main__"]
