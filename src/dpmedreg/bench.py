@@ -27,7 +27,6 @@ __all__ = [
     "ALGORITHM_TABLE",
     "Algorithm",
     "CellResult",
-    "PROTOCOL_EPSILON",
     "resolve_params",
     "run_fit",
     "run_cell",
@@ -35,11 +34,6 @@ __all__ = [
     "rows_to_csv",
     "tables_to_markdown",
 ]
-
-# The one protocol default that no config dataclass carries: the configs
-# leave epsilon unset, the benchmark protocol fixes it.
-PROTOCOL_EPSILON = 0.1
-
 
 @dataclass(frozen=True)
 class Algorithm:
@@ -100,13 +94,11 @@ def _algorithm(algo: str) -> Algorithm:
 
 
 def resolve_params(algo: str, overrides: dict) -> dict:
-    """Knob values for ``algo``: the config field defaults (epsilon
-    :data:`PROTOCOL_EPSILON`), replaced by every non-None override."""
+    """Knob values for ``algo``: the config field defaults, replaced by every
+    non-None override."""
     entry = _algorithm(algo)
     defaults = {f.name: f.default for f in fields(entry.config)}
     params = {knob: defaults[field] for knob, field in entry.knobs.items()}
-    if entry.private:
-        params["epsilon"] = PROTOCOL_EPSILON
     for key, value in overrides.items():
         if value is not None:
             if key not in params:

@@ -16,6 +16,7 @@ import os
 import re
 import sys
 import time
+from dataclasses import replace
 
 from . import __version__
 from .bench import (
@@ -29,7 +30,7 @@ from .bench import (
     run_fit,
     tables_to_markdown,
 )
-from .datagen import GeneratorSpec, generate, normalize, read_csv, unscale_theta, write_csv
+from .datagen import default_generator_spec, generate, normalize, read_csv, unscale_theta, write_csv
 from .sampling import RngStream
 from .verification import PROBES
 
@@ -103,17 +104,16 @@ def _write_manifest(out: str | None, entries: dict) -> None:
 
 
 def _cmd_generate(parser, args, seed: int) -> int:
-    beta = args.beta if args.beta is not None else [3.0, 0.0, -4.0]
-    if args.d is not None and args.d != len(beta):
-        parser.error(f"--d {args.d} does not match beta length {len(beta)}")
-    kwargs = {}
+    """The stock model of :func:`default_generator_spec` with the given flags
+    replacing its fields; ``--beta`` also sets ``d``."""
+    given = {"n": args.n, "mu": args.mu, "noise_scale": args.noise_scale}
+    if args.beta is not None:
+        given |= {"beta": args.beta, "d": len(args.beta)}
     if args.box is not None:
         if len(args.box) != 2:
             parser.error("--box expects two comma-separated numbers lo,hi")
-        kwargs["box"] = (args.box[0], args.box[1])
-    spec = GeneratorSpec(
-        n=args.n, d=len(beta), mu=args.mu, beta=beta, noise_scale=args.noise_scale, **kwargs
-    )
+        given["box"] = (args.box[0], args.box[1])
+    spec = replace(default_generator_spec(), **{k: v for k, v in given.items() if v is not None})
     start = time.perf_counter()
     X, Y, truth = generate(spec, RngStream(seed))
     write_csv(args.out, X, Y)
@@ -248,11 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="write a synthetic benchmark table as CSV")
     gen.set_defaults(run=_cmd_generate)
-    gen.add_argument("--n", type=_positive_int, default=5000)
-    gen.add_argument("--d", type=_positive_int, default=None, help="must match --beta length")
-    gen.add_argument("--mu", type=float, default=2.0)
-    gen.add_argument("--beta", type=_beta_list, default=None, help="comma-separated, default 3,0,-4")
-    gen.add_argument("--noise-scale", dest="noise_scale", type=float, default=2.0)
+    gen.add_argument("--n", type=_positive_int, default=None)
+    gen.add_argument("--mu", type=float, default=None)
+    gen.add_argument("--beta", type=_beta_list, default=None, help="comma-separated; sets d")
+    gen.add_argument("--noise-scale", dest="noise_scale", type=float, default=None)
     gen.add_argument("--box", type=_beta_list, default=None, help="covariate box lo,hi")
     gen.add_argument("--seed", type=int, default=None)
     gen.add_argument("--out", required=True)

@@ -82,11 +82,19 @@ def default_generator_spec(n: int = 5000) -> GeneratorSpec:
 
 
 def generate(spec: GeneratorSpec, rng: RngStream):
-    """Draw a raw (unnormalized) table (X, Y) and return it with the truth."""
+    """Draw a raw (unnormalized) table (X, Y) and return it with the truth.
+
+    Finite knobs can still draw values past the float range; such a table is
+    a ``ValueError`` naming the knobs, not a numpy warning.
+    """
     lo, hi = spec.box
     X = lo + (hi - lo) * rng.uniform_open(spec.n * spec.d).reshape(spec.n, spec.d)
-    u = rng.laplaces(spec.noise_scale, spec.n)
-    Y = spec.mu + X @ spec.beta + u
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = rng.laplaces(spec.noise_scale, spec.n)
+        Y = spec.mu + X @ spec.beta + u
+    # every entry of X enters its row's Y, so a finite Y means a finite table
+    if not np.isfinite(Y).all():
+        raise ValueError("mu, beta, noise_scale and box draw values that overflow the float range")
     return X, Y, spec.truth
 
 

@@ -25,12 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .irls import weighted_ridge_solve
-from .model import Dataset, Theta, _coordinate_step
+from .model import Dataset, Theta, _MechanismConfig, _coordinate_step
 from .sampling import RngStream
 
 __all__ = [
     "GcdConfig",
-    "BatchPlan",
     "GcdTrace",
     "split_batches",
     "coordinate_step_vector",
@@ -39,21 +38,16 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class GcdConfig:
+class GcdConfig(_MechanismConfig):
     """Knobs for the batched descent.  ``batches`` is both the number of
     disjoint batches and the number of iterations."""
 
-    epsilon: float | None = None
-    lam: float = 0.002
     ell: float = 0.1
     batches: int = 40
     init: str = "ridge"
 
     def __post_init__(self) -> None:
-        if self.epsilon is not None and not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not 0 <= self.lam < math.inf:
-            raise ValueError(f"lam must be nonnegative and finite, got {self.lam}")
+        super().__post_init__()
         if not 0 < self.ell < math.inf:
             raise ValueError(f"ell must be positive and finite, got {self.ell}")
         if self.batches < 1:
@@ -62,43 +56,20 @@ class GcdConfig:
             raise ValueError(f"init must be 'ridge' or 'zero', got {self.init!r}")
 
 
-@dataclass(frozen=True)
-class BatchPlan:
-    """Disjoint equal-size index sets; remainder records are dropped so the
-    per-iteration noise scale is well defined."""
-
-    batches: tuple[np.ndarray, ...]
-    dropped: int
-
-    def __post_init__(self) -> None:
-        sizes = {b.shape[0] for b in self.batches}
-        if len(sizes) != 1:
-            raise ValueError("batches must share one size")
-        # sort and compare neighbours; numpy 2's hash-based np.unique is
-        # slower here than a whole alg3 fit at n = 5e5
-        flat = np.sort(np.concatenate(self.batches))
-        if np.any(flat[1:] == flat[:-1]):
-            raise ValueError("batches overlap")
-
-    @property
-    def batch_size(self) -> int:
-        return self.batches[0].shape[0]
-
-
-def split_batches(n: int, n_batches: int, rng: RngStream) -> BatchPlan:
+def split_batches(n: int, n_batches: int, rng: RngStream) -> np.ndarray:
     """Uniformly random partition into ``n_batches`` disjoint sets of size
-    floor(n / n_batches); leftover records are excluded and counted."""
+    floor(n / n_batches), as a read-only (n_batches, n // n_batches) index
+    array whose row t is batch t.  The rows are slices of one permutation, so
+    they are disjoint; the n mod n_batches leftover records are dropped so the
+    per-iteration noise scale is well defined."""
     if n_batches < 1:
         raise ValueError("need at least one batch")
     if n < n_batches:
         raise ValueError(f"need n >= number of batches, got n={n} < {n_batches}")
     size = n // n_batches
-    perm = rng.permutation(n)
-    used = perm[: size * n_batches]
-    return BatchPlan(
-        batches=tuple(used[i * size : (i + 1) * size] for i in range(n_batches)),
-        dropped=n - size * n_batches,
-    )
+    batches = rng.permutation(n)[: size * n_batches].reshape(n_batches, size)
+    batches.setflags(write=False)
+    return batches
 
 
 def coordinate_step_vector(
@@ -125,13 +96,13 @@ def coordinate_step_vector(
 class GcdTrace:
     """Iterate history: the start and theta after each iteration, the
     realized per-coordinate noise draws (row t for iteration t) and the batch
-    plan.  Iteration t = 0, 1, ... steps with eta_t = ell/(t+1) and draws its
-    noise at scale 2 eta_t/(epsilon n0), n0 = ``plan.batch_size`` (0 at
-    epsilon = inf)."""
+    index array of :func:`split_batches` (row t for iteration t).  Iteration
+    t = 0, 1, ... steps with eta_t = ell/(t+1) and draws its noise at scale
+    2 eta_t/(epsilon n0), n0 = ``batches.shape[1]`` (0 at epsilon = inf)."""
 
     thetas: tuple[Theta, ...]
     noises: np.ndarray
-    plan: BatchPlan
+    batches: np.ndarray
 
     @property
     def final(self) -> Theta:
@@ -146,10 +117,8 @@ def fit_gcd_private(data: Dataset, cfg: GcdConfig, rng: RngStream) -> GcdTrace:
     start touches all records without noise, which the caller must account
     for).  With epsilon = inf no noise draws are consumed.
     """
-    if cfg.epsilon is None:
-        raise ValueError("fit requires epsilon (use math.inf for a noiseless run)")
-    plan = split_batches(data.n, cfg.batches, rng)
-    n0 = plan.batch_size
+    batches = split_batches(data.n, cfg.batches, rng)
+    n0 = batches.shape[1]
     if cfg.init == "ridge":
         theta0 = weighted_ridge_solve(data, np.ones(data.n), cfg.lam)
     else:
@@ -165,7 +134,7 @@ def fit_gcd_private(data: Dataset, cfg: GcdConfig, rng: RngStream) -> GcdTrace:
         noises = rng.laplaces(1.0, cfg.batches * data.d).reshape(cfg.batches, data.d) * scales[:, None]
 
     thetas = [theta0]
-    for t, idx in enumerate(plan.batches):
+    for t, idx in enumerate(batches):
         Xb = data.X[idx]
         Yb = data.Y[idx]
         eta = cfg.ell / (t + 1)
@@ -179,4 +148,4 @@ def fit_gcd_private(data: Dataset, cfg: GcdConfig, rng: RngStream) -> GcdTrace:
         mu = float(np.mean(Yb - Xb @ beta))
         thetas.append(Theta(mu=mu, beta=beta.copy()))
     noises.setflags(write=False)
-    return GcdTrace(thetas=tuple(thetas), noises=noises, plan=plan)
+    return GcdTrace(thetas=tuple(thetas), noises=noises, batches=batches)

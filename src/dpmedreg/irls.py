@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, Theta, _spd_solve, design_matrix, residuals
+from .model import Dataset, Theta, _MechanismConfig, _spd_solve, design_matrix, residuals
 from .sampling import RngStream, sample_laplace
 
 __all__ = [
@@ -39,7 +39,7 @@ class SingularSystemError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class IrlsConfig:
+class IrlsConfig(_MechanismConfig):
     """Knobs for the reweighted fit.
 
     ``v`` bounds beta'beta in the sensitivity constant; when omitted it
@@ -49,18 +49,13 @@ class IrlsConfig:
     (2B)^2 / e).
     """
 
-    epsilon: float | None = None
-    lam: float = 0.002
     e: float = 0.2
     tau: float = 1e-6
     max_iters: int = 200
     v: float | None = None
 
     def __post_init__(self) -> None:
-        if self.epsilon is not None and not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not 0 <= self.lam < math.inf:
-            raise ValueError(f"lam must be nonnegative and finite, got {self.lam}")
+        super().__post_init__()
         if not 0 < self.e < math.inf:
             raise ValueError(f"e must be positive and finite, got {self.e}")
         if not 0 < self.tau < math.inf:
@@ -200,8 +195,6 @@ def fit_irls_private(data: Dataset, cfg: IrlsConfig, rng: RngStream) -> IrlsRepo
     consumed, the noise is exactly zero and the estimate is ``trace.final``
     itself, the noiseless fit bit for bit.
     """
-    if cfg.epsilon is None:
-        raise ValueError("private fit requires epsilon")
     trace = irls_fit(data, cfg)
     c = irls_sensitivity(data.d, data.n, data.B, cfg.lam, cfg.e, trace.v)
     base = trace.final

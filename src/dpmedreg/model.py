@@ -31,6 +31,22 @@ __all__ = [
 _BOUND_SLACK = 1e-9
 
 
+@dataclass(frozen=True)
+class _MechanismConfig:
+    """The two knobs every mechanism is calibrated by, with the benchmark
+    protocol's defaults: the privacy level ``epsilon`` (``math.inf`` is the
+    noiseless run) and the ridge weight ``lam``."""
+
+    epsilon: float = 0.1
+    lam: float = 0.002
+
+    def __post_init__(self) -> None:
+        if not self.epsilon > 0:
+            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be nonnegative and finite, got {self.lam}")
+
+
 def _frozen_array(values, ndim: int, name: str) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim != ndim:

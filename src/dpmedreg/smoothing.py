@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, Theta, _smoothed_terms, _spd_solve, design_matrix
+from .model import Dataset, Theta, _MechanismConfig, _smoothed_terms, _spd_solve, design_matrix
 from .sampling import RngStream, gamma_tail_bound, sample_l1_perturbation
 
 __all__ = [
@@ -37,28 +37,15 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SmoothingConfig:
-    """Knobs for the smoothed fit; epsilon is only used by the private path.
+class SmoothingConfig(_MechanismConfig):
+    """Knobs for the smoothed fit; epsilon is only used by the private path."""
 
-    A finite epsilon needs lam > 0: objective perturbation is private only for
-    a strongly convex regularizer (Chaudhuri, Monteleoni and Sarwate, JMLR
-    2011), and without the ridge the tilt b'omega/n can make the program
-    unbounded below along a coefficient.
-    """
-
-    epsilon: float | None = None
-    lam: float = 0.002
     gamma: float = 0.05
     solver_tol: float = 1e-8
     max_iters: int = 500
 
     def __post_init__(self) -> None:
-        if self.epsilon is not None and not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not 0 <= self.lam < math.inf:
-            raise ValueError(f"lam must be nonnegative and finite, got {self.lam}")
-        if self.lam == 0 and self.epsilon is not None and math.isfinite(self.epsilon):
-            raise ValueError("lam (lambda) must be positive when epsilon is finite")
+        super().__post_init__()
         if not 0 < self.gamma < math.inf:
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if not 0 < self.solver_tol < math.inf:
@@ -225,12 +212,16 @@ def fit_smoothed_baseline(data: Dataset, cfg: SmoothingConfig) -> Theta:
 def fit_smoothed_private(data: Dataset, cfg: SmoothingConfig, rng: RngStream) -> SmoothingReport:
     """Objective-perturbed fit: tilt the smoothed program by b'omega/n.
 
-    With epsilon = inf no draw is consumed and the tilt is exactly zero.
+    With epsilon = inf no draw is consumed and the tilt is exactly zero.  A
+    finite epsilon needs lam > 0, checked before any draw: objective
+    perturbation is private only for a strongly convex regularizer
+    (Chaudhuri, Monteleoni and Sarwate, JMLR 2011), and without the ridge the
+    tilt can make the program unbounded below along a coefficient.
     """
-    if cfg.epsilon is None:
-        raise ValueError("private fit requires epsilon")
     if math.isinf(cfg.epsilon):
         b = np.zeros(data.d + 1)
+    elif cfg.lam == 0:
+        raise ValueError("lam (lambda) must be positive when epsilon is finite")
     else:
         b = sample_l1_perturbation(data.d + 1, cfg.epsilon, rng)
     b.setflags(write=False)

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bench import PROTOCOL_EPSILON
 from .datagen import default_generator_spec, generate, normalize
 from .gcd import GcdConfig, coordinate_step_vector
 from .irls import IrlsConfig, _resolve_v, fit_irls_private, irls_accuracy_bound, irls_fit, irls_sensitivity
@@ -269,7 +268,7 @@ def _probe_samplers(trials: int, seed: int) -> list[ProbeResult]:
     results = [ProbeResult("laplace_ks", ks, ks_bound, ks < ks_bound)]
 
     d = 3
-    eps = PROTOCOL_EPSILON
+    eps = SmoothingConfig().epsilon
     # row i is drawn from rng.derive(1).derive(i), the stream rng.derive(1, i)
     values = sample_l1_perturbations(d + 1, eps, rng.derive(1), trials)
     norms = np.abs(values, out=values).sum(axis=1)
@@ -291,8 +290,8 @@ def _probe_samplers(trials: int, seed: int) -> list[ProbeResult]:
 def _probe_bounds(trials: int, seed: int) -> list[ProbeResult]:
     alpha = 0.1
     floor = 1.0 - alpha - 0.05
-    cfg1 = SmoothingConfig(epsilon=PROTOCOL_EPSILON)
-    cfg2 = IrlsConfig(epsilon=PROTOCOL_EPSILON)
+    cfg1 = SmoothingConfig()
+    cfg2 = IrlsConfig()
 
     def alg1_hit(data, rng):
         base = fit_smoothed_baseline(data, cfg1)

@@ -15,7 +15,7 @@ PUBLIC = [
     "IrlsConfig", "IrlsTrace", "IrlsReport", "SingularSystemError",
     "default_coefficient_bound", "weighted_ridge_solve", "irls_fit",
     "irls_sensitivity", "fit_irls_private", "irls_accuracy_bound",
-    "GcdConfig", "BatchPlan", "GcdTrace", "split_batches",
+    "GcdConfig", "GcdTrace", "split_batches",
     "coordinate_step_vector", "fit_gcd_private",
     "GeneratorSpec", "ScalingRecord", "default_generator_spec", "generate",
     "normalize", "unscale_theta", "read_csv", "write_csv",
@@ -26,7 +26,7 @@ PUBLIC = [
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC) == 54
+    assert len(PUBLIC) == 53
     assert dpmedreg.__all__ == PUBLIC
     assert len(set(dpmedreg.__all__)) == len(dpmedreg.__all__)
     for name in dpmedreg.__all__:

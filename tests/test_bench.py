@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -38,6 +39,44 @@ def test_resolve_params_defaults_are_the_protocol_defaults():
         assert resolve_params(algo, {}) == README_DEFAULTS[algo]
 
 
+# Each mechanism config's fields in order: the shared epsilon and lam first.
+CONFIG_FIELDS = {
+    SmoothingConfig: ["epsilon", "lam", "gamma", "solver_tol", "max_iters"],
+    IrlsConfig: ["epsilon", "lam", "e", "tau", "max_iters", "v"],
+    GcdConfig: ["epsilon", "lam", "ell", "batches", "init"],
+}
+
+
+@pytest.mark.parametrize("config", CONFIG_FIELDS, ids=lambda c: c.__name__)
+def test_mechanism_configs_share_epsilon_and_lam(config):
+    assert [f.name for f in fields(config)] == CONFIG_FIELDS[config]
+    assert repr(config()).startswith(f"{config.__name__}(epsilon=0.1, lam=0.002, ")
+    assert config(0.5, 0.01) == config(epsilon=0.5, lam=0.01)
+    with pytest.raises(ValueError, match="^epsilon must be positive, got 0.0$"):
+        config(epsilon=0.0)
+    with pytest.raises(ValueError, match="^lam must be nonnegative and finite, got -0.1$"):
+        config(lam=-0.1)
+    # epsilon has two states, finite or math.inf; None is no third one
+    with pytest.raises(TypeError):
+        config(epsilon=None)
+
+
+FITTERS = {
+    "alg1": (SmoothingConfig, lambda data, cfg, rng: fit_smoothed_private(data, cfg, rng).theta),
+    "alg2": (IrlsConfig, lambda data, cfg, rng: fit_irls_private(data, cfg, rng).theta),
+    "alg3": (GcdConfig, lambda data, cfg, rng: fit_gcd_private(data, cfg, rng).final),
+}
+
+
+@pytest.mark.parametrize("algo", FITTERS)
+def test_default_config_releases_at_protocol_epsilon(algo):
+    config, fit = FITTERS[algo]
+    data, _, _ = benchmark_instance(500, RngStream(21))
+    default = fit(data, config(), RngStream(22))
+    assert _bits(default) == _bits(fit(data, config(epsilon=0.1), RngStream(22)))
+    assert _bits(default) != _bits(fit(data, config(epsilon=math.inf), RngStream(22)))
+
+
 def test_resolve_params_overrides():
     params = resolve_params("alg3", {"n0": 7, "ell": None})
     assert params["n0"] == 7 and params["ell"] == 0.1  # None keeps the default
@@ -52,7 +91,7 @@ def test_run_fit_maps_n0_and_returns_extras():
     # n0 is alg3's batch count: 5 batches of 20 rows drop 3 of 103
     theta, elapsed, extras = run_fit("alg3", data, resolve_params("alg3", {"n0": 5}), RngStream(2))
     trace = fit_gcd_private(data, GcdConfig(epsilon=0.1, batches=5), RngStream(2))
-    assert trace.plan.dropped == 3 and _bits(theta) == _bits(trace.final)
+    assert data.n - trace.batches.size == 3 and _bits(theta) == _bits(trace.final)
     assert extras == {} and elapsed > 0.0
     # and baseline-irls's iteration cap
     theta, _, _ = run_fit("baseline-irls", data, resolve_params("baseline-irls", {"n0": 1}), None)

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import warnings
 
 import pytest
 
@@ -49,9 +50,15 @@ def test_generate_rejects_zero_n(tmp_path):
     assert info.value.code == 2
 
 
-def test_generate_rejects_mismatched_d(tmp_path):
+def test_generate_d_follows_beta(tmp_path):
+    out = tmp_path / "x.csv"
+    assert main(["generate", "--n", "5", "--beta", "1,2", "--out", str(out)]) == 0
+    manifest = (tmp_path / "x.csv.manifest").read_text(encoding="utf-8").splitlines()
+    assert "d=2" in manifest and "beta=1.0,2.0" in manifest
+    assert out.read_text(encoding="utf-8").startswith("x1,x2,y\n")
+    # d has no flag of its own
     with pytest.raises(SystemExit) as info:
-        main(["generate", "--d", "2", "--beta", "1,2,3", "--out", str(tmp_path / "x.csv")])
+        main(["generate", "--d", "2", "--beta", "1,2", "--out", str(tmp_path / "y.csv")])
     assert info.value.code == 2
 
 
@@ -85,6 +92,17 @@ def test_generate_refuses_non_finite_knobs(tmp_path, capsys, flags, knob):
     out = tmp_path / "g.csv"
     assert main(["generate", "--n", "10", "--seed", "1", *flags, "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {knob} must")
+    assert not out.exists()
+
+
+def test_generate_refuses_draws_that_overflow(tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    argv = ["generate", "--n", "5", "--seed", "1", "--beta", "1e308,1e308", "--box", "0.9,1", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: mu, beta, noise_scale and box draw values that overflow the float range\n"
     assert not out.exists()
 
 

@@ -56,6 +56,24 @@ def test_spec_accepts_wide_finite_box():
     assert np.all(np.isfinite(X)) and np.all(np.isfinite(Y))
 
 
+@pytest.mark.parametrize(
+    "knobs",
+    [
+        {"d": 2, "beta": (1e308, 1e308), "box": (0.9, 1.0)},
+        {"mu": 1.7e308, "beta": (1e308,), "box": (0.9, 1.0)},
+        {"noise_scale": 1e308},
+    ],
+)
+def test_generate_refuses_draws_that_overflow(knobs):
+    # finite knobs whose Y is not: this used to be a numpy overflow warning,
+    # then a write_csv error that named no knob
+    spec = GeneratorSpec(**{"n": 50, "d": 1, "mu": 0.0, "beta": (1.0,), "noise_scale": 1.0, **knobs})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^mu, beta, noise_scale and box draw values that overflow"):
+            generate(spec, RngStream(1))
+
+
 def test_generate_noiseless_is_exactly_linear():
     spec = GeneratorSpec(n=50, d=2, mu=1.0, beta=(2.0, -1.0), noise_scale=1e-300)
     X, Y, truth = generate(spec, RngStream(3))

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpmedreg import (
-    BatchPlan,
     Dataset,
     GcdConfig,
     RngStream,
@@ -21,33 +21,28 @@ from conftest import benchmark_instance, bounded_instance
 
 
 def test_split_batches_even():
-    plan = split_batches(100, 4, RngStream(1))
-    assert len(plan.batches) == 4
-    assert all(b.shape[0] == 25 for b in plan.batches)
-    assert plan.dropped == 0
-    flat = np.concatenate(plan.batches)
-    assert np.unique(flat).shape[0] == 100
+    batches = split_batches(100, 4, RngStream(1))
+    assert batches.shape == (4, 25)
+    assert np.unique(batches).shape[0] == 100
 
 
 def test_split_batches_remainder_dropped():
-    plan = split_batches(103, 4, RngStream(2))
-    assert all(b.shape[0] == 25 for b in plan.batches)
-    assert plan.dropped == 3
-    flat = np.concatenate(plan.batches)
-    assert np.unique(flat).shape[0] == flat.shape[0] == 100
+    batches = split_batches(103, 4, RngStream(2))
+    assert batches.shape == (4, 25)
+    assert np.unique(batches).shape[0] == batches.size == 100
 
 
-def test_batch_plan_rejects_overlap_and_unequal_sizes():
-    # the disjointness check backs alg3's privacy argument: each record may
-    # sit in exactly one batch
-    with pytest.raises(ValueError, match="batches overlap"):
-        BatchPlan(batches=(np.array([0, 1, 2]), np.array([3, 2, 4])), dropped=0)
-    with pytest.raises(ValueError, match="batches overlap"):
-        BatchPlan(batches=(np.array([5, 5]),), dropped=0)
-    with pytest.raises(ValueError, match="share one size"):
-        BatchPlan(batches=(np.array([0, 1, 2]), np.array([3, 4])), dropped=0)
-    # split_batches builds its plan through the same check
-    assert split_batches(1003, 10, RngStream(12)).batch_size == 100
+# disjoint batches back alg3's privacy argument: each record may sit in
+# exactly one batch
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(1, 5000), data=st.data(), seed=st.integers(0, 2**32))
+def test_split_batches_is_a_read_only_partition(n, data, seed):
+    k = data.draw(st.integers(1, n), label="k")
+    batches = split_batches(n, k, RngStream(seed))
+    assert batches.shape == (k, n // k)
+    assert not batches.flags.writeable
+    assert np.unique(batches).shape[0] == batches.size
+    assert 0 <= batches.min() <= batches.max() < n
 
 
 def test_split_batches_validation():
@@ -117,7 +112,7 @@ def test_fit_trace_metadata_exact():
     data, _, _ = benchmark_instance(5000, RngStream(3))
     cfg = GcdConfig(epsilon=0.1, lam=0.002, ell=0.1, batches=40)
     trace = fit_gcd_private(data, cfg, RngStream(4))
-    n0 = trace.plan.batch_size
+    n0 = trace.batches.shape[1]
     assert n0 == 125
     assert len(trace.thetas) == 41
 
@@ -138,8 +133,7 @@ def test_fit_batches_disjoint_and_noiseless_descends():
     data, _ = bounded_instance(rng, n=400, d=1, noise=0.3)
     cfg = GcdConfig(epsilon=math.inf, lam=0.0, ell=0.2, batches=8, init="zero")
     trace = fit_gcd_private(data, cfg, RngStream(9))
-    flat = np.concatenate([b for b in trace.plan.batches])
-    assert np.unique(flat).shape[0] == flat.shape[0]
+    assert np.unique(trace.batches).shape[0] == trace.batches.size
     # overall descent versus the start (per-step monotonicity not required)
     assert objective_l1(trace.final, data, 0.0) <= objective_l1(trace.thetas[0], data, 0.0)
 
@@ -163,7 +157,7 @@ def test_fit_noise_is_one_draw_per_coordinate_in_order(init):
     trace = fit_gcd_private(data, cfg, RngStream(13))
     twin = RngStream(13)
     twin.permutation(data.n)
-    n0 = trace.plan.batch_size
+    n0 = trace.batches.shape[1]
     for t in range(cfg.batches):
         scale = 2.0 * (cfg.ell / (t + 1)) / (cfg.epsilon * n0)
         for k in range(data.d):

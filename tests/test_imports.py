@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, and the
 modules import each other only downward: the mechanisms never import the
-oracles and probes, the benchmark plumbing or the CLI."""
+oracles and probes, the benchmark plumbing or the CLI, and the oracles and
+probes never import the benchmark plumbing or the CLI."""
 
 import ast
 from pathlib import Path
@@ -91,5 +92,7 @@ def test_modules_import_only_downward():
     assert set(MECHANISMS) <= set(found)
     upward = {name: sorted(found[name] & {"verification", "bench", "cli"}) for name in MECHANISMS}
     assert {name: names for name, names in upward.items() if names} == {}
+    # the oracles and probes sit below the benchmark plumbing and the CLI
+    assert found["verification"] & {"bench", "cli"} == set()
     # only the ``python -m dpmedreg`` entry point runs the CLI
     assert sorted(name for name, names in found.items() if "cli" in names) == ["__main__"]

@@ -86,10 +86,15 @@ def test_private_fit_noise_is_read_only(rng):
 
 def test_private_fit_refuses_zero_lam_at_finite_epsilon():
     # without the ridge the tilt can make the program unbounded below; the
-    # fit must refuse before it runs, not fail after max_iters Newton steps
+    # fit must refuse before it draws or runs, not fail after max_iters
+    # Newton steps
     data = random_dataset(20, 2, 1.0, RngStream(5).derive(0))
-    with pytest.raises(ValueError, match="lam"):
-        fit_smoothed_private(data, SmoothingConfig(epsilon=0.1, lam=0.0), RngStream(1))
+    rng = RngStream(1)
+    with pytest.raises(ValueError, match=r"^lam \(lambda\) must be positive when epsilon is finite$"):
+        fit_smoothed_private(data, SmoothingConfig(epsilon=0.1, lam=0.0), rng)
+    assert rng.uniform_open(1)[0] == RngStream(1).uniform_open(1)[0]
+    # the config itself builds: lam = 0 is refused at fit time only
+    assert SmoothingConfig(lam=0.0).epsilon == 0.1
     # the baseline and the noiseless private fit keep accepting lam = 0
     base = fit_smoothed_baseline(data, SmoothingConfig(lam=0.0))
     report = fit_smoothed_private(data, SmoothingConfig(epsilon=math.inf, lam=0.0), RngStream(1))
@@ -195,12 +200,6 @@ def test_config_validation():
         SmoothingConfig(lam=-0.1)
     with pytest.raises(ValueError):
         SmoothingConfig(epsilon=0.0)
-    with pytest.raises(ValueError):
-        fit_smoothed_private(
-            Dataset(X=np.zeros((2, 1)), Y=np.zeros(2), B=1.0),
-            SmoothingConfig(),  # epsilon missing
-            RngStream(0),
-        )
 
 
 # NaN and both infinities; epsilon alone may be +inf (the noiseless mode)
