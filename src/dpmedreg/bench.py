@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, fields
-from typing import Callable
 
 import numpy as np
 
@@ -38,51 +37,30 @@ __all__ = [
 @dataclass(frozen=True)
 class Algorithm:
     """One row of the algorithm table: ``knobs`` maps each CLI knob to its
-    ``config`` field, whose default is the knob's; ``run(data, cfg, rng)``
-    returns (theta, extras).  Private algorithms take epsilon and a seed; a
-    row without an epsilon knob runs at epsilon = inf."""
+    ``config`` field, whose default is the knob's; the config's type picks
+    the fitter.  Private algorithms take epsilon and a seed; a row without an
+    epsilon knob runs at epsilon = inf."""
 
     config: type
     knobs: dict[str, str]
-    run: Callable[[Dataset, object, RngStream | None], tuple[Theta, dict]]
 
     @property
     def private(self) -> bool:
         return "epsilon" in self.knobs
 
 
-# The runners look their fitters up as module globals on every call, so a
-# fitter replaced on this module (say, by a tracer) sees every fit.  A
-# baseline row reuses its mechanism's runner at epsilon = inf.
-def _alg1(data, cfg, rng):
-    return fit_smoothed_private(data, cfg, rng).theta, {}
-
-
-def _alg2(data, cfg, rng):
-    report = fit_irls_private(data, cfg, rng)
-    return report.theta, {"noise_scale": report.noise_scale, "noise": report.noise}
-
-
-def _alg3(data, cfg, rng):
-    return fit_gcd_private(data, cfg, rng).final, {}
-
-
+# A baseline row is its mechanism at epsilon = inf.
 ALGORITHM_TABLE = {
-    "alg1": Algorithm(SmoothingConfig, {"epsilon": "epsilon", "lam": "lam", "gamma": "gamma"}, _alg1),
+    "alg1": Algorithm(SmoothingConfig, {"epsilon": "epsilon", "lam": "lam", "gamma": "gamma"}),
     "alg2": Algorithm(
         IrlsConfig,
         {"epsilon": "epsilon", "lam": "lam", "e": "e", "tau": "tau", "n0": "max_iters", "v": "v"},
-        _alg2,
     ),
     "alg3": Algorithm(
-        GcdConfig,
-        {"epsilon": "epsilon", "lam": "lam", "ell": "ell", "n0": "batches", "init": "init"},
-        _alg3,
+        GcdConfig, {"epsilon": "epsilon", "lam": "lam", "ell": "ell", "n0": "batches", "init": "init"}
     ),
-    "baseline-smooth": Algorithm(SmoothingConfig, {"lam": "lam", "gamma": "gamma"}, _alg1),
-    "baseline-irls": Algorithm(
-        IrlsConfig, {"lam": "lam", "e": "e", "tau": "tau", "n0": "max_iters"}, _alg2
-    ),
+    "baseline-smooth": Algorithm(SmoothingConfig, {"lam": "lam", "gamma": "gamma"}),
+    "baseline-irls": Algorithm(IrlsConfig, {"lam": "lam", "e": "e", "tau": "tau", "n0": "max_iters"}),
 }
 ALGORITHMS = tuple(ALGORITHM_TABLE)
 
@@ -108,15 +86,22 @@ def resolve_params(algo: str, overrides: dict) -> dict:
 
 
 def run_fit(algo: str, data: Dataset, params: dict, rng: RngStream | None) -> tuple[Theta, float, dict]:
-    """One fit on normalized data; returns (theta, elapsed, extras).  The
-    extras are alg2's (and baseline-irls's) ``noise`` and ``noise_scale``."""
+    """One fit on normalized data; returns (theta, elapsed, extras), where
+    the extras are the release's ``noise`` and ``noise_scale``."""
     entry = _algorithm(algo)
     settings = {"epsilon": math.inf} | {field: params[knob] for knob, field in entry.knobs.items()}
     cfg = entry.config(**settings)
+    # The fitters are read from this module's globals on every call, so a
+    # fitter replaced here (say, by a tracer) sees every fit.
+    fit = {
+        SmoothingConfig: fit_smoothed_private,
+        IrlsConfig: fit_irls_private,
+        GcdConfig: fit_gcd_private,
+    }[entry.config]
     start = time.perf_counter()
-    theta, extras = entry.run(data, cfg, rng)
+    release = fit(data, cfg, rng)
     elapsed = time.perf_counter() - start
-    return theta, elapsed, extras
+    return release.theta, elapsed, {"noise": release.noise, "noise_scale": release.noise_scale}
 
 
 @dataclass(frozen=True)
@@ -151,6 +136,8 @@ def run_cell(
     independent and individually replayable.
     """
     spec = spec if spec is not None else default_generator_spec(n)
+    if spec.n != n:
+        raise ValueError(f"spec draws {spec.n} rows, but the cell is n={n}")
     root = RngStream(seed)
     estimates = np.empty((replicates, spec.d + 1))
     elapsed = np.empty(replicates)

@@ -25,12 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .irls import weighted_ridge_solve
-from .model import Dataset, Theta, _MechanismConfig, _coordinate_step
+from .model import Dataset, Release, Theta, _check_count, _MechanismConfig, _coordinate_step
 from .sampling import RngStream
 
 __all__ = [
     "GcdConfig",
-    "GcdTrace",
     "split_batches",
     "coordinate_step_vector",
     "fit_gcd_private",
@@ -50,8 +49,7 @@ class GcdConfig(_MechanismConfig):
         super().__post_init__()
         if not 0 < self.ell < math.inf:
             raise ValueError(f"ell must be positive and finite, got {self.ell}")
-        if self.batches < 1:
-            raise ValueError("need at least one batch")
+        _check_count("batches", self.batches)
         if self.init not in ("ridge", "zero"):
             raise ValueError(f"init must be 'ridge' or 'zero', got {self.init!r}")
 
@@ -92,31 +90,13 @@ def coordinate_step_vector(
     return out
 
 
-@dataclass(frozen=True)
-class GcdTrace:
-    """Iterate history: the start and theta after each iteration, the
-    realized per-coordinate noise draws (row t for iteration t) and the batch
-    index array of :func:`split_batches` (row t for iteration t).  Iteration
-    t = 0, 1, ... steps with eta_t = ell/(t+1) and draws its noise at scale
-    2 eta_t/(epsilon n0), n0 = ``batches.shape[1]`` (0 at epsilon = inf)."""
-
-    thetas: tuple[Theta, ...]
-    noises: np.ndarray
-    batches: np.ndarray
-
-    @property
-    def final(self) -> Theta:
-        return self.thetas[-1]
-
-
-def fit_gcd_private(data: Dataset, cfg: GcdConfig, rng: RngStream) -> GcdTrace:
-    """Run the batched noisy descent.
-
-    The default start is the unit-weight ridge least-squares solution on the
-    full data (init="zero" starts from the origin instead; the least-squares
-    start touches all records without noise, which the caller must account
-    for).  With epsilon = inf no noise draws are consumed.
-    """
+def _descend(data: Dataset, cfg: GcdConfig, rng: RngStream) -> tuple[Release, list[Theta], np.ndarray]:
+    """The batched noisy descent: (release, iterates, batches), where the
+    iterates are the start and theta after each iteration and ``batches`` is
+    the index array of :func:`split_batches` (row t for iteration t).
+    Iteration t = 0, 1, ... steps with eta_t = ell/(t+1) on batch t and adds
+    row t of the release's noise, drawn at scale 2 eta_t/(epsilon n0) with
+    n0 = ``batches.shape[1]``."""
     batches = split_batches(data.n, cfg.batches, rng)
     n0 = batches.shape[1]
     if cfg.init == "ridge":
@@ -128,9 +108,11 @@ def fit_gcd_private(data: Dataset, cfg: GcdConfig, rng: RngStream) -> GcdTrace:
     # all noise in one call, row t scaled by 2 eta_t / (epsilon n0), so
     # noises[t, k] is the (t d + k)-th draw after the batch permutation
     if math.isinf(cfg.epsilon):
+        scale = 0.0
         noises = np.zeros((cfg.batches, data.d))
     else:
         scales = 2.0 * (cfg.ell / np.arange(1, cfg.batches + 1)) / (cfg.epsilon * n0)
+        scale = float(scales[0])
         noises = rng.laplaces(1.0, cfg.batches * data.d).reshape(cfg.batches, data.d) * scales[:, None]
 
     thetas = [theta0]
@@ -147,5 +129,20 @@ def fit_gcd_private(data: Dataset, cfg: GcdConfig, rng: RngStream) -> GcdTrace:
                 r = r + Xb[:, k] * move
         mu = float(np.mean(Yb - Xb @ beta))
         thetas.append(Theta(mu=mu, beta=beta.copy()))
-    noises.setflags(write=False)
-    return GcdTrace(thetas=tuple(thetas), noises=noises, batches=batches)
+    release = Release(theta=thetas[-1], noise=noises, noise_scale=scale, solver_iters=cfg.batches)
+    return release, thetas, batches
+
+
+def fit_gcd_private(data: Dataset, cfg: GcdConfig, rng: RngStream) -> Release:
+    """Run the batched noisy descent.
+
+    The release's noise is the (batches, d) array of per-iteration draws,
+    row t at scale ``noise_scale``/(t+1) with ``noise_scale`` = 2 ell/(epsilon
+    n0), where n0 = n // batches is the batch size; ``solver_iters`` counts
+    the batch steps.  The default start is the unit-weight ridge
+    least-squares solution on the full data (init="zero" starts from the
+    origin instead; the least-squares start touches all records without
+    noise, which the caller must account for).  With epsilon = inf no noise
+    draws are consumed.
+    """
+    return _descend(data, cfg, rng)[0]

@@ -17,13 +17,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, Theta, _MechanismConfig, _spd_solve, design_matrix, residuals
+from .model import (
+    Dataset,
+    Release,
+    Theta,
+    _check_count,
+    _MechanismConfig,
+    _spd_solve,
+    design_matrix,
+    residuals,
+)
 from .sampling import RngStream, sample_laplace
 
 __all__ = [
     "IrlsConfig",
     "IrlsTrace",
-    "IrlsReport",
     "SingularSystemError",
     "default_coefficient_bound",
     "weighted_ridge_solve",
@@ -60,8 +68,7 @@ class IrlsConfig(_MechanismConfig):
             raise ValueError(f"e must be positive and finite, got {self.e}")
         if not 0 < self.tau < math.inf:
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        _check_count("max_iters", self.max_iters)
         if self.v is not None and not 0 < self.v < math.inf:
             raise ValueError(f"v must be positive and finite, got {self.v}")
 
@@ -99,18 +106,6 @@ class IrlsTrace:
     @property
     def final(self) -> Theta:
         return self.thetas[-1]
-
-
-@dataclass(frozen=True)
-class IrlsReport:
-    """Private-fit result: noisy estimate plus (read-only) noise, its
-    metadata and the trace; the coefficient bound used is ``trace.v``."""
-
-    theta: Theta
-    noise: np.ndarray
-    noise_scale: float
-    sensitivity: float
-    trace: IrlsTrace
 
 
 def weighted_ridge_solve(data: Dataset, weights: np.ndarray, lam: float) -> Theta:
@@ -189,11 +184,13 @@ def irls_sensitivity(d: int, n: int, B: float, lam: float, e: float, v: float) -
     return 8.0 * reach / (n * curvature * e)
 
 
-def fit_irls_private(data: Dataset, cfg: IrlsConfig, rng: RngStream) -> IrlsReport:
-    """Reweighted fit plus i.i.d. Laplace(c / epsilon) noise per coordinate,
-    where c is :func:`irls_sensitivity`.  With epsilon = inf no draw is
-    consumed, the noise is exactly zero and the estimate is ``trace.final``
-    itself, the noiseless fit bit for bit.
+def fit_irls_private(data: Dataset, cfg: IrlsConfig, rng: RngStream | None) -> Release:
+    """Reweighted fit plus i.i.d. Laplace noise per coordinate at
+    ``noise_scale`` = c / epsilon, where c is :func:`irls_sensitivity`;
+    ``solver_iters`` is the trace's ``iterations``.  With epsilon = inf no
+    draw is consumed (``rng`` may be None), the noise is exactly zero and the
+    estimate is ``irls_fit(data, cfg).final`` itself, the noiseless fit bit
+    for bit.
     """
     trace = irls_fit(data, cfg)
     c = irls_sensitivity(data.d, data.n, data.B, cfg.lam, cfg.e, trace.v)
@@ -206,8 +203,7 @@ def fit_irls_private(data: Dataset, cfg: IrlsConfig, rng: RngStream) -> IrlsRepo
         scale = c / cfg.epsilon
         noise = sample_laplace(scale, data.d + 1, rng)
         theta = Theta(mu=base.mu + noise[0], beta=base.beta + noise[1:])
-    noise.setflags(write=False)
-    return IrlsReport(theta=theta, noise=noise, noise_scale=scale, sensitivity=c, trace=trace)
+    return Release(theta=theta, noise=noise, noise_scale=scale, solver_iters=trace.iterations)
 
 
 def irls_accuracy_bound(

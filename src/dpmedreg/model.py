@@ -8,6 +8,7 @@ concurrently without synchronization.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 __all__ = [
     "Dataset",
     "Theta",
+    "Release",
     "residuals",
     "objective_l1",
     "huber_rho",
@@ -45,6 +47,13 @@ class _MechanismConfig:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if not 0 <= self.lam < math.inf:
             raise ValueError(f"lam must be nonnegative and finite, got {self.lam}")
+
+
+def _check_count(name: str, value) -> None:
+    """Refuse an iteration or batch count that is not an integer >= 1; a bool
+    is not a count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 def _frozen_array(values, ndim: int, name: str) -> np.ndarray:
@@ -126,6 +135,22 @@ class Theta:
     def from_vector(cls, omega: np.ndarray) -> "Theta":
         omega = np.asarray(omega, dtype=float)
         return cls(mu=float(omega[0]), beta=omega[1:])
+
+
+@dataclass(frozen=True)
+class Release:
+    """What one private fit releases: the estimate ``theta``, the noise drawn
+    for it (made read-only here; all zeros at epsilon = inf), the scale that
+    noise was drawn at (0 at epsilon = inf) and the solver's iteration count.
+    Each fitter's docstring says what its noise, scale and count are."""
+
+    theta: Theta
+    noise: np.ndarray
+    noise_scale: float
+    solver_iters: int
+
+    def __post_init__(self) -> None:
+        self.noise.setflags(write=False)
 
 
 def residuals(theta: Theta, data: Dataset) -> np.ndarray:

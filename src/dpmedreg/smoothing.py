@@ -5,9 +5,9 @@ direction) and minimizes
 
     mean_i rho_gamma(r_i) + (lam/2) beta'beta + mu^2/sqrt(n) + b'omega/n,
 
-where omega = (mu, beta).  The baseline is the same program with b = 0; the
-shared mu^2/sqrt(n) term keeps the intercept direction strongly convex and
-makes baseline-vs-private comparisons exact.
+where omega = (mu, beta).  The baseline is the same program with b = 0, the
+fit at epsilon = inf; the shared mu^2/sqrt(n) term keeps the intercept
+direction strongly convex and makes baseline-vs-private comparisons exact.
 
 The inner solver is a damped Newton method on the piecewise-quadratic
 objective: the pseudo-Hessian uses only the in-band samples, directions are
@@ -23,14 +23,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, Theta, _MechanismConfig, _smoothed_terms, _spd_solve, design_matrix
-from .sampling import RngStream, gamma_tail_bound, sample_l1_perturbation
+from .model import (
+    Dataset,
+    Release,
+    Theta,
+    _check_count,
+    _MechanismConfig,
+    _smoothed_terms,
+    _spd_solve,
+    design_matrix,
+)
+from .sampling import RngStream, _l1_scale, gamma_tail_bound, sample_l1_perturbation
 
 __all__ = [
     "SmoothingConfig",
-    "SmoothingReport",
     "ConvergenceError",
-    "fit_smoothed_baseline",
     "fit_smoothed_private",
     "smoothing_accuracy_bound",
 ]
@@ -50,19 +57,7 @@ class SmoothingConfig(_MechanismConfig):
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if not 0 < self.solver_tol < math.inf:
             raise ValueError(f"solver_tol must be positive and finite, got {self.solver_tol}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-
-
-@dataclass(frozen=True)
-class SmoothingReport:
-    """Private-fit result: estimate plus realized (read-only) noise and
-    solver metadata."""
-
-    theta: Theta
-    noise: np.ndarray
-    solver_iters: int
-    final_grad_norm: float
+        _check_count("max_iters", self.max_iters)
 
 
 class ConvergenceError(RuntimeError):
@@ -201,39 +196,30 @@ def _minimize_smoothed(data: Dataset, lam, gamma, tilt, tol, max_iters):
     )
 
 
-def fit_smoothed_baseline(data: Dataset, cfg: SmoothingConfig) -> Theta:
-    """Minimize the unperturbed smoothed program (zero tilt)."""
-    omega, _, _ = _minimize_smoothed(
-        data, cfg.lam, cfg.gamma, np.zeros(data.d + 1), cfg.solver_tol, cfg.max_iters
-    )
-    return Theta.from_vector(omega)
-
-
-def fit_smoothed_private(data: Dataset, cfg: SmoothingConfig, rng: RngStream) -> SmoothingReport:
+def fit_smoothed_private(data: Dataset, cfg: SmoothingConfig, rng: RngStream | None) -> Release:
     """Objective-perturbed fit: tilt the smoothed program by b'omega/n.
 
-    With epsilon = inf no draw is consumed and the tilt is exactly zero.  A
-    finite epsilon needs lam > 0, checked before any draw: objective
-    perturbation is private only for a strongly convex regularizer
-    (Chaudhuri, Monteleoni and Sarwate, JMLR 2011), and without the ridge the
-    tilt can make the program unbounded below along a coefficient.
+    The release's noise is the tilt b, drawn by
+    :func:`dpmedreg.sampling.sample_l1_perturbation` with exponential mean
+    ``noise_scale`` = 4/epsilon, and ``solver_iters`` counts Newton steps.
+    With epsilon = inf no draw is consumed (``rng`` may be None), the tilt
+    is exactly zero and the fit is the baseline.  A finite epsilon needs
+    lam > 0, checked before any draw: objective perturbation is private only
+    for a strongly convex regularizer (Chaudhuri, Monteleoni and Sarwate,
+    JMLR 2011), and without the ridge the tilt can make the program unbounded
+    below along a coefficient.
     """
     if math.isinf(cfg.epsilon):
-        b = np.zeros(data.d + 1)
+        b, scale = np.zeros(data.d + 1), 0.0
     elif cfg.lam == 0:
         raise ValueError("lam (lambda) must be positive when epsilon is finite")
     else:
         b = sample_l1_perturbation(data.d + 1, cfg.epsilon, rng)
-    b.setflags(write=False)
-    omega, iters, gnorm = _minimize_smoothed(
+        scale = _l1_scale(data.d + 1, cfg.epsilon)
+    omega, iters, _ = _minimize_smoothed(
         data, cfg.lam, cfg.gamma, b / data.n, cfg.solver_tol, cfg.max_iters
     )
-    return SmoothingReport(
-        theta=Theta.from_vector(omega),
-        noise=b,
-        solver_iters=iters,
-        final_grad_norm=gnorm,
-    )
+    return Release(theta=Theta.from_vector(omega), noise=b, noise_scale=scale, solver_iters=iters)
 
 
 def smoothing_accuracy_bound(d: int, alpha: float, n: int, lam: float, epsilon: float) -> float:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from .gcd import GcdConfig, coordinate_step_vector
 from .irls import IrlsConfig, _resolve_v, fit_irls_private, irls_accuracy_bound, irls_fit, irls_sensitivity
 from .model import Dataset, Theta
 from .sampling import RngStream, gamma_tail_bound, sample_l1_perturbations, sample_laplace
-from .smoothing import SmoothingConfig, fit_smoothed_baseline, fit_smoothed_private, smoothing_accuracy_bound
+from .smoothing import SmoothingConfig, fit_smoothed_private, smoothing_accuracy_bound
 
 __all__ = [
     "NeighborPair",
@@ -294,16 +294,16 @@ def _probe_bounds(trials: int, seed: int) -> list[ProbeResult]:
     cfg2 = IrlsConfig()
 
     def alg1_hit(data, rng):
-        base = fit_smoothed_baseline(data, cfg1)
+        base = fit_smoothed_private(data, replace(cfg1, epsilon=math.inf), None).theta
         noisy = fit_smoothed_private(data, cfg1, rng).theta
         dist = abs(base.mu - noisy.mu) + float(np.abs(base.beta - noisy.beta).sum())
         return dist <= smoothing_accuracy_bound(data.d, alpha, data.n, cfg1.lam, cfg1.epsilon)
 
     def alg2_hit(data, rng):
-        report = fit_irls_private(data, cfg2, rng)
-        v = report.trace.v
+        noise = fit_irls_private(data, cfg2, rng).noise
+        v = _resolve_v(cfg2, data.B)
         bound = irls_accuracy_bound(data.d, alpha, data.n, cfg2.lam, cfg2.epsilon, cfg2.e, v, data.B)
-        return float(np.abs(report.noise).sum()) <= bound
+        return float(np.abs(noise).sum()) <= bound
 
     # replicate rep of check c draws its data from stream (c, rep, 0) and its
     # noise from (c, rep, 1)

@@ -1,7 +1,10 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from dpmedreg import Dataset, RngStream, default_generator_spec, generate, normalize
+from dpmedreg import Dataset, RngStream, default_generator_spec, fit_smoothed_private, generate, normalize
 
 
 def bounded_instance(sub: RngStream, n: int, d: int, noise: float = 0.25, beta_scale: float = 1.5):
@@ -16,6 +19,11 @@ def bounded_instance(sub: RngStream, n: int, d: int, noise: float = 0.25, beta_s
     Y = X @ beta + sub.laplaces(noise, n)
     B = max(2.0, float(np.abs(Y).max()) + 0.1)
     return Dataset(X=X, Y=Y, B=B), beta
+
+
+def smoothed_baseline(data: Dataset, cfg):
+    """alg1's noiseless fit: the smoothed program of ``cfg`` at epsilon = inf."""
+    return fit_smoothed_private(data, replace(cfg, epsilon=math.inf), None).theta
 
 
 def benchmark_instance(n: int, rng: RngStream):

@@ -22,7 +22,6 @@ from dpmedreg import (
     directional_derivatives,
     fit_gcd_private,
     fit_irls_private,
-    fit_smoothed_baseline,
     fit_smoothed_private,
     gamma_tail_bound,
     gcd_step_probe,
@@ -38,9 +37,11 @@ from dpmedreg import (
     smoothed_objective,
     unscale_theta,
 )
+from dpmedreg.gcd import _descend
+from dpmedreg.irls import _resolve_v
 from dpmedreg.verification import random_theta
 
-from conftest import benchmark_instance
+from conftest import benchmark_instance, smoothed_baseline
 
 TRUTH = np.array([2.0, 3.0, 0.0, -4.0])
 
@@ -77,7 +78,7 @@ def test_criterion_1_smoothing_vs_exact():
             )
             worst_gap = max(worst_gap, gap)
         oracle = oracle_l1_fit(data, 0.0, radius=4.0)
-        base = fit_smoothed_baseline(data, SmoothingConfig(lam=0.0, gamma=1e-4))
+        base = smoothed_baseline(data, SmoothingConfig(lam=0.0, gamma=1e-4))
         worst_pair = max(
             worst_pair,
             abs(objective_l1(oracle, data, 0.0) - objective_l1(base, data, 0.0)),
@@ -165,7 +166,7 @@ def test_criterion_3_table1_analogue():
         r3 = fit_gcd_private(
             data, GcdConfig(epsilon=0.1, lam=0.002, ell=0.1, batches=40), root.derive(rep, 3)
         )
-        est3.append(unscale_theta(r3.final, record).as_vector())
+        est3.append(unscale_theta(r3.theta, record).as_vector())
     dev1 = float(np.abs(np.median(est1, axis=0) - TRUTH).max())
     dev3 = float(np.abs(np.median(est3, axis=0) - TRUTH).max())
     noise_ratio = float(np.median(abs_noise2)) / (scale2 * math.log(2))
@@ -272,7 +273,7 @@ def test_criterion_6_bound_coverage():
     hits1 = 0
     for rep in range(200):
         data, _, _ = benchmark_instance(2000, root.derive(0, rep))
-        base = fit_smoothed_baseline(data, cfg1)
+        base = smoothed_baseline(data, cfg1)
         noisy = fit_smoothed_private(data, cfg1, root.derive(0, rep, 1)).theta
         dist = abs(base.mu - noisy.mu) + float(np.abs(base.beta - noisy.beta).sum())
         hits1 += dist <= bound1
@@ -280,11 +281,11 @@ def test_criterion_6_bound_coverage():
     hits2 = 0
     for rep in range(200):
         data, _, _ = benchmark_instance(10_000, root.derive(1, rep))
-        report = fit_irls_private(data, cfg2, root.derive(1, rep, 1))
+        release = fit_irls_private(data, cfg2, root.derive(1, rep, 1))
         bound2 = irls_accuracy_bound(
-            data.d, alpha, data.n, cfg2.lam, cfg2.epsilon, cfg2.e, report.trace.v, data.B
+            data.d, alpha, data.n, cfg2.lam, cfg2.epsilon, cfg2.e, _resolve_v(cfg2, data.B), data.B
         )
-        hits2 += float(np.abs(report.noise).sum()) <= bound2
+        hits2 += float(np.abs(release.noise).sum()) <= bound2
     cover1, cover2 = hits1 / 200, hits2 / 200
     elapsed = time.perf_counter() - start
     ok = cover1 >= 0.85 and cover2 >= 0.85 and elapsed < 300
@@ -345,11 +346,11 @@ def test_criterion_8_convergence_properties():
         worst_increase = max(worst_increase, float(np.max(np.diff(vals))))
         worst_iters = max(worst_iters, trace.iterations)
         gcd_cfg = GcdConfig(epsilon=0.1, lam=0.002, ell=0.1, batches=40)
-        g = fit_gcd_private(data, gcd_cfg, root.derive(rep, 1))
+        release, thetas, _ = _descend(data, gcd_cfg, root.derive(rep, 1))
         for t in range(gcd_cfg.batches):
-            prev = g.thetas[t].beta
-            rhs = gcd_cfg.ell / (t + 1) * (1.0 + 0.002 * np.abs(prev)) + np.abs(g.noises[t])
-            trace_ok &= bool(np.all(np.abs(g.thetas[t + 1].beta - prev) <= rhs + 1e-12))
+            prev = thetas[t].beta
+            rhs = gcd_cfg.ell / (t + 1) * (1.0 + 0.002 * np.abs(prev)) + np.abs(release.noise[t])
+            trace_ok &= bool(np.all(np.abs(thetas[t + 1].beta - prev) <= rhs + 1e-12))
     ok = worst_increase <= 1e-10 and worst_iters < 30 and trace_ok
     _report(
         "8",

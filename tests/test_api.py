@@ -4,18 +4,18 @@ import dpmedreg
 # ``design_matrix`` and ``neighbor_probe`` must not appear in it.
 PUBLIC = [
     "__version__",
-    "Dataset", "Theta",
+    "Dataset", "Theta", "Release",
     "residuals", "objective_l1", "huber_rho", "sign_vector",
     "smoothed_objective", "smoothed_gradient", "directional_derivatives",
     "perturbed_objective_le",
     "RngStream", "sample_laplace", "sample_l1_perturbation",
     "sample_l1_perturbations", "gamma_tail_bound",
-    "SmoothingConfig", "SmoothingReport", "ConvergenceError",
-    "fit_smoothed_baseline", "fit_smoothed_private", "smoothing_accuracy_bound",
-    "IrlsConfig", "IrlsTrace", "IrlsReport", "SingularSystemError",
+    "SmoothingConfig", "ConvergenceError",
+    "fit_smoothed_private", "smoothing_accuracy_bound",
+    "IrlsConfig", "IrlsTrace", "SingularSystemError",
     "default_coefficient_bound", "weighted_ridge_solve", "irls_fit",
     "irls_sensitivity", "fit_irls_private", "irls_accuracy_bound",
-    "GcdConfig", "GcdTrace", "split_batches",
+    "GcdConfig", "split_batches",
     "coordinate_step_vector", "fit_gcd_private",
     "GeneratorSpec", "ScalingRecord", "default_generator_spec", "generate",
     "normalize", "unscale_theta", "read_csv", "write_csv",
@@ -26,7 +26,7 @@ PUBLIC = [
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC) == 53
+    assert len(PUBLIC) == 50
     assert dpmedreg.__all__ == PUBLIC
     assert len(set(dpmedreg.__all__)) == len(dpmedreg.__all__)
     for name in dpmedreg.__all__:

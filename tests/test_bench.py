@@ -9,15 +9,18 @@ from dpmedreg import (
     IrlsConfig,
     RngStream,
     SmoothingConfig,
+    bench,
+    default_generator_spec,
     fit_gcd_private,
     fit_irls_private,
-    fit_smoothed_baseline,
     fit_smoothed_private,
+    irls,
     irls_fit,
 )
-from dpmedreg.bench import ALGORITHMS, resolve_params, run_fit
+from dpmedreg.bench import ALGORITHMS, resolve_params, run_cell, run_fit
+from dpmedreg.gcd import _descend
 
-from conftest import benchmark_instance
+from conftest import benchmark_instance, smoothed_baseline
 
 # The protocol defaults as the README states them.
 README_DEFAULTS = {
@@ -62,9 +65,9 @@ def test_mechanism_configs_share_epsilon_and_lam(config):
 
 
 FITTERS = {
-    "alg1": (SmoothingConfig, lambda data, cfg, rng: fit_smoothed_private(data, cfg, rng).theta),
-    "alg2": (IrlsConfig, lambda data, cfg, rng: fit_irls_private(data, cfg, rng).theta),
-    "alg3": (GcdConfig, lambda data, cfg, rng: fit_gcd_private(data, cfg, rng).final),
+    "alg1": (SmoothingConfig, fit_smoothed_private),
+    "alg2": (IrlsConfig, fit_irls_private),
+    "alg3": (GcdConfig, fit_gcd_private),
 }
 
 
@@ -72,9 +75,9 @@ FITTERS = {
 def test_default_config_releases_at_protocol_epsilon(algo):
     config, fit = FITTERS[algo]
     data, _, _ = benchmark_instance(500, RngStream(21))
-    default = fit(data, config(), RngStream(22))
-    assert _bits(default) == _bits(fit(data, config(epsilon=0.1), RngStream(22)))
-    assert _bits(default) != _bits(fit(data, config(epsilon=math.inf), RngStream(22)))
+    default = fit(data, config(), RngStream(22)).theta
+    assert _bits(default) == _bits(fit(data, config(epsilon=0.1), RngStream(22)).theta)
+    assert _bits(default) != _bits(fit(data, config(epsilon=math.inf), RngStream(22)).theta)
 
 
 def test_resolve_params_overrides():
@@ -90,9 +93,11 @@ def test_run_fit_maps_n0_and_returns_extras():
     data, _, _ = benchmark_instance(103, RngStream(1))
     # n0 is alg3's batch count: 5 batches of 20 rows drop 3 of 103
     theta, elapsed, extras = run_fit("alg3", data, resolve_params("alg3", {"n0": 5}), RngStream(2))
-    trace = fit_gcd_private(data, GcdConfig(epsilon=0.1, batches=5), RngStream(2))
-    assert data.n - trace.batches.size == 3 and _bits(theta) == _bits(trace.final)
-    assert extras == {} and elapsed > 0.0
+    release, _, batches = _descend(data, GcdConfig(epsilon=0.1, batches=5), RngStream(2))
+    assert data.n - batches.size == 3 and _bits(theta) == _bits(release.theta)
+    # every row's extras are its release's noise and noise scale
+    assert set(extras) == {"noise_scale", "noise"} and elapsed > 0.0
+    assert np.array_equal(extras["noise"], release.noise) and extras["noise_scale"] == release.noise_scale
     # and baseline-irls's iteration cap
     theta, _, _ = run_fit("baseline-irls", data, resolve_params("baseline-irls", {"n0": 1}), None)
     capped = irls_fit(data, IrlsConfig(max_iters=1))
@@ -108,20 +113,65 @@ def test_run_fit_maps_n0_and_returns_extras():
 
 def test_baseline_smooth_is_alg1_at_infinite_epsilon():
     data, _, _ = benchmark_instance(2000, RngStream(11))
-    base = fit_smoothed_baseline(data, SmoothingConfig())
+    base = smoothed_baseline(data, SmoothingConfig())
     theta, _, extras = run_fit("baseline-smooth", data, resolve_params("baseline-smooth", {}), None)
     private = fit_smoothed_private(data, SmoothingConfig(epsilon=math.inf), RngStream(12))
     assert _bits(theta) == _bits(base) == _bits(private.theta)
-    assert extras == {} and not private.noise.any()
+    assert extras["noise_scale"] == 0.0 and not extras["noise"].any() and not private.noise.any()
 
 
-def test_baseline_irls_is_alg2_at_infinite_epsilon():
+def test_baseline_irls_is_alg2_at_infinite_epsilon(monkeypatch):
     data, _, _ = benchmark_instance(2000, RngStream(13))
     trace = irls_fit(data, IrlsConfig())
     theta, _, extras = run_fit("baseline-irls", data, resolve_params("baseline-irls", {}), None)
-    report = fit_irls_private(data, IrlsConfig(epsilon=math.inf), RngStream(14))
+    fits = []
+
+    def recording_fit(*args):
+        fits.append(irls_fit(*args))
+        return fits[-1]
+
+    monkeypatch.setattr(irls, "irls_fit", recording_fit)
+    release = fit_irls_private(data, IrlsConfig(epsilon=math.inf), RngStream(14))
     # the release is the fit itself, not fit + 0.0 (which would turn a -0.0
     # into +0.0)
     assert _bits(theta) == _bits(trace.final)
-    assert report.theta is report.trace.final and _bits(report.theta) == _bits(trace.final)
+    assert release.theta is fits[0].final and _bits(release.theta) == _bits(trace.final)
     assert extras["noise_scale"] == 0.0 and not extras["noise"].any()
+
+
+# The fitter each row runs, spelled out rather than read from the table.
+FITTER_OF = {
+    "alg1": "fit_smoothed_private",
+    "alg2": "fit_irls_private",
+    "alg3": "fit_gcd_private",
+    "baseline-smooth": "fit_smoothed_private",
+    "baseline-irls": "fit_irls_private",
+}
+
+
+def test_run_fit_looks_up_its_fitter_on_the_module_when_called(monkeypatch):
+    # the benchmark tracer rebinds the fitters on dpmedreg.bench; a fitter
+    # held by the table instead would run unseen
+    data, _, _ = benchmark_instance(200, RngStream(15))
+    calls = []
+
+    def counting(name):
+        fit = getattr(bench, name)
+
+        def counted(*args):
+            calls.append(name)
+            return fit(*args)
+
+        return counted
+
+    for name in set(FITTER_OF.values()):
+        monkeypatch.setattr(bench, name, counting(name))
+    for algo in ALGORITHMS:
+        run_fit(algo, data, resolve_params(algo, {}), RngStream(16))
+    assert calls == [FITTER_OF[algo] for algo in ALGORITHMS]
+
+
+def test_run_cell_refuses_a_spec_of_another_n():
+    spec = default_generator_spec(300)
+    with pytest.raises(ValueError, match="^spec draws 300 rows, but the cell is n=999$"):
+        run_cell("alg1", 999, 2, 1, 0, resolve_params("alg1", {}), spec)

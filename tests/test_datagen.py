@@ -17,7 +17,9 @@ from dpmedreg import (
     write_csv,
 )
 from dpmedreg.datagen import _CSV_BLOCK_ROWS
-from dpmedreg.smoothing import SmoothingConfig, fit_smoothed_baseline
+from dpmedreg.smoothing import SmoothingConfig
+
+from conftest import smoothed_baseline
 
 
 def test_spec_validation():
@@ -141,7 +143,7 @@ def test_unscaled_fit_recovers_exact_linear():
     spec = GeneratorSpec(n=200, d=2, mu=1.5, beta=(4.0, -3.0), noise_scale=1e-300, box=(-2.0, 2.0))
     X, Y, truth = generate(spec, RngStream(8))
     data, rec = normalize(X, Y, target_b=2.0)
-    theta = fit_smoothed_baseline(data, SmoothingConfig(lam=0.0, gamma=1e-6))
+    theta = smoothed_baseline(data, SmoothingConfig(lam=0.0, gamma=1e-6))
     est = unscale_theta(theta, rec)
     assert abs(est.mu - truth.mu) < 1e-6
     assert np.all(np.abs(est.beta - truth.beta) < 1e-6)

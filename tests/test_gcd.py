@@ -16,6 +16,7 @@ from dpmedreg import (
     residuals,
     split_batches,
 )
+from dpmedreg.gcd import _descend
 
 from conftest import benchmark_instance, bounded_instance
 
@@ -103,28 +104,29 @@ def test_fit_fixed_point_stays_put():
     # zero data, zero start, one batch, no noise: nothing moves
     data = Dataset(X=np.array([[0.2], [0.1], [-0.3], [0.4]]), Y=np.zeros(4), B=1.0)
     cfg = GcdConfig(epsilon=math.inf, lam=0.0, ell=0.1, batches=1, init="zero")
-    trace = fit_gcd_private(data, cfg, RngStream(0))
-    assert trace.final.mu == 0.0
-    assert np.all(trace.final.beta == 0.0)
+    release = fit_gcd_private(data, cfg, RngStream(0))
+    assert release.theta.mu == 0.0
+    assert np.all(release.theta.beta == 0.0)
 
 
 def test_fit_trace_metadata_exact():
     data, _, _ = benchmark_instance(5000, RngStream(3))
     cfg = GcdConfig(epsilon=0.1, lam=0.002, ell=0.1, batches=40)
-    trace = fit_gcd_private(data, cfg, RngStream(4))
-    n0 = trace.batches.shape[1]
+    release, thetas, batches = _descend(data, cfg, RngStream(4))
+    n0 = batches.shape[1]
     assert n0 == 125
-    assert len(trace.thetas) == 41
+    assert len(thetas) == 41
+    assert release.solver_iters == 40 and release.theta is thetas[-1]
 
 
 def test_fit_iterate_stability_inequality():
     data, _, _ = benchmark_instance(5000, RngStream(5))
     cfg = GcdConfig(epsilon=0.1, lam=0.002, ell=0.1, batches=40)
-    trace = fit_gcd_private(data, cfg, RngStream(6))
+    release, thetas, _ = _descend(data, cfg, RngStream(6))
     for t in range(cfg.batches):
-        prev = trace.thetas[t].beta
-        nxt = trace.thetas[t + 1].beta
-        rhs = cfg.ell / (t + 1) * (1.0 + cfg.lam * np.abs(prev)) + np.abs(trace.noises[t])
+        prev = thetas[t].beta
+        nxt = thetas[t + 1].beta
+        rhs = cfg.ell / (t + 1) * (1.0 + cfg.lam * np.abs(prev)) + np.abs(release.noise[t])
         assert np.all(np.abs(nxt - prev) <= rhs + 1e-12)
 
 
@@ -132,39 +134,41 @@ def test_fit_batches_disjoint_and_noiseless_descends():
     rng = RngStream(8)
     data, _ = bounded_instance(rng, n=400, d=1, noise=0.3)
     cfg = GcdConfig(epsilon=math.inf, lam=0.0, ell=0.2, batches=8, init="zero")
-    trace = fit_gcd_private(data, cfg, RngStream(9))
-    assert np.unique(trace.batches).shape[0] == trace.batches.size
+    release, thetas, batches = _descend(data, cfg, RngStream(9))
+    assert np.unique(batches).shape[0] == batches.size
     # overall descent versus the start (per-step monotonicity not required)
-    assert objective_l1(trace.final, data, 0.0) <= objective_l1(trace.thetas[0], data, 0.0)
+    assert objective_l1(release.theta, data, 0.0) <= objective_l1(thetas[0], data, 0.0)
 
 
 def test_fit_deterministic_given_seed():
     data, _, _ = benchmark_instance(1000, RngStream(10))
     cfg = GcdConfig(epsilon=0.1, lam=0.002, ell=0.1, batches=10)
-    t1 = fit_gcd_private(data, cfg, RngStream(11))
-    t2 = fit_gcd_private(data, cfg, RngStream(11))
-    assert t1.final.mu == t2.final.mu
-    assert np.array_equal(t1.final.beta, t2.final.beta)
-    assert np.array_equal(t1.noises, t2.noises)
+    r1 = fit_gcd_private(data, cfg, RngStream(11))
+    r2 = fit_gcd_private(data, cfg, RngStream(11))
+    assert r1.theta.mu == r2.theta.mu
+    assert np.array_equal(r1.theta.beta, r2.theta.beta)
+    assert np.array_equal(r1.noise, r2.noise)
 
 
 @pytest.mark.parametrize("init", ["ridge", "zero"])
 def test_fit_noise_is_one_draw_per_coordinate_in_order(init):
-    # noises[t, k] is the (t d + k)-th Laplace draw after the batch
+    # noise[t, k] is the (t d + k)-th Laplace draw after the batch
     # permutation, at scale 2 eta_t / (epsilon n0), bit for bit
     data, _, _ = benchmark_instance(1000, RngStream(12))
     cfg = GcdConfig(epsilon=0.5, batches=7, init=init)
-    trace = fit_gcd_private(data, cfg, RngStream(13))
+    release, _, batches = _descend(data, cfg, RngStream(13))
     twin = RngStream(13)
     twin.permutation(data.n)
-    n0 = trace.batches.shape[1]
+    n0 = batches.shape[1]
     for t in range(cfg.batches):
         scale = 2.0 * (cfg.ell / (t + 1)) / (cfg.epsilon * n0)
         for k in range(data.d):
-            assert trace.noises[t, k] == twin.laplaces(scale, 1)[0]
-    assert not trace.noises.flags.writeable
+            assert release.noise[t, k] == twin.laplaces(scale, 1)[0]
+    assert release.noise_scale == 2.0 * cfg.ell / (cfg.epsilon * n0)
+    assert not release.noise.flags.writeable
     noiseless = fit_gcd_private(data, GcdConfig(epsilon=math.inf, batches=7, init=init), RngStream(13))
-    assert noiseless.noises.shape == (7, data.d) and np.all(noiseless.noises == 0.0)
+    assert noiseless.noise.shape == (7, data.d) and np.all(noiseless.noise == 0.0)
+    assert noiseless.noise_scale == 0.0
 
 
 def test_fit_requires_enough_rows():
@@ -191,6 +195,9 @@ def test_config_validation():
         GcdConfig(ell=0.0)
     with pytest.raises(ValueError):
         GcdConfig(batches=0)
+    for count in (2.5, True, 0):
+        with pytest.raises(ValueError, match=f"^batches must be a positive integer, got {count!r}$"):
+            GcdConfig(batches=count)
     with pytest.raises(ValueError):
         GcdConfig(init="random")
 

@@ -12,7 +12,6 @@ from dpmedreg import (
     SmoothingConfig,
     default_coefficient_bound,
     fit_irls_private,
-    fit_smoothed_baseline,
     irls_accuracy_bound,
     irls_fit,
     irls_sensitivity,
@@ -22,9 +21,10 @@ from dpmedreg import (
     residuals,
     weighted_ridge_solve,
 )
+from dpmedreg.irls import _resolve_v
 from dpmedreg.model import design_matrix
 
-from conftest import benchmark_instance, bounded_instance
+from conftest import benchmark_instance, bounded_instance, smoothed_baseline
 
 
 def test_weighted_solve_intercept_only_sample():
@@ -205,31 +205,35 @@ def test_accuracy_bound_value_and_scaling():
 def test_private_fit_infinite_epsilon_matches_noiseless(rng):
     data, _ = bounded_instance(rng, n=100, d=2)
     cfg = IrlsConfig(epsilon=math.inf, lam=0.01, e=0.2)
-    report = fit_irls_private(data, cfg, rng)
+    release = fit_irls_private(data, cfg, rng)
     plain = irls_fit(data, cfg)
-    assert report.theta.mu == plain.final.mu
-    assert np.array_equal(report.theta.beta, plain.final.beta)
-    assert np.all(report.noise == 0.0)
+    assert release.theta.mu == plain.final.mu
+    assert np.array_equal(release.theta.beta, plain.final.beta)
+    assert np.all(release.noise == 0.0)
 
 
 def test_private_fit_noise_is_read_only(rng):
     data, _ = bounded_instance(rng, n=50, d=2)
     for epsilon in (0.1, math.inf):
-        report = fit_irls_private(data, IrlsConfig(epsilon=epsilon, lam=0.01, e=0.2), RngStream(4))
-        assert not report.noise.flags.writeable
+        release = fit_irls_private(data, IrlsConfig(epsilon=epsilon, lam=0.01, e=0.2), RngStream(4))
+        assert not release.noise.flags.writeable
         with pytest.raises(ValueError):
-            report.noise[0] = 1.0
+            release.noise[0] = 1.0
 
 
 def test_private_fit_noise_metadata(rng):
     data, _ = bounded_instance(rng, n=100, d=2)
     cfg = IrlsConfig(epsilon=0.5, lam=0.01, e=0.2, v=4.0)
-    report = fit_irls_private(data, cfg, RngStream(5))
+    release = fit_irls_private(data, cfg, RngStream(5))
     c = irls_sensitivity(2, 100, data.B, 0.01, 0.2, 4.0)
-    assert report.sensitivity == pytest.approx(c)
-    assert report.noise_scale == pytest.approx(c / 0.5)
-    delta = report.theta.as_vector() - report.trace.final.as_vector()
-    assert np.allclose(delta, report.noise)
+    # the constant the fitter computes: irls_sensitivity at _resolve_v's v
+    v = _resolve_v(cfg, data.B)
+    assert irls_sensitivity(data.d, data.n, data.B, cfg.lam, cfg.e, v) == pytest.approx(c)
+    assert release.noise_scale == pytest.approx(c / 0.5)
+    trace = irls_fit(data, cfg)
+    assert release.solver_iters == trace.iterations
+    delta = release.theta.as_vector() - trace.final.as_vector()
+    assert np.allclose(delta, release.noise)
 
 
 def test_sensitivity_probe_dominated_and_scales(rng):
@@ -266,7 +270,7 @@ def test_irls_limit_matches_smoothed_baseline(rng):
         lam = 1e-3
         ti = irls_fit(data, IrlsConfig(lam=lam, e=1e-4, tau=1e-10, max_iters=2000, v=1e12))
         assert ti.converged
-        ts = fit_smoothed_baseline(data, SmoothingConfig(lam=lam, gamma=1e-3))
+        ts = smoothed_baseline(data, SmoothingConfig(lam=lam, gamma=1e-3))
         diff = abs(ti.final.mu - ts.mu) + float(np.abs(ti.final.beta - ts.beta).sum())
         worst = max(worst, diff)
     assert worst <= 1e-2
@@ -275,6 +279,9 @@ def test_irls_limit_matches_smoothed_baseline(rng):
 def test_config_validation():
     with pytest.raises(ValueError):
         IrlsConfig(e=0.0)
+    for count in (2.5, True, 0):
+        with pytest.raises(ValueError, match=f"^max_iters must be a positive integer, got {count!r}$"):
+            IrlsConfig(max_iters=count)
     with pytest.raises(ValueError):
         IrlsConfig(tau=-1.0)
     with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ from dpmedreg import (
     RngStream,
     SmoothingConfig,
     Theta,
-    fit_smoothed_baseline,
     fit_smoothed_private,
     huber_rho,
     smoothed_gradient,
@@ -19,7 +18,7 @@ from dpmedreg import (
 from dpmedreg.verification import random_dataset
 from dpmedreg import model, smoothing
 
-from conftest import benchmark_instance, bounded_instance
+from conftest import benchmark_instance, bounded_instance, smoothed_baseline
 
 
 def _tilted_objective(theta, data, cfg, tilt):
@@ -36,7 +35,7 @@ def test_baseline_intercept_only_matches_1d_grid():
     Y = np.tile([1.0, 2.0, 9.0], reps)
     data = Dataset(X=np.zeros((3 * reps, 1)), Y=Y, B=9.0)
     cfg = SmoothingConfig(lam=0.0, gamma=1e-4)
-    theta = fit_smoothed_baseline(data, cfg)
+    theta = smoothed_baseline(data, cfg)
     assert abs(theta.mu - 2.0) <= 0.05
     # 1-d grid oracle over mu of the same objective
     mus = np.linspace(1.8, 2.2, 40001)
@@ -50,7 +49,7 @@ def test_baseline_intercept_only_matches_1d_grid():
 
 def test_baseline_recovers_exact_linear(rng):
     data, beta = bounded_instance(rng, n=60, d=3, noise=1e-300)
-    theta = fit_smoothed_baseline(data, SmoothingConfig(lam=0.0, gamma=1e-4))
+    theta = smoothed_baseline(data, SmoothingConfig(lam=0.0, gamma=1e-4))
     assert abs(theta.mu) <= 1e-3
     assert np.all(np.abs(theta.beta - beta) <= 1e-3)
 
@@ -59,7 +58,7 @@ def test_baseline_benchmark_single_run_close_to_truth():
     from dpmedreg import unscale_theta
 
     data, record, truth = benchmark_instance(5000, RngStream(42))
-    theta = fit_smoothed_baseline(data, SmoothingConfig(lam=0.002, gamma=0.05))
+    theta = smoothed_baseline(data, SmoothingConfig(lam=0.002, gamma=0.05))
     est = unscale_theta(theta, record).as_vector()
     assert np.all(np.abs(est - truth.as_vector()) <= 0.2)
 
@@ -67,21 +66,21 @@ def test_baseline_benchmark_single_run_close_to_truth():
 def test_private_fit_infinite_epsilon_equals_baseline(rng):
     data, _ = bounded_instance(rng, n=200, d=3)
     cfg = SmoothingConfig(epsilon=math.inf, lam=0.01, gamma=0.05)
-    base = fit_smoothed_baseline(data, cfg)
-    report = fit_smoothed_private(data, cfg, rng)
-    assert np.all(report.noise == 0.0)
-    assert abs(report.theta.mu - base.mu) <= 1e-7
-    assert np.all(np.abs(report.theta.beta - base.beta) <= 1e-7)
+    base = smoothed_baseline(data, cfg)
+    release = fit_smoothed_private(data, cfg, rng)
+    assert np.all(release.noise == 0.0) and release.noise_scale == 0.0
+    assert abs(release.theta.mu - base.mu) <= 1e-7
+    assert np.all(np.abs(release.theta.beta - base.beta) <= 1e-7)
 
 
 def test_private_fit_noise_is_read_only(rng):
     data, _ = bounded_instance(rng, n=50, d=2)
     for epsilon in (0.1, math.inf):
         cfg = SmoothingConfig(epsilon=epsilon, lam=0.01, gamma=0.05)
-        report = fit_smoothed_private(data, cfg, RngStream(4))
-        assert not report.noise.flags.writeable
+        release = fit_smoothed_private(data, cfg, RngStream(4))
+        assert not release.noise.flags.writeable
         with pytest.raises(ValueError):
-            report.noise[0] = 1.0
+            release.noise[0] = 1.0
 
 
 def test_private_fit_refuses_zero_lam_at_finite_epsilon():
@@ -96,9 +95,9 @@ def test_private_fit_refuses_zero_lam_at_finite_epsilon():
     # the config itself builds: lam = 0 is refused at fit time only
     assert SmoothingConfig(lam=0.0).epsilon == 0.1
     # the baseline and the noiseless private fit keep accepting lam = 0
-    base = fit_smoothed_baseline(data, SmoothingConfig(lam=0.0))
-    report = fit_smoothed_private(data, SmoothingConfig(epsilon=math.inf, lam=0.0), RngStream(1))
-    assert np.array_equal(report.theta.as_vector(), base.as_vector())
+    base = smoothed_baseline(data, SmoothingConfig(lam=0.0))
+    release = fit_smoothed_private(data, SmoothingConfig(epsilon=math.inf, lam=0.0), RngStream(1))
+    assert np.array_equal(release.theta.as_vector(), base.as_vector())
 
 
 def test_private_fit_deterministic_given_seed(rng):
@@ -118,29 +117,35 @@ def test_private_fit_gradient_and_shift_bound():
     cfg = SmoothingConfig(epsilon=0.1, lam=0.002, gamma=0.05)
     for rep in range(5):
         data, record, _ = benchmark_instance(2000, root.derive(rep, 0))
-        base = fit_smoothed_baseline(data, cfg)
-        report = fit_smoothed_private(data, cfg, root.derive(rep, 1))
-        assert report.final_grad_norm <= cfg.solver_tol
-        dist = abs(base.mu - report.theta.mu) + float(
-            np.abs(base.beta - report.theta.beta).sum()
+        base = smoothed_baseline(data, cfg)
+        release = fit_smoothed_private(data, cfg, root.derive(rep, 1))
+        # the solver's own gradient norm at the released point
+        omega, iters, grad_norm = smoothing._minimize_smoothed(
+            data, cfg.lam, cfg.gamma, release.noise / data.n, cfg.solver_tol, cfg.max_iters
         )
-        bound = float(np.abs(report.noise).sum()) / (data.n * min(cfg.lam, 2.0 / math.sqrt(data.n)))
+        assert omega.tobytes() == release.theta.as_vector().tobytes()
+        assert release.solver_iters == iters and release.noise_scale == 4.0 / cfg.epsilon
+        assert grad_norm <= cfg.solver_tol
+        dist = abs(base.mu - release.theta.mu) + float(
+            np.abs(base.beta - release.theta.beta).sum()
+        )
+        bound = float(np.abs(release.noise).sum()) / (data.n * min(cfg.lam, 2.0 / math.sqrt(data.n)))
         assert dist <= bound
         # optimality certificate for the tilted program
-        assert _tilted_objective(report.theta, data, cfg, report.noise) <= (
-            _tilted_objective(base, data, cfg, report.noise) + 1e-10
+        assert _tilted_objective(release.theta, data, cfg, release.noise) <= (
+            _tilted_objective(base, data, cfg, release.noise) + 1e-10
         )
 
 
 def test_private_fit_full_gradient_small(rng):
     data, _ = bounded_instance(rng, n=300, d=3)
     cfg = SmoothingConfig(epsilon=0.2, lam=0.01, gamma=0.05)
-    report = fit_smoothed_private(data, cfg, rng)
+    release = fit_smoothed_private(data, cfg, rng)
     # rebuild the tilted gradient at the solution
-    theta = report.theta
+    theta = release.theta
     g = smoothed_gradient(theta, data, cfg.lam, cfg.gamma)
     full = np.concatenate(([g.mu + 2 * theta.mu / math.sqrt(data.n)], g.beta))
-    full += report.noise / data.n
+    full += release.noise / data.n
     assert float(np.abs(full).max()) <= cfg.solver_tol
 
 
@@ -159,7 +164,7 @@ def test_zero_column_without_ridge_takes_damped_newton_steps(rng, monkeypatch):
 
     monkeypatch.setattr(smoothing, "_spd_solve", recording_solve)
     cfg = SmoothingConfig(lam=0.0, gamma=1e-4)
-    theta = fit_smoothed_baseline(flat, cfg)
+    theta = smoothed_baseline(flat, cfg)
     assert any(x is None for x in solves)
     assert theta.beta[1] == 0.0
     g = smoothed_gradient(theta, flat, cfg.lam, cfg.gamma)
@@ -171,7 +176,7 @@ def test_nonconvergence_carries_last_iterate(rng):
     data, _ = bounded_instance(rng, n=40, d=2)
     cfg = SmoothingConfig(lam=0.0, gamma=1e-4, max_iters=1, solver_tol=1e-14)
     with pytest.raises(ConvergenceError) as info:
-        fit_smoothed_baseline(data, cfg)
+        smoothed_baseline(data, cfg)
     assert isinstance(info.value.last_theta, Theta)
     assert info.value.iters == 1
     assert info.value.grad_norm > 0
@@ -196,6 +201,9 @@ def test_accuracy_bound_value_and_monotonicity():
 def test_config_validation():
     with pytest.raises(ValueError):
         SmoothingConfig(gamma=0.0)
+    for count in (2.5, True, 0):
+        with pytest.raises(ValueError, match=f"^max_iters must be a positive integer, got {count!r}$"):
+            SmoothingConfig(max_iters=count)
     with pytest.raises(ValueError):
         SmoothingConfig(lam=-0.1)
     with pytest.raises(ValueError):

@@ -5,14 +5,13 @@ from dpmedreg import (
     Dataset,
     NeighborPair,
     SmoothingConfig,
-    fit_smoothed_baseline,
     make_neighbor_pair,
     objective_l1,
     oracle_l1_fit,
     random_dataset,
 )
 
-from conftest import bounded_instance
+from conftest import bounded_instance, smoothed_baseline
 
 
 def test_oracle_intercept_only_median():
@@ -34,7 +33,7 @@ def test_oracle_dominates_smoothed_baseline(rng):
         sub = rng.derive(t)
         data, _ = bounded_instance(sub, n=7, d=1, noise=0.2, beta_scale=1.0)
         oracle = oracle_l1_fit(data, 0.0, radius=3.0)
-        base = fit_smoothed_baseline(data, SmoothingConfig(lam=0.0, gamma=gamma))
+        base = smoothed_baseline(data, SmoothingConfig(lam=0.0, gamma=gamma))
         assert objective_l1(oracle, data, 0.0) <= (
             objective_l1(base, data, 0.0) + gamma / 2 + 2e-4
         )
