@@ -22,6 +22,7 @@ from .model import (
     Release,
     Theta,
     _check_count,
+    _check_private_ridge,
     _MechanismConfig,
     _spd_solve,
     design_matrix,
@@ -54,7 +55,8 @@ class IrlsConfig(_MechanismConfig):
     defaults to the a-priori bound 8 B^2 / (lam e), which every iterate
     provably satisfies (the ridge term of the minimized criterion is at most
     the criterion's value at the best intercept-only point, which is at most
-    (2B)^2 / e).
+    (2B)^2 / e).  At lam = 0 there is no such bound and it defaults to inf;
+    only the noiseless fit runs then.
     """
 
     e: float = 0.2
@@ -84,7 +86,7 @@ def _resolve_v(cfg: IrlsConfig, B: float) -> float:
     if cfg.v is not None:
         return cfg.v
     if cfg.lam == 0:
-        raise ValueError("v must be given explicitly when lam == 0")
+        return math.inf
     return default_coefficient_bound(B, cfg.lam, cfg.e)
 
 
@@ -187,20 +189,21 @@ def irls_sensitivity(d: int, n: int, B: float, lam: float, e: float, v: float) -
 def fit_irls_private(data: Dataset, cfg: IrlsConfig, rng: RngStream | None) -> Release:
     """Reweighted fit plus i.i.d. Laplace noise per coordinate at
     ``noise_scale`` = c / epsilon, where c is :func:`irls_sensitivity`;
-    ``solver_iters`` is the trace's ``iterations``.  With epsilon = inf no
-    draw is consumed (``rng`` may be None), the noise is exactly zero and the
-    estimate is ``irls_fit(data, cfg).final`` itself, the noiseless fit bit
-    for bit.
+    ``solver_iters`` is the trace's ``iterations``.  A finite epsilon needs
+    lam > 0, checked before the fit: c grows without bound as lam -> 0.
+    With epsilon = inf no draw is consumed (``rng`` may be None), c is not
+    computed, the noise is exactly zero and the estimate is
+    ``irls_fit(data, cfg).final`` itself, the noiseless fit bit for bit.
     """
+    _check_private_ridge(cfg)
     trace = irls_fit(data, cfg)
-    c = irls_sensitivity(data.d, data.n, data.B, cfg.lam, cfg.e, trace.v)
     base = trace.final
     if math.isinf(cfg.epsilon):
         scale = 0.0
         noise = np.zeros(data.d + 1)
         theta = base
     else:
-        scale = c / cfg.epsilon
+        scale = irls_sensitivity(data.d, data.n, data.B, cfg.lam, cfg.e, trace.v) / cfg.epsilon
         noise = sample_laplace(scale, data.d + 1, rng)
         theta = Theta(mu=base.mu + noise[0], beta=base.beta + noise[1:])
     return Release(theta=theta, noise=noise, noise_scale=scale, solver_iters=trace.iterations)

@@ -49,6 +49,14 @@ class _MechanismConfig:
             raise ValueError(f"lam must be nonnegative and finite, got {self.lam}")
 
 
+def _check_private_ridge(cfg: _MechanismConfig) -> None:
+    """Refuse lam = 0 at a finite epsilon, before any fitting or draw: both
+    calibrated mechanisms need the ridge's strong convexity for their noise
+    to bound a one-record change."""
+    if cfg.lam == 0 and not math.isinf(cfg.epsilon):
+        raise ValueError("lam (lambda) must be positive when epsilon is finite")
+
+
 def _check_count(name: str, value) -> None:
     """Refuse an iteration or batch count that is not an integer >= 1; a bool
     is not a count."""
@@ -300,22 +308,14 @@ def directional_derivatives(theta: Theta, data: Dataset, lam: float, k: int):
     return d_plus, d_minus
 
 
-def perturbed_objective_le(
-    theta: Theta, data: Dataset, lam: float, e: float, form: str = "raw"
-) -> float:
-    """Log-perturbed absolute-deviation criterion.
+def perturbed_objective_le(theta: Theta, data: Dataset, lam: float, e: float) -> float:
+    """Log-perturbed absolute-deviation criterion, per-sample normalized:
 
-    form="raw" evaluates the unnormalized sum
+        (2/n) sum_i [ |r_i| - e ln(e + |r_i|) ] + (lam/2) beta'beta.
 
-        sum_i [ |r_i| - (e/2) ln(e + |r_i|) ] + (lam/2) beta'beta,
-
-    form="mm" evaluates the per-sample-normalized variant
-
-        (2/n) sum_i [ |r_i| - e ln(e + |r_i|) ] + (lam/2) beta'beta,
-
-    which is tangent from below to the 1/(|r|+e)-reweighted quadratic
-    criterion and therefore cannot increase across a reweighted least-squares
-    update; use the latter for descent checks.
+    It is tangent from below to the 1/(|r|+e)-reweighted quadratic criterion
+    and therefore cannot increase across a reweighted least-squares update;
+    the descent checks use it.
     """
     if not e > 0:
         raise ValueError(f"e must be positive, got {e}")
@@ -323,8 +323,4 @@ def perturbed_objective_le(
         raise ValueError(f"lam must be nonnegative, got {lam}")
     r = np.abs(residuals(theta, data))
     ridge = 0.5 * lam * float(theta.beta @ theta.beta)
-    if form == "raw":
-        return float(np.sum(r - 0.5 * e * np.log(e + r)) + ridge)
-    if form == "mm":
-        return float(2.0 / data.n * np.sum(r - e * np.log(e + r)) + ridge)
-    raise ValueError(f"unknown form {form!r}, expected 'raw' or 'mm'")
+    return float(2.0 / data.n * np.sum(r - e * np.log(e + r)) + ridge)

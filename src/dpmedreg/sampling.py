@@ -6,8 +6,9 @@ Every sampler is an inverse-CDF construction (no rejection steps), so a fixed
 flows through :class:`RngStream`.  Each uniform is the top 53 bits of one raw
 PCG64 output, ``((raw >> 11) + 0.5) / 2**53``: the same stream that
 ``Generator.integers(0, 2**53)`` gives, without its per-call overhead.
-:func:`sample_l1_perturbations` draws row ``i`` from ``rng.derive(i)``, so
-it equals ``count`` calls of :func:`sample_l1_perturbation` bit for bit.
+:func:`sample_l1_perturbations` draws its rows one after another from the
+stream it is given, so it equals ``count`` successive calls of
+:func:`sample_l1_perturbation` on that stream bit for bit.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .model import _check_count
 
 __all__ = [
     "RngStream",
@@ -28,12 +31,6 @@ _TWO53 = float(2**53)
 
 # Rows of :func:`sample_l1_perturbations` drawn and transformed together.
 _L1_BLOCK_ROWS = 8192
-
-
-def _open_unit(raw: np.ndarray) -> np.ndarray:
-    """Uniforms strictly inside (0, 1) from raw 64-bit outputs: the top 53
-    bits pick one of 2**53 equal cells and the uniform is its midpoint."""
-    return ((raw >> 11).astype(float) + 0.5) / _TWO53
 
 
 def _exponential(u: np.ndarray, scale: float) -> np.ndarray:
@@ -75,16 +72,12 @@ class RngStream:
         child._bind(self._path + tuple(map(int, subids)))
         return child
 
-    def _raw(self, k: int) -> np.ndarray:
-        """The next k raw 64-bit PCG64 outputs."""
-        return self._gen.bit_generator.random_raw(int(k))
-
     def uniform_open(self, k: int) -> np.ndarray:
-        """k uniforms strictly inside (0, 1); one raw output per draw."""
-        return _open_unit(self._raw(k))
-
-    def exponentials(self, scale: float, k: int) -> np.ndarray:
-        return _exponential(self.uniform_open(k), scale)
+        """k uniforms strictly inside (0, 1), one raw 64-bit output each: its
+        top 53 bits pick one of 2**53 equal cells and the uniform is the
+        cell's midpoint."""
+        raw = self._gen.bit_generator.random_raw(int(k))
+        return ((raw >> 11).astype(float) + 0.5) / _TWO53
 
     def laplaces(self, scale: float, k: int) -> np.ndarray:
         return _laplace(self.uniform_open(k), scale)
@@ -110,8 +103,7 @@ def sample_laplace(scale: float, k: int, rng: RngStream) -> np.ndarray:
     """
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale}")
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+    _check_count("k", k)
     return rng.laplaces(scale, k)
 
 
@@ -123,16 +115,6 @@ def _l1_scale(dim: int, epsilon: float) -> float:
     return 4.0 / epsilon
 
 
-def _l1_rows(u: np.ndarray, scale: float, out: np.ndarray) -> None:
-    """Perturbation rows from uniforms: row i of ``u`` holds the ``dim``
-    uniforms of the norm's exponentials, then the ``dim`` of the direction's
-    Laplaces; row i of ``out`` (rows, dim) receives that draw."""
-    dim = out.shape[1]
-    norms = _exponential(u[:, :dim], scale).sum(axis=1, keepdims=True)
-    raw = _laplace(u[:, dim:], 1.0)
-    np.multiply(norms, raw / np.abs(raw).sum(axis=1, keepdims=True), out=out)
-
-
 def sample_l1_perturbation(dim: int, epsilon: float, rng: RngStream) -> np.ndarray:
     """Random vector b with density proportional to exp(-epsilon ||b||_1 / 4).
 
@@ -141,31 +123,28 @@ def sample_l1_perturbation(dim: int, epsilon: float, rng: RngStream) -> np.ndarr
     direction uniform on the L1 sphere (``dim`` unit-Laplace draws divided by
     their L1 norm).  Draw order: norm first, then direction.
     """
-    scale = _l1_scale(dim, epsilon)
-    values = np.empty((1, dim))
-    _l1_rows(rng.uniform_open(2 * dim)[None, :], scale, values)
-    return values[0]
+    return sample_l1_perturbations(dim, epsilon, rng, 1)[0]
 
 
 def sample_l1_perturbations(dim: int, epsilon: float, rng: RngStream, count: int) -> np.ndarray:
     """``count`` draws of :func:`sample_l1_perturbation` as a (count, dim)
-    array; row i is ``sample_l1_perturbation(dim, epsilon, rng.derive(i))``
-    bit for bit.
+    array, drawn one after another from ``rng``: row i is the i-th of
+    ``count`` successive ``sample_l1_perturbation(dim, epsilon, rng)`` calls,
+    bit for bit, and the stream ends where those calls leave it.
 
-    Children are derived one at a time and dropped after their ``2 dim`` raw
-    outputs are copied out, so memory stays at one block of raw draws plus
-    the result, whatever ``count`` is.
+    Each row takes ``2 dim`` uniforms, the norm's then the direction's.  They
+    are drawn and transformed one block of rows at a time, so memory stays at
+    one block plus the result, whatever ``count`` is.
     """
     scale = _l1_scale(dim, epsilon)
-    if count < 1:
-        raise ValueError(f"need count >= 1, got {count}")
+    _check_count("count", count)
     out = np.empty((count, dim))
-    raw = np.empty((min(count, _L1_BLOCK_ROWS), 2 * dim), dtype=np.uint64)
     for start in range(0, count, _L1_BLOCK_ROWS):
-        block = raw[: min(count - start, _L1_BLOCK_ROWS)]
-        for j in range(block.shape[0]):
-            block[j] = rng.derive(start + j)._raw(2 * dim)
-        _l1_rows(_open_unit(block), scale, out[start : start + block.shape[0]])
+        rows = min(count - start, _L1_BLOCK_ROWS)
+        u = rng.uniform_open(2 * dim * rows).reshape(rows, 2 * dim)
+        norms = _exponential(u[:, :dim], scale).sum(axis=1, keepdims=True)
+        raw = _laplace(u[:, dim:], 1.0)
+        np.multiply(norms, raw / np.abs(raw).sum(axis=1, keepdims=True), out=out[start : start + rows])
     return out
 
 

@@ -28,6 +28,7 @@ from .model import (
     Release,
     Theta,
     _check_count,
+    _check_private_ridge,
     _MechanismConfig,
     _smoothed_terms,
     _spd_solve,
@@ -209,10 +210,9 @@ def fit_smoothed_private(data: Dataset, cfg: SmoothingConfig, rng: RngStream | N
     JMLR 2011), and without the ridge the tilt can make the program unbounded
     below along a coefficient.
     """
+    _check_private_ridge(cfg)
     if math.isinf(cfg.epsilon):
         b, scale = np.zeros(data.d + 1), 0.0
-    elif cfg.lam == 0:
-        raise ValueError("lam (lambda) must be positive when epsilon is finite")
     else:
         b = sample_l1_perturbation(data.d + 1, cfg.epsilon, rng)
         scale = _l1_scale(data.d + 1, cfg.epsilon)

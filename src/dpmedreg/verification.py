@@ -269,7 +269,7 @@ def _probe_samplers(trials: int, seed: int) -> list[ProbeResult]:
 
     d = 3
     eps = SmoothingConfig().epsilon
-    # row i is drawn from rng.derive(1).derive(i), the stream rng.derive(1, i)
+    # the rows are drawn one after another from the stream rng.derive(1)
     values = sample_l1_perturbations(d + 1, eps, rng.derive(1), trials)
     norms = np.abs(values, out=values).sum(axis=1)
     expect = (d + 1) * 4.0 / eps

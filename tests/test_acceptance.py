@@ -340,7 +340,7 @@ def test_criterion_8_convergence_properties():
         cfg = IrlsConfig(lam=0.002, e=0.2, tau=1e-6, max_iters=200)
         trace = irls_fit(data, cfg)
         vals = [
-            perturbed_objective_le(th, data, cfg.lam, cfg.e, form="mm")
+            perturbed_objective_le(th, data, cfg.lam, cfg.e)
             for th in trace.thetas
         ]
         worst_increase = max(worst_increase, float(np.max(np.diff(vals))))

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import re
 import warnings
 
@@ -215,6 +216,16 @@ def test_fit_alg1_refuses_zero_lambda(small_csv, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "lambda" in err
+
+
+def test_fit_baseline_irls_at_zero_lambda(small_csv, capsys):
+    # the noiseless fit needs no coefficient bound, so it has no --v to ask for
+    argv = ["fit", "--algo", "baseline-irls", "--data", str(small_csv), "--lambda", "0"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    rows = captured.out.splitlines()[1:]
+    assert len(rows) == 4 and all(math.isfinite(float(row.split(",")[2])) for row in rows)
+    assert "param_lam=0.0" in captured.err
 
 
 def test_bench_single_replicate_deterministic(capsys):

@@ -12,6 +12,7 @@ from dpmedreg import (
     SmoothingConfig,
     default_coefficient_bound,
     fit_irls_private,
+    irls,
     irls_accuracy_bound,
     irls_fit,
     irls_sensitivity,
@@ -152,9 +153,7 @@ def test_irls_descent_and_iterate_bounds():
         data, _, _ = benchmark_instance(5000, root.derive(rep))
         cfg = IrlsConfig(lam=0.002, e=0.2, tau=1e-6, max_iters=200)
         trace = irls_fit(data, cfg)
-        vals = [
-            perturbed_objective_le(th, data, cfg.lam, cfg.e, form="mm") for th in trace.thetas
-        ]
+        vals = [perturbed_objective_le(th, data, cfg.lam, cfg.e) for th in trace.thetas]
         assert float(np.max(np.diff(vals))) <= 1e-10
         v = trace.v
         reach = math.sqrt(data.d * v) + data.B
@@ -210,6 +209,30 @@ def test_private_fit_infinite_epsilon_matches_noiseless(rng):
     assert release.theta.mu == plain.final.mu
     assert np.array_equal(release.theta.beta, plain.final.beta)
     assert np.all(release.noise == 0.0)
+
+
+def test_noiseless_fit_at_zero_lambda_needs_no_v(rng):
+    # no a-priori coefficient bound exists at lam = 0, and the noiseless fit needs none
+    data, _ = bounded_instance(rng, n=100, d=2)
+    cfg = IrlsConfig(epsilon=math.inf, lam=0.0)
+    assert _resolve_v(cfg, data.B) == math.inf
+    release = fit_irls_private(data, cfg, None)
+    plain = irls_fit(data, cfg)
+    assert plain.bracket_violations == 0
+    assert release.theta.mu == plain.final.mu
+    assert np.array_equal(release.theta.beta, plain.final.beta)
+    assert release.noise_scale == 0.0 and np.all(release.noise == 0.0)
+    assert np.all(np.isfinite(release.theta.as_vector()))
+
+
+def test_private_fit_refuses_zero_lambda_before_fitting(rng, monkeypatch):
+    data, _ = bounded_instance(rng, n=50, d=2)
+    calls = []
+    monkeypatch.setattr(irls, "irls_fit", lambda *args: calls.append(args))
+    for v in (None, 1.0):
+        with pytest.raises(ValueError, match=r"^lam \(lambda\) must be positive when epsilon is finite$"):
+            fit_irls_private(data, IrlsConfig(epsilon=0.1, lam=0.0, v=v), RngStream(1))
+    assert calls == []
 
 
 def test_private_fit_noise_is_read_only(rng):

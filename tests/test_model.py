@@ -346,20 +346,19 @@ def test_directional_derivatives_range_check():
 
 
 def test_perturbed_objective_plugin_case():
+    # every residual is 0, so each term is -e ln e and the mean is doubled
     n, e = 5, 0.1
     data = Dataset(X=np.zeros((n, 1)), Y=np.zeros(n), B=1.0)
     theta = Theta(0.0, np.zeros(1))
-    assert perturbed_objective_le(theta, data, 0.0, e) == pytest.approx(
-        -n * (e / 2) * np.log(e)
-    )
+    assert perturbed_objective_le(theta, data, 0.0, e) == pytest.approx(-2 * e * np.log(e))
 
 
 def test_perturbed_objective_small_e_limit(rng):
     data, _ = bounded_instance(rng, n=50, d=2, noise=0.5)
     theta = random_theta(2, rng)
-    raw = perturbed_objective_le(theta, data, 0.0, 1e-12)
-    plain = float(np.abs(residuals(theta, data)).sum())
-    assert abs(raw - plain) < 1e-6
+    value = perturbed_objective_le(theta, data, 0.0, 1e-12)
+    plain = 2.0 / data.n * float(np.abs(residuals(theta, data)).sum())
+    assert abs(value - plain) < 1e-6
 
 
 def test_perturbed_objective_forms(rng):
@@ -368,12 +367,10 @@ def test_perturbed_objective_forms(rng):
     lam, e = 0.1, 0.2
     r = np.abs(residuals(theta, data))
     ridge = 0.5 * lam * float(theta.beta @ theta.beta)
-    raw = float(np.sum(r - 0.5 * e * np.log(e + r)) + ridge)
     mm = float(2.0 / data.n * np.sum(r - e * np.log(e + r)) + ridge)
-    assert perturbed_objective_le(theta, data, lam, e, form="raw") == pytest.approx(raw)
-    assert perturbed_objective_le(theta, data, lam, e, form="mm") == pytest.approx(mm)
+    assert perturbed_objective_le(theta, data, lam, e) == pytest.approx(mm)
     with pytest.raises(ValueError):
-        perturbed_objective_le(theta, data, lam, e, form="other")
+        perturbed_objective_le(theta, data, lam, 0.0)
 
 
 def test_spd_solve_rejects_indefinite_and_non_finite():

@@ -9,8 +9,8 @@ from dpmedreg import (
     sample_l1_perturbation,
     sample_l1_perturbations,
     sample_laplace,
+    sampling,
 )
-from dpmedreg.sampling import _L1_BLOCK_ROWS
 
 STREAMS = [(0, (0,)), (7, (3,)), (20240901, (1, 5)), (2**40 + 3, (2, 9, 4))]
 
@@ -86,23 +86,17 @@ def test_l1_perturbation_matches_reference_formula(dim):
             assert _same_bits(sample_l1_perturbation(dim, eps, rng), expected)
 
 
-@pytest.mark.parametrize("count", [1, _L1_BLOCK_ROWS - 1, _L1_BLOCK_ROWS, _L1_BLOCK_ROWS + 1])
-def test_batched_perturbations_equal_single_draws(count):
-    rng = RngStream(11).derive(4)
-    batch = sample_l1_perturbations(4, 0.3, rng, count)
-    assert batch.shape == (count, 4)
-    for i in {0, min(1, count - 1), count // 2, max(count - 2, 0), count - 1}:
-        single = sample_l1_perturbation(4, 0.3, rng.derive(i))
-        assert _same_bits(batch[i], single)
-        assert _same_bits(np.abs(batch[i]).sum(), np.abs(single).sum())
-
-
-@pytest.mark.parametrize("dim", [1, 2, 9, 17])
-def test_batched_perturbations_equal_single_draws_in_every_row(dim):
-    rng = RngStream(12)
-    batch = sample_l1_perturbations(dim, 2.0, rng, 300)
-    single = np.array([sample_l1_perturbation(dim, 2.0, rng.derive(i)) for i in range(300)])
-    assert _same_bits(batch, single)
+@pytest.mark.parametrize("dim", [1, 2, 9])
+def test_batched_perturbations_are_successive_single_draws(dim, monkeypatch):
+    # three-row blocks, so counts 1-10 cover one, several and a partial last block
+    monkeypatch.setattr(sampling, "_L1_BLOCK_ROWS", 3)
+    for count in range(1, 11):
+        rng, twin = RngStream(12).derive(dim, count), RngStream(12).derive(dim, count)
+        batch = sample_l1_perturbations(dim, 2.0, rng, count)
+        single = np.array([sample_l1_perturbation(dim, 2.0, twin) for _ in range(count)])
+        assert _same_bits(batch, single)
+        # the batch consumed exactly count draws' worth of the stream
+        assert _same_bits(rng.uniform_open(1), twin.uniform_open(1))
 
 
 def test_batched_perturbations_validation():
@@ -112,8 +106,8 @@ def test_batched_perturbations_validation():
         with pytest.raises(ValueError) as batch:
             sample_l1_perturbations(dim, eps, RngStream(0), 10)
         assert str(batch.value) == str(single.value)
-    for count in (0, -1):
-        with pytest.raises(ValueError, match="count"):
+    for count in (2.5, True, 0, -1):
+        with pytest.raises(ValueError, match=f"^count must be a positive integer, got {count!r}$"):
             sample_l1_perturbations(4, 1.0, RngStream(0), count)
 
 
@@ -126,8 +120,9 @@ def test_uniform_open_strictly_interior():
 def test_sample_laplace_validation():
     with pytest.raises(ValueError):
         sample_laplace(0.0, 5, RngStream(0))
-    with pytest.raises(ValueError):
-        sample_laplace(1.0, 0, RngStream(0))
+    for k in (2.5, True, 0):
+        with pytest.raises(ValueError, match=f"^k must be a positive integer, got {k!r}$"):
+            sample_laplace(1.0, k, RngStream(0))
 
 
 def test_laplace_median_of_absolute_values():
@@ -157,13 +152,13 @@ def test_l1_perturbation_norm_is_the_gamma_draw():
     dim, eps = 4, 0.1
     vec = sample_l1_perturbation(dim, eps, RngStream(9, stream=2))
     replay = RngStream(9, stream=2)
-    expected_norm = float(replay.exponentials(4.0 / eps, dim).sum())
+    expected_norm = float((-(4.0 / eps) * np.log(replay.uniform_open(dim))).sum())
     assert float(np.abs(vec).sum()) == pytest.approx(expected_norm, rel=1e-12)
 
 
 def test_l1_perturbation_gamma_mean():
     dim, eps = 4, 0.1
-    # row i is the draw of RngStream(5).derive(i), bit for bit
+    # the rows are successive draws from RngStream(5), bit for bit
     norms = np.abs(sample_l1_perturbations(dim, eps, RngStream(5), 100_000)).sum(axis=1)
     expected = dim * 4.0 / eps  # 160
     assert abs(float(norms.mean()) - expected) / expected < 0.02

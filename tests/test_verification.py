@@ -4,11 +4,13 @@ import pytest
 from dpmedreg import (
     Dataset,
     NeighborPair,
+    RngStream,
     SmoothingConfig,
     make_neighbor_pair,
     objective_l1,
     oracle_l1_fit,
     random_dataset,
+    verification,
 )
 
 from conftest import bounded_instance, smoothed_baseline
@@ -90,3 +92,20 @@ def test_random_dataset_respects_bounds(rng):
     data = random_dataset(200, 4, 1.5, rng)
     assert float(np.abs(data.X).sum(axis=1).max()) <= 1.0
     assert float(np.abs(data.Y).max()) <= 1.5
+
+
+def test_sampler_probe_derives_a_fixed_number_of_streams(monkeypatch):
+    calls = []
+    derive = RngStream.derive
+
+    def counted(self, *subids):
+        calls.append(subids)
+        return derive(self, *subids)
+
+    monkeypatch.setattr(RngStream, "derive", counted)
+    counts = []
+    for trials in (10, 10_000):
+        calls.clear()
+        verification._probe_samplers(trials, 3)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
