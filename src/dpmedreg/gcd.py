@@ -143,6 +143,9 @@ def fit_gcd_private(data: Dataset, cfg: GcdConfig, rng: RngStream) -> Release:
     least-squares solution on the full data (init="zero" starts from the
     origin instead; the least-squares start touches all records without
     noise, which the caller must account for).  With epsilon = inf no noise
-    draws are consumed.
+    draws are consumed, but ``rng`` is still required: it draws the batch
+    permutation, so None is refused before any work.
     """
+    if rng is None:
+        raise ValueError("alg3 needs an RngStream for its batch permutation, even at epsilon = inf")
     return _descend(data, cfg, rng)[0]

@@ -113,8 +113,9 @@ class IrlsTrace:
 def weighted_ridge_solve(data: Dataset, weights: np.ndarray, lam: float) -> Theta:
     """Unique minimizer of (1/n) sum_i w_i r_i^2 + (lam/2) beta'beta.
 
-    Solved through the (d+1) x (d+1) normal equations by the one Cholesky
-    solve of :mod:`dpmedreg.model`; the intercept is not penalized.
+    Checks the weights and lam, then solves the (d+1) x (d+1) normal
+    equations with :func:`_normal_solve`, the kernel every pass of
+    :func:`irls_fit` runs; the intercept is not penalized.
     """
     w = np.asarray(weights, dtype=float)
     if w.shape != (data.n,):
@@ -123,11 +124,18 @@ def weighted_ridge_solve(data: Dataset, weights: np.ndarray, lam: float) -> Thet
         raise ValueError("weights must be positive and finite")
     if lam < 0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
-    Xt = design_matrix(data.X)
+    return _normal_solve(design_matrix(data.X), data.Y, w, data.n * lam / 2.0)
+
+
+def _normal_solve(Xt: np.ndarray, Y: np.ndarray, w: np.ndarray, ridge: float) -> Theta:
+    """The (mu, beta) solving (Xt' W Xt + ridge I_beta) omega = Xt' W Y
+    by the one Cholesky solve of :mod:`dpmedreg.model`, for the design
+    ``Xt`` = (1, X) and positive finite weights ``w``; ``ridge`` is added to
+    the beta block of the diagonal only."""
     A = Xt.T @ (Xt * w[:, None])
-    diag = np.arange(1, data.d + 1)
-    A[diag, diag] += data.n * lam / 2.0
-    omega = _spd_solve(A, Xt.T @ (w * data.Y))
+    diag = np.arange(1, Xt.shape[1])
+    A[diag, diag] += ridge
+    omega = _spd_solve(A, Xt.T @ (w * Y))
     if omega is None:
         raise SingularSystemError(
             "weighted normal equations are singular (rank-deficient X with lam == 0?)"
@@ -139,20 +147,32 @@ def irls_fit(data: Dataset, cfg: IrlsConfig) -> IrlsTrace:
     """Iterate weighted ridge solves with w_i = 1/(|r_i| + e) until both the
     intercept and the coefficient vector move at most tau in L1 norm, or
     ``max_iters`` passes are exhausted.  Starts from the unit-weight solution.
+
+    The design matrix (1, X) and the ridge n lam / 2 are built once per fit
+    and every pass runs :func:`_normal_solve` on them, so each iterate is
+    bit for bit what :func:`weighted_ridge_solve` gives for the same weights.
+    The loop checks its own weights through the min and max the bracket test
+    computes: a weight that is not positive or not finite raises ValueError.
     """
     v = _resolve_v(cfg, data.B)
     w_lo = 1.0 / (2.0 * (math.sqrt(data.d * v) + data.B) + cfg.e)
     w_hi = 1.0 / cfg.e
-    theta = weighted_ridge_solve(data, np.ones(data.n), cfg.lam)
+    Xt = design_matrix(data.X)
+    ridge = data.n * cfg.lam / 2.0
+    theta = _normal_solve(Xt, data.Y, np.ones(data.n), ridge)
     thetas = [theta]
     converged = False
     violations = 0
     iterations = 0
     for _ in range(cfg.max_iters):
         w = 1.0 / (np.abs(residuals(theta, data)) + cfg.e)
-        if float(w.min()) < w_lo * (1.0 - 1e-12) or float(w.max()) > w_hi * (1.0 + 1e-12):
+        w_min = float(w.min())
+        w_max = float(w.max())
+        if not (w_min > 0 and w_max < math.inf):
+            raise ValueError("weights must be positive and finite")
+        if w_min < w_lo * (1.0 - 1e-12) or w_max > w_hi * (1.0 + 1e-12):
             violations += 1
-        new = weighted_ridge_solve(data, w, cfg.lam)
+        new = _normal_solve(Xt, data.Y, w, ridge)
         iterations += 1
         dmu = abs(new.mu - theta.mu)
         dbeta = float(np.abs(new.beta - theta.beta).sum())

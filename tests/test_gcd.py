@@ -11,6 +11,7 @@ from dpmedreg import (
     Theta,
     coordinate_step_vector,
     fit_gcd_private,
+    gcd,
     gcd_step_probe,
     objective_l1,
     residuals,
@@ -169,6 +170,17 @@ def test_fit_noise_is_one_draw_per_coordinate_in_order(init):
     noiseless = fit_gcd_private(data, GcdConfig(epsilon=math.inf, batches=7, init=init), RngStream(13))
     assert noiseless.noise.shape == (7, data.d) and np.all(noiseless.noise == 0.0)
     assert noiseless.noise_scale == 0.0
+
+
+def test_fit_refuses_a_missing_stream_before_any_work(monkeypatch):
+    # the batch permutation needs a stream even when no noise is drawn
+    data = Dataset(X=np.array([[0.2], [0.1], [-0.3], [0.4]]), Y=np.zeros(4), B=1.0)
+    calls = []
+    monkeypatch.setattr(gcd, "_descend", lambda *args: calls.append(args))
+    for epsilon in (math.inf, 0.1):
+        with pytest.raises(ValueError, match=r"^alg3 needs an RngStream for its batch permutation"):
+            fit_gcd_private(data, GcdConfig(epsilon=epsilon, batches=2), None)
+    assert calls == []
 
 
 def test_fit_requires_enough_rows():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from dpmedreg import (
@@ -101,6 +102,124 @@ def test_weighted_solve_weight_validation(rng):
         weighted_ridge_solve(data, np.array([1.0, 1.0, 0.0, 1.0, 1.0]), lam=0.1)
     with pytest.raises(ValueError):
         weighted_ridge_solve(data, np.ones(4), lam=0.1)
+
+
+def _reference_irls(data, cfg):
+    """irls_fit's loop rebuilt from the public weighted_ridge_solve and
+    residuals, with its convergence and bracket rules: (iterates,
+    bracket violations, converged)."""
+    v = _resolve_v(cfg, data.B)
+    w_lo = 1.0 / (2.0 * (math.sqrt(data.d * v) + data.B) + cfg.e)
+    w_hi = 1.0 / cfg.e
+    theta = weighted_ridge_solve(data, np.ones(data.n), cfg.lam)
+    thetas = [theta]
+    violations = 0
+    for _ in range(cfg.max_iters):
+        w = 1.0 / (np.abs(residuals(theta, data)) + cfg.e)
+        if float(w.min()) < w_lo * (1.0 - 1e-12) or float(w.max()) > w_hi * (1.0 + 1e-12):
+            violations += 1
+        new = weighted_ridge_solve(data, w, cfg.lam)
+        thetas.append(new)
+        moved = abs(new.mu - theta.mu), float(np.abs(new.beta - theta.beta).sum())
+        theta = new
+        if max(moved) <= cfg.tau:
+            return thetas, violations, True
+    return thetas, violations, False
+
+
+def _assert_is_reference(trace, data, cfg):
+    thetas, violations, converged = _reference_irls(data, cfg)
+    assert len(trace.thetas) == len(thetas)
+    for got, want in zip(trace.thetas, thetas):
+        assert np.array_equal(got.as_vector().view(np.int64), want.as_vector().view(np.int64))
+    assert trace.iterations == len(thetas) - 1
+    assert trace.bracket_violations == violations
+    assert trace.converged == converged
+
+
+def test_irls_fit_iterates_are_the_public_solve_bit_for_bit():
+    cfg = IrlsConfig(lam=0.002, e=0.2)
+    root = RngStream(31)
+    for t in range(20):
+        data = random_dataset(50, 3, 1.0, root.derive(t))
+        _assert_is_reference(irls_fit(data, cfg), data, cfg)
+    data, _, _ = benchmark_instance(5000, RngStream(32))
+    trace = irls_fit(data, cfg)
+    _assert_is_reference(trace, data, cfg)
+    assert trace.converged
+    # at lam = 0, rows packed near x = 0 with alternating y force a steep
+    # slope, so the lone row at x = 1 leaves the bracket of v = 1; every
+    # escape must be counted alike
+    X = np.array([[0.01], [-0.01]] * 500 + [[1.0]])
+    steep = Dataset(X=X, Y=np.array([1.0, -1.0] * 500 + [0.0]), B=1.0)
+    cfg = IrlsConfig(lam=0.0, e=0.2, v=1.0)
+    trace = irls_fit(steep, cfg)
+    _assert_is_reference(trace, steep, cfg)
+    assert trace.bracket_violations > 0
+
+
+def test_irls_fit_builds_one_design_matrix_per_fit(monkeypatch):
+    calls = []
+
+    def counted(X):
+        calls.append(X.shape)
+        return design_matrix(X)
+
+    monkeypatch.setattr(irls, "design_matrix", counted)
+    data, _, _ = benchmark_instance(5000, RngStream(34))
+    trace = irls_fit(data, IrlsConfig(lam=0.002, e=0.2))
+    assert trace.iterations > 1
+    assert calls == [(5000, data.d)]
+
+
+DEGENERATE_KINDS = ["one_row", "constant_y", "saturated_y", "duplicate_columns", "wide", "zero_column"]
+
+
+@st.composite
+def degenerate_irls_cases(draw):
+    """A small Dataset of one degenerate kind and a config that fits it."""
+    kind = draw(st.sampled_from(DEGENERATE_KINDS))
+    sub = RngStream(draw(st.integers(0, 2**32 - 1)))
+    n = 1 if kind == "one_row" else draw(st.integers(2, 12))
+    d = draw(st.integers(n + 1, n + 4)) if kind == "wide" else draw(st.integers(1, 4))
+    if kind in ("duplicate_columns", "zero_column"):
+        d = max(d, 2)
+    B = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    data = random_dataset(n, d, B, sub)
+    X, Y = data.X.copy(), data.Y.copy()
+    if kind == "constant_y":
+        Y[:] = Y[0]
+    elif kind == "saturated_y":
+        Y = np.where(sub.uniform_open(n) < 0.5, -B, B)
+    elif kind == "duplicate_columns":
+        X[:, 1] = X[:, 0]
+        X = X / np.maximum(np.abs(X).sum(axis=1, keepdims=True), 1.0)
+    elif kind == "zero_column":
+        X[:, draw(st.integers(0, d - 1))] = 0.0
+    if kind == "wide":
+        lam = draw(st.sampled_from([1e-3, 0.002, 0.5]))
+    elif kind == "zero_column":
+        lam = 0.0
+    else:
+        lam = draw(st.sampled_from([0.0, 1e-3, 0.002, 0.5]))
+    v = draw(st.sampled_from([None, 1.0]))
+    e = draw(st.sampled_from([0.05, 0.2]))
+    return Dataset(X=X, Y=Y, B=B), IrlsConfig(epsilon=math.inf, lam=lam, e=e, max_iters=50, v=v)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=degenerate_irls_cases())
+def test_irls_fit_on_degenerate_data_is_singular_or_the_reference(case):
+    data, cfg = case
+    try:
+        trace = irls_fit(data, cfg)
+    except SingularSystemError:
+        with pytest.raises(SingularSystemError):
+            _reference_irls(data, cfg)
+        return
+    _assert_is_reference(trace, data, cfg)
+    for theta in trace.thetas:
+        assert np.all(np.isfinite(theta.as_vector()))
 
 
 def test_irls_intercept_only_fixed_point():
