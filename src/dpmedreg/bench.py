@@ -53,8 +53,7 @@ class Algorithm:
 ALGORITHM_TABLE = {
     "alg1": Algorithm(SmoothingConfig, {"epsilon": "epsilon", "lam": "lam", "gamma": "gamma"}),
     "alg2": Algorithm(
-        IrlsConfig,
-        {"epsilon": "epsilon", "lam": "lam", "e": "e", "tau": "tau", "n0": "max_iters", "v": "v"},
+        IrlsConfig, {"epsilon": "epsilon", "lam": "lam", "e": "e", "tau": "tau", "n0": "max_iters"}
     ),
     "alg3": Algorithm(
         GcdConfig, {"epsilon": "epsilon", "lam": "lam", "ell": "ell", "n0": "batches", "init": "init"}

@@ -266,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--gamma", type=float, default=None)
     fit.add_argument("--e", type=float, default=None)
     fit.add_argument("--tau", type=float, default=None)
-    fit.add_argument("--v", type=float, default=None)
     fit.add_argument("--n0", type=_positive_int, default=None, help="iteration/batch count")
     fit.add_argument("--ell", type=float, default=None)
     fit.add_argument("--init", choices=("ridge", "zero"), default=None)

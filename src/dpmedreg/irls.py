@@ -22,7 +22,7 @@ from .model import (
     Release,
     Theta,
     _check_count,
-    _check_private_ridge,
+    _check_private_run,
     _MechanismConfig,
     _spd_solve,
     design_matrix,
@@ -49,20 +49,13 @@ class SingularSystemError(RuntimeError):
 
 @dataclass(frozen=True)
 class IrlsConfig(_MechanismConfig):
-    """Knobs for the reweighted fit.
-
-    ``v`` bounds beta'beta in the sensitivity constant; when omitted it
-    defaults to the a-priori bound 8 B^2 / (lam e), which every iterate
-    provably satisfies (the ridge term of the minimized criterion is at most
-    the criterion's value at the best intercept-only point, which is at most
-    (2B)^2 / e).  At lam = 0 there is no such bound and it defaults to inf;
-    only the noiseless fit runs then.
-    """
+    """Knobs for the reweighted fit.  The bound on beta'beta in the
+    sensitivity constant is not one: :func:`default_coefficient_bound`
+    derives it from (B, lam, e)."""
 
     e: float = 0.2
     tau: float = 1e-6
     max_iters: int = 200
-    v: float | None = None
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -71,23 +64,21 @@ class IrlsConfig(_MechanismConfig):
         if not 0 < self.tau < math.inf:
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
         _check_count("max_iters", self.max_iters)
-        if self.v is not None and not 0 < self.v < math.inf:
-            raise ValueError(f"v must be positive and finite, got {self.v}")
 
 
 def default_coefficient_bound(B: float, lam: float, e: float) -> float:
-    """A-priori bound on beta'beta along the reweighted iteration: 8 B^2/(lam e)."""
-    if not (B > 0 and lam > 0 and e > 0):
-        raise ValueError("B, lam and e must be positive")
-    return 8.0 * B * B / (lam * e)
-
-
-def _resolve_v(cfg: IrlsConfig, B: float) -> float:
-    if cfg.v is not None:
-        return cfg.v
-    if cfg.lam == 0:
+    """The bound v = 8 B^2/(lam e) on beta'beta that every iterate of the
+    reweighted fit satisfies on every dataset bounded by B: the ridge term
+    of the minimized criterion is at most the criterion's value at the best
+    intercept-only point, which is at most (2B)^2 / e.  The noise of
+    :func:`fit_irls_private` is private only if v holds on every dataset,
+    so v is derived here, never set.  At lam = 0 no such bound exists:
+    returns inf, and only the noiseless fit runs."""
+    if not (B > 0 and e > 0 and lam >= 0):
+        raise ValueError(f"need B > 0, e > 0 and lam >= 0, got B={B}, e={e}, lam={lam}")
+    if lam == 0:
         return math.inf
-    return default_coefficient_bound(B, cfg.lam, cfg.e)
+    return 8.0 * B * B / (lam * e)
 
 
 @dataclass(frozen=True)
@@ -96,14 +87,14 @@ class IrlsTrace:
 
     ``iterations`` counts weighted solves after the unit-weight start;
     ``bracket_violations`` counts iterations whose weights escaped
-    [1/(2(sqrt(d v)+B)+e), 1/e], which signals a misconfigured v.
+    [1/(2(sqrt(d v)+B)+e), 1/e] at the derived v: zero unless that a-priori
+    bound itself fails, which makes it a runtime check of the bound.
     """
 
     thetas: tuple[Theta, ...]
     converged: bool
     iterations: int
     bracket_violations: int
-    v: float
 
     @property
     def final(self) -> Theta:
@@ -154,7 +145,7 @@ def irls_fit(data: Dataset, cfg: IrlsConfig) -> IrlsTrace:
     The loop checks its own weights through the min and max the bracket test
     computes: a weight that is not positive or not finite raises ValueError.
     """
-    v = _resolve_v(cfg, data.B)
+    v = default_coefficient_bound(data.B, cfg.lam, cfg.e)
     w_lo = 1.0 / (2.0 * (math.sqrt(data.d * v) + data.B) + cfg.e)
     w_hi = 1.0 / cfg.e
     Xt = design_matrix(data.X)
@@ -186,36 +177,37 @@ def irls_fit(data: Dataset, cfg: IrlsConfig) -> IrlsTrace:
         converged=converged,
         iterations=iterations,
         bracket_violations=violations,
-        v=v,
     )
 
 
-def irls_sensitivity(d: int, n: int, B: float, lam: float, e: float, v: float) -> float:
-    """Worst-case one-record L1 sensitivity of the reweighted solution:
+def irls_sensitivity(d: int, n: int, B: float, lam: float, e: float) -> float:
+    """Worst-case one-record L1 sensitivity of the reweighted solution at
+    v = :func:`default_coefficient_bound` (B, lam, e):
 
         c = 8 (sqrt(d v) + B) / (n min(2 / (2 (sqrt(d v) + B) + e), lam) e).
     """
     if d < 1 or n < 1:
         raise ValueError("need d >= 1 and n >= 1")
-    if not (B > 0 and lam > 0 and e > 0 and v > 0):
-        raise ValueError("B, lam, e and v must be positive")
-    reach = math.sqrt(d * v) + B
+    if not (B > 0 and lam > 0 and e > 0):
+        raise ValueError("B, lam and e must be positive")
+    reach = math.sqrt(d * default_coefficient_bound(B, lam, e)) + B
     curvature = min(2.0 / (2.0 * reach + e), lam)
     if not curvature > 0:
-        raise ValueError(f"v={v} and B={B} overflow the sensitivity constant")
+        raise ValueError(f"B={B}, lam={lam} and e={e} overflow the sensitivity constant")
     return 8.0 * reach / (n * curvature * e)
 
 
 def fit_irls_private(data: Dataset, cfg: IrlsConfig, rng: RngStream | None) -> Release:
     """Reweighted fit plus i.i.d. Laplace noise per coordinate at
-    ``noise_scale`` = c / epsilon, where c is :func:`irls_sensitivity`;
-    ``solver_iters`` is the trace's ``iterations``.  A finite epsilon needs
-    lam > 0, checked before the fit: c grows without bound as lam -> 0.
+    ``noise_scale`` = c / epsilon, where c is :func:`irls_sensitivity` at the
+    derived coefficient bound; ``solver_iters`` is the trace's
+    ``iterations``.  A finite epsilon needs lam > 0 and a stream, checked
+    before the fit: c grows without bound as lam -> 0.
     With epsilon = inf no draw is consumed (``rng`` may be None), c is not
     computed, the noise is exactly zero and the estimate is
     ``irls_fit(data, cfg).final`` itself, the noiseless fit bit for bit.
     """
-    _check_private_ridge(cfg)
+    _check_private_run(cfg, rng)
     trace = irls_fit(data, cfg)
     base = trace.final
     if math.isinf(cfg.epsilon):
@@ -223,16 +215,17 @@ def fit_irls_private(data: Dataset, cfg: IrlsConfig, rng: RngStream | None) -> R
         noise = np.zeros(data.d + 1)
         theta = base
     else:
-        scale = irls_sensitivity(data.d, data.n, data.B, cfg.lam, cfg.e, trace.v) / cfg.epsilon
+        scale = irls_sensitivity(data.d, data.n, data.B, cfg.lam, cfg.e) / cfg.epsilon
         noise = sample_laplace(scale, data.d + 1, rng)
         theta = Theta(mu=base.mu + noise[0], beta=base.beta + noise[1:])
     return Release(theta=theta, noise=noise, noise_scale=scale, solver_iters=trace.iterations)
 
 
 def irls_accuracy_bound(
-    d: int, alpha: float, n: int, lam: float, epsilon: float, e: float, v: float, B: float
+    d: int, alpha: float, n: int, lam: float, epsilon: float, e: float, B: float
 ) -> float:
-    """(1 - alpha)-probability bound on the L1 norm of the added noise:
+    """(1 - alpha)-probability bound on the L1 norm of the added noise, at
+    v = :func:`default_coefficient_bound` (B, lam, e):
 
         8 (sqrt(d v)+B) (d+1) ln((d+1)/alpha)
         -------------------------------------- .
@@ -242,5 +235,5 @@ def irls_accuracy_bound(
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    c = irls_sensitivity(d, n, B, lam, e, v)
+    c = irls_sensitivity(d, n, B, lam, e)
     return c * (d + 1) * math.log((d + 1) / alpha) / epsilon

@@ -49,12 +49,16 @@ class _MechanismConfig:
             raise ValueError(f"lam must be nonnegative and finite, got {self.lam}")
 
 
-def _check_private_ridge(cfg: _MechanismConfig) -> None:
-    """Refuse lam = 0 at a finite epsilon, before any fitting or draw: both
-    calibrated mechanisms need the ridge's strong convexity for their noise
-    to bound a one-record change."""
-    if cfg.lam == 0 and not math.isinf(cfg.epsilon):
+def _check_private_run(cfg: _MechanismConfig, rng) -> None:
+    """Refuse a finite epsilon with lam = 0 or without a stream, before any
+    fitting or draw: both calibrated mechanisms need the ridge's strong
+    convexity for their noise to bound a one-record change."""
+    if math.isinf(cfg.epsilon):
+        return
+    if cfg.lam == 0:
         raise ValueError("lam (lambda) must be positive when epsilon is finite")
+    if rng is None:
+        raise ValueError("a finite epsilon needs an RngStream to draw the noise from, got None")
 
 
 def _check_count(name: str, value) -> None:

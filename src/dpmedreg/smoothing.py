@@ -28,7 +28,7 @@ from .model import (
     Release,
     Theta,
     _check_count,
-    _check_private_ridge,
+    _check_private_run,
     _MechanismConfig,
     _smoothed_terms,
     _spd_solve,
@@ -204,13 +204,13 @@ def fit_smoothed_private(data: Dataset, cfg: SmoothingConfig, rng: RngStream | N
     :func:`dpmedreg.sampling.sample_l1_perturbation` with exponential mean
     ``noise_scale`` = 4/epsilon, and ``solver_iters`` counts Newton steps.
     With epsilon = inf no draw is consumed (``rng`` may be None), the tilt
-    is exactly zero and the fit is the baseline.  A finite epsilon needs
-    lam > 0, checked before any draw: objective perturbation is private only
-    for a strongly convex regularizer (Chaudhuri, Monteleoni and Sarwate,
-    JMLR 2011), and without the ridge the tilt can make the program unbounded
-    below along a coefficient.
+    is exactly zero and the fit is the baseline.  A finite epsilon needs a
+    stream and lam > 0, checked before any draw: objective perturbation is
+    private only for a strongly convex regularizer (Chaudhuri, Monteleoni
+    and Sarwate, JMLR 2011), and without the ridge the tilt can make the
+    program unbounded below along a coefficient.
     """
-    _check_private_ridge(cfg)
+    _check_private_run(cfg, rng)
     if math.isinf(cfg.epsilon):
         b, scale = np.zeros(data.d + 1), 0.0
     else:

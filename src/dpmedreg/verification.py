@@ -13,7 +13,7 @@ import numpy as np
 
 from .datagen import default_generator_spec, generate, normalize
 from .gcd import GcdConfig, coordinate_step_vector
-from .irls import IrlsConfig, _resolve_v, fit_irls_private, irls_accuracy_bound, irls_fit, irls_sensitivity
+from .irls import IrlsConfig, fit_irls_private, irls_accuracy_bound, irls_fit, irls_sensitivity
 from .model import Dataset, Theta
 from .sampling import RngStream, gamma_tail_bound, sample_l1_perturbations, sample_laplace
 from .smoothing import SmoothingConfig, fit_smoothed_private, smoothing_accuracy_bound
@@ -216,7 +216,7 @@ def irls_sensitivity_probe(
     reweighted fit on both sides, and reports the largest observed L1 output
     difference against the analytic constant.
     """
-    bound = irls_sensitivity(d, n, B, cfg.lam, cfg.e, _resolve_v(cfg, B))
+    bound = irls_sensitivity(d, n, B, cfg.lam, cfg.e)
 
     def shift(pair, sub):
         fit_a = irls_fit(pair.a, cfg).final
@@ -301,8 +301,7 @@ def _probe_bounds(trials: int, seed: int) -> list[ProbeResult]:
 
     def alg2_hit(data, rng):
         noise = fit_irls_private(data, cfg2, rng).noise
-        v = _resolve_v(cfg2, data.B)
-        bound = irls_accuracy_bound(data.d, alpha, data.n, cfg2.lam, cfg2.epsilon, cfg2.e, v, data.B)
+        bound = irls_accuracy_bound(data.d, alpha, data.n, cfg2.lam, cfg2.epsilon, cfg2.e, data.B)
         return float(np.abs(noise).sum()) <= bound
 
     # replicate rep of check c draws its data from stream (c, rep, 0) and its

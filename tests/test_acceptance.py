@@ -38,7 +38,6 @@ from dpmedreg import (
     unscale_theta,
 )
 from dpmedreg.gcd import _descend
-from dpmedreg.irls import _resolve_v
 from dpmedreg.verification import random_theta
 
 from conftest import benchmark_instance, smoothed_baseline
@@ -232,13 +231,14 @@ def test_criterion_4_table2_timing_ordering(table2_bench):
 def test_criterion_4_table2_alg2_accuracy(table2_bench):
     # Noise is calibrated to the worst-case sensitivity constant divided by
     # epsilon; at n = 5e5 that scale exceeds the tolerance by orders of
-    # magnitude for every admissible coefficient bound, so this criterion
-    # cannot be met by a faithful implementation.  At the default bound
-    # v = 8 B^2/(lambda e) = 8e4 the sensitivity is 19.7, so the Laplace
-    # scale is 197 in normalized units (~1.9e3 raw units per coefficient);
-    # even as v -> 0 it stays 0.80 normalized (~7.7 raw units), because the
-    # curvature term min(., lambda) equals lambda = 0.002.  Kept as an honest
-    # check; see "Install and test" in the README.
+    # magnitude, so this criterion cannot be met by a faithful
+    # implementation.  At the coefficient bound v = 8 B^2/(lambda e) = 8e4,
+    # the one that holds on every dataset, the sensitivity is 19.7, so the
+    # Laplace scale is 197 in normalized units (~1.9e3 raw units per
+    # coefficient); even a bound v -> 0 would leave it at 0.80 normalized
+    # (~7.7 raw units), because the curvature term min(., lambda) equals
+    # lambda = 0.002.  Kept as an honest check; see "Install and test" in
+    # the README.
     dev2 = table2_bench["dev2"]
     ok = dev2 <= 0.3
     _report("4 (accuracy)", ok, f"alg2 median dev {dev2:.3f} (tolerance 0.3)")
@@ -283,7 +283,7 @@ def test_criterion_6_bound_coverage():
         data, _, _ = benchmark_instance(10_000, root.derive(1, rep))
         release = fit_irls_private(data, cfg2, root.derive(1, rep, 1))
         bound2 = irls_accuracy_bound(
-            data.d, alpha, data.n, cfg2.lam, cfg2.epsilon, cfg2.e, _resolve_v(cfg2, data.B), data.B
+            data.d, alpha, data.n, cfg2.lam, cfg2.epsilon, cfg2.e, data.B
         )
         hits2 += float(np.abs(release.noise).sum()) <= bound2
     cover1, cover2 = hits1 / 200, hits2 / 200

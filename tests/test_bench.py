@@ -25,7 +25,7 @@ from conftest import benchmark_instance, smoothed_baseline
 # The protocol defaults as the README states them.
 README_DEFAULTS = {
     "alg1": {"epsilon": 0.1, "lam": 0.002, "gamma": 0.05},
-    "alg2": {"epsilon": 0.1, "lam": 0.002, "e": 0.2, "tau": 1e-6, "v": None, "n0": 200},
+    "alg2": {"epsilon": 0.1, "lam": 0.002, "e": 0.2, "tau": 1e-6, "n0": 200},
     "alg3": {"epsilon": 0.1, "lam": 0.002, "ell": 0.1, "n0": 40, "init": "ridge"},
     "baseline-smooth": {"lam": 0.002, "gamma": 0.05},
     "baseline-irls": {"lam": 0.002, "e": 0.2, "tau": 1e-6, "n0": 200},
@@ -45,7 +45,7 @@ def test_resolve_params_defaults_are_the_protocol_defaults():
 # Each mechanism config's fields in order: the shared epsilon and lam first.
 CONFIG_FIELDS = {
     SmoothingConfig: ["epsilon", "lam", "gamma", "solver_tol", "max_iters"],
-    IrlsConfig: ["epsilon", "lam", "e", "tau", "max_iters", "v"],
+    IrlsConfig: ["epsilon", "lam", "e", "tau", "max_iters"],
     GcdConfig: ["epsilon", "lam", "ell", "batches", "init"],
 }
 

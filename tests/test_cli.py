@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import math
 import re
@@ -6,7 +7,8 @@ import warnings
 import pytest
 
 from dpmedreg import ProbeResult, verification
-from dpmedreg.cli import main
+from dpmedreg.bench import ALGORITHM_TABLE
+from dpmedreg.cli import build_parser, main
 
 
 def _mask_timing(text: str) -> str:
@@ -130,14 +132,14 @@ def test_fit_baseline_rejects_seed(small_csv):
 # value for every knob flag of ``fit``.
 ACCEPTED_FLAGS = {
     "alg1": {"epsilon", "lambda", "gamma", "seed"},
-    "alg2": {"epsilon", "lambda", "e", "tau", "v", "n0", "seed"},
+    "alg2": {"epsilon", "lambda", "e", "tau", "n0", "seed"},
     "alg3": {"epsilon", "lambda", "ell", "n0", "init", "seed"},
     "baseline-smooth": {"lambda", "gamma"},
     "baseline-irls": {"lambda", "e", "tau", "n0"},
 }
 FLAG_VALUES = {
     "epsilon": "0.1", "lambda": "0.01", "gamma": "0.1", "e": "0.2", "tau": "1e-6",
-    "v": "2.0", "n0": "5", "ell": "0.1", "init": "zero", "seed": "4",
+    "n0": "5", "ell": "0.1", "init": "zero", "seed": "4",
 }
 
 
@@ -147,7 +149,7 @@ def test_fit_rejects_foreign_knob(small_csv, capsys):
         (algo, flag) for algo, accepted in ACCEPTED_FLAGS.items()
         for flag in FLAG_VALUES if flag not in accepted
     ]
-    assert len(pairs) == 27
+    assert len(pairs) == 23
     for algo, flag in pairs:
         argv = ["fit", "--algo", algo, "--data", str(small_csv), f"--{flag}", FLAG_VALUES[flag]]
         with pytest.raises(SystemExit) as info:
@@ -168,6 +170,28 @@ def test_fit_accepts_its_own_knobs(small_csv, tmp_path):
         manifest = (tmp_path / f"{algo}.csv.manifest").read_text(encoding="utf-8")
         assert "param_lam=0.01" in manifest
         assert ("param_n0=5" in manifest) == ("n0" in accepted)
+
+
+def test_fit_has_no_coefficient_bound_flag(small_csv, capsys):
+    # alg2's coefficient bound is derived from (B, lambda, e), never set
+    argv = ["fit", "--algo", "alg2", "--data", str(small_csv), "--seed", "4", "--v", "2.0"]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments: --v 2.0" in capsys.readouterr().err
+
+
+# ``fit``'s flags that are not algorithm knobs
+FIT_PLUMBING = {"help", "algo", "data", "target_b", "seed", "format", "out"}
+
+
+def test_fit_knob_flags_are_the_algorithm_table_knobs():
+    # a knob flag with no table row, or a table knob with no flag, fails here
+    parser = build_parser()
+    (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {action.dest for action in subcommands.choices["fit"]._actions} - FIT_PLUMBING
+    assert dests == {knob for entry in ALGORITHM_TABLE.values() for knob in entry.knobs}
+    assert len(dests) == 8
 
 
 def test_fit_row_deterministic(small_csv, capsys):
@@ -361,7 +385,7 @@ def test_env_variable_provides_default_seed(tmp_path, monkeypatch, capsys):
         (["--algo", "alg3", "--init", "zero", "--lambda", "nan", "--seed", "2"], "lam"),
         (["--algo", "alg1", "--gamma", "inf"], "gamma"),
         (["--algo", "baseline-smooth", "--gamma", "inf"], "gamma"),
-        (["--algo", "alg2", "--v", "inf"], "v"),
+        (["--algo", "alg2", "--e", "inf"], "e"),
         (["--algo", "baseline-irls", "--tau", "inf"], "tau"),
         (["--algo", "alg2", "--target-b", "inf"], "target_b"),
     ],

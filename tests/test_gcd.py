@@ -8,16 +8,19 @@ from dpmedreg import (
     Dataset,
     GcdConfig,
     RngStream,
+    SingularSystemError,
     Theta,
     coordinate_step_vector,
     fit_gcd_private,
     gcd,
     gcd_step_probe,
     objective_l1,
+    random_dataset,
     residuals,
     split_batches,
 )
 from dpmedreg.gcd import _descend
+from dpmedreg.model import design_matrix
 
 from conftest import benchmark_instance, bounded_instance
 
@@ -181,6 +184,66 @@ def test_fit_refuses_a_missing_stream_before_any_work(monkeypatch):
         with pytest.raises(ValueError, match=r"^alg3 needs an RngStream for its batch permutation"):
             fit_gcd_private(data, GcdConfig(epsilon=epsilon, batches=2), None)
     assert calls == []
+
+
+GCD_KINDS = ["few_rows", "rows_equal_batches", "remainder", "constant_y", "saturated_y", "zero_column"]
+
+
+@st.composite
+def degenerate_gcd_cases(draw):
+    """A small Dataset of one degenerate kind, a config and a stream seed."""
+    kind = draw(st.sampled_from(GCD_KINDS))
+    batches = draw(st.integers(2, 6))
+    if kind == "few_rows":
+        n = draw(st.integers(1, batches - 1))
+    elif kind == "rows_equal_batches":
+        n = batches
+    elif kind == "remainder":
+        n = batches * draw(st.integers(1, 4)) + draw(st.integers(1, batches - 1))
+    else:
+        n = draw(st.integers(batches, 5 * batches))
+    d = draw(st.integers(2 if kind == "zero_column" else 1, 4))
+    B = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    data = random_dataset(n, d, B, RngStream(seed).derive(0))
+    X, Y = data.X.copy(), data.Y.copy()
+    if kind == "constant_y":
+        Y[:] = Y[0]
+    elif kind == "saturated_y":
+        Y = np.where(RngStream(seed).derive(1).uniform_open(n) < 0.5, -B, B)
+    elif kind == "zero_column":
+        X[:, draw(st.integers(0, d - 1))] = 0.0
+    cfg = GcdConfig(
+        epsilon=draw(st.sampled_from([0.1, math.inf])),
+        lam=draw(st.sampled_from([0.0, 0.002])),
+        batches=batches,
+        init=draw(st.sampled_from(["ridge", "zero"])),
+    )
+    return Dataset(X=X, Y=Y, B=B), cfg, seed
+
+
+# alg3 on degenerate input gives a finite release or a typed error: n <
+# batches is a ValueError, a ridge start at lam = 0 on a rank-deficient
+# design is a SingularSystemError, and nothing else fails
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=degenerate_gcd_cases())
+def test_fit_on_degenerate_data_is_finite_or_a_typed_error(case):
+    data, cfg, seed = case
+    try:
+        release = fit_gcd_private(data, cfg, RngStream(seed).derive(2))
+    except ValueError as exc:
+        assert data.n < cfg.batches, exc
+        return
+    except SingularSystemError:
+        assert cfg.init == "ridge" and cfg.lam == 0
+        assert np.linalg.matrix_rank(design_matrix(data.X)) < data.d + 1
+        return
+    assert data.n >= cfg.batches
+    assert np.all(np.isfinite(release.theta.as_vector()))
+    assert release.noise.shape == (cfg.batches, data.d)
+    assert release.solver_iters == cfg.batches
+    if math.isinf(cfg.epsilon):
+        assert release.noise_scale == 0.0 and np.all(release.noise == 0.0)
 
 
 def test_fit_requires_enough_rows():

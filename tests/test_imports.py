@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, and the
 modules import each other only downward: the mechanisms never import the
 oracles and probes, the benchmark plumbing or the CLI, and the oracles and
-probes never import the benchmark plumbing or the CLI."""
+probes never import the benchmark plumbing or the CLI.  Those upper layers
+use only the public names of the modules below them."""
 
 import ast
 from pathlib import Path
@@ -50,6 +51,23 @@ def package_imports(source: str) -> set[str]:
     return found
 
 
+def private_imports(source: str) -> list[str]:
+    """Underscore-prefixed names the module imports from a package module,
+    as ``module.name``; dunders such as ``__version__`` are public."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if not (node.level or (node.module or "").split(".")[0] == "dpmedreg"):
+            continue
+        module = (node.module or "dpmedreg").removeprefix("dpmedreg.")
+        for alias in node.names:
+            name = alias.name
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                found.append(f"{module}.{name}")
+    return found
+
+
 def test_checker_flags_unused_and_accepts_used():
     source = (
         "from __future__ import annotations\n"
@@ -82,6 +100,16 @@ def test_package_import_finder_sees_every_spelling():
     assert package_imports(source) == {"gcd", "cli", "bench", "irls", "model", "verification"}
 
 
+def test_private_import_finder_sees_package_imports_only():
+    source = (
+        "from . import __version__\n"
+        "from .irls import IrlsConfig, _normal_solve\n"
+        "from dpmedreg.model import _spd_solve as solve\n"
+        "from collections import _chain\n"
+    )
+    assert private_imports(source) == ["irls._normal_solve", "model._spd_solve"]
+
+
 # The data model, samplers, data generator and the three mechanisms hold no
 # probe, benchmark or CLI code; the oracles and probes sit above them.
 MECHANISMS = ("model", "sampling", "datagen", "smoothing", "irls", "gcd")
@@ -96,3 +124,11 @@ def test_modules_import_only_downward():
     assert found["verification"] & {"bench", "cli"} == set()
     # only the ``python -m dpmedreg`` entry point runs the CLI
     assert sorted(name for name, names in found.items() if "cli" in names) == ["__main__"]
+
+
+def test_upper_layers_import_only_public_names():
+    # probes, benchmark plumbing and the CLI stay on the API the fitters
+    # export, so they cannot drift from it
+    found = {path.stem: private_imports(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert {"verification", "bench", "cli"} <= set(found)
+    assert {name: found[name] for name in ("verification", "bench", "cli") if found[name]} == {}

@@ -23,7 +23,6 @@ from dpmedreg import (
     residuals,
     weighted_ridge_solve,
 )
-from dpmedreg.irls import _resolve_v
 from dpmedreg.model import design_matrix
 
 from conftest import benchmark_instance, bounded_instance, smoothed_baseline
@@ -85,7 +84,7 @@ def test_zero_column_without_ridge_is_singular(rng):
     with pytest.raises(SingularSystemError):
         weighted_ridge_solve(flat, np.ones(20), lam=0.0)
     with pytest.raises(SingularSystemError):
-        irls_fit(flat, IrlsConfig(lam=0.0, v=1.0))
+        irls_fit(flat, IrlsConfig(lam=0.0))
     # any ridge makes the same system definite
     assert np.all(np.isfinite(weighted_ridge_solve(flat, np.ones(20), lam=0.01).as_vector()))
 
@@ -108,7 +107,7 @@ def _reference_irls(data, cfg):
     """irls_fit's loop rebuilt from the public weighted_ridge_solve and
     residuals, with its convergence and bracket rules: (iterates,
     bracket violations, converged)."""
-    v = _resolve_v(cfg, data.B)
+    v = default_coefficient_bound(data.B, cfg.lam, cfg.e)
     w_lo = 1.0 / (2.0 * (math.sqrt(data.d * v) + data.B) + cfg.e)
     w_hi = 1.0 / cfg.e
     theta = weighted_ridge_solve(data, np.ones(data.n), cfg.lam)
@@ -147,15 +146,6 @@ def test_irls_fit_iterates_are_the_public_solve_bit_for_bit():
     trace = irls_fit(data, cfg)
     _assert_is_reference(trace, data, cfg)
     assert trace.converged
-    # at lam = 0, rows packed near x = 0 with alternating y force a steep
-    # slope, so the lone row at x = 1 leaves the bracket of v = 1; every
-    # escape must be counted alike
-    X = np.array([[0.01], [-0.01]] * 500 + [[1.0]])
-    steep = Dataset(X=X, Y=np.array([1.0, -1.0] * 500 + [0.0]), B=1.0)
-    cfg = IrlsConfig(lam=0.0, e=0.2, v=1.0)
-    trace = irls_fit(steep, cfg)
-    _assert_is_reference(trace, steep, cfg)
-    assert trace.bracket_violations > 0
 
 
 def test_irls_fit_builds_one_design_matrix_per_fit(monkeypatch):
@@ -202,9 +192,8 @@ def degenerate_irls_cases(draw):
         lam = 0.0
     else:
         lam = draw(st.sampled_from([0.0, 1e-3, 0.002, 0.5]))
-    v = draw(st.sampled_from([None, 1.0]))
     e = draw(st.sampled_from([0.05, 0.2]))
-    return Dataset(X=X, Y=Y, B=B), IrlsConfig(epsilon=math.inf, lam=lam, e=e, max_iters=50, v=v)
+    return Dataset(X=X, Y=Y, B=B), IrlsConfig(epsilon=math.inf, lam=lam, e=e, max_iters=50)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -226,7 +215,7 @@ def test_irls_intercept_only_fixed_point():
     # a vanishing ridge pins beta at zero, leaving the pure intercept recursion
     data = Dataset(X=np.zeros((3, 1)), Y=np.array([1.0, 2.0, 9.0]), B=9.0)
     e = 0.05
-    cfg = IrlsConfig(lam=1e-12, e=e, tau=1e-12, max_iters=500, v=1.0)
+    cfg = IrlsConfig(lam=1e-12, e=e, tau=1e-12, max_iters=500)
     trace = irls_fit(data, cfg)
     assert trace.converged
     mu = trace.final.mu
@@ -247,7 +236,7 @@ def test_irls_intercept_only_fixed_point():
 
 def test_irls_exact_linear_noise_free(rng):
     data, beta = bounded_instance(rng, n=80, d=2, noise=1e-300)
-    trace = irls_fit(data, IrlsConfig(lam=1e-10, e=1e-6, tau=1e-10, max_iters=500, v=100.0))
+    trace = irls_fit(data, IrlsConfig(lam=1e-10, e=1e-6, tau=1e-10, max_iters=500))
     assert trace.converged
     assert np.all(np.abs(trace.final.beta - beta) < 1e-4)
     assert float(np.abs(residuals(trace.final, data)).max()) < 1e-4
@@ -274,7 +263,7 @@ def test_irls_descent_and_iterate_bounds():
         trace = irls_fit(data, cfg)
         vals = [perturbed_objective_le(th, data, cfg.lam, cfg.e) for th in trace.thetas]
         assert float(np.max(np.diff(vals))) <= 1e-10
-        v = trace.v
+        v = default_coefficient_bound(data.B, cfg.lam, cfg.e)
         reach = math.sqrt(data.d * v) + data.B
         for th in trace.thetas:
             assert float(th.beta @ th.beta) <= v
@@ -286,7 +275,8 @@ def test_irls_weights_inside_bracket_every_iteration():
     cfg = IrlsConfig(lam=0.002, e=0.2)
     trace = irls_fit(data, cfg)
     assert trace.bracket_violations == 0
-    lo = 1.0 / (2.0 * (math.sqrt(data.d * trace.v) + data.B) + cfg.e)
+    v = default_coefficient_bound(data.B, cfg.lam, cfg.e)
+    lo = 1.0 / (2.0 * (math.sqrt(data.d * v) + data.B) + cfg.e)
     for th in trace.thetas:
         w = 1.0 / (np.abs(residuals(th, data)) + cfg.e)
         assert float(w.max()) <= 1.0 / cfg.e + 1e-12
@@ -295,29 +285,34 @@ def test_irls_weights_inside_bracket_every_iteration():
 
 def test_default_coefficient_bound_formula():
     assert default_coefficient_bound(2.0, 0.002, 0.2) == pytest.approx(80000.0)
-    with pytest.raises(ValueError):
-        default_coefficient_bound(0.0, 0.002, 0.2)
+    # no a-priori bound exists without the ridge
+    assert default_coefficient_bound(2.0, 0.0, 0.2) == math.inf
+    for B, lam, e in ((0.0, 0.002, 0.2), (2.0, 0.002, 0.0), (2.0, -0.002, 0.2), (2.0, math.nan, 0.2)):
+        with pytest.raises(ValueError, match="^need B > 0, e > 0 and lam >= 0"):
+            default_coefficient_bound(B, lam, e)
 
 
 def test_sensitivity_value_and_scalings():
-    c = irls_sensitivity(3, 5000, 2.0, 0.002, 0.2, 1.0)
-    assert c == pytest.approx(14.928203230275509, abs=1e-2)
+    c = irls_sensitivity(3, 5000, 2.0, 0.002, 0.2)
+    # v = 8 * 2^2 / (0.002 * 0.2) = 8e4, and the curvature term is lam
+    assert c == pytest.approx(8 * (math.sqrt(3 * 8e4) + 2) / (5000 * 0.002 * 0.2), rel=1e-12)
+    assert c == pytest.approx(1967.5917942265426, rel=1e-12)
     # halves when n doubles
-    assert irls_sensitivity(3, 10000, 2.0, 0.002, 0.2, 1.0) == pytest.approx(c / 2)
-    # increases in v and B, decreases in n
-    assert irls_sensitivity(3, 5000, 2.0, 0.002, 0.2, 2.0) > c
-    assert irls_sensitivity(3, 5000, 3.0, 0.002, 0.2, 1.0) > c
-    assert irls_sensitivity(3, 50000, 2.0, 0.002, 0.2, 1.0) < c
+    assert irls_sensitivity(3, 10000, 2.0, 0.002, 0.2) == pytest.approx(c / 2)
+    # increases in B (and v with it) and as lam falls, decreases in n
+    assert irls_sensitivity(3, 5000, 3.0, 0.002, 0.2) > c
+    assert irls_sensitivity(3, 5000, 2.0, 0.001, 0.2) > c
+    assert irls_sensitivity(3, 50000, 2.0, 0.002, 0.2) < c
 
 
 def test_accuracy_bound_value_and_scaling():
-    got = irls_accuracy_bound(3, 0.1, 5000, 0.002, 0.1, 0.2, 1.0, 2.0)
-    assert got == pytest.approx(2202.7336873200247, rel=1e-6)
-    assert irls_accuracy_bound(3, 0.1, 10000, 0.002, 0.1, 0.2, 1.0, 2.0) == pytest.approx(
-        got / 2
-    )
+    got = irls_accuracy_bound(3, 0.1, 5000, 0.002, 0.1, 0.2, 2.0)
+    c = irls_sensitivity(3, 5000, 2.0, 0.002, 0.2)
+    assert got == pytest.approx(c * 4 * math.log(4 / 0.1) / 0.1, rel=1e-12)
+    assert got == pytest.approx(290328.3577522187, rel=1e-6)
+    assert irls_accuracy_bound(3, 0.1, 10000, 0.002, 0.1, 0.2, 2.0) == pytest.approx(got / 2)
     with pytest.raises(ValueError):
-        irls_accuracy_bound(3, 0.1, 5000, 0.002, 0.0, 0.2, 1.0, 2.0)
+        irls_accuracy_bound(3, 0.1, 5000, 0.002, 0.0, 0.2, 2.0)
 
 
 def test_private_fit_infinite_epsilon_matches_noiseless(rng):
@@ -334,7 +329,7 @@ def test_noiseless_fit_at_zero_lambda_needs_no_v(rng):
     # no a-priori coefficient bound exists at lam = 0, and the noiseless fit needs none
     data, _ = bounded_instance(rng, n=100, d=2)
     cfg = IrlsConfig(epsilon=math.inf, lam=0.0)
-    assert _resolve_v(cfg, data.B) == math.inf
+    assert default_coefficient_bound(data.B, cfg.lam, cfg.e) == math.inf
     release = fit_irls_private(data, cfg, None)
     plain = irls_fit(data, cfg)
     assert plain.bracket_violations == 0
@@ -348,9 +343,17 @@ def test_private_fit_refuses_zero_lambda_before_fitting(rng, monkeypatch):
     data, _ = bounded_instance(rng, n=50, d=2)
     calls = []
     monkeypatch.setattr(irls, "irls_fit", lambda *args: calls.append(args))
-    for v in (None, 1.0):
-        with pytest.raises(ValueError, match=r"^lam \(lambda\) must be positive when epsilon is finite$"):
-            fit_irls_private(data, IrlsConfig(epsilon=0.1, lam=0.0, v=v), RngStream(1))
+    with pytest.raises(ValueError, match=r"^lam \(lambda\) must be positive when epsilon is finite$"):
+        fit_irls_private(data, IrlsConfig(epsilon=0.1, lam=0.0), RngStream(1))
+    assert calls == []
+
+
+def test_private_fit_refuses_a_missing_stream_before_fitting(rng, monkeypatch):
+    data, _ = bounded_instance(rng, n=50, d=2)
+    calls = []
+    monkeypatch.setattr(irls, "irls_fit", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="^a finite epsilon needs an RngStream"):
+        fit_irls_private(data, IrlsConfig(), None)
     assert calls == []
 
 
@@ -365,13 +368,9 @@ def test_private_fit_noise_is_read_only(rng):
 
 def test_private_fit_noise_metadata(rng):
     data, _ = bounded_instance(rng, n=100, d=2)
-    cfg = IrlsConfig(epsilon=0.5, lam=0.01, e=0.2, v=4.0)
+    cfg = IrlsConfig(epsilon=0.5, lam=0.01, e=0.2)
     release = fit_irls_private(data, cfg, RngStream(5))
-    c = irls_sensitivity(2, 100, data.B, 0.01, 0.2, 4.0)
-    # the constant the fitter computes: irls_sensitivity at _resolve_v's v
-    v = _resolve_v(cfg, data.B)
-    assert irls_sensitivity(data.d, data.n, data.B, cfg.lam, cfg.e, v) == pytest.approx(c)
-    assert release.noise_scale == pytest.approx(c / 0.5)
+    assert release.noise_scale == irls_sensitivity(2, 100, data.B, 0.01, 0.2) / 0.5
     trace = irls_fit(data, cfg)
     assert release.solver_iters == trace.iterations
     delta = release.theta.as_vector() - trace.final.as_vector()
@@ -410,7 +409,7 @@ def test_irls_limit_matches_smoothed_baseline(rng):
         B = max(2.0, float(np.abs(Y).max()) + 0.1)
         data = Dataset(X=X, Y=Y, B=B)
         lam = 1e-3
-        ti = irls_fit(data, IrlsConfig(lam=lam, e=1e-4, tau=1e-10, max_iters=2000, v=1e12))
+        ti = irls_fit(data, IrlsConfig(lam=lam, e=1e-4, tau=1e-10, max_iters=2000))
         assert ti.converged
         ts = smoothed_baseline(data, SmoothingConfig(lam=lam, gamma=1e-3))
         diff = abs(ti.final.mu - ts.mu) + float(np.abs(ti.final.beta - ts.beta).sum())
@@ -427,21 +426,19 @@ def test_config_validation():
     with pytest.raises(ValueError):
         IrlsConfig(tau=-1.0)
     with pytest.raises(ValueError):
-        IrlsConfig(v=0.0)
-    with pytest.raises(ValueError):
-        irls_sensitivity(3, 5000, 2.0, 0.0, 0.2, 1.0)
-    # sqrt(d v) + B overflows to inf, so the curvature term would be 0
+        irls_sensitivity(3, 5000, 2.0, 0.0, 0.2)
+    # v = 8 B^2 / (lam e) overflows to inf, so the curvature term would be 0
     with pytest.raises(ValueError, match="overflow"):
-        irls_sensitivity(3, 400, 2.0, 0.002, 0.2, 1e308)
+        irls_sensitivity(3, 400, 2.0, 1e-320, 0.2)
     with pytest.raises(ValueError, match="overflow"):
-        irls_sensitivity(3, 400, 1e200, 0.002, 0.2, math.inf)
+        irls_sensitivity(3, 400, 1e200, 0.002, 0.2)
 
 
 # NaN and both infinities; epsilon alone may be +inf (the noiseless mode)
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
-@pytest.mark.parametrize("knob", ["lam", "e", "tau", "v"])
+@pytest.mark.parametrize("knob", ["lam", "e", "tau"])
 @pytest.mark.parametrize("value", NON_FINITE)
 def test_config_refuses_non_finite_knobs(knob, value):
     with pytest.raises(ValueError, match=f"^{knob} must be"):

@@ -100,6 +100,17 @@ def test_private_fit_refuses_zero_lam_at_finite_epsilon():
     assert np.array_equal(release.theta.as_vector(), base.as_vector())
 
 
+def test_private_fit_refuses_a_missing_stream_before_fitting(monkeypatch):
+    # a finite epsilon draws the tilt from the stream, so None is refused
+    # before the draw and the Newton solve
+    data = random_dataset(20, 2, 1.0, RngStream(5).derive(0))
+    calls = []
+    monkeypatch.setattr(smoothing, "_minimize_smoothed", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="^a finite epsilon needs an RngStream"):
+        fit_smoothed_private(data, SmoothingConfig(), None)
+    assert calls == []
+
+
 def test_private_fit_deterministic_given_seed(rng):
     data, _ = bounded_instance(rng, n=150, d=2)
     cfg = SmoothingConfig(epsilon=0.5, lam=0.01, gamma=0.05)
