@@ -202,22 +202,21 @@ def fit_irls_private(data: Dataset, cfg: IrlsConfig, rng: RngStream | None) -> R
     ``noise_scale`` = c / epsilon, where c is :func:`irls_sensitivity` at the
     derived coefficient bound; ``solver_iters`` is the trace's
     ``iterations``.  A finite epsilon needs lam > 0 and a stream, checked
-    before the fit: c grows without bound as lam -> 0.
+    before the fit, as is a c that overflows: c grows without bound as
+    lam -> 0.
     With epsilon = inf no draw is consumed (``rng`` may be None), c is not
     computed, the noise is exactly zero and the estimate is
     ``irls_fit(data, cfg).final`` itself, the noiseless fit bit for bit.
     """
     _check_private_run(cfg, rng)
+    private = not math.isinf(cfg.epsilon)
+    scale = irls_sensitivity(data.d, data.n, data.B, cfg.lam, cfg.e) / cfg.epsilon if private else 0.0
     trace = irls_fit(data, cfg)
-    base = trace.final
-    if math.isinf(cfg.epsilon):
-        scale = 0.0
-        noise = np.zeros(data.d + 1)
-        theta = base
-    else:
-        scale = irls_sensitivity(data.d, data.n, data.B, cfg.lam, cfg.e) / cfg.epsilon
+    theta = trace.final
+    noise = np.zeros(data.d + 1)
+    if private:
         noise = sample_laplace(scale, data.d + 1, rng)
-        theta = Theta(mu=base.mu + noise[0], beta=base.beta + noise[1:])
+        theta = Theta(mu=theta.mu + noise[0], beta=theta.beta + noise[1:])
     return Release(theta=theta, noise=noise, noise_scale=scale, solver_iters=trace.iterations)
 
 

@@ -223,7 +223,7 @@ def _spd_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
 
 
 def _band_signs(r: np.ndarray, gamma: float) -> np.ndarray:
-    return np.where(r < -gamma, -1.0, np.where(r > gamma, 1.0, 0.0))
+    return np.subtract(r > gamma, r < -gamma, dtype=float)
 
 
 def _smoothed_terms(Xt: np.ndarray, Y: np.ndarray, omega: np.ndarray, gamma: float, ridge, tilt):

@@ -71,6 +71,26 @@ class ConvergenceError(RuntimeError):
         self.iters = iters
 
 
+# breakpoints sorted beyond the count at or below alpha = 1 in the first prefix
+_PREFIX_MARGIN = 16
+
+
+def _band_crossings(idx, r, delta, gamma, n, entering):
+    """Breakpoints and slope/curvature increments of the samples ``idx``,
+    which all cross one band edge (delta != 0 on each): entering replaces
+    the outside slope -sign(delta) by the in-band line, exiting replaces the
+    in-band line by the outside slope +sign(delta)."""
+    r, delta = r[idx], delta[idx]
+    d_pos = delta > 0
+    sgn = np.sign(delta)
+    curve = (delta * delta / gamma) / n
+    if entering:
+        t = np.where(d_pos, -gamma - r, gamma - r) / delta
+        return t, (r * delta / gamma + sgn * delta) / n, curve
+    t = np.where(d_pos, gamma - r, -gamma - r) / delta
+    return t, (sgn * delta - r * delta / gamma) / n, -curve
+
+
 def _exact_line_search(r, s, delta, gamma, n, q1, q2):
     """Exact argmin over alpha >= 0 of the 1-d restriction.
 
@@ -79,6 +99,13 @@ def _exact_line_search(r, s, delta, gamma, n, q1, q2):
     the alphas where a sample crosses the +/-gamma band.  ``s`` holds the band
     signs of ``r``.  Requires phi'(0) < 0.  Raises if the slope never becomes
     nonnegative (descent ray is unbounded).
+
+    The slope is accumulated over the breakpoints in stable sorted order,
+    but only over a prefix of that order that grows until it holds the root:
+    the first prefix is every breakpoint up to the k-th smallest, k the count
+    at or below the Newton step alpha = 1 plus a margin, and each further
+    prefix is eight times longer.  The hint decides only how much is sorted;
+    the sums, and so the returned alpha, are those of the full sort.
     """
     inband = s == 0.0
     A0 = float(np.where(inband, r * delta / gamma, s * delta).sum()) / n + q1
@@ -92,49 +119,58 @@ def _exact_line_search(r, s, delta, gamma, n, q1, q2):
     above = s > 0.0
     # Each residual trajectory r_i + alpha delta_i is monotone, so it enters
     # the band at most once and exits at most once.
-    ent_mask = (d_pos & below) | (d_neg & above)
-    ex_mask = (d_pos & ~above) | (d_neg & ~below)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ent_t = np.where(d_pos, -gamma - r, gamma - r) / np.where(delta == 0, 1.0, delta)
-        ex_t = np.where(d_pos, gamma - r, -gamma - r) / np.where(delta == 0, 1.0, delta)
-
-    sgn = np.sign(delta)
-    # entering: replace the outside slope (s_old = -sign(delta)) by the in-band line
-    ent_dA = (r * delta / gamma + sgn * delta) / n
-    ent_dB = (delta * delta / gamma) / n
-    # exiting: replace the in-band line by the outside slope (s_new = +sign(delta))
-    ex_dA = (sgn * delta - r * delta / gamma) / n
-    ex_dB = -(delta * delta / gamma) / n
-
-    alphas = np.concatenate([ent_t[ent_mask], ex_t[ex_mask]])
-    dA = np.concatenate([ent_dA[ent_mask], ex_dA[ex_mask]])
-    dB = np.concatenate([ent_dB[ent_mask], ex_dB[ex_mask]])
+    ent = (d_pos & below) | (d_neg & above)
+    ex = (d_pos & ~above) | (d_neg & ~below)
+    # no piece of either side outlives the join: the peak memory stays below
+    # the full sort's
+    alphas, dA, dB = map(np.concatenate, zip(
+        _band_crossings(np.flatnonzero(ent), r, delta, gamma, n, entering=True),
+        _band_crossings(np.flatnonzero(ex), r, delta, gamma, n, entering=False),
+    ))
     keep = alphas >= 0.0
     alphas, dA, dB = alphas[keep], dA[keep], dB[keep]
 
-    if alphas.size:
-        order = np.argsort(alphas, kind="stable")
-        alphas = alphas[order]
-        A_seg = A0 + np.cumsum(dA[order])
-        B_seg = B0 + np.cumsum(dB[order])
-        # slope at the right end of each bounded segment [prev, alphas[j])
-        starts = np.concatenate([[A0], A_seg[:-1]])
-        curves = np.concatenate([[B0], B_seg[:-1]])
-        slope_end = starts + curves * alphas
+    # slope line (start, curve) on the segment that begins at breakpoint prev
+    start, curve, prev = A0, B0, 0.0
+    # running sums of the increments so far, None before the first prefix
+    sum_A = sum_B = None
+    done = -math.inf
+    k = int(np.count_nonzero(alphas <= 1.0)) + _PREFIX_MARGIN
+    while done < math.inf:
+        if k < alphas.size:
+            cut = float(np.partition(alphas, k - 1)[k - 1])
+            part = np.flatnonzero((alphas > done) & (alphas <= cut))
+        else:
+            cut = math.inf
+            part = np.flatnonzero(alphas > done)
+        done = cut
+        k *= 8
+        if not part.size:
+            continue
+        order = part[np.argsort(alphas[part], kind="stable")]
+        seg_alphas = alphas[order]
+        inc_A, inc_B = dA[order], dB[order]
+        if sum_A is not None:
+            inc_A[0] += sum_A
+            inc_B[0] += sum_B
+        run_A, run_B = np.cumsum(inc_A), np.cumsum(inc_B)
+        sum_A, sum_B = run_A[-1], run_B[-1]
+        A_seg, B_seg = A0 + run_A, B0 + run_B
+        # slope at the right end of each bounded segment [prev, seg_alphas[j])
+        starts = np.concatenate([[start], A_seg[:-1]])
+        curves = np.concatenate([[curve], B_seg[:-1]])
+        slope_end = starts + curves * seg_alphas
         hit = np.flatnonzero(slope_end >= 0.0)
         if hit.size:
             j = int(hit[0])
             if starts[j] < 0.0:
                 return float(-starts[j] / curves[j])
             # slope crossed zero exactly at the preceding breakpoint
-            return float(alphas[j - 1]) if j > 0 else 0.0
-        A_tail, B_tail = float(A_seg[-1]), float(B_seg[-1])
-        lo = float(alphas[-1])
-    else:
-        A_tail, B_tail, lo = A0, B0, 0.0
-    if B_tail <= 0.0:
+            return float(seg_alphas[j - 1]) if j > 0 else prev
+        start, curve, prev = float(A_seg[-1]), float(B_seg[-1]), float(seg_alphas[-1])
+    if curve <= 0.0:
         raise FloatingPointError("objective is unbounded along the search direction")
-    return max(float(-A_tail / B_tail), lo)
+    return max(float(-start / curve), prev)
 
 
 def _minimize_smoothed(data: Dataset, lam, gamma, tilt, tol, max_iters):

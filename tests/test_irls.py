@@ -348,6 +348,19 @@ def test_private_fit_refuses_zero_lambda_before_fitting(rng, monkeypatch):
     assert calls == []
 
 
+def test_private_fit_refuses_an_overflowing_sensitivity_before_fitting(rng, monkeypatch):
+    # lam = 1e-320 passes the lam > 0 check, but the sensitivity constant
+    # overflows; the refusal comes before the reweighted fit and the draw
+    data, _ = bounded_instance(rng, n=50, d=2)
+    calls = []
+    monkeypatch.setattr(irls, "irls_fit", lambda *args: calls.append(args))
+    stream = RngStream(1)
+    with pytest.raises(ValueError, match=r"^B=.*, lam=1e-320 and e=0\.2 overflow the sensitivity constant$"):
+        fit_irls_private(data, IrlsConfig(epsilon=0.1, lam=1e-320, e=0.2), stream)
+    assert calls == []
+    assert stream.uniform_open(1)[0] == RngStream(1).uniform_open(1)[0]
+
+
 def test_private_fit_refuses_a_missing_stream_before_fitting(rng, monkeypatch):
     data, _ = bounded_instance(rng, n=50, d=2)
     calls = []

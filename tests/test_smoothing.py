@@ -1,7 +1,10 @@
 import math
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpmedreg import (
     ConvergenceError,
@@ -233,3 +236,242 @@ def test_config_refuses_non_finite_knobs(knob, value):
     with pytest.raises(ValueError, match=f"^{knob} must be"):
         SmoothingConfig(epsilon=math.inf, **{knob: value})
     assert SmoothingConfig(epsilon=math.inf).epsilon == math.inf
+
+
+def _full_sort_line_search(r, s, delta, gamma, n, q1, q2):
+    """The exact line search with every breakpoint stable-sorted: the
+    reference the solver's prefix-sorting line search must match bit for
+    bit."""
+    inband = s == 0.0
+    A0 = float(np.where(inband, r * delta / gamma, s * delta).sum()) / n + q1
+    B0 = float(np.where(inband, delta * delta / gamma, 0.0).sum()) / n + q2
+    if A0 >= 0.0:
+        return 0.0
+
+    d_pos = delta > 0
+    d_neg = delta < 0
+    below = s < 0.0
+    above = s > 0.0
+    ent_mask = (d_pos & below) | (d_neg & above)
+    ex_mask = (d_pos & ~above) | (d_neg & ~below)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ent_t = np.where(d_pos, -gamma - r, gamma - r) / np.where(delta == 0, 1.0, delta)
+        ex_t = np.where(d_pos, gamma - r, -gamma - r) / np.where(delta == 0, 1.0, delta)
+
+    sgn = np.sign(delta)
+    ent_dA = (r * delta / gamma + sgn * delta) / n
+    ent_dB = (delta * delta / gamma) / n
+    ex_dA = (sgn * delta - r * delta / gamma) / n
+    ex_dB = -(delta * delta / gamma) / n
+
+    alphas = np.concatenate([ent_t[ent_mask], ex_t[ex_mask]])
+    dA = np.concatenate([ent_dA[ent_mask], ex_dA[ex_mask]])
+    dB = np.concatenate([ent_dB[ent_mask], ex_dB[ex_mask]])
+    keep = alphas >= 0.0
+    alphas, dA, dB = alphas[keep], dA[keep], dB[keep]
+
+    if alphas.size:
+        order = np.argsort(alphas, kind="stable")
+        alphas = alphas[order]
+        A_seg = A0 + np.cumsum(dA[order])
+        B_seg = B0 + np.cumsum(dB[order])
+        starts = np.concatenate([[A0], A_seg[:-1]])
+        curves = np.concatenate([[B0], B_seg[:-1]])
+        slope_end = starts + curves * alphas
+        hit = np.flatnonzero(slope_end >= 0.0)
+        if hit.size:
+            j = int(hit[0])
+            if starts[j] < 0.0:
+                return float(-starts[j] / curves[j])
+            return float(alphas[j - 1]) if j > 0 else 0.0
+        A_tail, B_tail = float(A_seg[-1]), float(B_seg[-1])
+        lo = float(alphas[-1])
+    else:
+        A_tail, B_tail, lo = A0, B0, 0.0
+    if B_tail <= 0.0:
+        raise FloatingPointError("objective is unbounded along the search direction")
+    return max(float(-A_tail / B_tail), lo)
+
+
+def _outcome(search, args):
+    try:
+        return search(*args)
+    except FloatingPointError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_as_full_sort(args):
+    """The solver's line search returns the reference's float, sign of zero
+    included, or raises the same error; returns that outcome."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _outcome(_full_sort_line_search, args)
+        got = _outcome(smoothing._exact_line_search, args)
+    if isinstance(want, float):
+        assert type(got) is float and got.hex() == want.hex()
+    else:
+        assert got == want
+    return got
+
+
+def _line_search_args(r, delta, q1, q2, gamma=1.0):
+    r, delta = np.asarray(r, dtype=float), np.asarray(delta, dtype=float)
+    return r, model._band_signs(r, gamma), delta, gamma, r.size, q1, q2
+
+
+def test_line_search_matches_full_sort_on_named_cases():
+    def same(*args):
+        return _assert_same_as_full_sort(_line_search_args(*args))
+
+    # eight samples enter the band at alpha = 1 and four exit it together
+    assert 0.0 < same([-2] * 4 + [2] * 4 + [0] * 4, [1] * 4 + [-1] * 4 + [0.5] * 4, -0.5, 0.1)
+    # residuals exactly on the band edges count as in the band; two exit at 0
+    assert same([1, -1, 1, -1, 0.5], [1, 1, -1, -1, 0.25], -0.5, 0.0) > 0.0
+    # samples with delta = 0 never cross
+    assert same([-3, 0, 3, 0.5, -0.5], [0, 0, 0, 1, -1], -0.25, 0.0) > 0.0
+    # the slope reaches zero exactly at the exit breakpoint alpha = 1
+    assert same([0], [1], -1.0, 0.0) == 1.0
+    # the root lies past the last breakpoint (1), on the outside slope
+    assert same([0], [1], -3.0, 1.0) == 2.0
+    # the root (60) lies before the first breakpoint (150)
+    assert same([-0.5], [0.01], -0.001, 0.0) < 150.0
+    # phi'(0) >= 0: no step
+    assert same([0.5], [1], 0.0, 0.0) == 0.0
+    # unbounded rays, with and without a breakpoint before the flat tail
+    for r, delta, q1 in (([0], [1], -5.0), ([2], [0], -1.0)):
+        assert same(r, delta, q1, 0.0) == (
+            FloatingPointError,
+            "objective is unbounded along the search direction",
+        )
+
+
+def test_line_search_grows_its_prefix_when_the_hint_undercounts():
+    # 200 samples enter the band at alphas t = 2, 2.25, ... and exit it at
+    # t + 2, none at or below 1, and the root lies past more breakpoints than
+    # the first two prefixes hold
+    t = 2.0 + 0.25 * np.arange(200)
+    alpha = _assert_same_as_full_sort(_line_search_args(-1.0 - t, np.ones(200), 0.0, 0.0))
+    assert np.count_nonzero(t <= 1.0) == 0
+    assert np.count_nonzero(t < alpha) + np.count_nonzero(t + 2.0 < alpha) > 8 * smoothing._PREFIX_MARGIN
+
+
+# residual and direction values on a grid make ties and exact band edges
+# common; the scaled directions put the breakpoints far past alpha = 1
+_GRID = st.sampled_from([-3.0, -2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+_DIRECTIONS = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+
+
+@st.composite
+def line_search_inputs(draw):
+    gamma = draw(st.sampled_from([0.05, 0.25, 1.0]))
+    m = draw(st.integers(1, 60))
+    r = gamma * np.array(draw(st.lists(st.one_of(_GRID, st.floats(-4, 4)), min_size=m, max_size=m)))
+    steps = draw(st.lists(st.one_of(_DIRECTIONS, st.floats(-2, 2)), min_size=m, max_size=m))
+    delta = draw(st.sampled_from([1.0, 1 / 64, 64.0])) * np.array(steps)
+    q1 = draw(st.one_of(st.sampled_from([-1.0, 0.0]), st.floats(-4, 1)))
+    q2 = draw(st.sampled_from([0.0, 1e-3, 0.5]))
+    return _line_search_args(r, delta, q1, q2, gamma)
+
+
+# the first prefix's margin changes only how much is sorted: at margin 1
+# almost every search grows its prefix, and the result is the same
+@pytest.mark.parametrize("margin", [smoothing._PREFIX_MARGIN, 1])
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(args=line_search_inputs())
+def test_line_search_matches_full_sort(margin, args):
+    with mock.patch.object(smoothing, "_PREFIX_MARGIN", margin):
+        _assert_same_as_full_sort(args)
+
+
+def _tied_table():
+    X = np.tile([[0.0, 0.25], [0.25, -0.25], [-0.5, 0.0], [0.25, 0.25]], (15, 1))
+    Y = np.tile([0.5, -0.5, 0.0, 1.0, 0.5, -1.0], 10)
+    return Dataset(X=X, Y=Y, B=1.0)
+
+
+# float.hex of alg1's theta = (mu, beta) on three fixed-seed fits, as the
+# full-sort line search gave them; a faster solver must keep these bits
+ALG1_PINS = [
+    (
+        lambda: benchmark_instance(5000, RngStream(11))[0],
+        SmoothingConfig(),
+        12,
+        ["0x1.a418c6be21dcap-3", "0x1.6b644d5483632p-2", "-0x1.0d376281e8872p-5", "-0x1.1dc81d0a34b4fp-1"],
+    ),
+    (
+        lambda: benchmark_instance(200_000, RngStream(21))[0],
+        SmoothingConfig(),
+        22,
+        ["0x1.3f4f577dcb626p-3", "0x1.5a833faf46a3fp-2", "-0x1.059451f021525p-7", "-0x1.d29698c82a222p-2"],
+    ),
+    # 60 rows of 4 distinct predictors: many residuals start on the band edges
+    # and their breakpoints tie
+    (
+        _tied_table,
+        SmoothingConfig(gamma=0.5, lam=0.05),
+        31,
+        ["-0x1.67ba96a84d162p+1", "0x1.9dd8f44f45e1ap+3", "-0x1.586a2f15ee2b4p+1"],
+    ),
+]
+
+
+@pytest.mark.parametrize("make_data, cfg, seed, pinned", ALG1_PINS, ids=["n5000", "n200000", "tied"])
+def test_fixed_seed_fits_keep_their_bits(make_data, cfg, seed, pinned):
+    release = fit_smoothed_private(make_data(), cfg, RngStream(seed))
+    assert [float(v).hex() for v in release.theta.as_vector()] == pinned
+
+
+ALG1_KINDS = ["one_row", "wide", "constant_y", "saturated_y", "zero_column", "duplicate_columns"]
+
+
+@st.composite
+def degenerate_alg1_cases(draw):
+    """A small Dataset of one degenerate kind, a config and a stream seed."""
+    kind = draw(st.sampled_from(ALG1_KINDS))
+    seed = draw(st.integers(0, 2**32 - 1))
+    sub = RngStream(seed).derive(0)
+    n = 1 if kind == "one_row" else draw(st.integers(2, 40))
+    d = draw(st.integers(n + 1, n + 4)) if kind == "wide" else draw(st.integers(2, 4))
+    B = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    data = random_dataset(n, d, B, sub)
+    X, Y = data.X.copy(), data.Y.copy()
+    if kind == "constant_y":
+        Y[:] = Y[0]
+    elif kind == "saturated_y":
+        Y = np.where(sub.uniform_open(n) < 0.5, -B, B)
+    elif kind == "zero_column":
+        X[:, draw(st.integers(0, d - 1))] = 0.0
+    elif kind == "duplicate_columns":
+        X[:, 1] = X[:, 0]
+        X = X / np.maximum(np.abs(X).sum(axis=1, keepdims=True), 1.0)
+    epsilon, lam = draw(st.sampled_from([(math.inf, 0.0), (math.inf, 0.002), (0.1, 0.002), (0.1, 0.0)]))
+    cfg = SmoothingConfig(
+        epsilon=epsilon,
+        lam=lam,
+        gamma=draw(st.sampled_from([0.05, 0.5])),
+        max_iters=draw(st.sampled_from([2, 500])),
+    )
+    return Dataset(X=X, Y=Y, B=B), cfg, seed
+
+
+# alg1 on degenerate input (all-in-band and all-tied line searches among
+# them) gives a finite release or a typed error: lam = 0 at a finite epsilon
+# is a ValueError, and a solver that runs out of Newton steps carries its
+# last iterate
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=degenerate_alg1_cases())
+def test_fit_on_degenerate_data_is_finite_or_a_typed_error(case):
+    data, cfg, seed = case
+    try:
+        release = fit_smoothed_private(data, cfg, RngStream(seed).derive(1))
+    except ValueError as exc:
+        assert cfg.lam == 0 and math.isfinite(cfg.epsilon), exc
+        return
+    except ConvergenceError as exc:
+        assert isinstance(exc.last_theta, Theta) and exc.last_theta.beta.shape == (data.d,)
+        assert 0 <= exc.iters <= cfg.max_iters
+        return
+    assert np.all(np.isfinite(release.theta.as_vector()))
+    assert release.noise.shape == (data.d + 1,)
+    assert 0 <= release.solver_iters <= cfg.max_iters
+    if math.isinf(cfg.epsilon):
+        assert release.noise_scale == 0.0 and np.all(release.noise == 0.0)
