@@ -79,21 +79,34 @@ def coordinate_step_vector(
 
     |step_k| <= eta (1 + lam |beta_k|) always, because each one-sided slope
     is an average of entries bounded by |x_ik| <= 1 plus the ridge term.
+    ``X`` must be 2-D with ``theta.d`` columns, ``Y`` a vector of one entry
+    per row, and ``lam`` and ``eta`` nonnegative and finite; anything else is
+    a ValueError.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"X must have 2 dimensions, got shape {X.shape}")
+    n0, d = X.shape
+    if Y.shape != (n0,):
+        raise ValueError(f"Y must have shape ({n0},) to match X, got {Y.shape}")
+    if theta.d != d:
+        raise ValueError(f"theta has d={theta.d} but X has {d} columns")
+    for name, value in (("lam", lam), ("eta", eta)):
+        if not 0 <= value < math.inf:
+            raise ValueError(f"{name} must be nonnegative and finite, got {value}")
     r = theta.mu + X @ theta.beta - Y
-    n0 = X.shape[0]
-    out = np.empty(X.shape[1])
-    for k in range(X.shape[1]):
-        out[k] = _coordinate_step(r, X[:, k], n0, lam * float(theta.beta[k]), eta)[2]
-    return out
+    cols = X.T.copy()
+    return np.array(
+        [_coordinate_step(r, cols[k], n0, lam * b, eta)[2] for k, b in enumerate(theta.beta.tolist())]
+    )
 
 
-def _descend(data: Dataset, cfg: GcdConfig, rng: RngStream) -> tuple[Release, list[Theta], np.ndarray]:
-    """The batched noisy descent: (release, iterates, batches), where the
-    iterates are the start and theta after each iteration and ``batches`` is
-    the index array of :func:`split_batches` (row t for iteration t).
+def _descend(data: Dataset, cfg: GcdConfig, rng: RngStream) -> tuple[Release, np.ndarray, np.ndarray]:
+    """The batched noisy descent: (release, iterates, batches).  The iterates
+    are a read-only (batches + 1, d + 1) array whose row t is (mu, beta) after
+    t iterations (row 0 is the start, the last row the release); ``batches``
+    is the index array of :func:`split_batches` (row t for iteration t).
     Iteration t = 0, 1, ... steps with eta_t = ell/(t+1) on batch t and adds
     row t of the release's noise, drawn at scale 2 eta_t/(epsilon n0) with
     n0 = ``batches.shape[1]``."""
@@ -115,22 +128,31 @@ def _descend(data: Dataset, cfg: GcdConfig, rng: RngStream) -> tuple[Release, li
         scale = float(scales[0])
         noises = rng.laplaces(1.0, cfg.batches * data.d).reshape(cfg.batches, data.d) * scales[:, None]
 
-    thetas = [theta0]
-    for t, idx in enumerate(batches):
+    iterates = np.empty((cfg.batches + 1, data.d + 1))
+    iterates[0] = theta0.as_vector()
+    # the loop runs on Python floats: each is the same IEEE operation as on
+    # numpy scalars, so every iterate keeps its bits
+    for t, (idx, noise) in enumerate(zip(batches, noises.tolist())):
         Xb = data.X[idx]
         Yb = data.Y[idx]
+        cols = Xb.T.copy()
         eta = cfg.ell / (t + 1)
         r = mu + Xb @ beta - Yb
-        for k in range(data.d):
-            step = _coordinate_step(r, Xb[:, k], n0, cfg.lam * float(beta[k]), eta)[2]
-            move = step + noises[t, k]
-            beta[k] += move
+        coefs = beta.tolist()
+        for k, bk in enumerate(coefs):
+            move = _coordinate_step(r, cols[k], n0, cfg.lam * bk, eta)[2] + noise[k]
+            coefs[k] = bk + move
             if move:
-                r = r + Xb[:, k] * move
-        mu = float(np.mean(Yb - Xb @ beta))
-        thetas.append(Theta(mu=mu, beta=beta.copy()))
-    release = Release(theta=thetas[-1], noise=noises, noise_scale=scale, solver_iters=cfg.batches)
-    return release, thetas, batches
+                r += cols[k] * move
+        beta = np.array(coefs)
+        mu = float(np.add.reduce(Yb - Xb @ beta)) / n0
+        iterates[t + 1, 0] = mu
+        iterates[t + 1, 1:] = beta
+    iterates.setflags(write=False)
+    release = Release(
+        theta=Theta(mu=mu, beta=beta), noise=noises, noise_scale=scale, solver_iters=cfg.batches
+    )
+    return release, iterates, batches
 
 
 def fit_gcd_private(data: Dataset, cfg: GcdConfig, rng: RngStream) -> Release:

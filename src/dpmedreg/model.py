@@ -283,12 +283,18 @@ def smoothed_gradient(theta: Theta, data: Dataset, lam: float, gamma: float) -> 
 def _coordinate_step(r: np.ndarray, xk: np.ndarray, n: int, lam_beta_k: float, eta: float):
     """(d_plus, d_minus, step): one-sided slopes of the mean absolute residual
     plus (lam/2) beta'beta along +/- coordinate k, and alg3's step, which is
-    -eta d_plus if d_plus < 0, else eta d_minus if d_minus < 0, else 0."""
-    pos = r > 0
-    neg = r < 0
-    zero = ~(pos | neg)
-    kink = float(np.abs(xk[zero]).sum())
-    swing = float(xk[pos].sum() - xk[neg].sum())
+    -eta d_plus if d_plus < 0, else eta d_minus if d_minus < 0, else 0.
+
+    Residuals that are neither positive nor negative (0, -0.0) add |x_ik| to
+    both slopes; that pass runs only when there are some.  Every sum is
+    numpy's pairwise reduction of a compacted slice, so the bits do not
+    depend on the stride of ``xk``."""
+    up = xk[r > 0]
+    down = xk[r < 0]
+    swing = float(np.add.reduce(up) - np.add.reduce(down))
+    kink = 0.0
+    if up.size + down.size < xk.size:
+        kink = float(np.abs(xk[~((r > 0) | (r < 0))]).sum())
     d_plus = (swing + kink) / n + lam_beta_k
     d_minus = (-swing + kink) / n - lam_beta_k
     if d_plus < 0.0:
@@ -305,6 +311,8 @@ def directional_derivatives(theta: Theta, data: Dataset, lam: float, k: int):
     term contributes +lam beta_k forward and -lam beta_k backward, so away
     from kinks d_plus == -d_minus.  ``k`` is a 0-based coordinate index.
     """
+    if lam < 0:
+        raise ValueError(f"lam must be nonnegative, got {lam}")
     if not 0 <= k < data.d:
         raise IndexError(f"coordinate k={k} out of range for d={data.d}")
     r = residuals(theta, data)

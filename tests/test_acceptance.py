@@ -346,11 +346,11 @@ def test_criterion_8_convergence_properties():
         worst_increase = max(worst_increase, float(np.max(np.diff(vals))))
         worst_iters = max(worst_iters, trace.iterations)
         gcd_cfg = GcdConfig(epsilon=0.1, lam=0.002, ell=0.1, batches=40)
-        release, thetas, _ = _descend(data, gcd_cfg, root.derive(rep, 1))
+        release, iterates, _ = _descend(data, gcd_cfg, root.derive(rep, 1))
         for t in range(gcd_cfg.batches):
-            prev = thetas[t].beta
+            prev = iterates[t, 1:]
             rhs = gcd_cfg.ell / (t + 1) * (1.0 + 0.002 * np.abs(prev)) + np.abs(release.noise[t])
-            trace_ok &= bool(np.all(np.abs(thetas[t + 1].beta - prev) <= rhs + 1e-12))
+            trace_ok &= bool(np.all(np.abs(iterates[t + 1, 1:] - prev) <= rhs + 1e-12))
     ok = worst_increase <= 1e-10 and worst_iters < 30 and trace_ok
     _report(
         "8",

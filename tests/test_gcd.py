@@ -25,6 +25,10 @@ from dpmedreg.model import design_matrix
 from conftest import benchmark_instance, bounded_instance
 
 
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
 def test_split_batches_even():
     batches = split_batches(100, 4, RngStream(1))
     assert batches.shape == (4, 25)
@@ -116,20 +120,21 @@ def test_fit_fixed_point_stays_put():
 def test_fit_trace_metadata_exact():
     data, _, _ = benchmark_instance(5000, RngStream(3))
     cfg = GcdConfig(epsilon=0.1, lam=0.002, ell=0.1, batches=40)
-    release, thetas, batches = _descend(data, cfg, RngStream(4))
+    release, iterates, batches = _descend(data, cfg, RngStream(4))
     n0 = batches.shape[1]
     assert n0 == 125
-    assert len(thetas) == 41
-    assert release.solver_iters == 40 and release.theta is thetas[-1]
+    assert iterates.shape == (41, data.d + 1) and not iterates.flags.writeable
+    assert release.solver_iters == 40
+    assert _bits(release.theta.as_vector()) == _bits(iterates[-1])
 
 
 def test_fit_iterate_stability_inequality():
     data, _, _ = benchmark_instance(5000, RngStream(5))
     cfg = GcdConfig(epsilon=0.1, lam=0.002, ell=0.1, batches=40)
-    release, thetas, _ = _descend(data, cfg, RngStream(6))
+    release, iterates, _ = _descend(data, cfg, RngStream(6))
     for t in range(cfg.batches):
-        prev = thetas[t].beta
-        nxt = thetas[t + 1].beta
+        prev = iterates[t, 1:]
+        nxt = iterates[t + 1, 1:]
         rhs = cfg.ell / (t + 1) * (1.0 + cfg.lam * np.abs(prev)) + np.abs(release.noise[t])
         assert np.all(np.abs(nxt - prev) <= rhs + 1e-12)
 
@@ -138,10 +143,10 @@ def test_fit_batches_disjoint_and_noiseless_descends():
     rng = RngStream(8)
     data, _ = bounded_instance(rng, n=400, d=1, noise=0.3)
     cfg = GcdConfig(epsilon=math.inf, lam=0.0, ell=0.2, batches=8, init="zero")
-    release, thetas, batches = _descend(data, cfg, RngStream(9))
+    release, iterates, batches = _descend(data, cfg, RngStream(9))
     assert np.unique(batches).shape[0] == batches.size
     # overall descent versus the start (per-step monotonicity not required)
-    assert objective_l1(release.theta, data, 0.0) <= objective_l1(thetas[0], data, 0.0)
+    assert objective_l1(release.theta, data, 0.0) <= objective_l1(Theta.from_vector(iterates[0]), data, 0.0)
 
 
 def test_fit_deterministic_given_seed():
@@ -244,6 +249,99 @@ def test_fit_on_degenerate_data_is_finite_or_a_typed_error(case):
     assert release.solver_iters == cfg.batches
     if math.isinf(cfg.epsilon):
         assert release.noise_scale == 0.0 and np.all(release.noise == 0.0)
+
+
+def _tied_table():
+    # 120 rows of 4 distinct predictors and 3 responses on a dyadic grid: most
+    # residuals are exactly 0 on the first three batches of the pinned fit
+    X = np.tile([[0.0, 0.25], [0.25, -0.25], [-0.5, 0.0], [0.25, 0.25]], (30, 1))
+    Y = np.resize([0.0, 0.0, 0.5, 0.0, -0.5, 0.0], 120)
+    return Dataset(X=X, Y=Y, B=1.0)
+
+
+# float.hex of alg3's theta = (mu, beta) on three fixed-seed fits, as the
+# masked coordinate step gave them; a faster descent must keep these bits
+ALG3_PINS = [
+    (
+        lambda: benchmark_instance(5000, RngStream(51))[0],
+        GcdConfig(),
+        52,
+        ["0x1.56de638c874a9p-3", "0x1.81ba7a4dae961p-2", "0x1.a41a52ec2b101p-6", "-0x1.d47be5c25ace5p-2"],
+    ),
+    (
+        lambda: benchmark_instance(200_000, RngStream(61))[0],
+        GcdConfig(init="zero"),
+        62,
+        ["0x1.30a2f88261f1cp-3", "0x1.45f2ff93d67d7p-6", "-0x1.5b111935bd000p-10", "-0x1.c311fd0c50dc4p-6"],
+    ),
+    (
+        _tied_table,
+        GcdConfig(epsilon=math.inf, lam=0.0, ell=1.0, batches=4, init="zero"),
+        6,
+        ["0x1.0d3a06d3a06d3p-5", "0x1.1111111111111p-7", "0x1.999999999999ap-8"],
+    ),
+]
+
+
+@pytest.mark.parametrize("make_data, cfg, seed, pinned", ALG3_PINS, ids=["n5000", "n200000", "tied"])
+def test_fixed_seed_fits_keep_their_bits(make_data, cfg, seed, pinned):
+    release = fit_gcd_private(make_data(), cfg, RngStream(seed))
+    assert _bits(release.theta.as_vector()) == pinned
+
+
+# the tied table at two points: 10 and 40 of its 120 residuals exactly 0
+@pytest.mark.parametrize(
+    "theta, pinned",
+    [
+        (Theta(0.25, np.array([0.5, -0.5])), ["-0x1.62fc962fc9630p-7", "0x1.b4e81b4e81b54p-12"]),
+        (Theta(-0.125, np.array([1.0, 0.5])), ["-0x1.1eb851eb851ebp-6", "-0x1.b4e81b4e81b54p-12"]),
+    ],
+    ids=["ten_zeros", "forty_zeros"],
+)
+def test_step_vector_on_tied_table_keeps_its_bits(theta, pinned):
+    data = _tied_table()
+    steps = coordinate_step_vector(theta, data.X, data.Y, 0.05, 0.1)
+    assert _bits(steps) == pinned
+
+
+# each of these used to broadcast or flip a sign into wrong steps instead of
+# failing: Y = [0.5] against 3 rows gave [0, -0.00333], eta = -0.1 gave
+# [0.0133, 0.01]
+@pytest.mark.parametrize(
+    "X, Y, beta, lam, eta, message",
+    [
+        (np.array([0.1, 0.2, 0.3]), np.zeros(3), [0.0], 0.0, 0.1, "^X must have 2 dimensions"),
+        (np.zeros((1, 3, 2)), np.zeros(1), [0.0, 0.0], 0.0, 0.1, "^X must have 2 dimensions"),
+        (None, np.array([0.5]), [0.5, -0.5], 0.0, 0.1, r"^Y must have shape \(3,\)"),
+        (None, np.zeros((3, 1)), [0.5, -0.5], 0.0, 0.1, r"^Y must have shape \(3,\)"),
+        (None, np.zeros(4), [0.5, -0.5], 0.0, 0.1, r"^Y must have shape \(3,\)"),
+        (None, np.zeros(3), [0.5], 0.0, 0.1, "^theta has d=1 but X has 2 columns"),
+        (None, np.zeros(3), [0.5, -0.5, 0.0], 0.0, 0.1, "^theta has d=3 but X has 2 columns"),
+        (None, np.zeros(3), [0.5, -0.5], 0.0, -0.1, "^eta must be nonnegative and finite"),
+        (None, np.zeros(3), [0.5, -0.5], 0.0, math.inf, "^eta must be nonnegative and finite"),
+        (None, np.zeros(3), [0.5, -0.5], 0.0, math.nan, "^eta must be nonnegative and finite"),
+        (None, np.zeros(3), [0.5, -0.5], -0.05, 0.1, "^lam must be nonnegative and finite"),
+        (None, np.zeros(3), [0.5, -0.5], math.inf, 0.1, "^lam must be nonnegative and finite"),
+        (None, np.zeros(3), [0.5, -0.5], math.nan, 0.1, "^lam must be nonnegative and finite"),
+    ],
+)
+def test_step_vector_refuses_bad_input_before_any_work(monkeypatch, X, Y, beta, lam, eta, message):
+    if X is None:
+        X = np.array([[0.3, -0.4], [0.2, 0.1], [-0.5, 0.2]])
+    calls = []
+    monkeypatch.setattr(gcd, "_coordinate_step", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=message):
+        coordinate_step_vector(Theta(0.1, np.array(beta)), X, Y, lam, eta)
+    assert calls == []
+
+
+def test_step_vector_accepts_zero_eta_and_lam():
+    X = np.array([[0.3, -0.4], [0.2, 0.1], [-0.5, 0.2]])
+    theta = Theta(0.1, np.array([0.5, -0.5]))
+    # residuals 0.45, 0.15, -0.25: one backward and one forward step at eta > 0
+    assert np.all(coordinate_step_vector(theta, X, np.zeros(3), 0.0, 0.0) == 0.0)
+    steps = coordinate_step_vector(theta, X, np.zeros(3), 0.0, 0.1)
+    assert steps[0] < 0.0 < steps[1]
 
 
 def test_fit_requires_enough_rows():

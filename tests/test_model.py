@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from dpmedreg import (
     Dataset,
+    RngStream,
     Theta,
     directional_derivatives,
     huber_rho,
@@ -16,7 +18,7 @@ from dpmedreg import (
     smoothed_gradient,
     smoothed_objective,
 )
-from dpmedreg.model import _smoothed_terms, _spd_solve, design_matrix
+from dpmedreg.model import _coordinate_step, _smoothed_terms, _spd_solve, design_matrix
 from dpmedreg.verification import random_theta
 
 from conftest import bounded_instance
@@ -343,6 +345,62 @@ def test_directional_derivatives_range_check():
     data = Dataset(X=np.zeros((2, 2)), Y=np.zeros(2), B=1.0)
     with pytest.raises(IndexError):
         directional_derivatives(Theta(0.0, np.zeros(2)), data, 0.0, 2)
+
+
+def test_directional_derivatives_refuse_negative_lambda():
+    # as objective_l1 does: a negative ridge weight is no objective of ours
+    data = Dataset(X=np.array([[0.4]]), Y=np.array([-1.0]), B=1.0)
+    for lam in (-0.1, -math.inf):
+        with pytest.raises(ValueError, match="^lam must be nonnegative"):
+            directional_derivatives(Theta(0.0, np.zeros(1)), data, lam, 0)
+
+
+def _masked_step(r, xk, n, lam_beta_k, eta):
+    """The coordinate step written from its definition: zero, positive and
+    negative residuals each masked out of the whole vector."""
+    pos = r > 0
+    neg = r < 0
+    zero = ~(pos | neg)
+    kink = float(np.abs(xk[zero]).sum())
+    swing = float(xk[pos].sum() - xk[neg].sum())
+    d_plus = (swing + kink) / n + lam_beta_k
+    d_minus = (-swing + kink) / n - lam_beta_k
+    if d_plus < 0.0:
+        return d_plus, d_minus, -eta * d_plus
+    if d_minus < 0.0:
+        return d_plus, d_minus, eta * d_minus
+    return d_plus, d_minus, 0.0
+
+
+@st.composite
+def step_inputs(draw):
+    """Residuals with exact zeros, -0.0 or one sign only, at lengths on both
+    sides of numpy's pairwise-sum blocks (8 and 128), and a column that is
+    sometimes a strided view."""
+    n = draw(st.sampled_from([1, 7, 8, 9, 128, 129, 5000]))
+    sub = RngStream(draw(st.integers(0, 2**32 - 1)))
+    r = sub.uniforms(-1.0, 1.0, n)
+    signs = draw(st.sampled_from(["both", "positive", "negative"]))
+    if signs != "both":
+        r = np.abs(r) if signs == "positive" else -np.abs(r)
+    for value in (0.0, -0.0):
+        share = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+        r[sub.uniform_open(n) < share] = value
+    table = sub.uniforms(-1.0, 1.0, 2 * n).reshape(n, 2)
+    xk = table[:, 1] if draw(st.booleans()) else table[:, 1].copy()
+    lam_beta_k = draw(st.sampled_from([0.0, -0.0, 1e-3, -0.3]))
+    eta = draw(st.sampled_from([0.0, 0.1, 2.5]))
+    return r, xk, n, lam_beta_k, eta
+
+
+# the step alg3 runs is the masked definition bit for bit: slopes, step and
+# the sign of every zero
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=step_inputs())
+def test_coordinate_step_is_the_masked_definition_bit_for_bit(case):
+    got = _coordinate_step(*case)
+    want = _masked_step(*case)
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
 
 
 def test_perturbed_objective_plugin_case():
