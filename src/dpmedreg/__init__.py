@@ -7,8 +7,9 @@ Three private fitters over a shared bounded data model:
 * ``alg2`` -- output-perturbed iteratively reweighted least squares,
 * ``alg3`` -- noisy batched greedy coordinate descent,
 
-plus noiseless baselines, a brute-force grid oracle, a synthetic-data
-generator with domain normalization, sensitivity probes, and a benchmark CLI.
+plus noiseless baselines, an exact linear-programming L1 oracle, a
+synthetic-data generator with domain normalization, sensitivity probes, and a
+benchmark CLI.
 """
 
 __version__ = "0.1.0"

@@ -9,6 +9,7 @@ baseline-smooth and baseline-irls are alg1 and alg2 at epsilon = inf.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, fields
 
@@ -134,6 +135,8 @@ def run_cell(
     derive(cell_id, r, 1) for the fit, so cells and replicates are
     independent and individually replayable.
     """
+    if isinstance(replicates, bool) or not isinstance(replicates, numbers.Integral) or replicates < 1:
+        raise ValueError(f"replicates must be a positive integer, got {replicates!r}")
     spec = spec if spec is not None else default_generator_spec(n)
     if spec.n != n:
         raise ValueError(f"spec draws {spec.n} rows, but the cell is n={n}")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, Theta
+from .model import Dataset, Theta, _check_positive
 from .sampling import RngStream
 
 __all__ = [
@@ -63,8 +63,7 @@ class GeneratorSpec:
             raise ValueError(f"beta must have length d={self.d}, got {beta.shape}")
         if not math.isfinite(self.mu) or not np.all(np.isfinite(beta)):
             raise ValueError(f"mu and beta must be finite, got mu={self.mu}, beta={beta.tolist()}")
-        if not 0 < self.noise_scale < math.inf:
-            raise ValueError(f"noise_scale must be positive and finite, got {self.noise_scale}")
+        _check_positive("noise_scale", self.noise_scale)
         lo, hi = self.box
         if not lo < hi:
             raise ValueError(f"box must satisfy lo < hi, got {self.box}")
@@ -121,8 +120,7 @@ def normalize(X: np.ndarray, Y: np.ndarray, target_b: float = 2.0):
     Y = np.asarray(Y, dtype=float)
     if X.ndim != 2 or Y.ndim != 1 or X.shape[0] != Y.shape[0] or X.shape[0] < 1:
         raise ValueError("need X (n, d) and Y (n,) with matching n >= 1")
-    if not 0 < target_b < math.inf:
-        raise ValueError(f"target_b must be positive and finite, got {target_b}")
+    _check_positive("target_b", target_b)
     max_row = float(np.abs(X).sum(axis=1).max())
     if max_row == 0.0:
         raise ValueError("design matrix is identically zero")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .irls import weighted_ridge_solve
-from .model import Dataset, Release, Theta, _check_count, _MechanismConfig, _coordinate_step
+from .model import Dataset, Release, Theta, _check_count, _check_positive, _MechanismConfig, _coordinate_step
 from .sampling import RngStream
 
 __all__ = [
@@ -47,8 +47,7 @@ class GcdConfig(_MechanismConfig):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not 0 < self.ell < math.inf:
-            raise ValueError(f"ell must be positive and finite, got {self.ell}")
+        _check_positive("ell", self.ell)
         _check_count("batches", self.batches)
         if self.init not in ("ridge", "zero"):
             raise ValueError(f"init must be 'ridge' or 'zero', got {self.init!r}")
@@ -109,9 +108,13 @@ def _descend(data: Dataset, cfg: GcdConfig, rng: RngStream) -> tuple[Release, np
     is the index array of :func:`split_batches` (row t for iteration t).
     Iteration t = 0, 1, ... steps with eta_t = ell/(t+1) on batch t and adds
     row t of the release's noise, drawn at scale 2 eta_t/(epsilon n0) with
-    n0 = ``batches.shape[1]``."""
+    n0 = ``batches.shape[1]``.  An epsilon that overflows the first scale is
+    refused before the batch draw."""
+    n0 = data.n // cfg.batches
+    # n0 = 0 (fewer records than batches) is split_batches' error
+    if n0 and not math.isfinite(2.0 * cfg.ell / (cfg.epsilon * n0)):
+        raise ValueError(f"epsilon={cfg.epsilon} overflows the noise scale 2 ell/(epsilon n0)")
     batches = split_batches(data.n, cfg.batches, rng)
-    n0 = batches.shape[1]
     if cfg.init == "ridge":
         theta0 = weighted_ridge_solve(data, np.ones(data.n), cfg.lam)
     else:

@@ -22,6 +22,7 @@ from .model import (
     Release,
     Theta,
     _check_count,
+    _check_positive,
     _check_private_run,
     _MechanismConfig,
     _spd_solve,
@@ -59,10 +60,8 @@ class IrlsConfig(_MechanismConfig):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not 0 < self.e < math.inf:
-            raise ValueError(f"e must be positive and finite, got {self.e}")
-        if not 0 < self.tau < math.inf:
-            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        _check_positive("e", self.e)
+        _check_positive("tau", self.tau)
         _check_count("max_iters", self.max_iters)
 
 
@@ -202,8 +201,8 @@ def fit_irls_private(data: Dataset, cfg: IrlsConfig, rng: RngStream | None) -> R
     ``noise_scale`` = c / epsilon, where c is :func:`irls_sensitivity` at the
     derived coefficient bound; ``solver_iters`` is the trace's
     ``iterations``.  A finite epsilon needs lam > 0 and a stream, checked
-    before the fit, as is a c that overflows: c grows without bound as
-    lam -> 0.
+    before the fit, as is a c or a c/epsilon that overflows: c grows
+    without bound as lam -> 0.
     With epsilon = inf no draw is consumed (``rng`` may be None), c is not
     computed, the noise is exactly zero and the estimate is
     ``irls_fit(data, cfg).final`` itself, the noiseless fit bit for bit.
@@ -211,6 +210,8 @@ def fit_irls_private(data: Dataset, cfg: IrlsConfig, rng: RngStream | None) -> R
     _check_private_run(cfg, rng)
     private = not math.isinf(cfg.epsilon)
     scale = irls_sensitivity(data.d, data.n, data.B, cfg.lam, cfg.e) / cfg.epsilon if private else 0.0
+    if not math.isfinite(scale):
+        raise ValueError(f"epsilon={cfg.epsilon} overflows the noise scale c/epsilon")
     trace = irls_fit(data, cfg)
     theta = trace.final
     noise = np.zeros(data.d + 1)

@@ -45,8 +45,20 @@ class _MechanismConfig:
     def __post_init__(self) -> None:
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not 0 <= self.lam < math.inf:
-            raise ValueError(f"lam must be nonnegative and finite, got {self.lam}")
+        _check_lam(self.lam)
+
+
+def _check_lam(lam: float) -> None:
+    """Refuse a ridge weight that is negative, NaN or infinite."""
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lam must be nonnegative and finite, got {lam}")
+
+
+def _check_positive(name: str, value: float) -> None:
+    """Refuse a knob that must be positive and finite (a width, offset,
+    tolerance or bound) when it is not."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def _check_private_run(cfg: _MechanismConfig, rng) -> None:
@@ -103,8 +115,7 @@ class Dataset:
             raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
         if Y.shape[0] != n:
             raise ValueError(f"X has {n} rows but Y has {Y.shape[0]} entries")
-        if not 0 < B < math.inf:
-            raise ValueError(f"B must be positive and finite, got {B}")
+        _check_positive("B", B)
         max_row = float(np.abs(X).sum(axis=1).max())
         if max_row > 1.0 + _BOUND_SLACK:
             raise ValueError(f"max row L1 norm {max_row} exceeds 1")
@@ -174,8 +185,7 @@ def residuals(theta: Theta, data: Dataset) -> np.ndarray:
 
 def objective_l1(theta: Theta, data: Dataset, lam: float) -> float:
     """Mean absolute residual plus the ridge penalty (lam/2) beta'beta."""
-    if lam < 0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
+    _check_lam(lam)
     r = residuals(theta, data)
     return float(np.abs(r).sum() / data.n + 0.5 * lam * theta.beta @ theta.beta)
 
@@ -187,8 +197,7 @@ def huber_rho(t, gamma: float):
     continuous first derivative at |t| = gamma.  The uniform gap to |t| never
     exceeds gamma/2.
     """
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    _check_positive("gamma", gamma)
     arr = np.asarray(t, dtype=float)
     at = np.abs(arr)
     out = np.where(at <= gamma, arr * arr / (2.0 * gamma), at - 0.5 * gamma)
@@ -244,16 +253,13 @@ def sign_vector(r: np.ndarray, gamma: float) -> np.ndarray:
     Returns -1 / 0 / +1 per entry; the band is inclusive, so |r_i| == gamma
     maps to 0 (deterministic even though float equality is measure zero).
     """
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    _check_positive("gamma", gamma)
     return _band_signs(np.asarray(r, dtype=float), gamma).astype(int)
 
 
 def _check_smoothing_knobs(lam: float, gamma: float) -> None:
-    if lam < 0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    _check_lam(lam)
+    _check_positive("gamma", gamma)
 
 
 def smoothed_objective(theta: Theta, data: Dataset, lam: float, gamma: float) -> float:
@@ -311,8 +317,7 @@ def directional_derivatives(theta: Theta, data: Dataset, lam: float, k: int):
     term contributes +lam beta_k forward and -lam beta_k backward, so away
     from kinks d_plus == -d_minus.  ``k`` is a 0-based coordinate index.
     """
-    if lam < 0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
+    _check_lam(lam)
     if not 0 <= k < data.d:
         raise IndexError(f"coordinate k={k} out of range for d={data.d}")
     r = residuals(theta, data)
@@ -329,10 +334,8 @@ def perturbed_objective_le(theta: Theta, data: Dataset, lam: float, e: float) ->
     and therefore cannot increase across a reweighted least-squares update;
     the descent checks use it.
     """
-    if not e > 0:
-        raise ValueError(f"e must be positive, got {e}")
-    if lam < 0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
+    _check_positive("e", e)
+    _check_lam(lam)
     r = np.abs(residuals(theta, data))
     ridge = 0.5 * lam * float(theta.beta @ theta.beta)
     return float(2.0 / data.n * np.sum(r - e * np.log(e + r)) + ridge)

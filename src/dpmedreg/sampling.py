@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .model import _check_count
+from .model import _check_count, _check_positive
 
 __all__ = [
     "RngStream",
@@ -110,9 +110,11 @@ def sample_laplace(scale: float, k: int, rng: RngStream) -> np.ndarray:
 def _l1_scale(dim: int, epsilon: float) -> float:
     if dim < 1:
         raise ValueError(f"need dim >= 1, got {dim}")
-    if not (epsilon > 0 and math.isfinite(epsilon)):
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    return 4.0 / epsilon
+    _check_positive("epsilon", epsilon)
+    scale = 4.0 / epsilon
+    if not math.isfinite(scale):
+        raise ValueError(f"epsilon={epsilon} overflows the noise scale 4/epsilon")
+    return scale
 
 
 def sample_l1_perturbation(dim: int, epsilon: float, rng: RngStream) -> np.ndarray:

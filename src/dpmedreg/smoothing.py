@@ -28,6 +28,7 @@ from .model import (
     Release,
     Theta,
     _check_count,
+    _check_positive,
     _check_private_run,
     _MechanismConfig,
     _smoothed_terms,
@@ -54,10 +55,8 @@ class SmoothingConfig(_MechanismConfig):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not 0 < self.gamma < math.inf:
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
-        if not 0 < self.solver_tol < math.inf:
-            raise ValueError(f"solver_tol must be positive and finite, got {self.solver_tol}")
+        _check_positive("gamma", self.gamma)
+        _check_positive("solver_tol", self.solver_tol)
         _check_count("max_iters", self.max_iters)
 
 

@@ -1,11 +1,11 @@
-"""Independent oracles and the probes that check the mechanisms: brute-force
-L1 fits on tiny instances, bounded random datasets, one-record-neighbor
-dataset pairs, and the ``dpmedreg probe`` targets of :data:`PROBES`.  This
-module sits above the mechanisms; none of them imports it."""
+"""Independent oracles and the probes that check the mechanisms: the exact
+L1 fit as a linear program at any n and d, bounded random datasets,
+one-record-neighbor dataset pairs, and the ``dpmedreg probe`` targets of
+:data:`PROBES`.  This module sits above the mechanisms; none of them imports
+it."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -14,7 +14,7 @@ import numpy as np
 from .datagen import default_generator_spec, generate, normalize
 from .gcd import GcdConfig, coordinate_step_vector
 from .irls import IrlsConfig, fit_irls_private, irls_accuracy_bound, irls_fit, irls_sensitivity
-from .model import Dataset, Theta
+from .model import Dataset, Theta, design_matrix
 from .sampling import RngStream, gamma_tail_bound, sample_l1_perturbations, sample_laplace
 from .smoothing import SmoothingConfig, fit_smoothed_private, smoothing_accuracy_bound
 
@@ -29,77 +29,26 @@ __all__ = [
     "gcd_step_probe",
 ]
 
-# The oracle's grid: points per coordinate on each level, and the cell
-# spacing at which the search stops.
-_GRID_POINTS = 21
-_GRID_RESOLUTION = 1e-4
 
+def oracle_l1_fit(data: Dataset) -> Theta:
+    """Exact minimizer of the unpenalized L1 objective, at any n and d.
 
-def oracle_l1_fit(data: Dataset, lam: float, radius: float = 4.0) -> Theta:
-    """Brute-force minimizer of the L1 objective by coarse-to-fine grid search.
-
-    Desk scale only (d <= 2, n <= 50).  The first box is [-radius, radius]
-    per coordinate; each level lays a grid across the box and recenters on
-    the argmin with a two-cell safety margin.  Ties resolve to the
-    lexicographically first grid point, so the result is deterministic.  Two
-    safeguards keep the search honest on the narrow polyhedral valleys an L1
-    objective can have: a level whose argmin lands near the box edge while
-    improving the incumbent recenters without shrinking, and the final point
-    is polished by greedy neighbor descent on the resolution lattice until no
-    neighbor improves.
+    Least absolute deviations is a linear program (Koenker and Bassett,
+    1978).  This solves its dual, maximize y'u subject to (1, X)'u = 0 and
+    -1 <= u <= 1, with HiGHS; the multipliers of the equality constraints
+    are, up to sign, a primal minimizer (mu, beta).  A solver status other
+    than optimal is a ``RuntimeError``.
     """
-    if not 0 < radius < math.inf:
-        raise ValueError(f"radius must be positive and finite, got {radius}")
-    if data.d > 2:
-        raise ValueError(f"oracle supports d <= 2, got d={data.d}")
-    if data.n > 50:
-        raise ValueError(f"oracle supports n <= 50, got n={data.n}")
-    dims = data.d + 1
+    # imported here: scipy.optimize would add a quarter second to every
+    # ``import dpmedreg`` for a function only tests and checks call
+    from scipy.optimize import linprog
 
-    def values(omegas: np.ndarray) -> np.ndarray:
-        r = omegas[:, 0][None, :] + data.X @ omegas[:, 1:].T - data.Y[:, None]
-        return np.abs(r).mean(axis=0) + 0.5 * lam * np.sum(omegas[:, 1:] ** 2, axis=1)
-
-    center = np.zeros(dims)
-    half = np.full(dims, float(radius))
-    best_val = math.inf
-    for _ in range(500):
-        axes = [np.linspace(center[j] - half[j], center[j] + half[j], _GRID_POINTS) for j in range(dims)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        omegas = np.stack([m.ravel() for m in mesh], axis=1)
-        vals = values(omegas)
-        pick = int(np.argmin(vals))
-        level_val = float(vals[pick])
-        improved = level_val < best_val - 1e-15 * max(1.0, abs(best_val))
-        best_val = min(best_val, level_val)
-        spacing = 2.0 * half / (_GRID_POINTS - 1)
-        new_center = omegas[pick]
-        on_edge = any(
-            abs(new_center[j] - (center[j] - half[j])) < 1.5 * spacing[j]
-            or abs(new_center[j] - (center[j] + half[j])) < 1.5 * spacing[j]
-            for j in range(dims)
-        )
-        center = new_center
-        if on_edge and improved:
-            continue  # track the valley at the current scale
-        if float(spacing.max()) <= _GRID_RESOLUTION:
-            break
-        half = 4.0 * spacing
-    else:
-        raise RuntimeError("grid search failed to localize a minimizer")
-
-    offsets = [o for o in itertools.product((-1, 0, 1), repeat=dims) if any(o)]
-    offsets = np.array(offsets, dtype=float) * _GRID_RESOLUTION
-    for _ in range(20000):
-        cand = center[None, :] + offsets
-        vals = values(cand)
-        k = int(np.argmin(vals))
-        if vals[k] < best_val - 1e-15 * max(1.0, abs(best_val)):
-            best_val = float(vals[k])
-            center = cand[k]
-        else:
-            break
-    return Theta(mu=float(center[0]), beta=center[1:])
+    res = linprog(
+        -data.Y, A_eq=design_matrix(data.X).T, b_eq=np.zeros(data.d + 1), bounds=(-1, 1), method="highs"
+    )
+    if res.status != 0:
+        raise RuntimeError(f"LAD linear program not solved: {res.message}")
+    return Theta.from_vector(-res.eqlin.marginals)
 
 
 @dataclass(frozen=True)

@@ -76,7 +76,7 @@ def test_criterion_1_smoothing_vs_exact():
                 objective_l1(theta, data, 0.0) - smoothed_objective(theta, data, 0.0, gamma_obj)
             )
             worst_gap = max(worst_gap, gap)
-        oracle = oracle_l1_fit(data, 0.0, radius=4.0)
+        oracle = oracle_l1_fit(data)
         base = smoothed_baseline(data, SmoothingConfig(lam=0.0, gamma=1e-4))
         worst_pair = max(
             worst_pair,

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -78,6 +79,20 @@ def test_default_config_releases_at_protocol_epsilon(algo):
     default = fit(data, config(), RngStream(22)).theta
     assert _bits(default) == _bits(fit(data, config(epsilon=0.1), RngStream(22)).theta)
     assert _bits(default) != _bits(fit(data, config(epsilon=math.inf), RngStream(22)).theta)
+
+
+@pytest.mark.parametrize("algo", FITTERS)
+def test_an_overflowing_noise_scale_is_refused_before_any_draw(algo):
+    # epsilon = 1e-320 is positive but 1/epsilon is not finite; each fitter
+    # names epsilon without a draw, a fit or a floating-point warning
+    config, fit = FITTERS[algo]
+    data, _, _ = benchmark_instance(200, RngStream(23))
+    stream = RngStream(24)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^epsilon=1e-320 overflows the noise scale"):
+            fit(data, config(epsilon=1e-320), stream)
+    assert stream.uniform_open(1)[0] == RngStream(24).uniform_open(1)[0]
 
 
 def test_resolve_params_overrides():
@@ -175,3 +190,12 @@ def test_run_cell_refuses_a_spec_of_another_n():
     spec = default_generator_spec(300)
     with pytest.raises(ValueError, match="^spec draws 300 rows, but the cell is n=999$"):
         run_cell("alg1", 999, 2, 1, 0, resolve_params("alg1", {}), spec)
+
+
+@pytest.mark.parametrize("replicates", [0, -1, 2.0, True, None])
+def test_run_cell_refuses_a_replicate_count_below_one_before_any_draw(replicates, monkeypatch):
+    calls = []
+    monkeypatch.setattr(bench, "generate", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="^replicates must be a positive integer, got "):
+        run_cell("alg1", 300, replicates, 1, 0, resolve_params("alg1", {}))
+    assert calls == []

@@ -5,6 +5,8 @@ probes never import the benchmark plumbing or the CLI.  Those upper layers
 use only the public names of the modules below them."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import dpmedreg
@@ -132,3 +134,15 @@ def test_upper_layers_import_only_public_names():
     found = {path.stem: private_imports(path.read_text(encoding="utf-8")) for path in SOURCES}
     assert {"verification", "bench", "cli"} <= set(found)
     assert {name: found[name] for name in ("verification", "bench", "cli") if found[name]} == {}
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs a quarter second to import; only the LP oracle
+    # needs it, and it imports it when called
+    probe = "import sys, dpmedreg.cli; print('scipy.optimize' in sys.modules)"
+    src = str(Path(dpmedreg.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {probe}"],
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -202,6 +202,33 @@ def test_smoothed_objective_and_gradient_reject_bad_knobs():
             fn(theta, data, 0.0, 0.0)
 
 
+_KD = Dataset(X=np.array([[0.4], [-0.2]]), Y=np.array([0.5, -0.5]), B=1.0)
+_KT = Theta(0.1, np.array([0.3]))
+_KR = np.array([0.2, -1.0])
+# (function, knob, the call with that knob set to v and the others good)
+_KNOB_CALLS = [
+    ("objective_l1", "lam", lambda v: objective_l1(_KT, _KD, v)),
+    ("smoothed_objective", "lam", lambda v: smoothed_objective(_KT, _KD, v, 0.05)),
+    ("smoothed_objective", "gamma", lambda v: smoothed_objective(_KT, _KD, 0.01, v)),
+    ("smoothed_gradient", "lam", lambda v: smoothed_gradient(_KT, _KD, v, 0.05)),
+    ("smoothed_gradient", "gamma", lambda v: smoothed_gradient(_KT, _KD, 0.01, v)),
+    ("directional_derivatives", "lam", lambda v: directional_derivatives(_KT, _KD, v, 0)),
+    ("perturbed_objective_le", "lam", lambda v: perturbed_objective_le(_KT, _KD, v, 0.2)),
+    ("perturbed_objective_le", "e", lambda v: perturbed_objective_le(_KT, _KD, 0.01, v)),
+    ("huber_rho", "gamma", lambda v: huber_rho(_KR, v)),
+    ("sign_vector", "gamma", lambda v: sign_vector(_KR, v)),
+]
+
+
+@pytest.mark.parametrize("value", [-0.1, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("knob, call", [c[1:] for c in _KNOB_CALLS], ids=[f"{c[0]}-{c[1]}" for c in _KNOB_CALLS])
+def test_math_functions_refuse_bad_knobs_as_the_configs_do(knob, call, value):
+    # NaN and infinity are refused as a negative value is; they used to give
+    # nan, -inf, a bare ridge term or all zeros
+    with pytest.raises(ValueError, match=f"^{knob} must be (nonnegative|positive) and finite, got "):
+        call(value)
+
+
 def test_smoothed_gradient_simple_case():
     # single sample sitting mid-band: bracket value r/gamma = 1/2
     gamma = 0.1

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from dpmedreg import (
     Dataset,
@@ -12,21 +13,22 @@ from dpmedreg import (
     random_dataset,
     verification,
 )
+from dpmedreg.model import design_matrix
 
-from conftest import bounded_instance, smoothed_baseline
+from conftest import benchmark_instance, bounded_instance, smoothed_baseline
 
 
 def test_oracle_intercept_only_median():
     data = Dataset(X=np.zeros((3, 1)), Y=np.array([1.0, 2.0, 9.0]), B=9.0)
-    theta = oracle_l1_fit(data, 0.0, radius=10.0)
+    theta = oracle_l1_fit(data)
     assert abs(theta.mu - 2.0) <= 2e-4
 
 
 def test_oracle_recovers_exact_linear(rng):
     data, beta = bounded_instance(rng, n=20, d=2, noise=1e-15, beta_scale=1.0)
-    theta = oracle_l1_fit(data, 0.0, radius=2.0)
-    assert abs(theta.mu) <= 2e-4
-    assert np.all(np.abs(theta.beta - beta) <= 2e-4)
+    theta = oracle_l1_fit(data)
+    assert abs(theta.mu) <= 1e-9
+    assert np.all(np.abs(theta.beta - beta) <= 1e-9)
 
 
 def test_oracle_dominates_smoothed_baseline(rng):
@@ -34,18 +36,22 @@ def test_oracle_dominates_smoothed_baseline(rng):
     for t in range(5):
         sub = rng.derive(t)
         data, _ = bounded_instance(sub, n=7, d=1, noise=0.2, beta_scale=1.0)
-        oracle = oracle_l1_fit(data, 0.0, radius=3.0)
+        oracle = oracle_l1_fit(data)
         base = smoothed_baseline(data, SmoothingConfig(lam=0.0, gamma=gamma))
-        assert objective_l1(oracle, data, 0.0) <= (
-            objective_l1(base, data, 0.0) + gamma / 2 + 2e-4
-        )
+        assert objective_l1(oracle, data, 0.0) <= objective_l1(base, data, 0.0) + gamma / 2
 
 
-def test_oracle_rejects_large_problems():
-    with pytest.raises(ValueError):
-        oracle_l1_fit(Dataset(X=np.zeros((5, 3)), Y=np.zeros(5), B=1.0), 0.0)
-    with pytest.raises(ValueError):
-        oracle_l1_fit(Dataset(X=np.zeros((51, 1)), Y=np.zeros(51), B=1.0), 0.0)
+def test_oracle_is_exact_at_benchmark_scale():
+    # the oracle's objective is the LP dual's optimal value y'u/n (strong
+    # duality), and no smoothed fit does better
+    data, _, _ = benchmark_instance(2000, RngStream(9))
+    assert (data.n, data.d) == (2000, 3)
+    oracle = objective_l1(oracle_l1_fit(data), data, 0.0)
+    base = smoothed_baseline(data, SmoothingConfig(lam=0.0, gamma=1e-4))
+    assert oracle <= objective_l1(base, data, 0.0)
+    res = linprog(-data.Y, A_eq=design_matrix(data.X).T, b_eq=np.zeros(4), bounds=(-1, 1), method="highs")
+    assert res.status == 0
+    assert abs(oracle - float(data.Y @ res.x) / data.n) <= 1e-12
 
 
 def test_neighbor_pair_explicit_replacement(rng):
