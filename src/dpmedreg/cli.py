@@ -105,10 +105,8 @@ def _write_manifest(out: str | None, entries: dict) -> None:
 
 def _cmd_generate(parser, args, seed: int) -> int:
     """The stock model of :func:`default_generator_spec` with the given flags
-    replacing its fields; ``--beta`` also sets ``d``."""
-    given = {"n": args.n, "mu": args.mu, "noise_scale": args.noise_scale}
-    if args.beta is not None:
-        given |= {"beta": args.beta, "d": len(args.beta)}
+    replacing its fields; ``--beta`` also sets ``d``, its length."""
+    given = {"n": args.n, "mu": args.mu, "beta": args.beta, "noise_scale": args.noise_scale}
     if args.box is not None:
         if len(args.box) != 2:
             parser.error("--box expects two comma-separated numbers lo,hi")

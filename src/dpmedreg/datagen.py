@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, Theta, _check_positive
+from .model import Dataset, Theta, _check_count, _check_positive
 from .sampling import RngStream
 
 __all__ = [
@@ -44,10 +44,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Linear model with additive Laplace noise and box-uniform covariates."""
+    """Linear model with additive Laplace noise and box-uniform covariates;
+    the number of covariates ``d`` is the length of ``beta``."""
 
     n: int
-    d: int
     mu: float
     beta: np.ndarray
     noise_scale: float
@@ -57,10 +57,9 @@ class GeneratorSpec:
         beta = np.array(self.beta, dtype=float)
         beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)
-        if self.n < 1 or self.d < 1:
-            raise ValueError("need n >= 1 and d >= 1")
-        if beta.shape != (self.d,):
-            raise ValueError(f"beta must have length d={self.d}, got {beta.shape}")
+        _check_count("n", self.n)
+        if beta.ndim != 1 or not beta.size:
+            raise ValueError(f"beta must be a vector of d >= 1 coefficients, got shape {beta.shape}")
         if not math.isfinite(self.mu) or not np.all(np.isfinite(beta)):
             raise ValueError(f"mu and beta must be finite, got mu={self.mu}, beta={beta.tolist()}")
         _check_positive("noise_scale", self.noise_scale)
@@ -71,13 +70,17 @@ class GeneratorSpec:
             raise ValueError(f"box must have finite ends and a finite width hi - lo, got {self.box}")
 
     @property
+    def d(self) -> int:
+        return self.beta.shape[0]
+
+    @property
     def truth(self) -> Theta:
         return Theta(mu=self.mu, beta=self.beta)
 
 
 def default_generator_spec(n: int = 5000) -> GeneratorSpec:
     """The stock three-covariate benchmark model."""
-    return GeneratorSpec(n=n, d=3, mu=2.0, beta=(3.0, 0.0, -4.0), noise_scale=2.0)
+    return GeneratorSpec(n=n, mu=2.0, beta=(3.0, 0.0, -4.0), noise_scale=2.0)
 
 
 def generate(spec: GeneratorSpec, rng: RngStream):
@@ -105,8 +108,8 @@ class ScalingRecord:
     y_scale: float
 
     def __post_init__(self) -> None:
-        if not (self.x_scale > 0 and self.y_scale > 0):
-            raise ValueError("scales must be positive")
+        _check_positive("x_scale", self.x_scale)
+        _check_positive("y_scale", self.y_scale)
 
 
 def normalize(X: np.ndarray, Y: np.ndarray, target_b: float = 2.0):

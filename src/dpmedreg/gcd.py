@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .irls import weighted_ridge_solve
-from .model import Dataset, Release, Theta, _check_count, _check_positive, _MechanismConfig, _coordinate_step
+from .model import Dataset, Release, Theta, _check_count, _check_nonnegative, _check_positive
+from .model import _coordinate_step, _MechanismConfig
 from .sampling import RngStream
 
 __all__ = [
@@ -59,8 +60,8 @@ def split_batches(n: int, n_batches: int, rng: RngStream) -> np.ndarray:
     array whose row t is batch t.  The rows are slices of one permutation, so
     they are disjoint; the n mod n_batches leftover records are dropped so the
     per-iteration noise scale is well defined."""
-    if n_batches < 1:
-        raise ValueError("need at least one batch")
+    _check_count("n", n)
+    _check_count("n_batches", n_batches)
     if n < n_batches:
         raise ValueError(f"need n >= number of batches, got n={n} < {n_batches}")
     size = n // n_batches
@@ -91,9 +92,8 @@ def coordinate_step_vector(
         raise ValueError(f"Y must have shape ({n0},) to match X, got {Y.shape}")
     if theta.d != d:
         raise ValueError(f"theta has d={theta.d} but X has {d} columns")
-    for name, value in (("lam", lam), ("eta", eta)):
-        if not 0 <= value < math.inf:
-            raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+    _check_nonnegative("lam", lam)
+    _check_nonnegative("eta", eta)
     r = theta.mu + X @ theta.beta - Y
     cols = X.T.copy()
     return np.array(

@@ -22,14 +22,17 @@ from .model import (
     Release,
     Theta,
     _check_count,
+    _check_epsilon,
+    _check_nonnegative,
     _check_positive,
+    _check_probability,
     _check_private_run,
     _MechanismConfig,
     _spd_solve,
     design_matrix,
     residuals,
 )
-from .sampling import RngStream, sample_laplace
+from .sampling import RngStream
 
 __all__ = [
     "IrlsConfig",
@@ -73,8 +76,9 @@ def default_coefficient_bound(B: float, lam: float, e: float) -> float:
     :func:`fit_irls_private` is private only if v holds on every dataset,
     so v is derived here, never set.  At lam = 0 no such bound exists:
     returns inf, and only the noiseless fit runs."""
-    if not (B > 0 and e > 0 and lam >= 0):
-        raise ValueError(f"need B > 0, e > 0 and lam >= 0, got B={B}, e={e}, lam={lam}")
+    _check_positive("B", B)
+    _check_nonnegative("lam", lam)
+    _check_positive("e", e)
     if lam == 0:
         return math.inf
     return 8.0 * B * B / (lam * e)
@@ -84,7 +88,7 @@ def default_coefficient_bound(B: float, lam: float, e: float) -> float:
 class IrlsTrace:
     """Per-iteration record of the reweighted fit.
 
-    ``iterations`` counts weighted solves after the unit-weight start;
+    :attr:`iterations` counts weighted solves after the unit-weight start;
     ``bracket_violations`` counts iterations whose weights escaped
     [1/(2(sqrt(d v)+B)+e), 1/e] at the derived v: zero unless that a-priori
     bound itself fails, which makes it a runtime check of the bound.
@@ -92,8 +96,11 @@ class IrlsTrace:
 
     thetas: tuple[Theta, ...]
     converged: bool
-    iterations: int
     bracket_violations: int
+
+    @property
+    def iterations(self) -> int:
+        return len(self.thetas) - 1
 
     @property
     def final(self) -> Theta:
@@ -112,8 +119,7 @@ def weighted_ridge_solve(data: Dataset, weights: np.ndarray, lam: float) -> Thet
         raise ValueError(f"weights must have shape ({data.n},), got {w.shape}")
     if not np.all(np.isfinite(w)) or not np.all(w > 0):
         raise ValueError("weights must be positive and finite")
-    if lam < 0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
+    _check_nonnegative("lam", lam)
     return _normal_solve(design_matrix(data.X), data.Y, w, data.n * lam / 2.0)
 
 
@@ -153,7 +159,6 @@ def irls_fit(data: Dataset, cfg: IrlsConfig) -> IrlsTrace:
     thetas = [theta]
     converged = False
     violations = 0
-    iterations = 0
     for _ in range(cfg.max_iters):
         w = 1.0 / (np.abs(residuals(theta, data)) + cfg.e)
         w_min = float(w.min())
@@ -163,7 +168,6 @@ def irls_fit(data: Dataset, cfg: IrlsConfig) -> IrlsTrace:
         if w_min < w_lo * (1.0 - 1e-12) or w_max > w_hi * (1.0 + 1e-12):
             violations += 1
         new = _normal_solve(Xt, data.Y, w, ridge)
-        iterations += 1
         dmu = abs(new.mu - theta.mu)
         dbeta = float(np.abs(new.beta - theta.beta).sum())
         thetas.append(new)
@@ -171,12 +175,7 @@ def irls_fit(data: Dataset, cfg: IrlsConfig) -> IrlsTrace:
         if dmu <= cfg.tau and dbeta <= cfg.tau:
             converged = True
             break
-    return IrlsTrace(
-        thetas=tuple(thetas),
-        converged=converged,
-        iterations=iterations,
-        bracket_violations=violations,
-    )
+    return IrlsTrace(thetas=tuple(thetas), converged=converged, bracket_violations=violations)
 
 
 def irls_sensitivity(d: int, n: int, B: float, lam: float, e: float) -> float:
@@ -185,10 +184,9 @@ def irls_sensitivity(d: int, n: int, B: float, lam: float, e: float) -> float:
 
         c = 8 (sqrt(d v) + B) / (n min(2 / (2 (sqrt(d v) + B) + e), lam) e).
     """
-    if d < 1 or n < 1:
-        raise ValueError("need d >= 1 and n >= 1")
-    if not (B > 0 and lam > 0 and e > 0):
-        raise ValueError("B, lam and e must be positive")
+    _check_count("d", d)
+    _check_count("n", n)
+    _check_positive("lam", lam)
     reach = math.sqrt(d * default_coefficient_bound(B, lam, e)) + B
     curvature = min(2.0 / (2.0 * reach + e), lam)
     if not curvature > 0:
@@ -216,7 +214,7 @@ def fit_irls_private(data: Dataset, cfg: IrlsConfig, rng: RngStream | None) -> R
     theta = trace.final
     noise = np.zeros(data.d + 1)
     if private:
-        noise = sample_laplace(scale, data.d + 1, rng)
+        noise = rng.laplaces(scale, data.d + 1)
         theta = Theta(mu=theta.mu + noise[0], beta=theta.beta + noise[1:])
     return Release(theta=theta, noise=noise, noise_scale=scale, solver_iters=trace.iterations)
 
@@ -231,9 +229,7 @@ def irls_accuracy_bound(
         -------------------------------------- .
         epsilon min(2/(2(sqrt(d v)+B)+e), lam) n e
     """
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    _check_probability("alpha", alpha)
+    _check_epsilon(epsilon)
     c = irls_sensitivity(d, n, B, lam, e)
     return c * (d + 1) * math.log((d + 1) / alpha) / epsilon

@@ -43,22 +43,42 @@ class _MechanismConfig:
     lam: float = 0.002
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        _check_lam(self.lam)
+        _check_epsilon(self.epsilon)
+        _check_nonnegative("lam", self.lam)
 
 
-def _check_lam(lam: float) -> None:
-    """Refuse a ridge weight that is negative, NaN or infinite."""
-    if not 0 <= lam < math.inf:
-        raise ValueError(f"lam must be nonnegative and finite, got {lam}")
-
-
+# The package's only checks of a scalar knob, one per kind; each refuses NaN.
 def _check_positive(name: str, value: float) -> None:
     """Refuse a knob that must be positive and finite (a width, offset,
-    tolerance or bound) when it is not."""
+    tolerance, scale or bound) when it is not."""
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_nonnegative(name: str, value: float) -> None:
+    """Refuse a knob that may be zero (a ridge weight, step size or
+    dimension) when it is negative or infinite."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+
+
+def _check_count(name: str, value) -> None:
+    """Refuse a size, dimension or count that is not an integer >= 1; a bool
+    is not a count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
+def _check_probability(name: str, value: float) -> None:
+    """Refuse a failure probability outside the open interval (0, 1)."""
+    if not 0 < value < 1:
+        raise ValueError(f"{name} must lie in (0, 1), got {value}")
+
+
+def _check_epsilon(epsilon: float) -> None:
+    """Refuse a privacy level outside (0, inf]; inf is the noiseless run."""
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
 
 
 def _check_private_run(cfg: _MechanismConfig, rng) -> None:
@@ -71,13 +91,6 @@ def _check_private_run(cfg: _MechanismConfig, rng) -> None:
         raise ValueError("lam (lambda) must be positive when epsilon is finite")
     if rng is None:
         raise ValueError("a finite epsilon needs an RngStream to draw the noise from, got None")
-
-
-def _check_count(name: str, value) -> None:
-    """Refuse an iteration or batch count that is not an integer >= 1; a bool
-    is not a count."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 def _frozen_array(values, ndim: int, name: str) -> np.ndarray:
@@ -185,7 +198,7 @@ def residuals(theta: Theta, data: Dataset) -> np.ndarray:
 
 def objective_l1(theta: Theta, data: Dataset, lam: float) -> float:
     """Mean absolute residual plus the ridge penalty (lam/2) beta'beta."""
-    _check_lam(lam)
+    _check_nonnegative("lam", lam)
     r = residuals(theta, data)
     return float(np.abs(r).sum() / data.n + 0.5 * lam * theta.beta @ theta.beta)
 
@@ -257,14 +270,10 @@ def sign_vector(r: np.ndarray, gamma: float) -> np.ndarray:
     return _band_signs(np.asarray(r, dtype=float), gamma).astype(int)
 
 
-def _check_smoothing_knobs(lam: float, gamma: float) -> None:
-    _check_lam(lam)
-    _check_positive("gamma", gamma)
-
-
 def smoothed_objective(theta: Theta, data: Dataset, lam: float, gamma: float) -> float:
     """Mean smoothed absolute residual plus the ridge penalty (lam/2) beta'beta."""
-    _check_smoothing_knobs(lam, gamma)
+    _check_nonnegative("lam", lam)
+    _check_positive("gamma", gamma)
     r = residuals(theta, data)
     return float(np.sum(huber_rho(r, gamma)) / data.n + 0.5 * lam * theta.beta @ theta.beta)
 
@@ -277,7 +286,8 @@ def smoothed_gradient(theta: Theta, data: Dataset, lam: float, gamma: float) -> 
     inclusive band assignment is immaterial here.  This is the solver's
     gradient with an unpenalized intercept and no tilt.
     """
-    _check_smoothing_knobs(lam, gamma)
+    _check_nonnegative("lam", lam)
+    _check_positive("gamma", gamma)
     if theta.d != data.d:
         raise ValueError(f"theta has d={theta.d} but data has d={data.d}")
     ridge = np.full(data.d + 1, lam)
@@ -317,7 +327,7 @@ def directional_derivatives(theta: Theta, data: Dataset, lam: float, k: int):
     term contributes +lam beta_k forward and -lam beta_k backward, so away
     from kinks d_plus == -d_minus.  ``k`` is a 0-based coordinate index.
     """
-    _check_lam(lam)
+    _check_nonnegative("lam", lam)
     if not 0 <= k < data.d:
         raise IndexError(f"coordinate k={k} out of range for d={data.d}")
     r = residuals(theta, data)
@@ -335,7 +345,7 @@ def perturbed_objective_le(theta: Theta, data: Dataset, lam: float, e: float) ->
     the descent checks use it.
     """
     _check_positive("e", e)
-    _check_lam(lam)
+    _check_nonnegative("lam", lam)
     r = np.abs(residuals(theta, data))
     ridge = 0.5 * lam * float(theta.beta @ theta.beta)
     return float(2.0 / data.n * np.sum(r - e * np.log(e + r)) + ridge)

@@ -17,11 +17,10 @@ import math
 
 import numpy as np
 
-from .model import _check_count, _check_positive
+from .model import _check_count, _check_epsilon, _check_nonnegative, _check_positive, _check_probability
 
 __all__ = [
     "RngStream",
-    "sample_laplace",
     "sample_l1_perturbation",
     "sample_l1_perturbations",
     "gamma_tail_bound",
@@ -80,6 +79,11 @@ class RngStream:
         return ((raw >> 11).astype(float) + 0.5) / _TWO53
 
     def laplaces(self, scale: float, k: int) -> np.ndarray:
+        """k i.i.d. draws with density (1/2c) exp(-|x|/c), c = ``scale``
+        (positive and finite), one uniform each: the inverse CDF
+        x = -c sign(u - 1/2) ln(1 - 2|u - 1/2|)."""
+        _check_positive("scale", scale)
+        _check_count("k", k)
         return _laplace(self.uniform_open(k), scale)
 
     def uniforms(self, lo: float, hi: float, k: int) -> np.ndarray:
@@ -96,20 +100,8 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream={self.stream})"
 
 
-def sample_laplace(scale: float, k: int, rng: RngStream) -> np.ndarray:
-    """k i.i.d. draws with density (1/2c) exp(-|x|/c), c = scale.
-
-    Inverse CDF from one uniform per draw: x = -c sign(u - 1/2) ln(1 - 2|u - 1/2|).
-    """
-    if not scale > 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    _check_count("k", k)
-    return rng.laplaces(scale, k)
-
-
 def _l1_scale(dim: int, epsilon: float) -> float:
-    if dim < 1:
-        raise ValueError(f"need dim >= 1, got {dim}")
+    _check_count("dim", dim)
     _check_positive("epsilon", epsilon)
     scale = 4.0 / epsilon
     if not math.isfinite(scale):
@@ -156,10 +148,7 @@ def gamma_tail_bound(d: int, alpha: float, epsilon: float) -> float:
     Returns 4 (d+1) ln((d+1)/alpha) / epsilon (natural log).  Monotone
     decreasing in both alpha and epsilon.
     """
-    if d < 0:
-        raise ValueError(f"need d >= 0, got {d}")
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    _check_nonnegative("d", d)
+    _check_probability("alpha", alpha)
+    _check_epsilon(epsilon)
     return 4.0 * (d + 1) * math.log((d + 1) / alpha) / epsilon

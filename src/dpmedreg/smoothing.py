@@ -243,7 +243,8 @@ def fit_smoothed_private(data: Dataset, cfg: SmoothingConfig, rng: RngStream | N
     stream and lam > 0, checked before any draw: objective perturbation is
     private only for a strongly convex regularizer (Chaudhuri, Monteleoni
     and Sarwate, JMLR 2011), and without the ridge the tilt can make the
-    program unbounded below along a coefficient.
+    program unbounded below along a coefficient.  A tilt that overflows the
+    solve (a tiny epsilon) is a ValueError naming epsilon.
     """
     _check_private_run(cfg, rng)
     if math.isinf(cfg.epsilon):
@@ -251,9 +252,13 @@ def fit_smoothed_private(data: Dataset, cfg: SmoothingConfig, rng: RngStream | N
     else:
         b = sample_l1_perturbation(data.d + 1, cfg.epsilon, rng)
         scale = _l1_scale(data.d + 1, cfg.epsilon)
-    omega, iters, _ = _minimize_smoothed(
-        data, cfg.lam, cfg.gamma, b / data.n, cfg.solver_tol, cfg.max_iters
-    )
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            omega, iters, _ = _minimize_smoothed(
+                data, cfg.lam, cfg.gamma, b / data.n, cfg.solver_tol, cfg.max_iters
+            )
+    except FloatingPointError as exc:
+        raise ValueError(f"epsilon={cfg.epsilon} overflows the smoothed fit ({exc})") from None
     return Release(theta=Theta.from_vector(omega), noise=b, noise_scale=scale, solver_iters=iters)
 
 
@@ -268,10 +273,7 @@ def smoothing_accuracy_bound(d: int, alpha: float, n: int, lam: float, epsilon: 
 
         4 (d+1) ln((d+1)/alpha) / (n min(lam, 2/sqrt(n)) epsilon).
     """
-    if d < 1 or n < 1:
-        raise ValueError("need d >= 1 and n >= 1")
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if not lam > 0 or not epsilon > 0:
-        raise ValueError("lam and epsilon must be positive")
+    _check_count("d", d)
+    _check_count("n", n)
+    _check_positive("lam", lam)
     return gamma_tail_bound(d, alpha, epsilon) / (n * min(lam, 2.0 / math.sqrt(n)))

@@ -7,7 +7,7 @@ it."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -15,7 +15,7 @@ from .datagen import default_generator_spec, generate, normalize
 from .gcd import GcdConfig, coordinate_step_vector
 from .irls import IrlsConfig, fit_irls_private, irls_accuracy_bound, irls_fit, irls_sensitivity
 from .model import Dataset, Theta, design_matrix
-from .sampling import RngStream, gamma_tail_bound, sample_l1_perturbations, sample_laplace
+from .sampling import RngStream, gamma_tail_bound, sample_l1_perturbations
 from .smoothing import SmoothingConfig, fit_smoothed_private, smoothing_accuracy_bound
 
 __all__ = [
@@ -53,11 +53,12 @@ def oracle_l1_fit(data: Dataset) -> Theta:
 
 @dataclass(frozen=True)
 class NeighborPair:
-    """Two datasets of identical shape and bound differing in exactly one row."""
+    """Two datasets of identical shape and bound differing in exactly one
+    row; ``index`` is that row's, found at construction."""
 
     a: Dataset
     b: Dataset
-    index: int
+    index: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.a.X.shape != self.b.X.shape or self.a.B != self.b.B:
@@ -66,8 +67,7 @@ class NeighborPair:
         where = np.flatnonzero(differs)
         if where.shape[0] != 1:
             raise ValueError(f"pair must differ in exactly one row, found {where.shape[0]}")
-        if int(where[0]) != self.index:
-            raise ValueError(f"differing row {int(where[0])} does not match index {self.index}")
+        object.__setattr__(self, "index", int(where[0]))
 
 
 def make_neighbor_pair(
@@ -108,7 +108,7 @@ def make_neighbor_pair(
     Y2 = base.Y.copy()
     X2[index] = x_new
     Y2[index] = y_new
-    return NeighborPair(a=base, b=Dataset(X=X2, Y=Y2, B=base.B), index=index)
+    return NeighborPair(a=base, b=Dataset(X=X2, Y=Y2, B=base.B))
 
 
 def random_dataset(n: int, d: int, B: float, rng: RngStream) -> Dataset:
@@ -207,7 +207,7 @@ def _probe_alg3(trials: int, seed: int) -> list[ProbeResult]:
 
 def _probe_samplers(trials: int, seed: int) -> list[ProbeResult]:
     rng = RngStream(seed)
-    xs = np.sort(sample_laplace(1.0, trials, rng.derive(0)))
+    xs = np.sort(rng.derive(0).laplaces(1.0, trials))
     cdf = np.where(xs < 0, 0.5 * np.exp(xs), 1.0 - 0.5 * np.exp(-xs))
     grid = np.arange(1, trials + 1) / trials
     ks = float(np.max(np.maximum(np.abs(grid - cdf), np.abs(grid - 1.0 / trials - cdf))))

@@ -32,7 +32,6 @@ from dpmedreg import (
     perturbed_objective_le,
     residuals,
     sample_l1_perturbation,
-    sample_laplace,
     smoothed_gradient,
     smoothed_objective,
     unscale_theta,
@@ -299,7 +298,7 @@ def test_criterion_6_bound_coverage():
 
 def test_criterion_7_sampler_distributions():
     start = time.perf_counter()
-    draws = np.sort(sample_laplace(1.0, 100_000, RngStream(3)))
+    draws = np.sort(RngStream(3).laplaces(1.0, 100_000))
     cdf = np.where(draws < 0, 0.5 * np.exp(draws), 1.0 - 0.5 * np.exp(-draws))
     n = draws.shape[0]
     hi = np.arange(1, n + 1) / n

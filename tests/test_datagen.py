@@ -24,11 +24,13 @@ from conftest import smoothed_baseline
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        GeneratorSpec(n=10, d=2, mu=0.0, beta=(1.0,), noise_scale=1.0)
+        GeneratorSpec(n=10, mu=0.0, beta=(1.0,), noise_scale=0.0)
     with pytest.raises(ValueError):
-        GeneratorSpec(n=10, d=1, mu=0.0, beta=(1.0,), noise_scale=0.0)
-    with pytest.raises(ValueError):
-        GeneratorSpec(n=10, d=1, mu=0.0, beta=(1.0,), noise_scale=1.0, box=(1.0, 0.0))
+        GeneratorSpec(n=10, mu=0.0, beta=(1.0,), noise_scale=1.0, box=(1.0, 0.0))
+    with pytest.raises(ValueError, match="^beta must be a vector of d >= 1 coefficients"):
+        GeneratorSpec(n=10, mu=0.0, beta=(), noise_scale=1.0)
+    # d is the length of beta, not a field of its own
+    assert GeneratorSpec(n=10, mu=0.0, beta=(1.0, 2.0), noise_scale=1.0).d == 2
 
 
 @pytest.mark.parametrize(
@@ -47,13 +49,13 @@ def test_spec_validation():
 )
 def test_spec_refuses_non_finite_knobs(knobs, message):
     # each of these used to build a spec whose draws are not finite
-    spec = {"n": 10, "d": 1, "mu": 0.0, "beta": (1.0,), "noise_scale": 1.0, **knobs}
+    spec = {"n": 10, "mu": 0.0, "beta": (1.0,), "noise_scale": 1.0, **knobs}
     with pytest.raises(ValueError, match=f"^{message}"):
         GeneratorSpec(**spec)
 
 
 def test_spec_accepts_wide_finite_box():
-    spec = GeneratorSpec(n=10, d=1, mu=0.0, beta=(1.0,), noise_scale=1.0, box=(-1e307, 1e307))
+    spec = GeneratorSpec(n=10, mu=0.0, beta=(1.0,), noise_scale=1.0, box=(-1e307, 1e307))
     X, Y, _ = generate(spec, RngStream(1))
     assert np.all(np.isfinite(X)) and np.all(np.isfinite(Y))
 
@@ -61,7 +63,7 @@ def test_spec_accepts_wide_finite_box():
 @pytest.mark.parametrize(
     "knobs",
     [
-        {"d": 2, "beta": (1e308, 1e308), "box": (0.9, 1.0)},
+        {"beta": (1e308, 1e308), "box": (0.9, 1.0)},
         {"mu": 1.7e308, "beta": (1e308,), "box": (0.9, 1.0)},
         {"noise_scale": 1e308},
     ],
@@ -69,7 +71,7 @@ def test_spec_accepts_wide_finite_box():
 def test_generate_refuses_draws_that_overflow(knobs):
     # finite knobs whose Y is not: this used to be a numpy overflow warning,
     # then a write_csv error that named no knob
-    spec = GeneratorSpec(**{"n": 50, "d": 1, "mu": 0.0, "beta": (1.0,), "noise_scale": 1.0, **knobs})
+    spec = GeneratorSpec(**{"n": 50, "mu": 0.0, "beta": (1.0,), "noise_scale": 1.0, **knobs})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^mu, beta, noise_scale and box draw values that overflow"):
@@ -77,13 +79,13 @@ def test_generate_refuses_draws_that_overflow(knobs):
 
 
 def test_generate_noiseless_is_exactly_linear():
-    spec = GeneratorSpec(n=50, d=2, mu=1.0, beta=(2.0, -1.0), noise_scale=1e-300)
+    spec = GeneratorSpec(n=50, mu=1.0, beta=(2.0, -1.0), noise_scale=1e-300)
     X, Y, truth = generate(spec, RngStream(3))
     assert np.allclose(Y, truth.mu + X @ truth.beta, atol=1e-12)
 
 
 def test_generate_noise_median_near_zero():
-    spec = GeneratorSpec(n=1_000_000, d=1, mu=0.0, beta=(0.0,), noise_scale=1.0)
+    spec = GeneratorSpec(n=1_000_000, mu=0.0, beta=(0.0,), noise_scale=1.0)
     _, Y, _ = generate(spec, RngStream(4))
     assert abs(float(np.median(Y))) < 0.01
 
@@ -140,7 +142,7 @@ def test_unscale_theta_simple():
 
 
 def test_unscaled_fit_recovers_exact_linear():
-    spec = GeneratorSpec(n=200, d=2, mu=1.5, beta=(4.0, -3.0), noise_scale=1e-300, box=(-2.0, 2.0))
+    spec = GeneratorSpec(n=200, mu=1.5, beta=(4.0, -3.0), noise_scale=1e-300, box=(-2.0, 2.0))
     X, Y, truth = generate(spec, RngStream(8))
     data, rec = normalize(X, Y, target_b=2.0)
     theta = smoothed_baseline(data, SmoothingConfig(lam=0.0, gamma=1e-6))

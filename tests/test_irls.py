@@ -91,7 +91,7 @@ def test_zero_column_without_ridge_is_singular(rng):
 
 def test_weighted_solve_rejects_non_finite_system(rng):
     data, _ = bounded_instance(rng, n=5, d=1)
-    with pytest.raises(ValueError, match="infs or NaNs"):
+    with pytest.raises(ValueError, match="^lam must be nonnegative and finite, got inf$"):
         weighted_ridge_solve(data, np.ones(5), lam=math.inf)
 
 
@@ -287,8 +287,13 @@ def test_default_coefficient_bound_formula():
     assert default_coefficient_bound(2.0, 0.002, 0.2) == pytest.approx(80000.0)
     # no a-priori bound exists without the ridge
     assert default_coefficient_bound(2.0, 0.0, 0.2) == math.inf
-    for B, lam, e in ((0.0, 0.002, 0.2), (2.0, 0.002, 0.0), (2.0, -0.002, 0.2), (2.0, math.nan, 0.2)):
-        with pytest.raises(ValueError, match="^need B > 0, e > 0 and lam >= 0"):
+    for B, lam, e, message in (
+        (0.0, 0.002, 0.2, "B must be positive and finite, got 0.0"),
+        (2.0, 0.002, 0.0, "e must be positive and finite, got 0.0"),
+        (2.0, -0.002, 0.2, "lam must be nonnegative and finite, got -0.002"),
+        (2.0, math.nan, 0.2, "lam must be nonnegative and finite, got nan"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             default_coefficient_bound(B, lam, e)
 
 

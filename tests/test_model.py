@@ -8,15 +8,21 @@ from scipy.linalg import cho_factor, cho_solve
 from dpmedreg import (
     Dataset,
     RngStream,
+    ScalingRecord,
     Theta,
+    default_coefficient_bound,
     directional_derivatives,
     huber_rho,
+    irls_sensitivity,
     objective_l1,
     perturbed_objective_le,
     residuals,
     sign_vector,
     smoothed_gradient,
     smoothed_objective,
+    smoothing_accuracy_bound,
+    split_batches,
+    weighted_ridge_solve,
 )
 from dpmedreg.model import _coordinate_step, _smoothed_terms, _spd_solve, design_matrix
 from dpmedreg.verification import random_theta
@@ -227,6 +233,79 @@ def test_math_functions_refuse_bad_knobs_as_the_configs_do(knob, call, value):
     # nan, -inf, a bare ridge term or all zeros
     with pytest.raises(ValueError, match=f"^{knob} must be (nonnegative|positive) and finite, got "):
         call(value)
+
+
+# each call used to return a number, or to fail without naming the knob,
+# for a knob outside its domain
+_LEAKS = [
+    pytest.param(
+        lambda: RngStream(1).laplaces(math.inf, 3),
+        "scale must be positive and finite, got inf",
+        id="laplaces-scale-inf",
+    ),
+    pytest.param(
+        lambda: RngStream(1).laplaces(-1.0, 3),
+        "scale must be positive and finite, got -1.0",
+        id="laplaces-scale-negative",
+    ),
+    pytest.param(
+        lambda: smoothing_accuracy_bound(3, 0.1, 200, math.inf, 0.1),
+        "lam must be positive and finite, got inf",
+        id="smoothing_accuracy_bound-lam-inf",
+    ),
+    pytest.param(
+        lambda: weighted_ridge_solve(_KD, np.ones(2), math.nan),
+        "lam must be nonnegative and finite, got nan",
+        id="weighted_ridge_solve-lam-nan",
+    ),
+    pytest.param(
+        lambda: weighted_ridge_solve(_KD, np.ones(2), math.inf),
+        "lam must be nonnegative and finite, got inf",
+        id="weighted_ridge_solve-lam-inf",
+    ),
+    pytest.param(
+        lambda: default_coefficient_bound(math.inf, 0.002, 0.2),
+        "B must be positive and finite, got inf",
+        id="default_coefficient_bound-B-inf",
+    ),
+    pytest.param(
+        lambda: default_coefficient_bound(2.0, math.inf, 0.2),
+        "lam must be nonnegative and finite, got inf",
+        id="default_coefficient_bound-lam-inf",
+    ),
+    pytest.param(
+        lambda: default_coefficient_bound(2.0, 0.002, math.inf),
+        "e must be positive and finite, got inf",
+        id="default_coefficient_bound-e-inf",
+    ),
+    pytest.param(
+        lambda: irls_sensitivity(3, 100, 2.0, math.inf, 0.2),
+        "lam must be positive and finite, got inf",
+        id="irls_sensitivity-lam-inf",
+    ),
+    pytest.param(
+        lambda: irls_sensitivity(1.5, 100, 2.0, 0.002, 0.2),
+        "d must be a positive integer, got 1.5",
+        id="irls_sensitivity-d-fraction",
+    ),
+    pytest.param(
+        lambda: split_batches(10, 2.5, RngStream(1)),
+        "n_batches must be a positive integer, got 2.5",
+        id="split_batches-n_batches-fraction",
+    ),
+    pytest.param(
+        lambda: ScalingRecord(math.inf, 1.0),
+        "x_scale must be positive and finite, got inf",
+        id="ScalingRecord-x_scale-inf",
+    ),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, message", _LEAKS)
+def test_knobs_outside_their_domain_are_refused_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_smoothed_gradient_simple_case():

@@ -8,7 +8,6 @@ from dpmedreg import (
     gamma_tail_bound,
     sample_l1_perturbation,
     sample_l1_perturbations,
-    sample_laplace,
     sampling,
 )
 
@@ -117,29 +116,39 @@ def test_uniform_open_strictly_interior():
     assert u.max() < 1.0
 
 
-def test_sample_laplace_validation():
-    with pytest.raises(ValueError):
-        sample_laplace(0.0, 5, RngStream(0))
-    for k in (2.5, True, 0):
-        with pytest.raises(ValueError, match=f"^k must be a positive integer, got {k!r}$"):
-            sample_laplace(1.0, k, RngStream(0))
+@pytest.mark.parametrize(
+    "scale, k, message",
+    [
+        (0.0, 5, "scale must be positive and finite, got 0.0"),
+        (-1.0, 5, "scale must be positive and finite, got -1.0"),
+        (math.inf, 5, "scale must be positive and finite, got inf"),
+        (math.nan, 5, "scale must be positive and finite, got nan"),
+        (1.0, 2.5, "k must be a positive integer, got 2.5"),
+        (1.0, True, "k must be a positive integer, got True"),
+        (1.0, 0, "k must be a positive integer, got 0"),
+    ],
+    ids=["scale-0", "scale-negative", "scale-inf", "scale-nan", "k-2.5", "k-True", "k-0"],
+)
+def test_laplaces_validation(scale, k, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        RngStream(0).laplaces(scale, k)
 
 
 def test_laplace_median_of_absolute_values():
     # P(|x| <= c ln 2) is exactly 1/2
     c = 0.7
-    draws = sample_laplace(c, 1_000_000, RngStream(1))
+    draws = RngStream(1).laplaces(c, 1_000_000)
     frac = float(np.mean(np.abs(draws) <= c * math.log(2)))
     assert abs(frac - 0.5) < 0.01
 
 
 def test_laplace_variance():
-    draws = sample_laplace(1.0, 1_000_000, RngStream(2))
+    draws = RngStream(2).laplaces(1.0, 1_000_000)
     assert abs(float(np.var(draws)) - 2.0) < 0.02
 
 
 def test_laplace_ks_distance():
-    draws = np.sort(sample_laplace(1.0, 100_000, RngStream(3)))
+    draws = np.sort(RngStream(3).laplaces(1.0, 100_000))
     cdf = np.where(draws < 0, 0.5 * np.exp(draws), 1.0 - 0.5 * np.exp(-draws))
     n = draws.shape[0]
     hi = np.arange(1, n + 1) / n

@@ -86,6 +86,18 @@ def test_private_fit_noise_is_read_only(rng):
             release.noise[0] = 1.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_private_fit_refuses_an_epsilon_whose_tilt_overflows_the_solve():
+    # 4/epsilon is finite at each of these, but the tilt overflowed inside the
+    # Newton solve under float warnings and then failed without naming epsilon
+    data, _, _ = benchmark_instance(200, RngStream(4))
+    for epsilon in (1e-300, 1e-200, 1e-155):
+        with pytest.raises(ValueError, match=f"^epsilon={epsilon} overflows the smoothed fit"):
+            fit_smoothed_private(data, SmoothingConfig(epsilon=epsilon), RngStream(2))
+    release = fit_smoothed_private(data, SmoothingConfig(epsilon=1e-150), RngStream(2))
+    assert np.all(np.isfinite(release.theta.as_vector()))
+
+
 def test_private_fit_refuses_zero_lam_at_finite_epsilon():
     # without the ridge the tilt can make the program unbounded below; the
     # fit must refuse before it draws or runs, not fail after max_iters

@@ -90,7 +90,7 @@ def test_neighbor_pair_random_replacement_valid(rng):
 def test_neighbor_pair_symmetry(rng):
     base = random_dataset(6, 2, 1.0, rng)
     pair = make_neighbor_pair(base, rng=rng)
-    swapped = NeighborPair(a=pair.b, b=pair.a, index=pair.index)
+    swapped = NeighborPair(a=pair.b, b=pair.a)
     assert swapped.index == pair.index
 
 
