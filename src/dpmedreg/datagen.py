@@ -90,7 +90,7 @@ def generate(spec: GeneratorSpec, rng: RngStream):
     a ``ValueError`` naming the knobs, not a numpy warning.
     """
     lo, hi = spec.box
-    X = lo + (hi - lo) * rng.uniform_open(spec.n * spec.d).reshape(spec.n, spec.d)
+    X = rng.uniforms(lo, hi, spec.n * spec.d).reshape(spec.n, spec.d)
     with np.errstate(over="ignore", invalid="ignore"):
         u = rng.laplaces(spec.noise_scale, spec.n)
         Y = spec.mu + X @ spec.beta + u

@@ -79,9 +79,9 @@ def coordinate_step_vector(
 
     |step_k| <= eta (1 + lam |beta_k|) always, because each one-sided slope
     is an average of entries bounded by |x_ik| <= 1 plus the ridge term.
-    ``X`` must be 2-D with ``theta.d`` columns, ``Y`` a vector of one entry
-    per row, and ``lam`` and ``eta`` nonnegative and finite; anything else is
-    a ValueError.
+    ``X`` must be 2-D with ``theta.d`` columns and at least one row, ``Y`` a
+    vector of one entry per row, and ``lam`` and ``eta`` nonnegative and
+    finite; anything else is a ValueError.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -92,6 +92,7 @@ def coordinate_step_vector(
         raise ValueError(f"Y must have shape ({n0},) to match X, got {Y.shape}")
     if theta.d != d:
         raise ValueError(f"theta has d={theta.d} but X has {d} columns")
+    _check_count("rows of X", n0)
     _check_nonnegative("lam", lam)
     _check_nonnegative("eta", eta)
     r = theta.mu + X @ theta.beta - Y

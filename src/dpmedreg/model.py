@@ -21,7 +21,6 @@ __all__ = [
     "residuals",
     "objective_l1",
     "huber_rho",
-    "sign_vector",
     "smoothed_objective",
     "smoothed_gradient",
     "directional_derivatives",
@@ -67,6 +66,13 @@ def _check_count(name: str, value) -> None:
     is not a count."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
+def _as_integer(name: str, value) -> int:
+    """A seed or stream id as an int; a bool, a float or a string is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _check_probability(name: str, value: float) -> None:
@@ -245,6 +251,7 @@ def _spd_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
 
 
 def _band_signs(r: np.ndarray, gamma: float) -> np.ndarray:
+    """-1.0 / 0.0 / +1.0 per residual against the inclusive band [-gamma, gamma]."""
     return np.subtract(r > gamma, r < -gamma, dtype=float)
 
 
@@ -258,16 +265,6 @@ def _smoothed_terms(Xt: np.ndarray, Y: np.ndarray, omega: np.ndarray, gamma: flo
     bracket = (w * r) / gamma + s
     grad = Xt.T @ bracket / Y.shape[0] + ridge * omega + tilt
     return r, s, w, grad
-
-
-def sign_vector(r: np.ndarray, gamma: float) -> np.ndarray:
-    """Three-way sign of each residual against the band [-gamma, gamma].
-
-    Returns -1 / 0 / +1 per entry; the band is inclusive, so |r_i| == gamma
-    maps to 0 (deterministic even though float equality is measure zero).
-    """
-    _check_positive("gamma", gamma)
-    return _band_signs(np.asarray(r, dtype=float), gamma).astype(int)
 
 
 def smoothed_objective(theta: Theta, data: Dataset, lam: float, gamma: float) -> float:

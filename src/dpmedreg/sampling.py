@@ -1,14 +1,14 @@
 """Seedable randomness: replayable streams, Laplace noise, and the
 Gamma-norm / uniform-L1-direction perturbation vector.
 
-Every sampler is an inverse-CDF construction (no rejection steps), so a fixed
-(seed, stream) pair replays bit-identically.  All randomness in the package
-flows through :class:`RngStream`.  Each uniform is the top 53 bits of one raw
-PCG64 output, ``((raw >> 11) + 0.5) / 2**53``: the same stream that
-``Generator.integers(0, 2**53)`` gives, without its per-call overhead.
-:func:`sample_l1_perturbations` draws its rows one after another from the
-stream it is given, so it equals ``count`` successive calls of
-:func:`sample_l1_perturbation` on that stream bit for bit.
+Every sampler checks its arguments and is an inverse-CDF construction (no
+rejection steps), so a fixed (seed, stream) pair replays bit-identically.
+All randomness in the package flows through :class:`RngStream`.  Each uniform
+is the top 53 bits of one raw PCG64 output, ``((raw >> 11) + 0.5) / 2**53``:
+the same stream that ``Generator.integers(0, 2**53)`` gives, without its
+per-call overhead.  :func:`sample_l1_perturbations` draws its rows one after
+another from the stream it is given, so it equals ``count`` successive calls
+of :func:`sample_l1_perturbation` on that stream bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ import math
 
 import numpy as np
 
-from .model import _check_count, _check_epsilon, _check_nonnegative, _check_positive, _check_probability
+from .model import _as_integer, _check_count, _check_epsilon, _check_nonnegative
+from .model import _check_positive, _check_probability
 
 __all__ = [
     "RngStream",
@@ -44,7 +45,7 @@ def _laplace(u: np.ndarray, scale: float) -> np.ndarray:
 
 
 class RngStream:
-    """Single-owner random stream identified by (seed, stream id).
+    """Single-owner random stream identified by an integer seed and stream id.
 
     The same (seed, stream) always yields the same draw sequence; distinct
     stream ids are statistically independent.  A stream must not be shared
@@ -53,12 +54,13 @@ class RngStream:
 
     __slots__ = ("seed", "stream", "_path", "_gen")
 
-    def __init__(self, seed: int, stream: int = 0, *, _path: tuple = ()):
-        self.seed = int(seed)
-        self._bind(tuple(map(int, _path)) if _path else (int(stream),))
+    def __init__(self, seed: int, stream: int = 0):
+        self.seed = _as_integer("seed", seed)
+        self._bind((), (stream,))
 
-    def _bind(self, path: tuple) -> None:
-        """Attach the generator of (self.seed, path); path is already ints."""
+    def _bind(self, path: tuple, ids: tuple) -> None:
+        """Attach the generator of (self.seed, path + ids); path is already ints."""
+        path += tuple(_as_integer("stream id", i) for i in ids)
         self.stream = path[0] if len(path) == 1 else path
         self._path = path
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=path)
@@ -68,14 +70,15 @@ class RngStream:
         """Independent child stream; children with distinct subids are independent."""
         child = RngStream.__new__(RngStream)
         child.seed = self.seed
-        child._bind(self._path + tuple(map(int, subids)))
+        child._bind(self._path, subids)
         return child
 
     def uniform_open(self, k: int) -> np.ndarray:
         """k uniforms strictly inside (0, 1), one raw 64-bit output each: its
         top 53 bits pick one of 2**53 equal cells and the uniform is the
         cell's midpoint."""
-        raw = self._gen.bit_generator.random_raw(int(k))
+        _check_count("k", k)
+        raw = self._gen.bit_generator.random_raw(k)
         return ((raw >> 11).astype(float) + 0.5) / _TWO53
 
     def laplaces(self, scale: float, k: int) -> np.ndarray:
@@ -83,10 +86,11 @@ class RngStream:
         (positive and finite), one uniform each: the inverse CDF
         x = -c sign(u - 1/2) ln(1 - 2|u - 1/2|)."""
         _check_positive("scale", scale)
-        _check_count("k", k)
         return _laplace(self.uniform_open(k), scale)
 
     def uniforms(self, lo: float, hi: float, k: int) -> np.ndarray:
+        """k i.i.d. draws uniform on (lo, hi); the width hi - lo must be positive and finite."""
+        _check_positive("hi - lo", hi - lo)
         return lo + (hi - lo) * self.uniform_open(k)
 
     def permutation(self, n: int) -> np.ndarray:

@@ -9,11 +9,11 @@ where omega = (mu, beta).  The baseline is the same program with b = 0, the
 fit at epsilon = inf; the shared mu^2/sqrt(n) term keeps the intercept
 direction strongly convex and makes baseline-vs-private comparisons exact.
 
-The inner solver is a damped Newton method on the piecewise-quadratic
-objective: the pseudo-Hessian uses only the in-band samples, directions are
-Levenberg-damped when that matrix is rank-deficient, and the step length is
-the exact minimizer along the search direction (the restriction is a convex
-piecewise quadratic whose breakpoints are band crossings).
+The inner solver is a damped Newton method, run to a fixed tolerance, on the
+piecewise-quadratic objective: the pseudo-Hessian uses only the in-band
+samples, directions are Levenberg-damped when that matrix is rank-deficient,
+and the step length is the exact minimizer along the search direction (the
+restriction is convex and piecewise quadratic, with band-crossing breakpoints).
 """
 
 from __future__ import annotations
@@ -50,14 +50,10 @@ class SmoothingConfig(_MechanismConfig):
     """Knobs for the smoothed fit; epsilon is only used by the private path."""
 
     gamma: float = 0.05
-    solver_tol: float = 1e-8
-    max_iters: int = 500
 
     def __post_init__(self) -> None:
         super().__post_init__()
         _check_positive("gamma", self.gamma)
-        _check_positive("solver_tol", self.solver_tol)
-        _check_count("max_iters", self.max_iters)
 
 
 class ConvergenceError(RuntimeError):
@@ -72,6 +68,11 @@ class ConvergenceError(RuntimeError):
 
 # breakpoints sorted beyond the count at or below alpha = 1 in the first prefix
 _PREFIX_MARGIN = 16
+
+# the Newton solver's gradient tolerance and step cap, fixed: the privacy
+# proof covers the exact minimizer, not an early iterate
+_TOL = 1e-8
+_MAX_ITERS = 500
 
 
 def _band_crossings(idx, r, delta, gamma, n, entering):
@@ -237,7 +238,8 @@ def fit_smoothed_private(data: Dataset, cfg: SmoothingConfig, rng: RngStream | N
 
     The release's noise is the tilt b, drawn by
     :func:`dpmedreg.sampling.sample_l1_perturbation` with exponential mean
-    ``noise_scale`` = 4/epsilon, and ``solver_iters`` counts Newton steps.
+    ``noise_scale`` = 4/epsilon, and ``solver_iters`` counts Newton steps
+    (gradient entries within ``_TOL``, at most ``_MAX_ITERS`` steps).
     With epsilon = inf no draw is consumed (``rng`` may be None), the tilt
     is exactly zero and the fit is the baseline.  A finite epsilon needs a
     stream and lam > 0, checked before any draw: objective perturbation is
@@ -254,9 +256,7 @@ def fit_smoothed_private(data: Dataset, cfg: SmoothingConfig, rng: RngStream | N
         scale = _l1_scale(data.d + 1, cfg.epsilon)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            omega, iters, _ = _minimize_smoothed(
-                data, cfg.lam, cfg.gamma, b / data.n, cfg.solver_tol, cfg.max_iters
-            )
+            omega, iters, _ = _minimize_smoothed(data, cfg.lam, cfg.gamma, b / data.n, _TOL, _MAX_ITERS)
     except FloatingPointError as exc:
         raise ValueError(f"epsilon={cfg.epsilon} overflows the smoothed fit ({exc})") from None
     return Release(theta=Theta.from_vector(omega), noise=b, noise_scale=scale, solver_iters=iters)

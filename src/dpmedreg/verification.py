@@ -139,9 +139,9 @@ class ProbeResult:
     ok: bool
 
 
-def neighbor_probe(name: str, n: int, d: int, B: float, trials: int, bound: float, rng: RngStream, shift):
+def neighbor_probe(name: str, n: int, d: int, trials: int, bound: float, rng: RngStream, shift):
     """Largest ``shift(pair, sub)`` over ``trials`` random neighbor pairs of
-    n x d datasets bounded by B, which must stay at or below ``bound``.
+    n x d datasets with B = 1, which must stay at or below ``bound``.
 
     Trial t draws the base dataset and then the replaced record from
     ``sub = rng.derive(t)``; ``shift`` may draw further from ``sub``.
@@ -151,40 +151,38 @@ def neighbor_probe(name: str, n: int, d: int, B: float, trials: int, bound: floa
     worst = 0.0
     for t in range(trials):
         sub = rng.derive(t)
-        pair = make_neighbor_pair(random_dataset(n, d, B, sub), rng=sub)
+        pair = make_neighbor_pair(random_dataset(n, d, 1.0, sub), rng=sub)
         worst = max(worst, shift(pair, sub))
     return ProbeResult(name=name, observed=worst, bound=bound, ok=worst <= bound)
 
 
-def irls_sensitivity_probe(
-    n: int, d: int, trials: int, cfg: IrlsConfig, rng: RngStream, B: float = 1.0
-) -> ProbeResult:
+def irls_sensitivity_probe(n: int, d: int, trials: int, cfg: IrlsConfig, rng: RngStream) -> ProbeResult:
     """Empirical domination check for :func:`dpmedreg.irls.irls_sensitivity`.
 
-    Generates random one-record-differing dataset pairs, runs the noiseless
-    reweighted fit on both sides, and reports the largest observed L1 output
-    difference against the analytic constant.
+    Generates random one-record-differing dataset pairs with B = 1, runs the
+    noiseless reweighted fit on both sides, and reports the largest observed
+    L1 output difference against the analytic constant at B = 1.
     """
-    bound = irls_sensitivity(d, n, B, cfg.lam, cfg.e)
+    bound = irls_sensitivity(d, n, 1.0, cfg.lam, cfg.e)
 
     def shift(pair, sub):
         fit_a = irls_fit(pair.a, cfg).final
         fit_b = irls_fit(pair.b, cfg).final
         return abs(fit_a.mu - fit_b.mu) + float(np.abs(fit_a.beta - fit_b.beta).sum())
 
-    return neighbor_probe("alg2_max_l1_shift", n, d, B, trials, bound, rng, shift)
+    return neighbor_probe("alg2_max_l1_shift", n, d, trials, bound, rng, shift)
 
 
-def gcd_step_probe(
-    n0: int, d: int, trials: int, cfg: GcdConfig, rng: RngStream, B: float = 1.0
-) -> ProbeResult:
+def gcd_step_probe(n0: int, d: int, trials: int, cfg: GcdConfig, rng: RngStream) -> ProbeResult:
     """Empirical one-record sensitivity of the pre-noise step vector.
 
-    For random batch pairs differing in one record, evaluated at the same
-    random theta with step size eta = ell (the largest), the L1 distance
-    between the two step vectors must stay within 2 eta / n0 (a 1e-12
-    float-roundoff allowance is folded into the reported bound).
+    For random pairs of n0-record batches (B = 1) differing in one record,
+    evaluated at the same random theta with step size eta = ell (the
+    largest), the L1 distance between the two step vectors must stay within
+    2 eta / n0 (a 1e-12 float-roundoff allowance is folded into the bound).
     """
+    if n0 < 1:
+        raise ValueError(f"need n0 >= 1, got {n0}")
     eta = cfg.ell
 
     def shift(pair, sub):
@@ -194,7 +192,7 @@ def gcd_step_probe(
         return float(np.abs(s_a - s_b).sum())
 
     bound = 2.0 * eta / n0 + 1e-12
-    return neighbor_probe("alg3_max_step_shift", n0, d, B, trials, bound, rng, shift)
+    return neighbor_probe("alg3_max_step_shift", n0, d, trials, bound, rng, shift)
 
 
 def _probe_alg2(trials: int, seed: int) -> list[ProbeResult]:

@@ -7,24 +7,26 @@ from scipy.linalg import cho_factor, cho_solve
 
 from dpmedreg import (
     Dataset,
+    GcdConfig,
     RngStream,
     ScalingRecord,
     Theta,
+    coordinate_step_vector,
     default_coefficient_bound,
     directional_derivatives,
+    gcd_step_probe,
     huber_rho,
     irls_sensitivity,
     objective_l1,
     perturbed_objective_le,
     residuals,
-    sign_vector,
     smoothed_gradient,
     smoothed_objective,
     smoothing_accuracy_bound,
     split_batches,
     weighted_ridge_solve,
 )
-from dpmedreg.model import _coordinate_step, _smoothed_terms, _spd_solve, design_matrix
+from dpmedreg.model import _band_signs, _coordinate_step, _smoothed_terms, _spd_solve, design_matrix
 from dpmedreg.verification import random_theta
 
 from conftest import bounded_instance
@@ -117,16 +119,17 @@ def test_huber_rho_envelope(rng):
 
 
 def test_sign_vector_thresholds():
-    s = sign_vector(np.array([-0.1, 0.02, 0.3]), 0.05)
-    assert s.tolist() == [-1, 0, 1]
+    # the solver's band signs, as floats
+    s = _band_signs(np.array([-0.1, 0.02, 0.3]), 0.05)
+    assert s.tolist() == [-1.0, 0.0, 1.0]
     # boundary inclusive
-    assert sign_vector(np.array([0.05, -0.05]), 0.05).tolist() == [0, 0]
+    assert _band_signs(np.array([0.05, -0.05]), 0.05).tolist() == [0.0, 0.0]
 
 
 def test_sign_vector_matches_elementwise_oracle(rng):
     r = rng.uniforms(-1, 1, 500)
     gamma = 0.2
-    s = sign_vector(r, gamma)
+    s = _band_signs(r, gamma)
     for i in range(500):
         if r[i] < -gamma:
             assert s[i] == -1
@@ -139,7 +142,7 @@ def test_sign_vector_matches_elementwise_oracle(rng):
 def _quadratic_decomposition(theta, data, lam, gamma):
     # per-sample quadratic/linear split of the smoothed loss
     r = residuals(theta, data)
-    s = sign_vector(r, gamma).astype(float)
+    s = _band_signs(r, gamma)
     w = 1.0 - s * s
     pieces = w * r * r / (2 * gamma) + s * (r - 0.5 * gamma * s)
     return float(pieces.sum() / data.n + 0.5 * lam * theta.beta @ theta.beta)
@@ -222,7 +225,6 @@ _KNOB_CALLS = [
     ("perturbed_objective_le", "lam", lambda v: perturbed_objective_le(_KT, _KD, v, 0.2)),
     ("perturbed_objective_le", "e", lambda v: perturbed_objective_le(_KT, _KD, 0.01, v)),
     ("huber_rho", "gamma", lambda v: huber_rho(_KR, v)),
-    ("sign_vector", "gamma", lambda v: sign_vector(_KR, v)),
 ]
 
 
@@ -308,6 +310,60 @@ def test_knobs_outside_their_domain_are_refused_by_name(call, message):
         call()
 
 
+# each call used to return infinities, NaNs, too few draws or another seed's
+# stream, or to fail with a ZeroDivisionError or a float warning
+_UNCHECKED = [
+    pytest.param(
+        lambda: RngStream(1).uniforms(0.0, math.inf, 2),
+        "hi - lo must be positive and finite, got inf",
+        id="uniforms-hi-inf",
+    ),
+    pytest.param(
+        lambda: RngStream(1).uniforms(math.nan, 1.0, 2),
+        "hi - lo must be positive and finite, got nan",
+        id="uniforms-lo-nan",
+    ),
+    pytest.param(
+        lambda: RngStream(1).uniforms(0.0, 1.0, 2.5),
+        "k must be a positive integer, got 2.5",
+        id="uniforms-k-fraction",
+    ),
+    pytest.param(
+        lambda: random_theta(3, RngStream(1), scale=-1.0),
+        "hi - lo must be positive and finite, got -2.0",
+        id="random_theta-scale-negative",
+    ),
+    pytest.param(
+        lambda: random_theta(3, RngStream(1), scale=math.inf),
+        "hi - lo must be positive and finite, got inf",
+        id="random_theta-scale-inf",
+    ),
+    pytest.param(
+        lambda: coordinate_step_vector(Theta(0.0, np.zeros(3)), np.zeros((0, 3)), np.zeros(0), 0.002, 0.1),
+        "rows of X must be a positive integer, got 0",
+        id="coordinate_step_vector-empty-batch",
+    ),
+    pytest.param(
+        lambda: gcd_step_probe(0, 3, 2, GcdConfig(), RngStream(1)),
+        "need n0 >= 1, got 0",
+        id="gcd_step_probe-empty-batch",
+    ),
+    pytest.param(lambda: RngStream(1.7), "seed must be an integer, got 1.7", id="RngStream-seed-float"),
+    pytest.param(lambda: RngStream(True), "seed must be an integer, got True", id="RngStream-seed-bool"),
+    pytest.param(lambda: RngStream("3"), "seed must be an integer, got '3'", id="RngStream-seed-string"),
+    pytest.param(
+        lambda: RngStream(1).derive(2.5), "stream id must be an integer, got 2.5", id="derive-stream-id-float"
+    ),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, message", _UNCHECKED)
+def test_unchecked_arguments_are_refused_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_smoothed_gradient_simple_case():
     # single sample sitting mid-band: bracket value r/gamma = 1/2
     gamma = 0.1
@@ -360,7 +416,7 @@ def test_gradient_bracket_vector_bounded(rng):
         gamma = 0.07
         theta = random_theta(3, sub, scale=2.0)
         r = residuals(theta, data)
-        s = sign_vector(r, gamma).astype(float)
+        s = _band_signs(r, gamma)
         bracket = (1.0 - s * s) * r / gamma + s
         assert np.all(np.abs(bracket) <= 1.0 + 1e-12)
 

@@ -58,15 +58,23 @@ def test_uniform_open_is_top_53_bits_of_the_documented_stream(seed, path):
 
 
 def test_derive_paths_compose():
-    # derive(1, i), derive(1).derive(i) and a fresh stream on the same path agree
+    # derive(1, i), derive(1).derive(i) and the documented stream on the same
+    # path agree
     for seed in (0, 5, 123456789):
         root = RngStream(seed)
         for i in (0, 1, 99_999):
-            a, b, c = root.derive(1, i), root.derive(1).derive(i), RngStream(seed, _path=(0, 1, i))
-            assert a.stream == b.stream == c.stream == (0, 1, i)
-            draws = [s.uniform_open(9) for s in (a, b, c)]
-            assert _same_bits(draws[0], draws[1]) and _same_bits(draws[0], draws[2])
-            assert a.integer(0, 10**9) == b.integer(0, 10**9) == c.integer(0, 10**9)
+            a, b, twin = root.derive(1, i), root.derive(1).derive(i), _twin(seed, (0, 1, i))
+            assert a.stream == b.stream == (0, 1, i)
+            ref = (twin.integers(0, 2**53, size=9, dtype=np.int64) + 0.5) / 2.0**53
+            assert _same_bits(a.uniform_open(9), ref) and _same_bits(b.uniform_open(9), ref)
+            assert a.integer(0, 10**9) == b.integer(0, 10**9) == int(twin.integers(0, 10**9))
+
+
+def test_numpy_integer_seeds_and_stream_ids_name_the_same_stream():
+    a = RngStream(np.int64(3), np.uint8(1)).derive(np.int32(2))
+    b = RngStream(3, 1).derive(2)
+    assert a.seed == 3 and a.stream == b.stream == (1, 2)
+    assert _same_bits(a.uniform_open(5), b.uniform_open(5))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 4, 9, 17])

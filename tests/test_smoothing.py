@@ -147,11 +147,11 @@ def test_private_fit_gradient_and_shift_bound():
         release = fit_smoothed_private(data, cfg, root.derive(rep, 1))
         # the solver's own gradient norm at the released point
         omega, iters, grad_norm = smoothing._minimize_smoothed(
-            data, cfg.lam, cfg.gamma, release.noise / data.n, cfg.solver_tol, cfg.max_iters
+            data, cfg.lam, cfg.gamma, release.noise / data.n, smoothing._TOL, smoothing._MAX_ITERS
         )
         assert omega.tobytes() == release.theta.as_vector().tobytes()
         assert release.solver_iters == iters and release.noise_scale == 4.0 / cfg.epsilon
-        assert grad_norm <= cfg.solver_tol
+        assert grad_norm <= smoothing._TOL
         dist = abs(base.mu - release.theta.mu) + float(
             np.abs(base.beta - release.theta.beta).sum()
         )
@@ -172,7 +172,7 @@ def test_private_fit_full_gradient_small(rng):
     g = smoothed_gradient(theta, data, cfg.lam, cfg.gamma)
     full = np.concatenate(([g.mu + 2 * theta.mu / math.sqrt(data.n)], g.beta))
     full += release.noise / data.n
-    assert float(np.abs(full).max()) <= cfg.solver_tol
+    assert float(np.abs(full).max()) <= smoothing._TOL
 
 
 def test_zero_column_without_ridge_takes_damped_newton_steps(rng, monkeypatch):
@@ -195,14 +195,16 @@ def test_zero_column_without_ridge_takes_damped_newton_steps(rng, monkeypatch):
     assert theta.beta[1] == 0.0
     g = smoothed_gradient(theta, flat, cfg.lam, cfg.gamma)
     full = np.concatenate(([g.mu + 2 * theta.mu / math.sqrt(flat.n)], g.beta))
-    assert float(np.abs(full).max()) <= cfg.solver_tol
+    assert float(np.abs(full).max()) <= smoothing._TOL
 
 
-def test_nonconvergence_carries_last_iterate(rng):
+def test_nonconvergence_carries_last_iterate(rng, monkeypatch):
+    # the step cap and tolerance are module constants, read on every fit
     data, _ = bounded_instance(rng, n=40, d=2)
-    cfg = SmoothingConfig(lam=0.0, gamma=1e-4, max_iters=1, solver_tol=1e-14)
+    monkeypatch.setattr(smoothing, "_MAX_ITERS", 1)
+    monkeypatch.setattr(smoothing, "_TOL", 1e-14)
     with pytest.raises(ConvergenceError) as info:
-        smoothed_baseline(data, cfg)
+        smoothed_baseline(data, SmoothingConfig(lam=0.0, gamma=1e-4))
     assert isinstance(info.value.last_theta, Theta)
     assert info.value.iters == 1
     assert info.value.grad_norm > 0
@@ -227,9 +229,6 @@ def test_accuracy_bound_value_and_monotonicity():
 def test_config_validation():
     with pytest.raises(ValueError):
         SmoothingConfig(gamma=0.0)
-    for count in (2.5, True, 0):
-        with pytest.raises(ValueError, match=f"^max_iters must be a positive integer, got {count!r}$"):
-            SmoothingConfig(max_iters=count)
     with pytest.raises(ValueError):
         SmoothingConfig(lam=-0.1)
     with pytest.raises(ValueError):
@@ -240,7 +239,7 @@ def test_config_validation():
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
-@pytest.mark.parametrize("knob", ["lam", "gamma", "solver_tol"])
+@pytest.mark.parametrize("knob", ["lam", "gamma"])
 @pytest.mark.parametrize("value", NON_FINITE)
 def test_config_refuses_non_finite_knobs(knob, value):
     with pytest.raises(ValueError, match=f"^{knob} must be"):
@@ -437,7 +436,8 @@ ALG1_KINDS = ["one_row", "wide", "constant_y", "saturated_y", "zero_column", "du
 
 @st.composite
 def degenerate_alg1_cases(draw):
-    """A small Dataset of one degenerate kind, a config and a stream seed."""
+    """A small Dataset of one degenerate kind, a config, a stream seed and a
+    Newton step cap."""
     kind = draw(st.sampled_from(ALG1_KINDS))
     seed = draw(st.integers(0, 2**32 - 1))
     sub = RngStream(seed).derive(0)
@@ -456,13 +456,8 @@ def degenerate_alg1_cases(draw):
         X[:, 1] = X[:, 0]
         X = X / np.maximum(np.abs(X).sum(axis=1, keepdims=True), 1.0)
     epsilon, lam = draw(st.sampled_from([(math.inf, 0.0), (math.inf, 0.002), (0.1, 0.002), (0.1, 0.0)]))
-    cfg = SmoothingConfig(
-        epsilon=epsilon,
-        lam=lam,
-        gamma=draw(st.sampled_from([0.05, 0.5])),
-        max_iters=draw(st.sampled_from([2, 500])),
-    )
-    return Dataset(X=X, Y=Y, B=B), cfg, seed
+    cfg = SmoothingConfig(epsilon=epsilon, lam=lam, gamma=draw(st.sampled_from([0.05, 0.5])))
+    return Dataset(X=X, Y=Y, B=B), cfg, seed, draw(st.sampled_from([2, 500]))
 
 
 # alg1 on degenerate input (all-in-band and all-tied line searches among
@@ -472,18 +467,20 @@ def degenerate_alg1_cases(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(case=degenerate_alg1_cases())
 def test_fit_on_degenerate_data_is_finite_or_a_typed_error(case):
-    data, cfg, seed = case
+    data, cfg, seed, max_iters = case
     try:
-        release = fit_smoothed_private(data, cfg, RngStream(seed).derive(1))
+        # the solver's step cap, set here for this example only
+        with mock.patch.object(smoothing, "_MAX_ITERS", max_iters):
+            release = fit_smoothed_private(data, cfg, RngStream(seed).derive(1))
     except ValueError as exc:
         assert cfg.lam == 0 and math.isfinite(cfg.epsilon), exc
         return
     except ConvergenceError as exc:
         assert isinstance(exc.last_theta, Theta) and exc.last_theta.beta.shape == (data.d,)
-        assert 0 <= exc.iters <= cfg.max_iters
+        assert 0 <= exc.iters <= max_iters
         return
     assert np.all(np.isfinite(release.theta.as_vector()))
     assert release.noise.shape == (data.d + 1,)
-    assert 0 <= release.solver_iters <= cfg.max_iters
+    assert 0 <= release.solver_iters <= max_iters
     if math.isinf(cfg.epsilon):
         assert release.noise_scale == 0.0 and np.all(release.noise == 0.0)
