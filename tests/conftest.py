@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -31,6 +32,24 @@ def benchmark_instance(n: int, rng: RngStream):
     X, Y, truth = generate(default_generator_spec(n), rng)
     data, record = normalize(X, Y)
     return data, record, truth
+
+
+def mask_timing(text: str) -> str:
+    """``text`` with its elapsed/wall-time fields, the only nondeterministic
+    outputs of the CLI, replaced by X: a ``wall_time=`` manifest line, and the
+    numeric last field of a CSV row of five or more fields."""
+    lines = []
+    for line in text.splitlines():
+        if line.startswith("wall_time="):
+            lines.append("wall_time=X")
+            continue
+        parts = line.split(",")
+        if len(parts) >= 5 and re.fullmatch(r"[0-9.e+-]+", parts[-1] or "x"):
+            parts[-1] = "X"
+            lines.append(",".join(parts))
+        else:
+            lines.append(line)
+    return "\n".join(lines)
 
 
 @pytest.fixture

@@ -39,7 +39,7 @@ from dpmedreg import (
 from dpmedreg.gcd import _descend
 from dpmedreg.verification import random_theta
 
-from conftest import benchmark_instance, smoothed_baseline
+from conftest import benchmark_instance, mask_timing, smoothed_baseline
 
 TRUTH = np.array([2.0, 3.0, 0.0, -4.0])
 
@@ -380,21 +380,6 @@ def _run_cli(args, cwd):
     )
 
 
-def _mask_timing(text: str) -> str:
-    lines = []
-    for line in text.splitlines():
-        if line.startswith("wall_time="):
-            lines.append("wall_time=X")
-            continue
-        parts = line.split(",")
-        if len(parts) >= 5:
-            parts[-1] = "X"
-            lines.append(",".join(parts))
-        else:
-            lines.append(line)
-    return "\n".join(lines)
-
-
 def test_criterion_9_cli_determinism(tmp_path):
     # generated data files must be byte-identical; estimate tables and
     # manifests identical apart from elapsed/wall-time fields
@@ -421,10 +406,10 @@ def test_criterion_9_cli_determinism(tmp_path):
         assert probe.returncode == 0, probe.stderr
         runs[tag] = {
             "data": (sub / "data.csv").read_bytes(),
-            "data_manifest": _mask_timing((sub / "data.csv.manifest").read_text()),
-            "fit": _mask_timing((sub / "fit.csv").read_text()),
-            "fit_manifest": _mask_timing((sub / "fit.csv.manifest").read_text()),
-            "bench": _mask_timing((sub / "bench.csv").read_text()),
+            "data_manifest": mask_timing((sub / "data.csv.manifest").read_text()),
+            "fit": mask_timing((sub / "fit.csv").read_text()),
+            "fit_manifest": mask_timing((sub / "fit.csv.manifest").read_text()),
+            "bench": mask_timing((sub / "bench.csv").read_text()),
             "probe": probe.stdout,
         }
     same = all(runs["a"][key] == runs["b"][key] for key in runs["a"])

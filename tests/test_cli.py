@@ -1,30 +1,15 @@
 import argparse
 import hashlib
 import math
-import re
 import warnings
 
 import pytest
 
 from dpmedreg import ProbeResult, verification
 from dpmedreg.bench import ALGORITHM_TABLE
-from dpmedreg.cli import build_parser, main
+from dpmedreg.cli import SEED_ENV, build_parser, main
 
-
-def _mask_timing(text: str) -> str:
-    # elapsed/wall-time fields are the only nondeterministic outputs
-    lines = []
-    for line in text.splitlines():
-        if line.startswith("wall_time="):
-            lines.append("wall_time=X")
-            continue
-        parts = line.split(",")
-        if len(parts) >= 5 and re.fullmatch(r"[0-9.e+-]+", parts[-1] or "x"):
-            parts[-1] = "X"
-            lines.append(",".join(parts))
-        else:
-            lines.append(line)
-    return "\n".join(lines)
+from conftest import mask_timing
 
 
 def test_generate_writes_csv_and_manifest(tmp_path):
@@ -200,7 +185,7 @@ def test_fit_row_deterministic(small_csv, capsys):
     first = capsys.readouterr().out
     assert main(argv) == 0
     second = capsys.readouterr().out
-    assert _mask_timing(first) == _mask_timing(second)
+    assert mask_timing(first) == mask_timing(second)
     assert first.splitlines()[0] == "algorithm,parameter,estimate,true_value,elapsed_seconds"
     assert len(first.splitlines()) == 5  # mu + three betas
 
@@ -261,7 +246,7 @@ def test_bench_single_replicate_deterministic(capsys):
     first = capsys.readouterr().out
     assert main(argv) == 0
     second = capsys.readouterr().out
-    assert _mask_timing(first) == _mask_timing(second)
+    assert mask_timing(first) == mask_timing(second)
     assert first.splitlines()[0] == "n,algorithm,parameter,estimate,true_value,elapsed_seconds"
 
 
@@ -410,3 +395,50 @@ def test_negative_seed_is_a_usage_error(tmp_path, monkeypatch, capsys):
     assert info.value.code == 2
     assert "DPMEDREG_SEED must be a non-negative integer" in capsys.readouterr().err
     assert not out.exists()
+
+
+# sha256 of each fixed-seed CLI output, timing fields masked; the data file
+# is hashed as written
+CLI_DIGESTS = {
+    "alg1.csv": "090e6662d6f4732c31ba6617cdf1cf6d84568cafa3a1399192f2402e9c9b0ee8",
+    "alg1.csv.manifest": "543dfc3c51751f507365fc6a9692a03ef336d1a1c98cc96034b92b631b165189",
+    "alg2.csv": "2c139693754ba2ee2173f93f30a1e06f992fd4fa7a6d1f78043f74e4091a4fc7",
+    "alg2.csv.manifest": "9ad426fd70cab6b37f675df74e58fd6810fa3d32bd92de0dcaabcccc8c657c1a",
+    "alg3.csv": "67c1591b499b20e523ee8ce96c6f406a77bff707e4f7fb82e9f1b2caef820061",
+    "alg3.csv.manifest": "81f17a302cf32ed4a6888da0082f774d528dbec5df82dc6ae54c1271b958c56a",
+    "baseline-irls.csv": "17b2d3322eadcfff019bc2b45615918fb25cc79e99fa324fa1e556a8a368a0a8",
+    "baseline-irls.csv.manifest": "5ee6f2651b5e38ba2669deffdcc7d7046014133489a72c5604d5378db613e27e",
+    "baseline-smooth.csv": "ead69c0847205b5246a0e8de8130140ca029620a6a6cfeedb15df78b64fa960e",
+    "baseline-smooth.csv.manifest": "81f01b4efea2caf1885d4acab912ce3867c799192c4930b1c676504f3b79a937",
+    "bench.csv": "06faf64e1abd9e6ec1901176645465a8edcff6a7ba3627190f1fd5798d4ca787",
+    "bench.csv.manifest": "2151ca1077fc2e94c78eb9ae485e9edd692dc2a1a8b106217d0b76ec7ec50d2e",
+    "data.csv": "b3a636908d142ef319db8130de493928bbbc1c9ad7f6bc64943da6df0eccec3e",
+    "data.csv.manifest": "2a7318574533b543b0df62bcc63797ea39149047cb138fa123c3dcfc6832dfd6",
+    "probe alg2": "56b304200a739746d82c8bb68129afd5e11276fb55197b3a148ed80f39982145",
+    "probe alg3": "5550dd10e127121dda240fb1a8454d1458353fff45b02dbcd468e8edfbe9b106",
+    "probe samplers": "1d1cc77d122bdc283213c167fbd3de6af6c46a7c4c160750ab41fb562a1ae09a",
+    "probe bounds": "a959ae5f60c50634b5bb95546c9e3f5bced357953fcd6b5289f78231c4cc53b6",
+}
+
+
+def test_fixed_seed_cli_outputs_keep_their_bytes(tmp_path, monkeypatch, capsys):
+    # relative paths: the manifests record data= and out= as given
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(SEED_ENV, raising=False)
+    assert main(["generate", "--n", "3000", "--seed", "17", "--out", "data.csv"]) == 0
+    for algo, entry in ALGORITHM_TABLE.items():
+        seed = ["--seed", "3"] if entry.private else []
+        assert main(["fit", "--algo", algo, "--data", "data.csv", *seed, "--out", f"{algo}.csv"]) == 0
+    algos = ",".join(ALGORITHM_TABLE)
+    bench = ["--replicates", "3", "--n-list", "400,2000", "--algo-list", algos, "--seed", "5"]
+    assert main(["bench", *bench, "--format", "csv", "--out", "bench.csv"]) == 0
+    outputs = {}
+    for path in sorted(tmp_path.iterdir()):
+        text = path.read_text(encoding="utf-8")
+        outputs[path.name] = text if path.name == "data.csv" else mask_timing(text)
+    capsys.readouterr()
+    for target in ("alg2", "alg3", "samplers", "bounds"):
+        assert main(["probe", "--target", target, "--trials", "50", "--seed", "7"]) == 0
+        outputs[f"probe {target}"] = capsys.readouterr().out
+    digests = {name: hashlib.sha256(text.encode("utf-8")).hexdigest() for name, text in outputs.items()}
+    assert digests == CLI_DIGESTS

@@ -162,6 +162,35 @@ def test_irls_fit_builds_one_design_matrix_per_fit(monkeypatch):
     assert calls == [(5000, data.d)]
 
 
+ALG2_PINS = [
+    (
+        lambda: benchmark_instance(5000, RngStream(71))[0],
+        IrlsConfig(),
+        72,
+        ["-0x1.2a6c2384f8e1bp+11", "-0x1.d9c1040e61016p+9", "0x1.e1564e176d277p+13", "-0x1.60031e2d574d6p+12"],
+    ),
+    (
+        lambda: benchmark_instance(200_000, RngStream(81))[0],
+        IrlsConfig(epsilon=math.inf),
+        None,
+        ["0x1.532c8aa385e0ap-3", "0x1.72028e935e35ap-2", "0x1.a91c4b7f12b2ap-9", "-0x1.f03416343204dp-2"],
+    ),
+    # a probe-size table: 32 weighted solves before the moves fall below tau
+    (
+        lambda: random_dataset(50, 3, 1.0, RngStream(95)),
+        IrlsConfig(epsilon=math.inf),
+        None,
+        ["0x1.6c4198134c830p-5", "-0x1.63a28be1e55eap-4", "0x1.dd15a01433024p-2", "-0x1.438493965bdeep-2"],
+    ),
+]
+
+
+@pytest.mark.parametrize("make_data, cfg, seed, pinned", ALG2_PINS, ids=["n5000", "n200000", "probe_size"])
+def test_fixed_seed_fits_keep_their_bits(make_data, cfg, seed, pinned):
+    release = fit_irls_private(make_data(), cfg, None if seed is None else RngStream(seed))
+    assert [float(v).hex() for v in release.theta.as_vector()] == pinned
+
+
 DEGENERATE_KINDS = ["one_row", "constant_y", "saturated_y", "duplicate_columns", "wide", "zero_column"]
 
 
