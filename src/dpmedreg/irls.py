@@ -30,7 +30,6 @@ from .model import (
     _MechanismConfig,
     _spd_solve,
     design_matrix,
-    residuals,
 )
 from .sampling import RngStream
 
@@ -88,23 +87,25 @@ def default_coefficient_bound(B: float, lam: float, e: float) -> float:
 class IrlsTrace:
     """Per-iteration record of the reweighted fit.
 
-    :attr:`iterations` counts weighted solves after the unit-weight start;
+    ``iterates`` is a read-only (iterations + 1, d + 1) array whose row t is
+    (mu, beta) after t weighted solves, row 0 the unit-weight start;
     ``bracket_violations`` counts iterations whose weights escaped
     [1/(2(sqrt(d v)+B)+e), 1/e] at the derived v: zero unless that a-priori
     bound itself fails, which makes it a runtime check of the bound.
     """
 
-    thetas: tuple[Theta, ...]
+    iterates: np.ndarray
     converged: bool
     bracket_violations: int
 
     @property
     def iterations(self) -> int:
-        return len(self.thetas) - 1
+        return len(self.iterates) - 1
 
     @property
     def final(self) -> Theta:
-        return self.thetas[-1]
+        """The last iterate; a non-finite one raises ValueError."""
+        return Theta.from_vector(self.iterates[-1])
 
 
 def weighted_ridge_solve(data: Dataset, weights: np.ndarray, lam: float) -> Theta:
@@ -120,14 +121,14 @@ def weighted_ridge_solve(data: Dataset, weights: np.ndarray, lam: float) -> Thet
     if not np.all(np.isfinite(w)) or not np.all(w > 0):
         raise ValueError("weights must be positive and finite")
     _check_nonnegative("lam", lam)
-    return _normal_solve(design_matrix(data.X), data.Y, w, data.n * lam / 2.0)
+    return Theta.from_vector(_normal_solve(design_matrix(data.X), data.Y, w, data.n * lam / 2.0))
 
 
-def _normal_solve(Xt: np.ndarray, Y: np.ndarray, w: np.ndarray, ridge: float) -> Theta:
-    """The (mu, beta) solving (Xt' W Xt + ridge I_beta) omega = Xt' W Y
-    by the one Cholesky solve of :mod:`dpmedreg.model`, for the design
-    ``Xt`` = (1, X) and positive finite weights ``w``; ``ridge`` is added to
-    the beta block of the diagonal only."""
+def _normal_solve(Xt: np.ndarray, Y: np.ndarray, w: np.ndarray, ridge: float) -> np.ndarray:
+    """The vector omega = (mu, beta) solving (Xt' W Xt + ridge I_beta) omega
+    = Xt' W Y by the one Cholesky solve of :mod:`dpmedreg.model`, for the
+    design ``Xt`` = (1, X) and positive finite weights ``w``; ``ridge`` is
+    added to the beta block of the diagonal only."""
     A = Xt.T @ (Xt * w[:, None])
     diag = np.arange(1, Xt.shape[1])
     A[diag, diag] += ridge
@@ -136,7 +137,7 @@ def _normal_solve(Xt: np.ndarray, Y: np.ndarray, w: np.ndarray, ridge: float) ->
         raise SingularSystemError(
             "weighted normal equations are singular (rank-deficient X with lam == 0?)"
         )
-    return Theta.from_vector(omega)
+    return omega
 
 
 def irls_fit(data: Dataset, cfg: IrlsConfig) -> IrlsTrace:
@@ -147,20 +148,22 @@ def irls_fit(data: Dataset, cfg: IrlsConfig) -> IrlsTrace:
     The design matrix (1, X) and the ridge n lam / 2 are built once per fit
     and every pass runs :func:`_normal_solve` on them, so each iterate is
     bit for bit what :func:`weighted_ridge_solve` gives for the same weights.
+    The iterates stay vectors omega = (mu, beta); no :class:`Theta` is built.
     The loop checks its own weights through the min and max the bracket test
-    computes: a weight that is not positive or not finite raises ValueError.
+    computes: a weight that is not positive or not finite, as a non-finite
+    iterate gives, raises ValueError.
     """
     v = default_coefficient_bound(data.B, cfg.lam, cfg.e)
     w_lo = 1.0 / (2.0 * (math.sqrt(data.d * v) + data.B) + cfg.e)
     w_hi = 1.0 / cfg.e
     Xt = design_matrix(data.X)
     ridge = data.n * cfg.lam / 2.0
-    theta = _normal_solve(Xt, data.Y, np.ones(data.n), ridge)
-    thetas = [theta]
+    omega = _normal_solve(Xt, data.Y, np.ones(data.n), ridge)
+    iterates = [omega]
     converged = False
     violations = 0
     for _ in range(cfg.max_iters):
-        w = 1.0 / (np.abs(residuals(theta, data)) + cfg.e)
+        w = 1.0 / (np.abs(omega[0] + data.X @ omega[1:] - data.Y) + cfg.e)
         w_min = float(w.min())
         w_max = float(w.max())
         if not (w_min > 0 and w_max < math.inf):
@@ -168,14 +171,16 @@ def irls_fit(data: Dataset, cfg: IrlsConfig) -> IrlsTrace:
         if w_min < w_lo * (1.0 - 1e-12) or w_max > w_hi * (1.0 + 1e-12):
             violations += 1
         new = _normal_solve(Xt, data.Y, w, ridge)
-        dmu = abs(new.mu - theta.mu)
-        dbeta = float(np.abs(new.beta - theta.beta).sum())
-        thetas.append(new)
-        theta = new
+        dmu = abs(new[0] - omega[0])
+        dbeta = np.abs(new[1:] - omega[1:]).sum()
+        iterates.append(new)
+        omega = new
         if dmu <= cfg.tau and dbeta <= cfg.tau:
             converged = True
             break
-    return IrlsTrace(thetas=tuple(thetas), converged=converged, bracket_violations=violations)
+    stacked = np.array(iterates)
+    stacked.setflags(write=False)
+    return IrlsTrace(iterates=stacked, converged=converged, bracket_violations=violations)
 
 
 def irls_sensitivity(d: int, n: int, B: float, lam: float, e: float) -> float:
@@ -203,7 +208,7 @@ def fit_irls_private(data: Dataset, cfg: IrlsConfig, rng: RngStream | None) -> R
     without bound as lam -> 0.
     With epsilon = inf no draw is consumed (``rng`` may be None), c is not
     computed, the noise is exactly zero and the estimate is
-    ``irls_fit(data, cfg).final`` itself, the noiseless fit bit for bit.
+    ``irls_fit(data, cfg).final`` unchanged, the noiseless fit bit for bit.
     """
     _check_private_run(cfg, rng)
     private = not math.isinf(cfg.epsilon)

@@ -94,11 +94,13 @@ class RngStream:
         return lo + (hi - lo) * self.uniform_open(k)
 
     def permutation(self, n: int) -> np.ndarray:
+        """A uniformly random ordering of 0, ..., n - 1; n is a positive integer."""
+        _check_count("n", n)
         return self._gen.permutation(int(n))
 
     def integer(self, lo: int, hi: int) -> int:
-        """One integer in [lo, hi)."""
-        return int(self._gen.integers(lo, hi))
+        """One integer in [lo, hi); both ends are integers."""
+        return int(self._gen.integers(_as_integer("lo", lo), _as_integer("hi", hi)))
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream={self.stream})"

@@ -7,6 +7,7 @@ it."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -87,6 +88,8 @@ def make_neighbor_pair(
         if rng is None:
             raise ValueError("need rng when index is omitted")
         index = rng.integer(0, base.n)
+    elif isinstance(index, bool) or not isinstance(index, numbers.Integral):
+        raise ValueError(f"index must be an integer, got {index!r}")
     index = int(index)
     if not 0 <= index < base.n:
         raise IndexError(f"row index {index} out of range for n={base.n}")

@@ -339,8 +339,8 @@ def test_criterion_8_convergence_properties():
         cfg = IrlsConfig(lam=0.002, e=0.2, tau=1e-6, max_iters=200)
         trace = irls_fit(data, cfg)
         vals = [
-            perturbed_objective_le(th, data, cfg.lam, cfg.e)
-            for th in trace.thetas
+            perturbed_objective_le(Theta.from_vector(row), data, cfg.lam, cfg.e)
+            for row in trace.iterates
         ]
         worst_increase = max(worst_increase, float(np.max(np.diff(vals))))
         worst_iters = max(worst_iters, trace.iterations)

@@ -45,7 +45,7 @@ FIELDS = {
     "Release": ["theta", "noise", "noise_scale", "solver_iters"],
     "SmoothingConfig": ["epsilon", "lam", "gamma"],
     "IrlsConfig": ["epsilon", "lam", "e", "tau", "max_iters"],
-    "IrlsTrace": ["thetas", "converged", "bracket_violations"],
+    "IrlsTrace": ["iterates", "converged", "bracket_violations"],
     "GcdConfig": ["epsilon", "lam", "ell", "batches", "init"],
     "GeneratorSpec": ["n", "mu", "beta", "noise_scale", "box"],
     "ScalingRecord": ["x_scale", "y_scale"],

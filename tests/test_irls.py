@@ -11,6 +11,7 @@ from dpmedreg import (
     RngStream,
     SingularSystemError,
     SmoothingConfig,
+    Theta,
     default_coefficient_bound,
     fit_irls_private,
     irls,
@@ -128,9 +129,9 @@ def _reference_irls(data, cfg):
 
 def _assert_is_reference(trace, data, cfg):
     thetas, violations, converged = _reference_irls(data, cfg)
-    assert len(trace.thetas) == len(thetas)
-    for got, want in zip(trace.thetas, thetas):
-        assert np.array_equal(got.as_vector().view(np.int64), want.as_vector().view(np.int64))
+    assert len(trace.iterates) == len(thetas)
+    for got, want in zip(trace.iterates, thetas):
+        assert np.array_equal(got.view(np.int64), want.as_vector().view(np.int64))
     assert trace.iterations == len(thetas) - 1
     assert trace.bracket_violations == violations
     assert trace.converged == converged
@@ -191,6 +192,37 @@ def test_fixed_seed_fits_keep_their_bits(make_data, cfg, seed, pinned):
     assert [float(v).hex() for v in release.theta.as_vector()] == pinned
 
 
+def test_irls_trace_iterates_are_one_read_only_array():
+    data, _, _ = benchmark_instance(2000, RngStream(36))
+    cfg = IrlsConfig(lam=0.002, e=0.2)
+    trace = irls_fit(data, cfg)
+    assert trace.iterations > 1
+    assert trace.iterates.shape == (trace.iterations + 1, data.d + 1)
+    assert not trace.iterates.flags.writeable
+    with pytest.raises(ValueError):
+        trace.iterates[0, 0] = 1.0
+    start = weighted_ridge_solve(data, np.ones(data.n), cfg.lam).as_vector()
+    assert trace.iterates[0].tobytes() == start.tobytes()
+    assert trace.iterates[-1].tobytes() == trace.final.as_vector().tobytes()
+
+
+def test_irls_fit_builds_no_theta(monkeypatch):
+    class Refused:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("built a Theta")
+
+        @classmethod
+        def from_vector(cls, omega):
+            return cls(omega)
+
+    monkeypatch.setattr(irls, "Theta", Refused)
+    data, _, _ = benchmark_instance(500, RngStream(37))
+    trace = irls_fit(data, IrlsConfig(lam=0.002, e=0.2))
+    assert trace.iterations > 1
+    with pytest.raises(AssertionError, match="built a Theta"):
+        trace.final
+
+
 DEGENERATE_KINDS = ["one_row", "constant_y", "saturated_y", "duplicate_columns", "wide", "zero_column"]
 
 
@@ -236,8 +268,8 @@ def test_irls_fit_on_degenerate_data_is_singular_or_the_reference(case):
             _reference_irls(data, cfg)
         return
     _assert_is_reference(trace, data, cfg)
-    for theta in trace.thetas:
-        assert np.all(np.isfinite(theta.as_vector()))
+    for row in trace.iterates:
+        assert np.all(np.isfinite(Theta.from_vector(row).as_vector()))
 
 
 def test_irls_intercept_only_fixed_point():
@@ -279,7 +311,7 @@ def test_irls_benchmark_converges_quickly():
     assert trace.iterations < 30
     assert trace.bracket_violations == 0
     # converged means the last move was within tau in both blocks
-    prev, last = trace.thetas[-2:]
+    prev, last = (Theta.from_vector(row) for row in trace.iterates[-2:])
     assert abs(last.mu - prev.mu) <= cfg.tau
     assert float(np.abs(last.beta - prev.beta).sum()) <= cfg.tau
 
@@ -290,11 +322,12 @@ def test_irls_descent_and_iterate_bounds():
         data, _, _ = benchmark_instance(5000, root.derive(rep))
         cfg = IrlsConfig(lam=0.002, e=0.2, tau=1e-6, max_iters=200)
         trace = irls_fit(data, cfg)
-        vals = [perturbed_objective_le(th, data, cfg.lam, cfg.e) for th in trace.thetas]
+        thetas = [Theta.from_vector(row) for row in trace.iterates]
+        vals = [perturbed_objective_le(th, data, cfg.lam, cfg.e) for th in thetas]
         assert float(np.max(np.diff(vals))) <= 1e-10
         v = default_coefficient_bound(data.B, cfg.lam, cfg.e)
         reach = math.sqrt(data.d * v) + data.B
-        for th in trace.thetas:
+        for th in thetas:
             assert float(th.beta @ th.beta) <= v
         assert abs(trace.final.mu) <= reach
 
@@ -306,8 +339,8 @@ def test_irls_weights_inside_bracket_every_iteration():
     assert trace.bracket_violations == 0
     v = default_coefficient_bound(data.B, cfg.lam, cfg.e)
     lo = 1.0 / (2.0 * (math.sqrt(data.d * v) + data.B) + cfg.e)
-    for th in trace.thetas:
-        w = 1.0 / (np.abs(residuals(th, data)) + cfg.e)
+    for row in trace.iterates:
+        w = 1.0 / (np.abs(residuals(Theta.from_vector(row), data)) + cfg.e)
         assert float(w.max()) <= 1.0 / cfg.e + 1e-12
         assert float(w.min()) >= lo - 1e-12
 

@@ -354,6 +354,23 @@ _UNCHECKED = [
     pytest.param(
         lambda: RngStream(1).derive(2.5), "stream id must be an integer, got 2.5", id="derive-stream-id-float"
     ),
+    # each of these used to return a permutation of int(n) (an empty one for
+    # -1) or an integer drawn between truncated ends
+    pytest.param(
+        lambda: RngStream(1).permutation(2.5), "n must be a positive integer, got 2.5", id="permutation-float"
+    ),
+    pytest.param(
+        lambda: RngStream(1).permutation(True), "n must be a positive integer, got True", id="permutation-bool"
+    ),
+    pytest.param(
+        lambda: RngStream(1).permutation(-1), "n must be a positive integer, got -1", id="permutation-negative"
+    ),
+    pytest.param(
+        lambda: RngStream(1).integer(0, 2.5), "hi must be an integer, got 2.5", id="integer-hi-float"
+    ),
+    pytest.param(
+        lambda: RngStream(1).integer(0.5, 3), "lo must be an integer, got 0.5", id="integer-lo-float"
+    ),
 ]
 
 

@@ -64,6 +64,23 @@ def test_neighbor_pair_explicit_replacement(rng):
     assert np.flatnonzero(differs).tolist() == [4]
 
 
+@pytest.mark.parametrize("index", [2.7, True, 2.0, "2"])
+def test_neighbor_pair_refuses_a_non_integer_index_before_any_draw(index):
+    # 2.7 and True used to be truncated to rows 2 and 1
+    base = random_dataset(10, 3, 1.0, RngStream(5))
+    stream = RngStream(6)
+    with pytest.raises(ValueError, match=f"^index must be an integer, got {index!r}$"):
+        make_neighbor_pair(base, index=index, rng=stream)
+    assert stream.uniform_open(1)[0] == RngStream(6).uniform_open(1)[0]
+
+
+def test_neighbor_pair_takes_a_numpy_integer_index():
+    base = random_dataset(10, 3, 1.0, RngStream(5))
+    pair = make_neighbor_pair(base, index=np.int64(3), rng=RngStream(6))
+    assert pair.index == 3
+    assert pair.b.Y.tobytes() == make_neighbor_pair(base, index=3, rng=RngStream(6)).b.Y.tobytes()
+
+
 def test_neighbor_pair_rejects_identical_replacement(rng):
     base = random_dataset(10, 3, 1.0, rng)
     with pytest.raises(ValueError):
