@@ -104,7 +104,7 @@ def run_fit(algo: str, data: Dataset, params: dict, rng: RngStream | None) -> tu
     return release.theta, elapsed, {"noise": release.noise, "noise_scale": release.noise_scale}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CellResult:
     """Aggregate over replicates of one (algorithm, n) cell."""
 

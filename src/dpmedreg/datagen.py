@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorSpec:
     """Linear model with additive Laplace noise and box-uniform covariates;
     the number of covariates ``d`` is the length of ``beta``."""

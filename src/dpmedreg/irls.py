@@ -83,7 +83,7 @@ def default_coefficient_bound(B: float, lam: float, e: float) -> float:
     return 8.0 * B * B / (lam * e)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IrlsTrace:
     """Per-iteration record of the reweighted fit.
 

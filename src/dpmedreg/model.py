@@ -2,7 +2,9 @@
 
 All containers are immutable after construction and every operation is a pure
 function of its arguments, so everything in this module can be evaluated
-concurrently without synchronization.
+concurrently without synchronization.  The containers that hold arrays are
+dataclasses with ``eq=False``: the generated ``==`` would compare the arrays
+with ``==`` and raise, so they compare and hash by identity.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ def _frozen_array(values, ndim: int, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Bounded regression data: ``n`` rows of predictors plus responses.
 
@@ -151,7 +153,7 @@ class Dataset:
         return self.X.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Theta:
     """Intercept ``mu`` and coefficient vector ``beta``."""
 
@@ -179,7 +181,7 @@ class Theta:
         return cls(mu=float(omega[0]), beta=omega[1:])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Release:
     """What one private fit releases: the estimate ``theta``, the noise drawn
     for it (made read-only here; all zeros at epsilon = inf), the scale that

@@ -14,6 +14,11 @@ piecewise-quadratic objective: the pseudo-Hessian uses only the in-band
 samples, directions are Levenberg-damped when that matrix is rank-deficient,
 and the step length is the exact minimizer along the search direction (the
 restriction is convex and piecewise quadratic, with band-crossing breakpoints).
+The line search builds every breakpoint but stable-sorts only a growing
+prefix of them; it builds the slope and curvature increments and scans them
+one fixed-size block of that prefix at a time, and stops at the block that
+holds the root.  Its result is that of a stable sort of all breakpoints, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -68,6 +73,9 @@ class ConvergenceError(RuntimeError):
 
 # breakpoints sorted beyond the count at or below alpha = 1 in the first prefix
 _PREFIX_MARGIN = 16
+# sorted breakpoints whose slope and curvature increments are built and
+# scanned at a time
+_SCAN_BLOCK = 8192
 
 # the Newton solver's gradient tolerance and step cap, fixed: the privacy
 # proof covers the exact minimizer, not an early iterate
@@ -75,20 +83,19 @@ _TOL = 1e-8
 _MAX_ITERS = 500
 
 
-def _band_crossings(idx, r, delta, gamma, n, entering):
-    """Breakpoints and slope/curvature increments of the samples ``idx``,
-    which all cross one band edge (delta != 0 on each): entering replaces
-    the outside slope -sign(delta) by the in-band line, exiting replaces the
-    in-band line by the outside slope +sign(delta)."""
-    r, delta = r[idx], delta[idx]
-    d_pos = delta > 0
-    sgn = np.sign(delta)
-    curve = (delta * delta / gamma) / n
-    if entering:
-        t = np.where(d_pos, -gamma - r, gamma - r) / delta
-        return t, (r * delta / gamma + sgn * delta) / n, curve
-    t = np.where(d_pos, gamma - r, -gamma - r) / delta
-    return t, (sgn * delta - r * delta / gamma) / n, -curve
+def _crossing_alphas(idx, r, delta, edge):
+    """The alpha >= 0 at which r_i + alpha delta_i reaches the band edge
+    edge * sign(delta_i), for the samples ``idx`` (delta != 0 on each)."""
+    step = delta[idx]
+    return (edge * np.sign(step) - r[idx]) / step
+
+
+def _sorted_rows(alphas, lo, hi):
+    """The rows with lo < alpha <= hi in ascending order of alpha, ties in
+    row order, and their alphas in that order."""
+    rows = np.flatnonzero((alphas > lo) & (alphas <= hi))
+    rows = rows[np.argsort(alphas[rows], kind="stable")]
+    return rows, alphas[rows]
 
 
 def _exact_line_search(r, s, delta, gamma, n, q1, q2):
@@ -104,8 +111,13 @@ def _exact_line_search(r, s, delta, gamma, n, q1, q2):
     but only over a prefix of that order that grows until it holds the root:
     the first prefix is every breakpoint up to the k-th smallest, k the count
     at or below the Newton step alpha = 1 plus a margin, and each further
-    prefix is eight times longer.  The hint decides only how much is sorted;
-    the sums, and so the returned alpha, are those of the full sort.
+    prefix is eight times longer.  Each prefix is scanned in blocks of
+    ``_SCAN_BLOCK``: the slope and curvature increments are built for one
+    block's samples at a time, and the scan stops at the block that holds
+    the root.  The running sums carry from block to block and prefix to
+    prefix, so the hint and the block size decide only how much is sorted
+    and built; the sums, and so the returned alpha, are those of the full
+    sort.
     """
     inband = s == 0.0
     A0 = float(np.where(inband, r * delta / gamma, s * delta).sum()) / n + q1
@@ -118,56 +130,57 @@ def _exact_line_search(r, s, delta, gamma, n, q1, q2):
     below = s < 0.0
     above = s > 0.0
     # Each residual trajectory r_i + alpha delta_i is monotone, so it enters
-    # the band at most once and exits at most once.
-    ent = (d_pos & below) | (d_neg & above)
-    ex = (d_pos & ~above) | (d_neg & ~below)
-    # no piece of either side outlives the join: the peak memory stays below
-    # the full sort's
-    alphas, dA, dB = map(np.concatenate, zip(
-        _band_crossings(np.flatnonzero(ent), r, delta, gamma, n, entering=True),
-        _band_crossings(np.flatnonzero(ex), r, delta, gamma, n, entering=False),
-    ))
-    keep = alphas >= 0.0
-    alphas, dA, dB = alphas[keep], dA[keep], dB[keep]
+    # the band at most once and exits at most once, each at an alpha >= 0
+    # (-0.0 for one that leaves from the lower edge).  Row j of the
+    # breakpoints is sample src[j]; the first n_ent rows enter, the rest exit.
+    ent = np.flatnonzero((d_pos & below) | (d_neg & above))
+    ex = np.flatnonzero((d_pos & ~above) | (d_neg & ~below))
+    alphas = np.concatenate([_crossing_alphas(ent, r, delta, -gamma), _crossing_alphas(ex, r, delta, gamma)])
+    src = np.concatenate([ent, ex])
+    n_ent = ent.size
+    del ent, ex
 
     # slope line (start, curve) on the segment that begins at breakpoint prev
     start, curve, prev = A0, B0, 0.0
-    # running sums of the increments so far, None before the first prefix
+    # running sums of the increments so far, None before the first block
     sum_A = sum_B = None
     done = -math.inf
     k = int(np.count_nonzero(alphas <= 1.0)) + _PREFIX_MARGIN
     while done < math.inf:
-        if k < alphas.size:
-            cut = float(np.partition(alphas, k - 1)[k - 1])
-            part = np.flatnonzero((alphas > done) & (alphas <= cut))
-        else:
-            cut = math.inf
-            part = np.flatnonzero(alphas > done)
+        cut = float(np.partition(alphas, k - 1)[k - 1]) if k < alphas.size else math.inf
+        rows, ordered = _sorted_rows(alphas, done, cut)
         done = cut
         k *= 8
-        if not part.size:
-            continue
-        order = part[np.argsort(alphas[part], kind="stable")]
-        seg_alphas = alphas[order]
-        inc_A, inc_B = dA[order], dB[order]
-        if sum_A is not None:
-            inc_A[0] += sum_A
-            inc_B[0] += sum_B
-        run_A, run_B = np.cumsum(inc_A), np.cumsum(inc_B)
-        sum_A, sum_B = run_A[-1], run_B[-1]
-        A_seg, B_seg = A0 + run_A, B0 + run_B
-        # slope at the right end of each bounded segment [prev, seg_alphas[j])
-        starts = np.concatenate([[start], A_seg[:-1]])
-        curves = np.concatenate([[curve], B_seg[:-1]])
-        slope_end = starts + curves * seg_alphas
-        hit = np.flatnonzero(slope_end >= 0.0)
-        if hit.size:
-            j = int(hit[0])
-            if starts[j] < 0.0:
-                return float(-starts[j] / curves[j])
-            # slope crossed zero exactly at the preceding breakpoint
-            return float(seg_alphas[j - 1]) if j > 0 else prev
-        start, curve, prev = float(A_seg[-1]), float(B_seg[-1]), float(seg_alphas[-1])
+        for lo in range(0, rows.size, _SCAN_BLOCK):
+            at = rows[lo : lo + _SCAN_BLOCK]
+            seg_alphas = ordered[lo : lo + _SCAN_BLOCK]
+            # entering (side +1) replaces the outside slope -sign(delta) by the
+            # in-band line, exiting (side -1) the reverse; the sign flip and
+            # the order of the one addition are exact, so the bits are those
+            # of r delta/gamma + sign(delta) delta and its exiting counterpart
+            side = np.where(at < n_ent, 1.0, -1.0)
+            i = src[at]
+            rb, db = r[i], delta[i]
+            inc_A = (rb * db / gamma * side + np.sign(db) * db) / n
+            inc_B = (db * db / gamma) / n * side
+            if sum_A is not None:
+                inc_A[0] += sum_A
+                inc_B[0] += sum_B
+            run_A, run_B = np.cumsum(inc_A), np.cumsum(inc_B)
+            sum_A, sum_B = run_A[-1], run_B[-1]
+            A_seg, B_seg = A0 + run_A, B0 + run_B
+            # slope at the right end of each bounded segment [prev, seg_alphas[j])
+            starts = np.concatenate([[start], A_seg[:-1]])
+            curves = np.concatenate([[curve], B_seg[:-1]])
+            slope_end = starts + curves * seg_alphas
+            hit = np.flatnonzero(slope_end >= 0.0)
+            if hit.size:
+                j = int(hit[0])
+                if starts[j] < 0.0:
+                    return float(-starts[j] / curves[j])
+                # slope crossed zero exactly at the preceding breakpoint
+                return float(seg_alphas[j - 1]) if j > 0 else prev
+            start, curve, prev = float(A_seg[-1]), float(B_seg[-1]), float(seg_alphas[-1])
     if curve <= 0.0:
         raise FloatingPointError("objective is unbounded along the search direction")
     return max(float(-start / curve), prev)
@@ -191,6 +204,9 @@ def _minimize_smoothed(data: Dataset, lam, gamma, tilt, tol, max_iters):
 
         H = (Xt.T * w) @ Xt / (n * gamma)
         H[np.diag_indices_from(H)] += ridge
+        # freed before the line search, whose first call sets the fit's
+        # memory peak
+        del w
         # Newton direction from the one Cholesky solve of dpmedreg.model;
         # while H is not positive definite, retry with growing Levenberg damping.
         damp = 0.0

@@ -52,7 +52,7 @@ def oracle_l1_fit(data: Dataset) -> Theta:
     return Theta.from_vector(-res.eqlin.marginals)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NeighborPair:
     """Two datasets of identical shape and bound differing in exactly one
     row; ``index`` is that row's, found at construction."""
@@ -69,6 +69,20 @@ class NeighborPair:
         if where.shape[0] != 1:
             raise ValueError(f"pair must differ in exactly one row, found {where.shape[0]}")
         object.__setattr__(self, "index", int(where[0]))
+
+
+def _check_integer(name: str, value) -> None:
+    """Refuse a bool or a non-integer ``value`` (a float would be truncated or
+    fail deep inside a draw) with a ValueError naming ``name``; numpy
+    integers pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_at_least_one(name: str, value) -> None:
+    _check_integer(name, value)
+    if value < 1:
+        raise ValueError(f"need {name} >= 1, got {value}")
 
 
 def make_neighbor_pair(
@@ -88,8 +102,8 @@ def make_neighbor_pair(
         if rng is None:
             raise ValueError("need rng when index is omitted")
         index = rng.integer(0, base.n)
-    elif isinstance(index, bool) or not isinstance(index, numbers.Integral):
-        raise ValueError(f"index must be an integer, got {index!r}")
+    else:
+        _check_integer("index", index)
     index = int(index)
     if not 0 <= index < base.n:
         raise IndexError(f"row index {index} out of range for n={base.n}")
@@ -149,8 +163,7 @@ def neighbor_probe(name: str, n: int, d: int, trials: int, bound: float, rng: Rn
     Trial t draws the base dataset and then the replaced record from
     ``sub = rng.derive(t)``; ``shift`` may draw further from ``sub``.
     """
-    if trials < 1:
-        raise ValueError("need trials >= 1")
+    _check_at_least_one("trials", trials)
     worst = 0.0
     for t in range(trials):
         sub = rng.derive(t)
@@ -184,8 +197,7 @@ def gcd_step_probe(n0: int, d: int, trials: int, cfg: GcdConfig, rng: RngStream)
     largest), the L1 distance between the two step vectors must stay within
     2 eta / n0 (a 1e-12 float-roundoff allowance is folded into the bound).
     """
-    if n0 < 1:
-        raise ValueError(f"need n0 >= 1, got {n0}")
+    _check_at_least_one("n0", n0)
     eta = cfg.ell
 
     def shift(pair, sub):
@@ -207,6 +219,7 @@ def _probe_alg3(trials: int, seed: int) -> list[ProbeResult]:
 
 
 def _probe_samplers(trials: int, seed: int) -> list[ProbeResult]:
+    _check_at_least_one("trials", trials)
     rng = RngStream(seed)
     xs = np.sort(rng.derive(0).laplaces(1.0, trials))
     cdf = np.where(xs < 0, 0.5 * np.exp(xs), 1.0 - 0.5 * np.exp(-xs))
@@ -238,6 +251,7 @@ def _probe_samplers(trials: int, seed: int) -> list[ProbeResult]:
 
 
 def _probe_bounds(trials: int, seed: int) -> list[ProbeResult]:
+    _check_at_least_one("trials", trials)
     alpha = 0.1
     floor = 1.0 - alpha - 0.05
     cfg1 = SmoothingConfig()

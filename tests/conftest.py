@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -32,6 +33,23 @@ def benchmark_instance(n: int, rng: RngStream):
     X, Y, truth = generate(default_generator_spec(n), rng)
     data, record = normalize(X, Y)
     return data, record, truth
+
+
+def traced_peak(fn, *args):
+    """``(fn(*args), peak)``: peak is the most memory tracemalloc saw
+    allocated during the call, in bytes, above what was allocated when it
+    started; numpy reports its array buffers to tracemalloc, so they count."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def mask_timing(text: str) -> str:

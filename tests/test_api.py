@@ -1,7 +1,19 @@
 import inspect
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
+
+import numpy as np
+import pytest
 
 import dpmedreg
+from dpmedreg import (
+    Dataset,
+    IrlsTrace,
+    NeighborPair,
+    Release,
+    Theta,
+    default_generator_spec,
+)
+from dpmedreg.bench import CellResult
 
 # The package's public surface, in order; cross-module internals such as
 # ``design_matrix`` and ``neighbor_probe`` must not appear in it.
@@ -79,3 +91,28 @@ def test_settable_surface_is_pinned():
         if names:
             defaulted[name] = names
     assert defaulted == DEFAULTED
+
+
+def _array_holders():
+    theta = Theta(0.0, np.zeros(2))
+    data = Dataset(X=np.zeros((2, 2)), Y=np.zeros(2), B=1.0)
+    return [
+        theta,
+        data,
+        Release(theta=theta, noise=np.zeros(3), noise_scale=0.0, solver_iters=0),
+        IrlsTrace(iterates=np.zeros((1, 3)), converged=True, bracket_violations=0),
+        default_generator_spec(10),
+        NeighborPair(a=data, b=Dataset(X=np.zeros((2, 2)), Y=np.array([0.0, 1.0]), B=1.0)),
+        CellResult("alg1", 10, theta, 0.0, 0.0, theta),
+    ]
+
+
+# the generated == compared the array fields with == and raised ValueError,
+# and the generated __hash__ was None, so a set of them raised TypeError:
+# each compares and hashes by identity
+@pytest.mark.parametrize("obj", _array_holders(), ids=lambda obj: type(obj).__name__)
+def test_array_holding_dataclasses_compare_and_hash_by_identity(obj):
+    twin = replace(obj)
+    assert obj == obj and not obj != obj
+    assert (obj == twin) is False and obj != twin
+    assert len({obj, twin, obj}) == 2 and {obj: 1}[obj] == 1

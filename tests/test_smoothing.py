@@ -21,7 +21,7 @@ from dpmedreg import (
 from dpmedreg.verification import random_dataset
 from dpmedreg import model, smoothing
 
-from conftest import benchmark_instance, bounded_instance, smoothed_baseline
+from conftest import benchmark_instance, bounded_instance, smoothed_baseline, traced_peak
 
 
 def _tilted_objective(theta, data, cfg, tilt):
@@ -391,6 +391,79 @@ def line_search_inputs(draw):
 def test_line_search_matches_full_sort(margin, args):
     with mock.patch.object(smoothing, "_PREFIX_MARGIN", margin):
         _assert_same_as_full_sort(args)
+
+
+# the scan's block size changes only how many increments are built at a
+# time: at blocks of 1 and 2 every carry and almost every run of ties crosses
+# a block boundary, and the result is the same
+@pytest.mark.parametrize("block", [1, 2])
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(args=line_search_inputs())
+def test_line_search_matches_full_sort_in_small_blocks(block, args):
+    with mock.patch.object(smoothing, "_PREFIX_MARGIN", 1), mock.patch.object(smoothing, "_SCAN_BLOCK", block):
+        _assert_same_as_full_sort(args)
+
+
+def _ties_reversed(alphas, lo, hi):
+    """The solver's prefix order with every run of ties in descending row order."""
+    rows = np.flatnonzero((alphas > lo) & (alphas <= hi))
+    rows = rows[np.lexsort((-rows, alphas[rows]))]
+    return rows, alphas[rows]
+
+
+# At margin 1 the first prefix ends inside a run of tied breakpoints, and
+# blocks of 1 and 2 split the runs.  The order within the runs changes the
+# result, so only the stable order passes.
+TIED_SEARCHES = {
+    # four samples on the band edges exit at -0.0, -0.0, 0.0 and 0.0, and two
+    # enter together at alpha = 2, the fifth smallest breakpoint
+    "signed_zeros": (
+        [-0.25, -0.25, 0.25, 0.25, -2.25, 0.75],
+        [-0.1, -0.7, 0.7, 1.0, 1.0, -0.25],
+        -1.0,
+        0.01,
+        0.25,
+    ),
+    # the first sample enters and exits the band at alpha = inf (its distance
+    # over its step overflows), after two that enter together at alpha = 2
+    "infinite": ([-1e300, -3.0, -3.0], [1e-10, 1.0, 1.0], -1.0, 0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("block", [1, 2, smoothing._SCAN_BLOCK])
+@pytest.mark.parametrize("name", list(TIED_SEARCHES))
+def test_line_search_keeps_the_stable_order_of_tied_breakpoints(name, block):
+    args = _line_search_args(*TIED_SEARCHES[name])
+    with mock.patch.object(smoothing, "_PREFIX_MARGIN", 1), mock.patch.object(smoothing, "_SCAN_BLOCK", block):
+        got = _assert_same_as_full_sort(args)
+        with mock.patch.object(smoothing, "_sorted_rows", _ties_reversed):
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert repr(_outcome(smoothing._exact_line_search, args)) != repr(got)
+
+
+def test_sorted_rows_is_the_stable_order():
+    # distinct alphas, and tied ones with signed zeros and infinities among
+    # them, on which numpy's default sort can break ties out of row order
+    perm = RngStream(3).permutation(4000)
+    for alphas in (perm / 7.0, np.repeat([-0.0, 0.0, 0.5, 2.0, math.inf], 800)[perm]):
+        for lo, hi in ((-math.inf, math.inf), (0.0, 2.0), (-1.0, 0.5)):
+            rows, keys = smoothing._sorted_rows(alphas, lo, hi)
+            want = np.flatnonzero((alphas > lo) & (alphas <= hi))
+            want = want[np.argsort(alphas[want], kind="stable")]
+            assert np.array_equal(rows, want)
+            assert keys.tobytes() == alphas[want].tobytes()
+
+
+def test_fit_memory_stays_within_budget():
+    # the n = 2e5 pin's fit, traced above its input: 23.1 MB with the
+    # increments built per block of the sorted prefix (the first line search
+    # sets the peak; the pseudo-Hessian's assembly comes next at 19.3 MB),
+    # 45.8 MB when they were built for every crossing sample
+    make_data, cfg, seed, pinned = ALG1_PINS[1]
+    data = make_data()
+    release, peak = traced_peak(fit_smoothed_private, data, cfg, RngStream(seed))
+    assert [float(v).hex() for v in release.theta.as_vector()] == pinned
+    assert peak < 30e6
 
 
 def _tied_table():

@@ -4,9 +4,13 @@ from scipy.optimize import linprog
 
 from dpmedreg import (
     Dataset,
+    GcdConfig,
+    IrlsConfig,
     NeighborPair,
     RngStream,
     SmoothingConfig,
+    gcd_step_probe,
+    irls_sensitivity_probe,
     make_neighbor_pair,
     objective_l1,
     oracle_l1_fit,
@@ -72,6 +76,70 @@ def test_neighbor_pair_refuses_a_non_integer_index_before_any_draw(index):
     with pytest.raises(ValueError, match=f"^index must be an integer, got {index!r}$"):
         make_neighbor_pair(base, index=index, rng=stream)
     assert stream.uniform_open(1)[0] == RngStream(6).uniform_open(1)[0]
+
+
+# a float count used to fail inside range() or a draw that named k, and
+# True ran one trial
+_BAD_PROBE_COUNTS = [
+    pytest.param(
+        lambda: irls_sensitivity_probe(50, 3, 2.5, IrlsConfig(), RngStream(1)),
+        "trials must be an integer, got 2.5",
+        id="alg2-trials-float",
+    ),
+    pytest.param(
+        lambda: irls_sensitivity_probe(50, 3, True, IrlsConfig(), RngStream(1)),
+        "trials must be an integer, got True",
+        id="alg2-trials-bool",
+    ),
+    pytest.param(
+        lambda: gcd_step_probe(2.5, 3, 2, GcdConfig(), RngStream(1)),
+        "n0 must be an integer, got 2.5",
+        id="alg3-n0-float",
+    ),
+    pytest.param(
+        lambda: gcd_step_probe(True, 3, 2, GcdConfig(), RngStream(1)),
+        "n0 must be an integer, got True",
+        id="alg3-n0-bool",
+    ),
+    pytest.param(
+        lambda: gcd_step_probe(50, 3, 2.0, GcdConfig(), RngStream(1)),
+        "trials must be an integer, got 2.0",
+        id="alg3-trials-float",
+    ),
+    pytest.param(
+        lambda: gcd_step_probe(50, 3, 0, GcdConfig(), RngStream(1)),
+        "need trials >= 1, got 0",
+        id="alg3-trials-zero",
+    ),
+    pytest.param(
+        lambda: verification._probe_samplers(True, 1),
+        "trials must be an integer, got True",
+        id="samplers-trials-bool",
+    ),
+    pytest.param(
+        lambda: verification._probe_samplers(0, 1), "need trials >= 1, got 0", id="samplers-trials-zero"
+    ),
+    pytest.param(
+        lambda: verification._probe_bounds(1.5, 1), "trials must be an integer, got 1.5", id="bounds-trials-float"
+    ),
+]
+
+
+@pytest.mark.parametrize("call, message", _BAD_PROBE_COUNTS)
+def test_probe_counts_are_refused_by_name_before_any_draw(call, message, monkeypatch):
+    draws = []
+    for name in ("derive", "laplaces", "uniform_open", "uniforms"):
+        monkeypatch.setattr(RngStream, name, lambda *args, name=name: draws.append(name))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+    assert draws == []
+
+
+def test_probes_take_numpy_integer_counts():
+    cfg = GcdConfig()
+    want = gcd_step_probe(50, 3, 2, cfg, RngStream(1))
+    got = gcd_step_probe(np.int64(50), 3, np.int64(2), cfg, RngStream(1))
+    assert got.observed.hex() == want.observed.hex() and got.bound == want.bound
 
 
 def test_neighbor_pair_takes_a_numpy_integer_index():
