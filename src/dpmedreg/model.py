@@ -1,4 +1,6 @@
-"""Data model and deterministic objective mathematics for median (L1) regression.
+"""Data model, knob checks and solver kernels for median (L1) regression:
+the penalized L1 (or Huber-smoothed) objective value, the intercept-augmented
+design, the Cholesky solve and alg3's coordinate step.
 
 All containers are immutable after construction and every operation is a pure
 function of its arguments, so everything in this module can be evaluated
@@ -22,11 +24,7 @@ __all__ = [
     "Release",
     "residuals",
     "objective_l1",
-    "huber_rho",
-    "smoothed_objective",
-    "smoothed_gradient",
     "directional_derivatives",
-    "perturbed_objective_le",
 ]
 
 # Absolute slack on construction-time bound checks; normalized data leaves row
@@ -204,27 +202,16 @@ def residuals(theta: Theta, data: Dataset) -> np.ndarray:
     return theta.mu + data.X @ theta.beta - data.Y
 
 
-def objective_l1(theta: Theta, data: Dataset, lam: float) -> float:
-    """Mean absolute residual plus the ridge penalty (lam/2) beta'beta."""
+def objective_l1(theta: Theta, data: Dataset, lam: float, gamma: float = 0.0) -> float:
+    """mean_i rho_gamma(r_i) + (lam/2) beta'beta, where rho_0 = |.| and, for
+    gamma > 0, rho_gamma is the Huber surrogate: t^2/(2 gamma) on |t| <= gamma
+    and |t| - gamma/2 outside, within gamma/2 of |t| everywhere."""
     _check_nonnegative("lam", lam)
-    r = residuals(theta, data)
-    return float(np.abs(r).sum() / data.n + 0.5 * lam * theta.beta @ theta.beta)
-
-
-def huber_rho(t, gamma: float):
-    """Quadratic-near-zero surrogate for |t| with half-width ``gamma``.
-
-    t^2 / (2 gamma) on |t| <= gamma, |t| - gamma/2 outside; continuous with a
-    continuous first derivative at |t| = gamma.  The uniform gap to |t| never
-    exceeds gamma/2.
-    """
-    _check_positive("gamma", gamma)
-    arr = np.asarray(t, dtype=float)
-    at = np.abs(arr)
-    out = np.where(at <= gamma, arr * arr / (2.0 * gamma), at - 0.5 * gamma)
-    if arr.ndim == 0:
-        return float(out)
-    return out
+    _check_nonnegative("gamma", gamma)
+    r = np.abs(residuals(theta, data))
+    if gamma > 0:
+        r = np.where(r <= gamma, r * r / (2.0 * gamma), r - 0.5 * gamma)
+    return float(r.sum() / data.n + 0.5 * lam * theta.beta @ theta.beta)
 
 
 def design_matrix(X: np.ndarray) -> np.ndarray:
@@ -250,49 +237,6 @@ def _spd_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of potrs")
     return x
-
-
-def _band_signs(r: np.ndarray, gamma: float) -> np.ndarray:
-    """-1.0 / 0.0 / +1.0 per residual against the inclusive band [-gamma, gamma]."""
-    return np.subtract(r > gamma, r < -gamma, dtype=float)
-
-
-def _smoothed_terms(Xt: np.ndarray, Y: np.ndarray, omega: np.ndarray, gamma: float, ridge, tilt):
-    """(r, s, w, grad) of mean_i rho_gamma(r_i) + (1/2) sum_j ridge_j omega_j^2
-    + tilt'omega at r = Xt omega - Y: residuals, band signs (inclusive band),
-    in-band indicators 1 - s^2, and the gradient the smoothed solver uses."""
-    r = Xt @ omega - Y
-    s = _band_signs(r, gamma)
-    w = 1.0 - s * s
-    bracket = (w * r) / gamma + s
-    grad = Xt.T @ bracket / Y.shape[0] + ridge * omega + tilt
-    return r, s, w, grad
-
-
-def smoothed_objective(theta: Theta, data: Dataset, lam: float, gamma: float) -> float:
-    """Mean smoothed absolute residual plus the ridge penalty (lam/2) beta'beta."""
-    _check_nonnegative("lam", lam)
-    _check_positive("gamma", gamma)
-    r = residuals(theta, data)
-    return float(np.sum(huber_rho(r, gamma)) / data.n + 0.5 * lam * theta.beta @ theta.beta)
-
-
-def smoothed_gradient(theta: Theta, data: Dataset, lam: float, gamma: float) -> Theta:
-    """Gradient of :func:`smoothed_objective`, returned in Theta shape.
-
-    The per-sample factor (r_i / gamma) inside the band and sign(r_i) outside
-    always lies in [-1, 1]; at |r_i| == gamma the two branches coincide, so the
-    inclusive band assignment is immaterial here.  This is the solver's
-    gradient with an unpenalized intercept and no tilt.
-    """
-    _check_nonnegative("lam", lam)
-    _check_positive("gamma", gamma)
-    if theta.d != data.d:
-        raise ValueError(f"theta has d={theta.d} but data has d={data.d}")
-    ridge = np.full(data.d + 1, lam)
-    ridge[0] = 0.0
-    _, _, _, grad = _smoothed_terms(design_matrix(data.X), data.Y, theta.as_vector(), gamma, ridge, 0.0)
-    return Theta.from_vector(grad)
 
 
 def _coordinate_step(r: np.ndarray, xk: np.ndarray, n: int, lam_beta_k: float, eta: float):
@@ -327,24 +271,9 @@ def directional_derivatives(theta: Theta, data: Dataset, lam: float, k: int):
     from kinks d_plus == -d_minus.  ``k`` is a 0-based coordinate index.
     """
     _check_nonnegative("lam", lam)
+    k = _as_integer("k", k)
     if not 0 <= k < data.d:
         raise IndexError(f"coordinate k={k} out of range for d={data.d}")
     r = residuals(theta, data)
     d_plus, d_minus, _ = _coordinate_step(r, data.X[:, k], data.n, lam * float(theta.beta[k]), 0.0)
     return d_plus, d_minus
-
-
-def perturbed_objective_le(theta: Theta, data: Dataset, lam: float, e: float) -> float:
-    """Log-perturbed absolute-deviation criterion, per-sample normalized:
-
-        (2/n) sum_i [ |r_i| - e ln(e + |r_i|) ] + (lam/2) beta'beta.
-
-    It is tangent from below to the 1/(|r|+e)-reweighted quadratic criterion
-    and therefore cannot increase across a reweighted least-squares update;
-    the descent checks use it.
-    """
-    _check_positive("e", e)
-    _check_nonnegative("lam", lam)
-    r = np.abs(residuals(theta, data))
-    ridge = 0.5 * lam * float(theta.beta @ theta.beta)
-    return float(2.0 / data.n * np.sum(r - e * np.log(e + r)) + ridge)

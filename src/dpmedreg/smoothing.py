@@ -8,6 +8,8 @@ direction) and minimizes
 where omega = (mu, beta).  The baseline is the same program with b = 0, the
 fit at epsilon = inf; the shared mu^2/sqrt(n) term keeps the intercept
 direction strongly convex and makes baseline-vs-private comparisons exact.
+:func:`smoothed_gradient` is this program's gradient, the one the solver
+runs; its value is :func:`dpmedreg.verification.smoothed_program`.
 
 The inner solver is a damped Newton method, run to a fixed tolerance, on the
 piecewise-quadratic objective: the pseudo-Hessian uses only the in-band
@@ -36,7 +38,6 @@ from .model import (
     _check_positive,
     _check_private_run,
     _MechanismConfig,
-    _smoothed_terms,
     _spd_solve,
     design_matrix,
 )
@@ -46,6 +47,7 @@ __all__ = [
     "SmoothingConfig",
     "ConvergenceError",
     "fit_smoothed_private",
+    "smoothed_gradient",
     "smoothing_accuracy_bound",
 ]
 
@@ -81,6 +83,48 @@ _SCAN_BLOCK = 8192
 # proof covers the exact minimizer, not an early iterate
 _TOL = 1e-8
 _MAX_ITERS = 500
+
+
+def _band_signs(r: np.ndarray, gamma: float) -> np.ndarray:
+    """-1.0 / 0.0 / +1.0 per residual against the inclusive band [-gamma, gamma]."""
+    return np.subtract(r > gamma, r < -gamma, dtype=float)
+
+
+def _ridge(n: int, d: int, lam: float) -> np.ndarray:
+    """The program's ridge weights: 2/sqrt(n) on mu (its mu^2/sqrt(n) term)
+    and lam on each beta_j."""
+    ridge = np.empty(d + 1)
+    ridge[0] = 2.0 / math.sqrt(n)
+    ridge[1:] = lam
+    return ridge
+
+
+def _smoothed_terms(Xt: np.ndarray, Y: np.ndarray, omega: np.ndarray, gamma: float, ridge, tilt):
+    """(r, s, w, grad) of mean_i rho_gamma(r_i) + (1/2) sum_j ridge_j omega_j^2
+    + tilt'omega at r = Xt omega - Y: residuals, band signs (inclusive band),
+    in-band indicators 1 - s^2, and the gradient.  The per-sample factor,
+    r_i/gamma in the band and sign(r_i) outside, lies in [-1, 1], and its two
+    branches agree at |r_i| = gamma."""
+    r = Xt @ omega - Y
+    s = _band_signs(r, gamma)
+    w = 1.0 - s * s
+    bracket = (w * r) / gamma + s
+    grad = Xt.T @ bracket / Y.shape[0] + ridge * omega + tilt
+    return r, s, w, grad
+
+
+def smoothed_gradient(theta: Theta, data: Dataset, cfg: SmoothingConfig, b) -> np.ndarray:
+    """Gradient of the program above at ``theta``, over omega = (mu, beta),
+    for the tilt ``b`` (a release's ``noise``; all zeros for the baseline).
+    At a release's theta and noise it is, bit for bit, the vector whose
+    entries the solver brought within ``_TOL``."""
+    b = np.asarray(b, dtype=float)
+    if b.shape != (data.d + 1,):
+        raise ValueError(f"b must have shape ({data.d + 1},), got {b.shape}")
+    if theta.d != data.d:
+        raise ValueError(f"theta has d={theta.d} but data has d={data.d}")
+    ridge = _ridge(data.n, data.d, cfg.lam)
+    return _smoothed_terms(design_matrix(data.X), data.Y, theta.as_vector(), cfg.gamma, ridge, b / data.n)[3]
 
 
 def _crossing_alphas(idx, r, delta, edge):
@@ -190,9 +234,7 @@ def _minimize_smoothed(data: Dataset, lam, gamma, tilt, tol, max_iters):
     """Minimize the tilted smoothed objective; returns (omega, iters, grad_norm)."""
     n, d = data.n, data.d
     Xt = design_matrix(data.X)
-    ridge = np.empty(d + 1)
-    ridge[0] = 2.0 / math.sqrt(n)
-    ridge[1:] = lam
+    ridge = _ridge(n, d, lam)
     omega = np.zeros(d + 1)
     for it in range(max_iters + 1):
         r, s, w, grad = _smoothed_terms(Xt, data.Y, omega, gamma, ridge, tilt)

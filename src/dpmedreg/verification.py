@@ -1,5 +1,6 @@
 """Independent oracles and the probes that check the mechanisms: the exact
-L1 fit as a linear program at any n and d, bounded random datasets,
+L1 fit as a linear program at any n and d, the values of the programs alg1
+minimizes and alg2 descends, at the fit's config, bounded random datasets,
 one-record-neighbor dataset pairs, and the ``dpmedreg probe`` targets of
 :data:`PROBES`.  This module sits above the mechanisms; none of them imports
 it."""
@@ -15,7 +16,7 @@ import numpy as np
 from .datagen import default_generator_spec, generate, normalize
 from .gcd import GcdConfig, coordinate_step_vector
 from .irls import IrlsConfig, fit_irls_private, irls_accuracy_bound, irls_fit, irls_sensitivity
-from .model import Dataset, Theta, design_matrix
+from .model import Dataset, Theta, design_matrix, objective_l1, residuals
 from .sampling import RngStream, gamma_tail_bound, sample_l1_perturbations
 from .smoothing import SmoothingConfig, fit_smoothed_private, smoothing_accuracy_bound
 
@@ -23,6 +24,8 @@ __all__ = [
     "NeighborPair",
     "ProbeResult",
     "oracle_l1_fit",
+    "smoothed_program",
+    "perturbed_objective_le",
     "make_neighbor_pair",
     "random_dataset",
     "random_theta",
@@ -50,6 +53,27 @@ def oracle_l1_fit(data: Dataset) -> Theta:
     if res.status != 0:
         raise RuntimeError(f"LAD linear program not solved: {res.message}")
     return Theta.from_vector(-res.eqlin.marginals)
+
+
+def smoothed_program(theta: Theta, data: Dataset, cfg: SmoothingConfig, b) -> float:
+    """P(omega) = objective_l1(theta, data, lam, gamma) + mu^2/sqrt(n) + b'omega/n,
+    the program alg1 minimizes for the tilt ``b`` (a release's ``noise``; all
+    zeros for the baseline), whose gradient is
+    :func:`dpmedreg.smoothing.smoothed_gradient`."""
+    b = np.asarray(b, dtype=float)
+    if b.shape != (data.d + 1,):
+        raise ValueError(f"b must have shape ({data.d + 1},), got {b.shape}")
+    value = objective_l1(theta, data, cfg.lam, cfg.gamma) + theta.mu**2 / math.sqrt(data.n)
+    return value + float(b @ theta.as_vector()) / data.n
+
+
+def perturbed_objective_le(theta: Theta, data: Dataset, cfg: IrlsConfig) -> float:
+    """(2/n) sum_i [|r_i| - e ln(e + |r_i|)] + (lam/2) beta'beta, tangent from
+    below to the 1/(|r| + e)-reweighted quadratic criterion: alg2's
+    reweighted least-squares update cannot increase it."""
+    r = np.abs(residuals(theta, data))
+    ridge = 0.5 * cfg.lam * float(theta.beta @ theta.beta)
+    return float(2.0 / data.n * np.sum(r - cfg.e * np.log(cfg.e + r)) + ridge)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,6 +155,8 @@ def make_neighbor_pair(
 def random_dataset(n: int, d: int, B: float, rng: RngStream) -> Dataset:
     """Random dataset satisfying the domain bounds: rows uniform-direction
     with L1 radius in (0, 1), responses uniform on (-B, B)."""
+    _check_at_least_one("n", n)
+    _check_at_least_one("d", d)
     raw = rng.laplaces(1.0, n * d).reshape(n, d)
     radii = rng.uniform_open(n)
     X = raw / np.abs(raw).sum(axis=1, keepdims=True) * radii[:, None]
@@ -139,6 +165,7 @@ def random_dataset(n: int, d: int, B: float, rng: RngStream) -> Dataset:
 
 
 def random_theta(d: int, rng: RngStream, scale: float = 1.0) -> Theta:
+    _check_at_least_one("d", d)
     return Theta(
         mu=float(rng.uniforms(-scale, scale, 1)[0]),
         beta=rng.uniforms(-scale, scale, d),

@@ -33,7 +33,7 @@ from dpmedreg import (
     residuals,
     sample_l1_perturbation,
     smoothed_gradient,
-    smoothed_objective,
+    smoothed_program,
     unscale_theta,
 )
 from dpmedreg.gcd import _descend
@@ -71,9 +71,7 @@ def test_criterion_1_smoothing_vs_exact():
         data, d = _tiny_instance(sub, t)
         for _ in range(3):
             theta = random_theta(d, sub, scale=2.0)
-            gap = abs(
-                objective_l1(theta, data, 0.0) - smoothed_objective(theta, data, 0.0, gamma_obj)
-            )
+            gap = abs(objective_l1(theta, data, 0.0) - objective_l1(theta, data, 0.0, gamma_obj))
             worst_gap = max(worst_gap, gap)
         oracle = oracle_l1_fit(data)
         base = smoothed_baseline(data, SmoothingConfig(lam=0.0, gamma=1e-4))
@@ -97,7 +95,8 @@ def test_criterion_1_smoothing_vs_exact():
 def test_criterion_2_gradient_correctness():
     start = time.perf_counter()
     rng = RngStream(77)
-    lam, gamma = 0.01, 0.05
+    cfg = SmoothingConfig(lam=0.01, gamma=0.05)
+    gamma = cfg.gamma
     h = 1e-6
     worst_central = 0.0
     worst_sided = 0.0
@@ -117,17 +116,19 @@ def test_criterion_2_gradient_correctness():
         if float(np.min(np.abs(np.abs(r) - gamma))) < 1e-3 or float(np.min(np.abs(r))) < 1e-3:
             continue
         checked += 1
-        g = smoothed_gradient(theta, data, lam, gamma)
-        up = smoothed_objective(Theta(theta.mu + h, theta.beta), data, lam, gamma)
-        dn = smoothed_objective(Theta(theta.mu - h, theta.beta), data, lam, gamma)
-        worst_central = max(worst_central, abs(g.mu - (up - dn) / (2 * h)))
+        # the program alg1 minimizes, tilted by b
+        b = sub.uniforms(-2.0, 2.0, d + 1)
+        g = smoothed_gradient(theta, data, cfg, b)
+        up = smoothed_program(Theta(theta.mu + h, theta.beta), data, cfg, b)
+        dn = smoothed_program(Theta(theta.mu - h, theta.beta), data, cfg, b)
+        worst_central = max(worst_central, abs(g[0] - (up - dn) / (2 * h)))
         base = objective_l1(theta, data, 0.0)
         for k in range(d):
             ek = np.zeros(d)
             ek[k] = h
-            upb = smoothed_objective(Theta(theta.mu, theta.beta + ek), data, lam, gamma)
-            dnb = smoothed_objective(Theta(theta.mu, theta.beta - ek), data, lam, gamma)
-            worst_central = max(worst_central, abs(g.beta[k] - (upb - dnb) / (2 * h)))
+            upb = smoothed_program(Theta(theta.mu, theta.beta + ek), data, cfg, b)
+            dnb = smoothed_program(Theta(theta.mu, theta.beta - ek), data, cfg, b)
+            worst_central = max(worst_central, abs(g[1 + k] - (upb - dnb) / (2 * h)))
             dp, dm = directional_derivatives(theta, data, 0.0, k)
             fwd = (objective_l1(Theta(theta.mu, theta.beta + ek), data, 0.0) - base) / h
             bwd = (objective_l1(Theta(theta.mu, theta.beta - ek), data, 0.0) - base) / h
@@ -339,7 +340,7 @@ def test_criterion_8_convergence_properties():
         cfg = IrlsConfig(lam=0.002, e=0.2, tau=1e-6, max_iters=200)
         trace = irls_fit(data, cfg)
         vals = [
-            perturbed_objective_le(Theta.from_vector(row), data, cfg.lam, cfg.e)
+            perturbed_objective_le(Theta.from_vector(row), data, cfg)
             for row in trace.iterates
         ]
         worst_increase = max(worst_increase, float(np.max(np.diff(vals))))

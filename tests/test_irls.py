@@ -323,7 +323,7 @@ def test_irls_descent_and_iterate_bounds():
         cfg = IrlsConfig(lam=0.002, e=0.2, tau=1e-6, max_iters=200)
         trace = irls_fit(data, cfg)
         thetas = [Theta.from_vector(row) for row in trace.iterates]
-        vals = [perturbed_objective_le(th, data, cfg.lam, cfg.e) for th in thetas]
+        vals = [perturbed_objective_le(th, data, cfg) for th in thetas]
         assert float(np.max(np.diff(vals))) <= 1e-10
         v = default_coefficient_bound(data.B, cfg.lam, cfg.e)
         reach = math.sqrt(data.d * v) + data.B

@@ -8,25 +8,27 @@ from scipy.linalg import cho_factor, cho_solve
 from dpmedreg import (
     Dataset,
     GcdConfig,
+    IrlsConfig,
     RngStream,
     ScalingRecord,
+    SmoothingConfig,
     Theta,
     coordinate_step_vector,
     default_coefficient_bound,
     directional_derivatives,
     gcd_step_probe,
-    huber_rho,
     irls_sensitivity,
     objective_l1,
     perturbed_objective_le,
     residuals,
     smoothed_gradient,
-    smoothed_objective,
+    smoothed_program,
     smoothing_accuracy_bound,
     split_batches,
     weighted_ridge_solve,
 )
-from dpmedreg.model import _band_signs, _coordinate_step, _smoothed_terms, _spd_solve, design_matrix
+from dpmedreg.model import _coordinate_step, _spd_solve, design_matrix
+from dpmedreg.smoothing import _band_signs, _ridge, _smoothed_terms
 from dpmedreg.verification import random_theta
 
 from conftest import bounded_instance
@@ -99,44 +101,33 @@ def test_objective_l1_matches_scalar_loop(rng):
     assert objective_l1(theta, data, lam) == pytest.approx(expected, abs=1e-12)
 
 
+def _rho(t, gamma):
+    """rho_gamma(t_i) for each t_i: objective_l1 at theta = 0 on the one-row
+    dataset whose residual there is t_i."""
+    zero = Theta(0.0, np.zeros(1))
+    rows = [Dataset(X=np.zeros((1, 1)), Y=np.array([-v]), B=max(abs(v), 1.0)) for v in np.asarray(t, dtype=float)]
+    return np.array([objective_l1(zero, row, 0.0, gamma) for row in rows])
+
+
 def test_huber_rho_values_and_branches():
-    assert huber_rho(0.0, 0.05) == 0.0
-    assert huber_rho(0.5, 1.0) == pytest.approx(0.125)
-    assert huber_rho(2.0, 1.0) == pytest.approx(1.5)
-    with pytest.raises(ValueError):
-        huber_rho(1.0, 0.0)
+    assert _rho([0.0], 0.05)[0] == 0.0
+    assert _rho([0.5], 1.0)[0] == pytest.approx(0.125)
+    assert _rho([2.0], 1.0)[0] == pytest.approx(1.5)
+    # gamma = 0 is the exact absolute value; a negative gamma is refused
+    assert _rho([-1.0, 0.25], 0.0).tolist() == [1.0, 0.25]
+    with pytest.raises(ValueError, match="^gamma must be nonnegative"):
+        _rho([1.0], -0.1)
 
 
 def test_huber_rho_envelope(rng):
     # rho <= |t| everywhere; on |t| > gamma the gap is exactly gamma/2
     t = rng.uniforms(-3, 3, 1000)
     gamma = 0.3
-    rho = huber_rho(t, gamma)
+    rho = _rho(t, gamma)
     assert np.all(rho <= np.abs(t) + 1e-15)
     outside = np.abs(t) > gamma
     assert np.allclose(np.abs(t[outside]) - rho[outside], gamma / 2)
     assert np.all(np.abs(t) - rho <= gamma / 2 + 1e-15)
-
-
-def test_sign_vector_thresholds():
-    # the solver's band signs, as floats
-    s = _band_signs(np.array([-0.1, 0.02, 0.3]), 0.05)
-    assert s.tolist() == [-1.0, 0.0, 1.0]
-    # boundary inclusive
-    assert _band_signs(np.array([0.05, -0.05]), 0.05).tolist() == [0.0, 0.0]
-
-
-def test_sign_vector_matches_elementwise_oracle(rng):
-    r = rng.uniforms(-1, 1, 500)
-    gamma = 0.2
-    s = _band_signs(r, gamma)
-    for i in range(500):
-        if r[i] < -gamma:
-            assert s[i] == -1
-        elif r[i] > gamma:
-            assert s[i] == 1
-        else:
-            assert s[i] == 0
 
 
 def _quadratic_decomposition(theta, data, lam, gamma):
@@ -154,7 +145,7 @@ def test_smoothed_objective_equals_decomposition(rng):
         data, _ = bounded_instance(sub, n=40, d=3)
         lam, gamma = 0.05, 0.1
         theta = random_theta(3, sub)
-        direct = smoothed_objective(theta, data, lam, gamma)
+        direct = objective_l1(theta, data, lam, gamma)
         assert abs(direct - _quadratic_decomposition(theta, data, lam, gamma)) <= 1e-12
 
 
@@ -163,7 +154,7 @@ def test_smoothed_objective_outer_branch_equals_l1_shift():
     data = Dataset(X=np.zeros((3, 1)), Y=np.array([1.0, 2.0, 3.0]), B=3.0)
     lam, gamma = 0.0, 0.05
     theta = Theta(0.0, np.zeros(1))
-    assert smoothed_objective(theta, data, lam, gamma) == pytest.approx(
+    assert objective_l1(theta, data, lam, gamma) == pytest.approx(
         objective_l1(theta, data, 0.0) - gamma / 2
     )
 
@@ -171,7 +162,7 @@ def test_smoothed_objective_outer_branch_equals_l1_shift():
 def test_smoothed_objective_zero_case():
     data = Dataset(X=np.zeros((4, 2)), Y=np.zeros(4), B=1.0)
     lam, gamma = 0.7, 0.1
-    assert smoothed_objective(Theta(0.0, np.zeros(2)), data, lam, gamma) == 0.0
+    assert objective_l1(Theta(0.0, np.zeros(2)), data, lam, gamma) == 0.0
 
 
 def test_uniform_smoothing_gap(rng):
@@ -181,7 +172,7 @@ def test_uniform_smoothing_gap(rng):
         data, _ = bounded_instance(sub, n=30, d=2)
         lam, gamma = 0.4, 0.08
         theta = random_theta(2, sub, scale=2.0)
-        gap = objective_l1(theta, data, lam) - smoothed_objective(theta, data, lam, gamma)
+        gap = objective_l1(theta, data, lam) - objective_l1(theta, data, lam, gamma)
         assert -1e-14 <= gap <= gamma / 2 + 1e-14
 
 
@@ -194,8 +185,8 @@ def test_smoothed_objective_convexity(rng):
         t2 = random_theta(2, sub, scale=2.0)
         a = float(sub.uniform_open(1)[0])
         mid = Theta(a * t1.mu + (1 - a) * t2.mu, a * t1.beta + (1 - a) * t2.beta)
-        lhs = smoothed_objective(mid, data, lam, gamma)
-        rhs = a * smoothed_objective(t1, data, lam, gamma) + (1 - a) * smoothed_objective(
+        lhs = objective_l1(mid, data, lam, gamma)
+        rhs = a * objective_l1(t1, data, lam, gamma) + (1 - a) * objective_l1(
             t2, data, lam, gamma
         )
         assert lhs <= rhs + 1e-12
@@ -204,27 +195,35 @@ def test_smoothed_objective_convexity(rng):
 def test_smoothed_objective_and_gradient_reject_bad_knobs():
     data = Dataset(X=np.zeros((2, 1)), Y=np.zeros(2), B=1.0)
     theta = Theta(0.0, np.zeros(1))
-    for fn in (smoothed_objective, smoothed_gradient):
-        with pytest.raises(ValueError, match="lam"):
-            fn(theta, data, -0.1, 0.05)
-        with pytest.raises(ValueError, match="gamma"):
-            fn(theta, data, 0.0, 0.0)
+    with pytest.raises(ValueError, match="lam"):
+        objective_l1(theta, data, -0.1, 0.05)
+    with pytest.raises(ValueError, match="gamma"):
+        objective_l1(theta, data, 0.0, -0.05)
+    # the gradient takes the fit's config, which refuses both when built
+    with pytest.raises(ValueError, match="lam"):
+        smoothed_gradient(theta, data, SmoothingConfig(lam=-0.1, gamma=0.05), np.zeros(2))
+    with pytest.raises(ValueError, match="gamma"):
+        smoothed_gradient(theta, data, SmoothingConfig(lam=0.0, gamma=0.0), np.zeros(2))
 
 
 _KD = Dataset(X=np.array([[0.4], [-0.2]]), Y=np.array([0.5, -0.5]), B=1.0)
 _KT = Theta(0.1, np.array([0.3]))
 _KR = np.array([0.2, -1.0])
-# (function, knob, the call with that knob set to v and the others good)
+_KB = np.zeros(2)
+# (case, knob, the call with that knob set to v and the others good): the
+# smoothed objective is objective_l1 at gamma > 0 and rho its per-residual
+# term; smoothed_gradient and perturbed_objective_le take the fit's config,
+# which refuses the knob when it is built
 _KNOB_CALLS = [
     ("objective_l1", "lam", lambda v: objective_l1(_KT, _KD, v)),
-    ("smoothed_objective", "lam", lambda v: smoothed_objective(_KT, _KD, v, 0.05)),
-    ("smoothed_objective", "gamma", lambda v: smoothed_objective(_KT, _KD, 0.01, v)),
-    ("smoothed_gradient", "lam", lambda v: smoothed_gradient(_KT, _KD, v, 0.05)),
-    ("smoothed_gradient", "gamma", lambda v: smoothed_gradient(_KT, _KD, 0.01, v)),
+    ("smoothed_objective", "lam", lambda v: objective_l1(_KT, _KD, v, 0.05)),
+    ("smoothed_objective", "gamma", lambda v: objective_l1(_KT, _KD, 0.01, v)),
+    ("smoothed_gradient", "lam", lambda v: smoothed_gradient(_KT, _KD, SmoothingConfig(lam=v), _KB)),
+    ("smoothed_gradient", "gamma", lambda v: smoothed_gradient(_KT, _KD, SmoothingConfig(gamma=v), _KB)),
     ("directional_derivatives", "lam", lambda v: directional_derivatives(_KT, _KD, v, 0)),
-    ("perturbed_objective_le", "lam", lambda v: perturbed_objective_le(_KT, _KD, v, 0.2)),
-    ("perturbed_objective_le", "e", lambda v: perturbed_objective_le(_KT, _KD, 0.01, v)),
-    ("huber_rho", "gamma", lambda v: huber_rho(_KR, v)),
+    ("perturbed_objective_le", "lam", lambda v: perturbed_objective_le(_KT, _KD, IrlsConfig(lam=v))),
+    ("perturbed_objective_le", "e", lambda v: perturbed_objective_le(_KT, _KD, IrlsConfig(e=v))),
+    ("huber_rho", "gamma", lambda v: _rho(_KR, v)),
 ]
 
 
@@ -371,6 +370,13 @@ _UNCHECKED = [
     pytest.param(
         lambda: RngStream(1).integer(0.5, 3), "lo must be an integer, got 0.5", id="integer-lo-float"
     ),
+    # each of these used to fail inside numpy without naming k
+    pytest.param(
+        lambda: directional_derivatives(_KT, _KD, 0.0, True), "k must be an integer, got True", id="directional-k-bool"
+    ),
+    pytest.param(
+        lambda: directional_derivatives(_KT, _KD, 0.0, 1.0), "k must be an integer, got 1.0", id="directional-k-float"
+    ),
 ]
 
 
@@ -385,20 +391,22 @@ def test_smoothed_gradient_simple_case():
     # single sample sitting mid-band: bracket value r/gamma = 1/2
     gamma = 0.1
     data = Dataset(X=np.array([[0.5]]), Y=np.array([-gamma / 2]), B=1.0)
-    g = smoothed_gradient(Theta(0.0, np.zeros(1)), data, 0.0, gamma)
-    assert g.mu == pytest.approx(0.5)
-    assert g.beta[0] == pytest.approx(0.25)
+    g = smoothed_gradient(Theta(0.0, np.zeros(1)), data, SmoothingConfig(lam=0.0, gamma=gamma), np.zeros(2))
+    assert g[0] == pytest.approx(0.5)
+    assert g[1] == pytest.approx(0.25)
 
 
 def test_smoothed_gradient_zero_at_perfect_fit(rng):
     data, beta = bounded_instance(rng, n=20, d=2, noise=1e-12)
-    g = smoothed_gradient(Theta(0.0, beta), data, 0.0, 0.05)
-    assert abs(g.mu) < 1e-10
-    assert np.all(np.abs(g.beta) < 1e-10)
+    g = smoothed_gradient(Theta(0.0, beta), data, SmoothingConfig(lam=0.0, gamma=0.05), np.zeros(3))
+    assert abs(g[0]) < 1e-10
+    assert np.all(np.abs(g[1:]) < 1e-10)
 
 
 def test_smoothed_gradient_matches_central_differences(rng):
-    lam, gamma = 0.01, 0.05
+    # the tilted program alg1 minimizes: the mu^2/sqrt(n) term and a tilt b
+    cfg = SmoothingConfig(lam=0.01, gamma=0.05)
+    gamma = cfg.gamma
     h = 1e-6
     checked = 0
     t = 0
@@ -413,16 +421,17 @@ def test_smoothed_gradient_matches_central_differences(rng):
         if float(np.min(np.abs(np.abs(r) - gamma))) < 1e-3:
             continue
         checked += 1
-        g = smoothed_gradient(theta, data, lam, gamma)
-        up = smoothed_objective(Theta(theta.mu + h, theta.beta), data, lam, gamma)
-        dn = smoothed_objective(Theta(theta.mu - h, theta.beta), data, lam, gamma)
-        assert abs(g.mu - (up - dn) / (2 * h)) < 1e-5
+        b = sub.uniforms(-2.0, 2.0, d + 1)
+        g = smoothed_gradient(theta, data, cfg, b)
+        up = smoothed_program(Theta(theta.mu + h, theta.beta), data, cfg, b)
+        dn = smoothed_program(Theta(theta.mu - h, theta.beta), data, cfg, b)
+        assert abs(g[0] - (up - dn) / (2 * h)) < 1e-5
         for k in range(d):
             ek = np.zeros(d)
             ek[k] = h
-            up = smoothed_objective(Theta(theta.mu, theta.beta + ek), data, lam, gamma)
-            dn = smoothed_objective(Theta(theta.mu, theta.beta - ek), data, lam, gamma)
-            assert abs(g.beta[k] - (up - dn) / (2 * h)) < 1e-5
+            up = smoothed_program(Theta(theta.mu, theta.beta + ek), data, cfg, b)
+            dn = smoothed_program(Theta(theta.mu, theta.beta - ek), data, cfg, b)
+            assert abs(g[1 + k] - (up - dn) / (2 * h)) < 1e-5
 
 
 def test_gradient_bracket_vector_bounded(rng):
@@ -432,10 +441,12 @@ def test_gradient_bracket_vector_bounded(rng):
         data, _ = bounded_instance(sub, n=30, d=3)
         gamma = 0.07
         theta = random_theta(3, sub, scale=2.0)
-        r = residuals(theta, data)
-        s = _band_signs(r, gamma)
-        bracket = (1.0 - s * s) * r / gamma + s
-        assert np.all(np.abs(bracket) <= 1.0 + 1e-12)
+        # at theta = 0 on a one-row dataset with x = 0 the gradient's mu entry
+        # is the factor at the residual -y
+        cfg, zero = SmoothingConfig(lam=0.0, gamma=gamma), Theta(0.0, np.zeros(1))
+        for r in residuals(theta, data):
+            row = Dataset(X=np.zeros((1, 1)), Y=np.array([-r]), B=max(abs(r), 1.0))
+            assert abs(smoothed_gradient(zero, row, cfg, np.zeros(2))[0]) <= 1.0 + 1e-12
 
 
 def test_directional_derivatives_kink_case():
@@ -524,6 +535,9 @@ def test_directional_derivatives_range_check():
     data = Dataset(X=np.zeros((2, 2)), Y=np.zeros(2), B=1.0)
     with pytest.raises(IndexError):
         directional_derivatives(Theta(0.0, np.zeros(2)), data, 0.0, 2)
+    # a numpy integer is an index like an int
+    theta = Theta(0.5, np.array([1.0, -1.0]))
+    assert directional_derivatives(theta, data, 0.0, np.int64(1)) == directional_derivatives(theta, data, 0.0, 1)
 
 
 def test_directional_derivatives_refuse_negative_lambda():
@@ -587,13 +601,13 @@ def test_perturbed_objective_plugin_case():
     n, e = 5, 0.1
     data = Dataset(X=np.zeros((n, 1)), Y=np.zeros(n), B=1.0)
     theta = Theta(0.0, np.zeros(1))
-    assert perturbed_objective_le(theta, data, 0.0, e) == pytest.approx(-2 * e * np.log(e))
+    assert perturbed_objective_le(theta, data, IrlsConfig(lam=0.0, e=e)) == pytest.approx(-2 * e * np.log(e))
 
 
 def test_perturbed_objective_small_e_limit(rng):
     data, _ = bounded_instance(rng, n=50, d=2, noise=0.5)
     theta = random_theta(2, rng)
-    value = perturbed_objective_le(theta, data, 0.0, 1e-12)
+    value = perturbed_objective_le(theta, data, IrlsConfig(lam=0.0, e=1e-12))
     plain = 2.0 / data.n * float(np.abs(residuals(theta, data)).sum())
     assert abs(value - plain) < 1e-6
 
@@ -605,9 +619,9 @@ def test_perturbed_objective_forms(rng):
     r = np.abs(residuals(theta, data))
     ridge = 0.5 * lam * float(theta.beta @ theta.beta)
     mm = float(2.0 / data.n * np.sum(r - e * np.log(e + r)) + ridge)
-    assert perturbed_objective_le(theta, data, lam, e) == pytest.approx(mm)
+    assert perturbed_objective_le(theta, data, IrlsConfig(lam=lam, e=e)) == pytest.approx(mm)
     with pytest.raises(ValueError):
-        perturbed_objective_le(theta, data, lam, 0.0)
+        perturbed_objective_le(theta, data, IrlsConfig(lam=lam, e=0.0))
 
 
 def test_spd_solve_rejects_indefinite_and_non_finite():
@@ -624,8 +638,7 @@ def test_spd_solve_bits_match_scipy_cholesky_on_newton_hessians(rng):
     for n, d, gamma in ((50, 2, 0.5), (300, 3, 0.05), (2000, 5, 0.2)):
         data, _ = bounded_instance(rng, n=n, d=d)
         Xt = design_matrix(data.X)
-        ridge = np.full(d + 1, 0.002)
-        ridge[0] = 2.0 / np.sqrt(n)
+        ridge = _ridge(n, d, 0.002)
         omega = random_theta(d, rng, scale=0.5).as_vector()
         _, _, w, grad = _smoothed_terms(Xt, data.Y, omega, gamma, ridge, 0.0)
         H = (Xt.T * w) @ Xt / (n * gamma)

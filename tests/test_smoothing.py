@@ -13,23 +13,14 @@ from dpmedreg import (
     SmoothingConfig,
     Theta,
     fit_smoothed_private,
-    huber_rho,
     smoothed_gradient,
-    smoothed_objective,
+    smoothed_program,
     smoothing_accuracy_bound,
 )
 from dpmedreg.verification import random_dataset
 from dpmedreg import model, smoothing
 
 from conftest import benchmark_instance, bounded_instance, smoothed_baseline, traced_peak
-
-
-def _tilted_objective(theta, data, cfg, tilt):
-    return (
-        smoothed_objective(theta, data, cfg.lam, cfg.gamma)
-        + float(tilt @ theta.as_vector()) / data.n
-        + theta.mu**2 / math.sqrt(data.n)
-    )
 
 
 def test_baseline_intercept_only_matches_1d_grid():
@@ -40,12 +31,9 @@ def test_baseline_intercept_only_matches_1d_grid():
     cfg = SmoothingConfig(lam=0.0, gamma=1e-4)
     theta = smoothed_baseline(data, cfg)
     assert abs(theta.mu - 2.0) <= 0.05
-    # 1-d grid oracle over mu of the same objective
+    # 1-d grid oracle over mu of the same program
     mus = np.linspace(1.8, 2.2, 40001)
-    n = Y.shape[0]
-    vals = [
-        float(np.sum(huber_rho(m - Y, cfg.gamma)) / n + m * m / math.sqrt(n)) for m in mus
-    ]
+    vals = [smoothed_program(Theta(m, np.zeros(1)), data, cfg, np.zeros(2)) for m in mus]
     best = mus[int(np.argmin(vals))]
     assert abs(theta.mu - best) <= 2e-5
 
@@ -152,14 +140,17 @@ def test_private_fit_gradient_and_shift_bound():
         assert omega.tobytes() == release.theta.as_vector().tobytes()
         assert release.solver_iters == iters and release.noise_scale == 4.0 / cfg.epsilon
         assert grad_norm <= smoothing._TOL
+        # the public gradient is the vector the solver tested, bit for bit
+        g = smoothed_gradient(release.theta, data, cfg, release.noise)
+        assert float(np.abs(g).max()).hex() == grad_norm.hex()
         dist = abs(base.mu - release.theta.mu) + float(
             np.abs(base.beta - release.theta.beta).sum()
         )
         bound = float(np.abs(release.noise).sum()) / (data.n * min(cfg.lam, 2.0 / math.sqrt(data.n)))
         assert dist <= bound
         # optimality certificate for the tilted program
-        assert _tilted_objective(release.theta, data, cfg, release.noise) <= (
-            _tilted_objective(base, data, cfg, release.noise) + 1e-10
+        assert smoothed_program(release.theta, data, cfg, release.noise) <= (
+            smoothed_program(base, data, cfg, release.noise) + 1e-10
         )
 
 
@@ -167,12 +158,21 @@ def test_private_fit_full_gradient_small(rng):
     data, _ = bounded_instance(rng, n=300, d=3)
     cfg = SmoothingConfig(epsilon=0.2, lam=0.01, gamma=0.05)
     release = fit_smoothed_private(data, cfg, rng)
-    # rebuild the tilted gradient at the solution
-    theta = release.theta
-    g = smoothed_gradient(theta, data, cfg.lam, cfg.gamma)
-    full = np.concatenate(([g.mu + 2 * theta.mu / math.sqrt(data.n)], g.beta))
-    full += release.noise / data.n
+    # the tilted gradient at the solution
+    full = smoothed_gradient(release.theta, data, cfg, release.noise)
     assert float(np.abs(full).max()) <= smoothing._TOL
+
+
+@pytest.mark.parametrize("size", [1, 3, 5])
+def test_program_and_gradient_refuse_a_tilt_of_another_shape(size):
+    # d = 3 takes a tilt of shape (4,); a length-1 tilt used to be broadcast
+    # into every coordinate
+    data = random_dataset(20, 3, 1.0, RngStream(5).derive(0))
+    theta, cfg = Theta(0.1, np.array([0.2, -0.3, 0.4])), SmoothingConfig()
+    for fn in (smoothed_gradient, smoothed_program):
+        with pytest.raises(ValueError, match=rf"^b must have shape \(4,\), got \({size},\)$"):
+            fn(theta, data, cfg, np.ones(size))
+    assert smoothed_gradient(theta, data, cfg, np.ones(4)).shape == (4,)
 
 
 def test_zero_column_without_ridge_takes_damped_newton_steps(rng, monkeypatch):
@@ -193,8 +193,7 @@ def test_zero_column_without_ridge_takes_damped_newton_steps(rng, monkeypatch):
     theta = smoothed_baseline(flat, cfg)
     assert any(x is None for x in solves)
     assert theta.beta[1] == 0.0
-    g = smoothed_gradient(theta, flat, cfg.lam, cfg.gamma)
-    full = np.concatenate(([g.mu + 2 * theta.mu / math.sqrt(flat.n)], g.beta))
+    full = smoothed_gradient(theta, flat, cfg, np.zeros(flat.d + 1))
     assert float(np.abs(full).max()) <= smoothing._TOL
 
 
@@ -247,6 +246,27 @@ def test_config_refuses_non_finite_knobs(knob, value):
     with pytest.raises(ValueError, match=f"^{knob} must be"):
         SmoothingConfig(epsilon=math.inf, **{knob: value})
     assert SmoothingConfig(epsilon=math.inf).epsilon == math.inf
+
+
+def test_band_signs_thresholds():
+    # the solver's band signs, as floats
+    s = smoothing._band_signs(np.array([-0.1, 0.02, 0.3]), 0.05)
+    assert s.tolist() == [-1.0, 0.0, 1.0]
+    # boundary inclusive
+    assert smoothing._band_signs(np.array([0.05, -0.05]), 0.05).tolist() == [0.0, 0.0]
+
+
+def test_band_signs_match_elementwise_oracle(rng):
+    r = rng.uniforms(-1, 1, 500)
+    gamma = 0.2
+    s = smoothing._band_signs(r, gamma)
+    for i in range(500):
+        if r[i] < -gamma:
+            assert s[i] == -1
+        elif r[i] > gamma:
+            assert s[i] == 1
+        else:
+            assert s[i] == 0
 
 
 def _full_sort_line_search(r, s, delta, gamma, n, q1, q2):
@@ -326,7 +346,7 @@ def _assert_same_as_full_sort(args):
 
 def _line_search_args(r, delta, q1, q2, gamma=1.0):
     r, delta = np.asarray(r, dtype=float), np.asarray(delta, dtype=float)
-    return r, model._band_signs(r, gamma), delta, gamma, r.size, q1, q2
+    return r, smoothing._band_signs(r, gamma), delta, gamma, r.size, q1, q2
 
 
 def test_line_search_matches_full_sort_on_named_cases():
@@ -534,9 +554,9 @@ def degenerate_alg1_cases(draw):
 
 
 # alg1 on degenerate input (all-in-band and all-tied line searches among
-# them) gives a finite release or a typed error: lam = 0 at a finite epsilon
-# is a ValueError, and a solver that runs out of Newton steps carries its
-# last iterate
+# them) gives a finite, stationary release or a typed error: lam = 0 at a
+# finite epsilon is a ValueError, and a solver that runs out of Newton steps
+# carries its last iterate
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(case=degenerate_alg1_cases())
 def test_fit_on_degenerate_data_is_finite_or_a_typed_error(case):
@@ -555,5 +575,6 @@ def test_fit_on_degenerate_data_is_finite_or_a_typed_error(case):
     assert np.all(np.isfinite(release.theta.as_vector()))
     assert release.noise.shape == (data.d + 1,)
     assert 0 <= release.solver_iters <= max_iters
+    assert float(np.abs(smoothed_gradient(release.theta, data, cfg, release.noise)).max()) <= smoothing._TOL
     if math.isinf(cfg.epsilon):
         assert release.noise_scale == 0.0 and np.all(release.noise == 0.0)

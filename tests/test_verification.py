@@ -9,12 +9,15 @@ from dpmedreg import (
     NeighborPair,
     RngStream,
     SmoothingConfig,
+    Theta,
     gcd_step_probe,
     irls_sensitivity_probe,
     make_neighbor_pair,
     objective_l1,
     oracle_l1_fit,
     random_dataset,
+    random_theta,
+    smoothed_program,
     verification,
 )
 from dpmedreg.model import design_matrix
@@ -56,6 +59,15 @@ def test_oracle_is_exact_at_benchmark_scale():
     res = linprog(-data.Y, A_eq=design_matrix(data.X).T, b_eq=np.zeros(4), bounds=(-1, 1), method="highs")
     assert res.status == 0
     assert abs(oracle - float(data.Y @ res.x) / data.n) <= 1e-12
+
+
+def test_smoothed_program_adds_the_intercept_term_and_the_tilt():
+    # n = 4, so P = objective_l1 + mu^2/2 + b'omega/4
+    data = Dataset(X=np.array([[0.5], [-0.5], [0.25], [0.0]]), Y=np.array([1.0, 0.0, -1.0, 0.5]), B=1.0)
+    theta = Theta(0.5, np.array([1.0]))
+    want = objective_l1(theta, data, 0.1, 0.05) + 0.125 + (2.0 * 0.5 - 4.0 * 1.0) / 4
+    got = smoothed_program(theta, data, SmoothingConfig(lam=0.1, gamma=0.05), np.array([2.0, -4.0]))
+    assert got == pytest.approx(want, abs=1e-15)
 
 
 def test_neighbor_pair_explicit_replacement(rng):
@@ -122,6 +134,15 @@ _BAD_PROBE_COUNTS = [
     pytest.param(
         lambda: verification._probe_bounds(1.5, 1), "trials must be an integer, got 1.5", id="bounds-trials-float"
     ),
+    # the random helpers' sizes used to fail inside numpy's reshape or a
+    # draw that named k
+    pytest.param(lambda: random_dataset(-3, -2, 1.0, RngStream(1)), "need n >= 1, got -3", id="dataset-n-negative"),
+    pytest.param(lambda: random_dataset(3, 0, 1.0, RngStream(1)), "need d >= 1, got 0", id="dataset-d-zero"),
+    pytest.param(
+        lambda: random_dataset(2.5, 3, 1.0, RngStream(1)), "n must be an integer, got 2.5", id="dataset-n-float"
+    ),
+    pytest.param(lambda: random_theta(2.5, RngStream(1)), "d must be an integer, got 2.5", id="theta-d-float"),
+    pytest.param(lambda: random_theta(True, RngStream(1)), "d must be an integer, got True", id="theta-d-bool"),
 ]
 
 
