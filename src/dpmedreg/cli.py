@@ -154,8 +154,8 @@ def _fit_overrides(parser, args) -> dict:
 def _cmd_fit(parser, args, seed: int) -> int:
     params = resolve_params(args.algo, _fit_overrides(parser, args))
     start = time.perf_counter()
-    X, Y = read_csv(args.data)
-    data, record = normalize(X, Y, args.target_b)
+    # the parsed table is released once normalized, before the fit runs
+    data, record = normalize(*read_csv(args.data), args.target_b)
     theta, elapsed, _ = run_fit(args.algo, data, params, RngStream(seed))
     est = unscale_theta(theta, record)
     names = parameter_names(data.d)

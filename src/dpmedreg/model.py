@@ -2,6 +2,12 @@
 the penalized L1 (or Huber-smoothed) objective value, the intercept-augmented
 design, the Cholesky solve and alg3's coordinate step.
 
+The Cholesky solve calls LAPACK's ``dpotrf`` and ``dpotrs`` through scipy's
+compiled ``scipy.linalg._flapack`` extension, which this module loads on its
+own: importing ``scipy.linalg`` to reach them would cost most of the
+package's import time and about 18 MiB per process.  They are the function
+objects ``scipy.linalg.lapack`` re-exports, so the solves have scipy's bits.
+
 All containers are immutable after construction and every operation is a pure
 function of its arguments, so everything in this module can be evaluated
 concurrently without synchronization.  The containers that hold arrays are
@@ -13,10 +19,14 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES
+from importlib.util import module_from_spec, spec_from_file_location
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+import scipy
 
 __all__ = [
     "Dataset",
@@ -26,6 +36,28 @@ __all__ = [
     "objective_l1",
     "directional_derivatives",
 ]
+
+
+def _load_flapack():
+    """scipy's LAPACK extension module, loaded from its file without running
+    ``scipy/linalg/__init__.py`` and registered under its own name, so that a
+    later ``import scipy.linalg`` reuses it; an already loaded one is reused.
+    ``import scipy`` above has run scipy's own start-up (DLL paths included)."""
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        path = os.path.join(os.path.dirname(scipy.__file__), "linalg", "_flapack" + EXTENSION_SUFFIXES[0])
+        if not os.path.isfile(path):
+            raise ImportError(f"scipy's LAPACK extension {path} is missing", name=name, path=path)
+        spec = spec_from_file_location(name, path)
+        module = module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
 
 # Absolute slack on construction-time bound checks; normalized data leaves row
 # norms within a few ulps of the bound, which must not be rejected.
@@ -225,6 +257,9 @@ def _spd_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
 
     These are the LAPACK calls and flags of scipy's cho_factor/cho_solve,
     without their batching and copying wrappers; A and rhs are not modified.
+    ``dpotrf`` and ``dpotrs`` come from scipy's ``_flapack`` extension, not
+    from ``scipy.linalg.lapack``, so that importing the package does not load
+    ``scipy.linalg`` (see the module docstring); they are the same functions.
     """
     if not (np.isfinite(A).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")

@@ -1,7 +1,11 @@
 import argparse
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +13,7 @@ from dpmedreg import ProbeResult, verification
 from dpmedreg.bench import ALGORITHM_TABLE
 from dpmedreg.cli import SEED_ENV, build_parser, main
 
-from conftest import mask_timing
+from conftest import mask_timing, traced_peak
 
 
 def test_generate_writes_csv_and_manifest(tmp_path):
@@ -442,3 +446,27 @@ def test_fixed_seed_cli_outputs_keep_their_bytes(tmp_path, monkeypatch, capsys):
         outputs[f"probe {target}"] = capsys.readouterr().out
     digests = {name: hashlib.sha256(text.encode("utf-8")).hexdigest() for name, text in outputs.items()}
     assert digests == CLI_DIGESTS
+
+
+def test_cli_digests_hold_with_one_blas_thread(tmp_path):
+    # the benchmark fits with one OpenBLAS thread; at these sizes the outputs
+    # do not depend on the thread count, so the digests above hold there too
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    test = f"{Path(__file__).resolve()}::test_fixed_seed_cli_outputs_keep_their_bytes"
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stdout + out.stderr
+
+
+def test_fit_releases_the_parsed_table_before_fitting(tmp_path, monkeypatch):
+    # alg1 on n = 2e4, d = 3: the parsed (n, 4) table is 0.64 MB, and the
+    # command's traced peak, set by the fit, is 3.9 MB without it and 4.5 MB
+    # with it still alive
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "--n", "20000", "--seed", "5", "--out", "data.csv"]) == 0
+    fit = ["fit", "--algo", "alg1", "--data", "data.csv", "--seed", "3", "--out", "alg1.csv"]
+    code, peak = traced_peak(main, fit)
+    assert code == 0
+    assert peak < 4.2e6

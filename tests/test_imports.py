@@ -7,7 +7,10 @@ use only the public names of the modules below them."""
 import ast
 import subprocess
 import sys
+from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
+
+import pytest
 
 import dpmedreg
 
@@ -136,13 +139,49 @@ def test_upper_layers_import_only_public_names():
     assert {name: found[name] for name in ("verification", "bench", "cli") if found[name]} == {}
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize costs a quarter second to import; only the LP oracle
-    # needs it, and it imports it when called
-    probe = "import sys, dpmedreg.cli; print('scipy.optimize' in sys.modules)"
+def fresh_interpreter_prints(probe: str) -> str:
+    """What ``probe`` prints in a new interpreter that imports dpmedreg from
+    this source tree."""
     src = str(Path(dpmedreg.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {probe}"],
         capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs a quarter second to import; only the LP oracle
+    # needs it, and it imports it when called
+    probe = "import sys, dpmedreg.cli; print('scipy.optimize' in sys.modules)"
+    assert fresh_interpreter_prints(probe) == "False"
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg costs about a fifth of a second and ~18 MiB to import;
+    # model loads only the LAPACK extension its Cholesky solve calls
+    probe = "import sys, dpmedreg.cli; print('scipy.linalg' in sys.modules)"
+    assert fresh_interpreter_prints(probe) == "False"
+
+
+@pytest.mark.parametrize("first", ["dpmedreg.model", "scipy.linalg.lapack"])
+def test_cholesky_routines_are_scipys_in_either_import_order(first):
+    # the same function objects, whichever of the two loads the extension
+    second = "scipy.linalg.lapack" if first == "dpmedreg.model" else "dpmedreg.model"
+    probe = (
+        f"import {first}, {second}; from dpmedreg import model; from scipy.linalg import lapack; "
+        "print(model.dpotrf is lapack.dpotrf, model.dpotrs is lapack.dpotrs)"
+    )
+    assert fresh_interpreter_prints(probe) == "True True"
+
+
+def test_missing_lapack_extension_is_an_import_error_naming_it(tmp_path):
+    # a scipy without its compiled linalg extension shadows the installed one
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("", encoding="utf-8")
+    probe = (
+        f"sys.path.insert(0, {str(tmp_path)!r})\n"
+        "try:\n    import dpmedreg\nexcept ImportError as error:\n    print(error)"
+    )
+    missing = tmp_path / "scipy" / "linalg" / f"_flapack{EXTENSION_SUFFIXES[0]}"
+    assert fresh_interpreter_prints(probe) == f"scipy's LAPACK extension {missing} is missing"
