@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -204,6 +206,53 @@ def test_random_dataset_respects_bounds(rng):
     data = random_dataset(200, 4, 1.5, rng)
     assert float(np.abs(data.X).sum(axis=1).max()) <= 1.0
     assert float(np.abs(data.Y).max()) <= 1.5
+
+
+def _record_bits(x, y):
+    return [v.hex() for v in x.tolist()] + [float(y).hex()]
+
+
+# The draws of a probe trial at the probes' size, per seed: the sha256 of
+# random_dataset(50, 3, 1.0, rng)'s X then Y bytes with its first and last
+# records, the (index, record) make_neighbor_pair then draws from the same
+# stream, and random_theta(3, RngStream(seed)).
+PROBE_DRAW_PINS = {
+    0: (
+        "778734e378b0f6376dddae9082ae45cb61039ea81515b7d753db2c68153cc422",
+        ["0x1.86e5b9ddf9149p-6", "-0x1.49cbe09f86673p-8", "0x1.a7c02d65edfa5p-8", "0x1.60ea81d481210p-2"],
+        ["0x1.204c8cb6b641cp-4", "-0x1.a39abb5b20f36p-1", "0x1.09be95d64558fp-4", "0x1.a3f484151b510p-3"],
+        (35, ["-0x1.14cdca0883717p-4", "0x1.37704f210aa49p-9", "0x1.82acef3ba2e0dp-6", "-0x1.9568e950af62bp-1"]),
+        ["0x1.c5916bff357dcp-1", "-0x1.78243a1ff4c56p-2", "0x1.c75b8d1612648p-2", "-0x1.7f61e79f28d87p-1"],
+    ),
+    21: (
+        "08f40ada9b6b152acdfacf56fdd19850781cd932bbc1033a4736507e60a4cc51",
+        ["-0x1.b5d087cda9897p-2", "-0x1.0f44d081844f4p-2", "-0x1.d685797afe797p-3", "0x1.0b7824e196858p-2"],
+        ["-0x1.c35d130c10438p-4", "-0x1.da32aa36260aap-3", "-0x1.1e9952f42aed4p-1", "0x1.e16c0829a8030p-2"],
+        (32, ["-0x1.e2f5d7834b36bp-4", "-0x1.14d5636e37e9dp-9", "0x1.2d40ca0d409b2p-6", "0x1.dd0fce8d97730p-3"]),
+        ["-0x1.c28d087cddb87p-1", "-0x1.7659e0dea3fc1p-1", "-0x1.5c213169a18d9p-1", "0x1.da54a058fe048p-2"],
+    ),
+    95: (
+        "ed553c02992ba6d16bd4f70a31636fd77f213c9c5ddce21208d27d91f3113f69",
+        ["0x1.655e9f4dc767fp-6", "0x1.5535bde1018e4p-6", "0x1.2007e4aeb7297p-7", "-0x1.29fe942f82a45p-1"],
+        ["0x1.ad82134ce5465p-6", "-0x1.03366e5840030p-4", "0x1.1ae19417355f7p-2", "-0x1.76c89623db2a3p-1"],
+        (46, ["-0x1.352f1cac79a20p-3", "0x1.22007d5334389p-3", "0x1.10f8977fe852cp-9", "-0x1.721ddd942deb3p-1"]),
+        ["0x1.d487eb55d8298p-1", "0x1.cf670ef5fb414p-1", "0x1.427d2eca97b68p-1", "0x1.9c4d821421fc0p-2"],
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PROBE_DRAW_PINS))
+def test_probe_helpers_keep_their_draws(seed):
+    digest, first, last, (index, record), theta = PROBE_DRAW_PINS[seed]
+    rng = RngStream(seed)
+    data = random_dataset(50, 3, 1.0, rng)
+    assert hashlib.sha256(data.X.tobytes() + data.Y.tobytes()).hexdigest() == digest
+    assert _record_bits(data.X[0], data.Y[0]) == first
+    assert _record_bits(data.X[-1], data.Y[-1]) == last
+    pair = make_neighbor_pair(data, rng=rng)
+    assert pair.index == index
+    assert _record_bits(pair.b.X[index], pair.b.Y[index]) == record
+    assert [v.hex() for v in random_theta(3, RngStream(seed)).as_vector().tolist()] == theta
 
 
 def test_sampler_probe_derives_a_fixed_number_of_streams(monkeypatch):
