@@ -80,8 +80,11 @@ def coordinate_step_vector(
     |step_k| <= eta (1 + lam |beta_k|) always, because each one-sided slope
     is an average of entries bounded by |x_ik| <= 1 plus the ridge term.
     ``X`` must be 2-D with ``theta.d`` columns and at least one row, ``Y`` a
-    vector of one entry per row, and ``lam`` and ``eta`` nonnegative and
-    finite; anything else is a ValueError.
+    vector of one entry per row, ``X``, ``Y`` and the residuals finite, and
+    ``lam`` and ``eta`` nonnegative and finite; anything else is a
+    ValueError.  Finiteness is checked on the residual vector, which a
+    non-finite X or Y entry makes non-finite; numpy may also warn when an
+    infinite entry of X meets a zero coefficient.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -96,6 +99,11 @@ def coordinate_step_vector(
     _check_nonnegative("lam", lam)
     _check_nonnegative("eta", eta)
     r = theta.mu + X @ theta.beta - Y
+    if not np.isfinite(r).all():
+        for name, arr in (("X", X), ("Y", Y)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} contains non-finite values")
+        raise ValueError("the residuals mu + X beta - Y overflow")
     cols = X.T.copy()
     return np.array(
         [_coordinate_step(r, cols[k], n0, lam * b, eta)[2] for k, b in enumerate(theta.beta.tolist())]

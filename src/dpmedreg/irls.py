@@ -130,8 +130,10 @@ def _normal_solve(Xt: np.ndarray, Y: np.ndarray, w: np.ndarray, ridge: float) ->
     design ``Xt`` = (1, X) and positive finite weights ``w``; ``ridge`` is
     added to the beta block of the diagonal only."""
     A = Xt.T @ (Xt * w[:, None])
-    diag = np.arange(1, Xt.shape[1])
-    A[diag, diag] += ridge
+    # the beta block of the diagonal, as a strided view of the fresh product:
+    # copy=False raises rather than hand back a copy the ridge would miss
+    p = Xt.shape[1]
+    A.reshape(-1, copy=False)[p + 1 :: p + 1] += ridge
     omega = _spd_solve(A, Xt.T @ (w * Y))
     if omega is None:
         raise SingularSystemError(
@@ -163,7 +165,13 @@ def irls_fit(data: Dataset, cfg: IrlsConfig) -> IrlsTrace:
     converged = False
     violations = 0
     for _ in range(cfg.max_iters):
-        w = 1.0 / (np.abs(omega[0] + data.X @ omega[1:] - data.Y) + cfg.e)
+        # 1/(|mu + X beta - Y| + e), built in place in the product's array
+        w = data.X @ omega[1:]
+        w += omega[0]
+        w -= data.Y
+        np.abs(w, out=w)
+        w += cfg.e
+        np.divide(1.0, w, out=w)
         w_min = float(w.min())
         w_max = float(w.max())
         if not (w_min > 0 and w_max < math.inf):

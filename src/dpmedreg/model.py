@@ -93,16 +93,22 @@ def _check_nonnegative(name: str, value: float) -> None:
         raise ValueError(f"{name} must be nonnegative and finite, got {value}")
 
 
+def _is_integer(value) -> bool:
+    """True for an int or a numpy integer, False for a bool, a float or a
+    string.  The exact-type test spares the common int the ABC check."""
+    return type(value) is int or (not isinstance(value, bool) and isinstance(value, numbers.Integral))
+
+
 def _check_count(name: str, value) -> None:
     """Refuse a size, dimension or count that is not an integer >= 1; a bool
     is not a count."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+    if not _is_integer(value) or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 def _as_integer(name: str, value) -> int:
     """A seed or stream id as an int; a bool, a float or a string is refused."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not _is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -135,7 +141,7 @@ def _frozen_array(values, ndim: int, name: str) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must have {ndim} dimension(s), got shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size and not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
     arr.setflags(write=False)
     return arr
@@ -192,7 +198,7 @@ class Theta:
 
     def __post_init__(self) -> None:
         mu = float(self.mu)
-        if not np.isfinite(mu):
+        if not math.isfinite(mu):
             raise ValueError("mu must be finite")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "beta", _frozen_array(self.beta, 1, "beta"))

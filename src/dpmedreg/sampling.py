@@ -39,9 +39,16 @@ def _exponential(u: np.ndarray, scale: float) -> np.ndarray:
 
 
 def _laplace(u: np.ndarray, scale: float) -> np.ndarray:
-    """Inverse CDF of the Laplace with scale ``scale``."""
-    u = u - 0.5
-    return -float(scale) * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+    """Inverse CDF of the Laplace with scale ``scale``, -scale sign(u - 1/2)
+    ln(1 - 2|u - 1/2|).  Overwrites ``u``; each operation is the one of the
+    formula, so the bits are those of the out-of-place expression."""
+    u -= 0.5
+    out = np.sign(u)
+    out *= -float(scale)
+    np.abs(u, out=u)
+    u *= -2.0
+    out *= np.log1p(u, out=u)
+    return out
 
 
 class RngStream:
@@ -60,7 +67,7 @@ class RngStream:
 
     def _bind(self, path: tuple, ids: tuple) -> None:
         """Attach the generator of (self.seed, path + ids); path is already ints."""
-        path += tuple(_as_integer("stream id", i) for i in ids)
+        path += tuple([_as_integer("stream id", i) for i in ids])
         self.stream = path[0] if len(path) == 1 else path
         self._path = path
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=path)
@@ -78,8 +85,10 @@ class RngStream:
         top 53 bits pick one of 2**53 equal cells and the uniform is the
         cell's midpoint."""
         _check_count("k", k)
-        raw = self._gen.bit_generator.random_raw(k)
-        return ((raw >> 11).astype(float) + 0.5) / _TWO53
+        u = (self._gen.bit_generator.random_raw(k) >> 11).astype(float)
+        u += 0.5
+        u /= _TWO53
+        return u
 
     def laplaces(self, scale: float, k: int) -> np.ndarray:
         """k i.i.d. draws with density (1/2c) exp(-|x|/c), c = ``scale``
@@ -91,7 +100,10 @@ class RngStream:
     def uniforms(self, lo: float, hi: float, k: int) -> np.ndarray:
         """k i.i.d. draws uniform on (lo, hi); the width hi - lo must be positive and finite."""
         _check_positive("hi - lo", hi - lo)
-        return lo + (hi - lo) * self.uniform_open(k)
+        u = self.uniform_open(k)
+        u *= hi - lo
+        u += lo
+        return u
 
     def permutation(self, n: int) -> np.ndarray:
         """A uniformly random ordering of 0, ..., n - 1; n is a positive integer."""
@@ -152,9 +164,10 @@ def gamma_tail_bound(d: int, alpha: float, epsilon: float) -> float:
     """(1 - alpha)-quantile upper bound for a Gamma(d+1, 4/epsilon) norm draw.
 
     Returns 4 (d+1) ln((d+1)/alpha) / epsilon (natural log).  Monotone
-    decreasing in both alpha and epsilon.
+    decreasing in both alpha and epsilon.  ``d`` is an integer >= 0; a bool
+    or a fractional ``d`` is refused.
     """
-    _check_nonnegative("d", d)
+    _check_nonnegative("d", _as_integer("d", d))
     _check_probability("alpha", alpha)
     _check_epsilon(epsilon)
     return 4.0 * (d + 1) * math.log((d + 1) / alpha) / epsilon

@@ -88,8 +88,9 @@ class NeighborPair:
     def __post_init__(self) -> None:
         if self.a.X.shape != self.b.X.shape or self.a.B != self.b.B:
             raise ValueError("paired datasets must share n, d and B")
-        differs = np.any(self.a.X != self.b.X, axis=1) | (self.a.Y != self.b.Y)
-        where = np.flatnonzero(differs)
+        differs = (self.a.X != self.b.X).any(axis=1)
+        differs |= self.a.Y != self.b.Y
+        where = differs.nonzero()[0]
         if where.shape[0] != 1:
             raise ValueError(f"pair must differ in exactly one row, found {where.shape[0]}")
         object.__setattr__(self, "index", int(where[0]))
@@ -99,7 +100,7 @@ def _check_integer(name: str, value) -> None:
     """Refuse a bool or a non-integer ``value`` (a float would be truncated or
     fail deep inside a draw) with a ValueError naming ``name``; numpy
     integers pass."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
@@ -143,7 +144,7 @@ def make_neighbor_pair(
         y_new = float(replacement[1])
         if x_new.shape != (base.d,):
             raise ValueError(f"replacement row must have shape ({base.d},)")
-    if np.array_equal(base.X[index], x_new) and base.Y[index] == y_new:
+    if base.Y[index] == y_new and (base.X[index] == x_new).all():
         raise ValueError("replacement equals the original record (degenerate pair)")
     X2 = base.X.copy()
     Y2 = base.Y.copy()
@@ -165,11 +166,10 @@ def random_dataset(n: int, d: int, B: float, rng: RngStream) -> Dataset:
 
 
 def random_theta(d: int, rng: RngStream, scale: float = 1.0) -> Theta:
+    """Theta with mu then beta_1, ..., beta_d drawn uniform on (-scale, scale),
+    as d + 1 successive uniforms."""
     _check_at_least_one("d", d)
-    return Theta(
-        mu=float(rng.uniforms(-scale, scale, 1)[0]),
-        beta=rng.uniforms(-scale, scale, d),
-    )
+    return Theta.from_vector(rng.uniforms(-scale, scale, d + 1))
 
 
 @dataclass(frozen=True)

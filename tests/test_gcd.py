@@ -335,6 +335,42 @@ def test_step_vector_refuses_bad_input_before_any_work(monkeypatch, X, Y, beta, 
     assert calls == []
 
 
+# each of these gave a wrong step instead of failing: a NaN response is
+# neither above nor below its fit, so it counted as a kink and the steps
+# came out [0, 0]; an infinite entry of X gave a -inf step
+@pytest.mark.parametrize(
+    "where, value, message",
+    [
+        ("Y", math.nan, "^Y contains non-finite values"),
+        ("Y", -math.inf, "^Y contains non-finite values"),
+        ("X", math.inf, "^X contains non-finite values"),
+        ("X", math.nan, "^X contains non-finite values"),
+    ],
+)
+def test_step_vector_refuses_non_finite_data_by_name(monkeypatch, where, value, message):
+    X = np.array([[0.3, -0.4], [0.2, 0.1], [-0.5, 0.2]])
+    Y = np.zeros(3)
+    (X[1] if where == "X" else Y)[0] = value
+    calls = []
+    monkeypatch.setattr(gcd, "_coordinate_step", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=message):
+        coordinate_step_vector(Theta(0.1, np.array([0.5, -0.5])), X, Y, 0.05, 0.1)
+    assert calls == []
+
+
+def test_step_vector_names_an_infinite_x_that_meets_a_zero_coefficient():
+    # inf * 0 is NaN, so the residual still shows it; numpy warns on the way
+    X = np.array([[0.3, math.inf], [0.2, 0.1], [-0.5, 0.2]])
+    with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="^X contains non-finite values"):
+        coordinate_step_vector(Theta(0.1, np.array([0.5, 0.0])), X, np.zeros(3), 0.05, 0.1)
+
+
+def test_step_vector_refuses_residuals_that_overflow():
+    X = np.array([[1e308, 0.0], [0.2, 0.1]])
+    with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="^the residuals mu"):
+        coordinate_step_vector(Theta(0.1, np.array([10.0, 0.0])), X, np.zeros(2), 0.05, 0.1)
+
+
 def test_step_vector_accepts_zero_eta_and_lam():
     X = np.array([[0.3, -0.4], [0.2, 0.1], [-0.5, 0.2]])
     theta = Theta(0.1, np.array([0.5, -0.5]))
