@@ -40,9 +40,11 @@ def _exponential(u: np.ndarray, scale: float) -> np.ndarray:
 
 def _laplace(u: np.ndarray, scale: float) -> np.ndarray:
     """Inverse CDF of the Laplace with scale ``scale``, -scale sign(u - 1/2)
-    ln(1 - 2|u - 1/2|).  Overwrites ``u``; each operation is the one of the
-    formula, so the bits are those of the out-of-place expression."""
-    u -= 0.5
+    ln(1 - 2|u - 1/2|), for uniforms ``u``, which are left as they are.
+    After u - 1/2, which also gives a strided ``u`` a contiguous copy to work
+    on, every step runs in place; each is the formula's operation, so the
+    bits are those of the out-of-place expression."""
+    u = u - 0.5
     out = np.sign(u)
     out *= -float(scale)
     np.abs(u, out=u)
