@@ -40,10 +40,9 @@ def _exponential(u: np.ndarray, scale: float) -> np.ndarray:
 
 def _laplace(u: np.ndarray, scale: float) -> np.ndarray:
     """Inverse CDF of the Laplace with scale ``scale``, -scale sign(u - 1/2)
-    ln(1 - 2|u - 1/2|), for uniforms ``u``, which are left as they are.
-    After u - 1/2, which also gives a strided ``u`` a contiguous copy to work
-    on, every step runs in place; each is the formula's operation, so the
-    bits are those of the out-of-place expression."""
+    ln(1 - 2|u - 1/2|); ``u`` is left as it is.  After u - 1/2, which gives a
+    strided ``u`` a contiguous copy, every step runs in place and is the
+    formula's operation, so the bits are those of the out-of-place form."""
     u = u - 0.5
     out = np.sign(u)
     out *= -float(scale)

@@ -306,7 +306,8 @@ def test_step_vector_on_tied_table_keeps_its_bits(theta, pinned):
 
 # each of these used to broadcast or flip a sign into wrong steps instead of
 # failing: Y = [0.5] against 3 rows gave [0, -0.00333], eta = -0.1 gave
-# [0.0133, 0.01]
+# [0.0133, 0.01]; a NaN response counted as a kink (steps [0, 0]) and an
+# infinite X entry gave a -inf step
 @pytest.mark.parametrize(
     "X, Y, beta, lam, eta, message",
     [
@@ -323,6 +324,12 @@ def test_step_vector_on_tied_table_keeps_its_bits(theta, pinned):
         (None, np.zeros(3), [0.5, -0.5], -0.05, 0.1, "^lam must be nonnegative and finite"),
         (None, np.zeros(3), [0.5, -0.5], math.inf, 0.1, "^lam must be nonnegative and finite"),
         (None, np.zeros(3), [0.5, -0.5], math.nan, 0.1, "^lam must be nonnegative and finite"),
+        (None, np.array([0.0, math.nan, 0.0]), [0.5, -0.5], 0.05, 0.1, "^Y contains non-finite values"),
+        (None, np.array([0.0, -math.inf, 0.0]), [0.5, -0.5], 0.05, 0.1, "^Y contains non-finite values"),
+        (np.array([[0.3, -0.4], [math.inf, 0.1], [-0.5, 0.2]]), np.zeros(3), [0.5, -0.5], 0.05, 0.1,
+         "^X contains non-finite values"),
+        (np.array([[0.3, -0.4], [math.nan, 0.1], [-0.5, 0.2]]), np.zeros(3), [0.5, -0.5], 0.05, 0.1,
+         "^X contains non-finite values"),
     ],
 )
 def test_step_vector_refuses_bad_input_before_any_work(monkeypatch, X, Y, beta, lam, eta, message):
@@ -332,29 +339,6 @@ def test_step_vector_refuses_bad_input_before_any_work(monkeypatch, X, Y, beta, 
     monkeypatch.setattr(gcd, "_coordinate_step", lambda *args: calls.append(args))
     with pytest.raises(ValueError, match=message):
         coordinate_step_vector(Theta(0.1, np.array(beta)), X, Y, lam, eta)
-    assert calls == []
-
-
-# each of these gave a wrong step instead of failing: a NaN response is
-# neither above nor below its fit, so it counted as a kink and the steps
-# came out [0, 0]; an infinite entry of X gave a -inf step
-@pytest.mark.parametrize(
-    "where, value, message",
-    [
-        ("Y", math.nan, "^Y contains non-finite values"),
-        ("Y", -math.inf, "^Y contains non-finite values"),
-        ("X", math.inf, "^X contains non-finite values"),
-        ("X", math.nan, "^X contains non-finite values"),
-    ],
-)
-def test_step_vector_refuses_non_finite_data_by_name(monkeypatch, where, value, message):
-    X = np.array([[0.3, -0.4], [0.2, 0.1], [-0.5, 0.2]])
-    Y = np.zeros(3)
-    (X[1] if where == "X" else Y)[0] = value
-    calls = []
-    monkeypatch.setattr(gcd, "_coordinate_step", lambda *args: calls.append(args))
-    with pytest.raises(ValueError, match=message):
-        coordinate_step_vector(Theta(0.1, np.array([0.5, -0.5])), X, Y, 0.05, 0.1)
     assert calls == []
 
 
