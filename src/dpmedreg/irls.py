@@ -130,10 +130,9 @@ def _normal_solve(Xt: np.ndarray, Y: np.ndarray, w: np.ndarray, ridge: float) ->
     design ``Xt`` = (1, X) and positive finite weights ``w``; ``ridge`` is
     added to the beta block of the diagonal only."""
     A = Xt.T @ (Xt * w[:, None])
-    # the beta block of the diagonal, as a strided view of the fresh product:
-    # copy=False raises rather than hand back a copy the ridge would miss
+    # the beta block of the diagonal; A.flat writes into A whatever its layout
     p = Xt.shape[1]
-    A.reshape(-1, copy=False)[p + 1 :: p + 1] += ridge
+    A.flat[p + 1 :: p + 1] += ridge
     omega = _spd_solve(A, Xt.T @ (w * Y))
     if omega is None:
         raise SingularSystemError(

@@ -16,6 +16,7 @@ from dpmedreg import (
     coordinate_step_vector,
     default_coefficient_bound,
     directional_derivatives,
+    gamma_tail_bound,
     gcd_step_probe,
     irls_sensitivity,
     objective_l1,
@@ -376,6 +377,19 @@ _UNCHECKED = [
     ),
     pytest.param(
         lambda: directional_derivatives(_KT, _KD, 0.0, 1.0), "k must be an integer, got 1.0", id="directional-k-float"
+    ),
+    # 2.5 gave 497.7 and True gave 239.7
+    pytest.param(
+        lambda: gamma_tail_bound(2.5, 0.1, 0.1), "d must be an integer, got 2.5", id="gamma_tail_bound-d-fraction"
+    ),
+    pytest.param(
+        lambda: gamma_tail_bound(True, 0.1, 0.1), "d must be an integer, got True", id="gamma_tail_bound-d-bool"
+    ),
+    pytest.param(
+        lambda: gamma_tail_bound(3.0, 0.1, 0.1), "d must be an integer, got 3.0", id="gamma_tail_bound-d-float"
+    ),
+    pytest.param(
+        lambda: gamma_tail_bound("3", 0.1, 0.1), "d must be an integer, got '3'", id="gamma_tail_bound-d-string"
     ),
 ]
 
