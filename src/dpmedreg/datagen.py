@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, Theta, _check_count, _check_positive
+from .model import Dataset, Theta, _check_count, _check_positive, _row_sums
 from .sampling import RngStream
 
 __all__ = [
@@ -112,6 +112,15 @@ class ScalingRecord:
         _check_positive("y_scale", self.y_scale)
 
 
+def _check_table_shape(X: np.ndarray, Y: np.ndarray) -> None:
+    """Refuse anything but X (n, d) with d >= 1 and Y (n,) with n >= 1."""
+    if X.ndim != 2 or X.shape[1] < 1 or Y.shape != X.shape[:1] or X.shape[0] < 1:
+        raise ValueError(
+            f"need X (n, d) with d >= 1 and Y (n,) with matching n >= 1, "
+            f"got X {X.shape} and Y {Y.shape}"
+        )
+
+
 def normalize(X: np.ndarray, Y: np.ndarray, target_b: float = 2.0):
     """Scale rows of X to L1 norm <= 1 and Y to |Y_i| <= target_b.
 
@@ -121,10 +130,9 @@ def normalize(X: np.ndarray, Y: np.ndarray, target_b: float = 2.0):
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    if X.ndim != 2 or Y.ndim != 1 or X.shape[0] != Y.shape[0] or X.shape[0] < 1:
-        raise ValueError("need X (n, d) and Y (n,) with matching n >= 1")
+    _check_table_shape(X, Y)
     _check_positive("target_b", target_b)
-    max_row = float(np.abs(X).sum(axis=1).max())
+    max_row = float(_row_sums(np.abs(X)).max())
     if max_row == 0.0:
         raise ValueError("design matrix is identically zero")
     x_scale = max_row if max_row > 1.0 else 1.0
@@ -160,11 +168,7 @@ def write_csv(path, X: np.ndarray, Y: np.ndarray) -> None:
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    if X.ndim != 2 or X.shape[1] < 1 or Y.shape != X.shape[:1] or X.shape[0] < 1:
-        raise ValueError(
-            f"need X (n, d) with d >= 1 and Y (n,) with matching n >= 1, "
-            f"got X {X.shape} and Y {Y.shape}"
-        )
+    _check_table_shape(X, Y)
     if not (np.isfinite(X).all() and np.isfinite(Y).all()):
         raise ValueError("non-finite value rejected")
     width = X.shape[1] + 1

@@ -142,14 +142,20 @@ def _descend(data: Dataset, cfg: GcdConfig, rng: RngStream) -> tuple[Release, np
 
     iterates = np.empty((cfg.batches + 1, data.d + 1))
     iterates[0] = theta0.as_vector()
-    # the loop runs on Python floats: each is the same IEEE operation as on
-    # numpy scalars, so every iterate keeps its bits
+    # the loop runs on Python floats and in-place array operations: each is
+    # the same IEEE operation as the out-of-place form on numpy scalars and
+    # arrays, so every iterate keeps its bits
+    X, Y = data.X, data.Y
     for t, (idx, noise) in enumerate(zip(batches, noises.tolist())):
-        Xb = data.X[idx]
-        Yb = data.Y[idx]
+        # one batch's rows at a time, so the copies stay batch-sized
+        Xb = X.take(idx, axis=0)
+        Yb = Y.take(idx)
         cols = Xb.T.copy()
         eta = cfg.ell / (t + 1)
-        r = mu + Xb @ beta - Yb
+        # r = mu + Xb beta - Yb
+        r = Xb @ beta
+        r += mu
+        r -= Yb
         coefs = beta.tolist()
         for k, bk in enumerate(coefs):
             move = _coordinate_step(r, cols[k], n0, cfg.lam * bk, eta)[2] + noise[k]
@@ -157,7 +163,10 @@ def _descend(data: Dataset, cfg: GcdConfig, rng: RngStream) -> tuple[Release, np
             if move:
                 r += cols[k] * move
         beta = np.array(coefs)
-        mu = float(np.add.reduce(Yb - Xb @ beta)) / n0
+        # mu = mean(Yb - Xb beta), in the residual's place
+        r = Xb @ beta
+        np.subtract(Yb, r, out=r)
+        mu = float(np.add.reduce(r)) / n0
         iterates[t + 1, 0] = mu
         iterates[t + 1, 1:] = beta
     iterates.setflags(write=False)

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .model import _as_integer, _check_count, _check_epsilon, _check_nonnegative
-from .model import _check_positive, _check_probability
+from .model import _check_positive, _check_probability, _row_sums
 
 __all__ = [
     "RngStream",
@@ -155,9 +155,9 @@ def sample_l1_perturbations(dim: int, epsilon: float, rng: RngStream, count: int
     for start in range(0, count, _L1_BLOCK_ROWS):
         rows = min(count - start, _L1_BLOCK_ROWS)
         u = rng.uniform_open(2 * dim * rows).reshape(rows, 2 * dim)
-        norms = _exponential(u[:, :dim], scale).sum(axis=1, keepdims=True)
+        norms = _row_sums(_exponential(u[:, :dim], scale))[:, None]
         raw = _laplace(u[:, dim:], 1.0)
-        np.multiply(norms, raw / np.abs(raw).sum(axis=1, keepdims=True), out=out[start : start + rows])
+        np.multiply(norms, raw / _row_sums(np.abs(raw))[:, None], out=out[start : start + rows])
     return out
 
 

@@ -245,7 +245,8 @@ def _minimize_smoothed(data: Dataset, lam, gamma, tilt, tol, max_iters):
             break
 
         H = (Xt.T * w) @ Xt / (n * gamma)
-        H[np.diag_indices_from(H)] += ridge
+        # the diagonal, as irls._normal_solve adds its ridge
+        H.flat[:: d + 2] += ridge
         # freed before the line search, whose first call sets the fit's
         # memory peak
         del w
@@ -257,7 +258,7 @@ def _minimize_smoothed(data: Dataset, lam, gamma, tilt, tol, max_iters):
             Hd = H
             if damp:
                 Hd = H.copy()
-                Hd[np.diag_indices_from(Hd)] += damp
+                Hd.flat[:: d + 2] += damp
             p = _spd_solve(Hd, -grad)
             if p is not None:
                 break

@@ -127,8 +127,15 @@ def test_normalize_scales_and_is_idempotent():
 
 
 def test_normalize_rejects_zero_design():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^design matrix is identically zero$"):
         normalize(np.zeros((3, 2)), np.ones(3))
+
+
+def test_normalize_refuses_a_design_without_columns():
+    # an (n, 0) X is a shape fault, refused with write_csv's message before
+    # any row sum; it used to be called "identically zero"
+    with pytest.raises(ValueError, match=r"^need X \(n, d\) with d >= 1 .* got X \(3, 0\)"):
+        normalize(np.zeros((3, 0)), np.ones(3))
 
 
 def test_unscale_theta_simple():

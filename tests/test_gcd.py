@@ -22,7 +22,7 @@ from dpmedreg import (
 from dpmedreg.gcd import _descend
 from dpmedreg.model import design_matrix
 
-from conftest import benchmark_instance, bounded_instance
+from conftest import benchmark_instance, bounded_instance, traced_peak
 
 
 def _bits(values):
@@ -287,6 +287,18 @@ ALG3_PINS = [
 def test_fixed_seed_fits_keep_their_bits(make_data, cfg, seed, pinned):
     release = fit_gcd_private(make_data(), cfg, RngStream(seed))
     assert _bits(release.theta.as_vector()) == pinned
+
+
+def test_fit_memory_stays_within_budget():
+    # the n = 2e5 zero-start pin's fit, traced above its input: about 2.1 MB
+    # (mostly the batch permutation) with one batch gathered at a time, and
+    # 12.9 MB with the whole table's rows and columns gathered in batch
+    # order up front
+    make_data, cfg, seed, pinned = ALG3_PINS[1]
+    data = make_data()
+    release, peak = traced_peak(fit_gcd_private, data, cfg, RngStream(seed))
+    assert _bits(release.theta.as_vector()) == pinned
+    assert peak < 3e6
 
 
 # the tied table at two points: 10 and 40 of its 120 residuals exactly 0

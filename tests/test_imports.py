@@ -115,6 +115,58 @@ def test_private_import_finder_sees_package_imports_only():
     assert private_imports(source) == ["irls._normal_solve", "model._spd_solve"]
 
 
+# numpy reductions whose axis a call may name
+REDUCTIONS = {"sum", "prod", "max", "min", "mean", "any", "all", "reduce", "amax", "amin", "nansum"}
+
+
+def row_reductions(source: str) -> list[str]:
+    """Reductions along axis 1 (or -1) that the module makes outside
+    ``_row_sums``, as ``name (line n)``.  The axis is the ``axis`` keyword
+    or the axis position: first for an array method (``A.sum(1)``), second
+    for numpy's functions and ufunc methods (``np.sum(A, 1)``,
+    ``np.add.reduce(A, 1)``)."""
+    tree = ast.parse(source)
+    helper = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "_row_sums":
+            helper |= {id(inner) for inner in ast.walk(node)}
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)) or id(node) in helper:
+            continue
+        if node.func.attr not in REDUCTIONS:
+            continue
+        receiver = node.func.value
+        if isinstance(receiver, ast.Attribute):
+            receiver = receiver.value
+        on_numpy = isinstance(receiver, ast.Name) and receiver.id in ("np", "numpy")
+        axes = [kw.value for kw in node.keywords if kw.arg == "axis"] + node.args[on_numpy:][:1]
+        if any(literal(axis) in (1, -1) for axis in axes):
+            found.append(f"{node.func.attr} (line {node.lineno})")
+    return found
+
+
+def literal(node: ast.expr):
+    """The value of a literal expression (``-1`` included), else None."""
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return None
+
+
+def test_row_reduction_finder_sees_every_spelling():
+    source = (
+        "import numpy as np\n"
+        "def _row_sums(A):\n    return A.sum(axis=1)\n"
+        "a = np.abs(X).sum(axis=1, keepdims=True)\n"
+        "b = X.max(1)\n"
+        "c = np.sum(X, 1)\n"
+        "d = np.add.reduce(X, axis=-1)\n"
+        "e = X.sum(axis=0) + np.sum(X, 0) + np.add.reduce(X, 0) + X.take(i, axis=1)\n"
+    )
+    assert row_reductions(source) == ["sum (line 4)", "max (line 5)", "sum (line 6)", "reduce (line 7)"]
+
+
 # The data model, samplers, data generator and the three mechanisms hold no
 # probe, benchmark or CLI code; the oracles and probes sit above them.
 MECHANISMS = ("model", "sampling", "datagen", "smoothing", "irls", "gcd")
@@ -129,6 +181,13 @@ def test_modules_import_only_downward():
     assert found["verification"] & {"bench", "cli"} == set()
     # only the ``python -m dpmedreg`` entry point runs the CLI
     assert sorted(name for name, names in found.items() if "cli" in names) == ["__main__"]
+
+
+def test_mechanisms_sum_rows_only_through_the_helper():
+    # model._row_sums adds short rows a column at a time with numpy's bits;
+    # the oracles and probes, which import only public names, keep their own
+    found = {path.stem: row_reductions(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert {name: found[name] for name in MECHANISMS if found[name]} == {}
 
 
 def test_upper_layers_import_only_public_names():

@@ -28,7 +28,7 @@ from dpmedreg import (
     split_batches,
     weighted_ridge_solve,
 )
-from dpmedreg.model import _coordinate_step, _spd_solve, design_matrix
+from dpmedreg.model import _coordinate_step, _row_sums, _spd_solve, design_matrix
 from dpmedreg.smoothing import _band_signs, _ridge, _smoothed_terms
 from dpmedreg.verification import random_theta
 
@@ -50,6 +50,31 @@ def test_dataset_invariants_enforced():
     data = Dataset(X=np.array([[0.5]]), Y=np.array([0.5]), B=1.0)
     with pytest.raises(ValueError):
         data.X[0, 0] = 0.0  # immutable
+
+
+def _row_sum_table(rng, n, d):
+    """(n, d) floats of mixed sign and magnitudes 2**-60 to 2**60, with -0.0
+    entries, a row of -0.0 only and (for n >= 4) rows holding inf and nan."""
+    A = rng.uniforms(-1.0, 1.0, n * d) * np.exp2(np.floor(rng.uniforms(-60.0, 60.0, n * d)))
+    A = A.reshape(n, d)
+    A[rng.uniforms(0.0, 1.0, n * d).reshape(n, d) < 0.1] = -0.0
+    A[0] = -0.0
+    if n >= 4:
+        A[1, 0] = np.inf
+        A[2, d - 1] = np.nan
+        A[3, 0], A[3, d - 1] = np.inf, -np.inf
+    return A
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_row_sums_are_numpys_bit_for_bit(rng, d):
+    # widths below 8 are added a column at a time, wider ones by numpy;
+    # if numpy changes its reduction order this fails before any pin does
+    with np.errstate(invalid="ignore"):
+        for n in (1, 2, 7, 8, 9, 50, 8191, 8192, 8193):
+            A = _row_sum_table(rng, n, d)
+            for view in (A, np.abs(A), A[:, ::-1], np.asfortranarray(A)):
+                assert _row_sums(view).tobytes() == view.sum(axis=1).tobytes(), (n, d)
 
 
 def test_residuals_identity_case():
