@@ -19,14 +19,13 @@ whole step vector stays at most 2 eta / n0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .irls import weighted_ridge_solve
 from .model import Dataset, Release, Theta, _check_count, _check_nonnegative, _check_positive
-from .model import _coordinate_step, _MechanismConfig
+from .model import _coordinate_step, _MechanismConfig, _noise_scale
 from .sampling import RngStream
 
 __all__ = [
@@ -117,12 +116,14 @@ def _descend(data: Dataset, cfg: GcdConfig, rng: RngStream) -> tuple[Release, np
     is the index array of :func:`split_batches` (row t for iteration t).
     Iteration t = 0, 1, ... steps with eta_t = ell/(t+1) on batch t and adds
     row t of the release's noise, drawn at scale 2 eta_t/(epsilon n0) with
-    n0 = ``batches.shape[1]``.  An epsilon that overflows the first scale is
-    refused before the batch draw."""
+    n0 = ``batches.shape[1]``; :func:`dpmedreg.model._noise_scale` checks
+    every row's scale before the batch draw, with no ridge needed."""
     n0 = data.n // cfg.batches
-    # n0 = 0 (fewer records than batches) is split_batches' error
-    if n0 and not math.isfinite(2.0 * cfg.ell / (cfg.epsilon * n0)):
-        raise ValueError(f"epsilon={cfg.epsilon} overflows the noise scale 2 ell/(epsilon n0)")
+    etas = cfg.ell / np.arange(1, cfg.batches + 1)
+    # row t's noise scale 2 eta_t/(epsilon n0), 0 for every row at epsilon =
+    # inf; n0 = 0 (fewer records than batches) is split_batches' error
+    scale = _noise_scale(cfg, rng, lambda: 2.0 * etas / (cfg.epsilon * n0), needs_ridge=False) if n0 else 0.0
+    scales = np.broadcast_to(scale, cfg.batches)
     batches = split_batches(data.n, cfg.batches, rng)
     if cfg.init == "ridge":
         theta0 = weighted_ridge_solve(data, np.ones(data.n), cfg.lam)
@@ -130,14 +131,10 @@ def _descend(data: Dataset, cfg: GcdConfig, rng: RngStream) -> tuple[Release, np
         theta0 = Theta(mu=0.0, beta=np.zeros(data.d))
     mu = theta0.mu
     beta = np.array(theta0.beta, dtype=float)
-    # all noise in one call, row t scaled by 2 eta_t / (epsilon n0), so
-    # noises[t, k] is the (t d + k)-th draw after the batch permutation
-    if math.isinf(cfg.epsilon):
-        scale = 0.0
-        noises = np.zeros((cfg.batches, data.d))
-    else:
-        scales = 2.0 * (cfg.ell / np.arange(1, cfg.batches + 1)) / (cfg.epsilon * n0)
-        scale = float(scales[0])
+    # all noise in one call, row t scaled by scales[t], so noises[t, k] is
+    # the (t d + k)-th draw after the batch permutation
+    noises = np.zeros((cfg.batches, data.d))
+    if scales[0]:
         noises = rng.laplaces(1.0, cfg.batches * data.d).reshape(cfg.batches, data.d) * scales[:, None]
 
     iterates = np.empty((cfg.batches + 1, data.d + 1))
@@ -171,7 +168,7 @@ def _descend(data: Dataset, cfg: GcdConfig, rng: RngStream) -> tuple[Release, np
         iterates[t + 1, 1:] = beta
     iterates.setflags(write=False)
     release = Release(
-        theta=Theta(mu=mu, beta=beta), noise=noises, noise_scale=scale, solver_iters=cfg.batches
+        theta=Theta(mu=mu, beta=beta), noise=noises, noise_scale=float(scales[0]), solver_iters=cfg.batches
     )
     return release, iterates, batches
 

@@ -26,8 +26,8 @@ from .model import (
     _check_nonnegative,
     _check_positive,
     _check_probability,
-    _check_private_run,
     _MechanismConfig,
+    _noise_scale,
     _spd_solve,
     design_matrix,
 )
@@ -210,22 +210,19 @@ def fit_irls_private(data: Dataset, cfg: IrlsConfig, rng: RngStream | None) -> R
     """Reweighted fit plus i.i.d. Laplace noise per coordinate at
     ``noise_scale`` = c / epsilon, where c is :func:`irls_sensitivity` at the
     derived coefficient bound; ``solver_iters`` is the trace's
-    ``iterations``.  A finite epsilon needs lam > 0 and a stream, checked
-    before the fit, as is a c or a c/epsilon that overflows: c grows
-    without bound as lam -> 0.
-    With epsilon = inf no draw is consumed (``rng`` may be None), c is not
-    computed, the noise is exactly zero and the estimate is
-    ``irls_fit(data, cfg).final`` unchanged, the noiseless fit bit for bit.
+    ``iterations``.  :func:`dpmedreg.model._noise_scale` applies the release
+    rules (epsilon = inf, stream, lam > 0, scale) before the fit; c grows
+    without bound as lam -> 0.  At epsilon = inf c is not computed, the
+    noise is exactly zero and the estimate is ``irls_fit(data, cfg).final``
+    unchanged, the noiseless fit bit for bit.
     """
-    _check_private_run(cfg, rng)
-    private = not math.isinf(cfg.epsilon)
-    scale = irls_sensitivity(data.d, data.n, data.B, cfg.lam, cfg.e) / cfg.epsilon if private else 0.0
-    if not math.isfinite(scale):
-        raise ValueError(f"epsilon={cfg.epsilon} overflows the noise scale c/epsilon")
+    scale = _noise_scale(
+        cfg, rng, lambda: irls_sensitivity(data.d, data.n, data.B, cfg.lam, cfg.e) / cfg.epsilon
+    )
     trace = irls_fit(data, cfg)
     theta = trace.final
     noise = np.zeros(data.d + 1)
-    if private:
+    if scale:
         noise = rng.laplaces(scale, data.d + 1)
         theta = Theta(mu=theta.mu + noise[0], beta=theta.beta + noise[1:])
     return Release(theta=theta, noise=noise, noise_scale=scale, solver_iters=trace.iterations)

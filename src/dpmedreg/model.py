@@ -140,16 +140,27 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
 
 
-def _check_private_run(cfg: _MechanismConfig, rng) -> None:
-    """Refuse a finite epsilon with lam = 0 or without a stream, before any
-    fitting or draw: both calibrated mechanisms need the ridge's strong
-    convexity for their noise to bound a one-record change."""
+def _noise_scale(cfg: _MechanismConfig, rng, scale, needs_ridge: bool = True):
+    """The scale a fitter draws its release's noise at, checked before any
+    fit or draw: 0.0 at epsilon = inf, where ``scale`` is not called and
+    ``rng`` may be None.  A finite epsilon needs a stream and, if
+    ``needs_ridge``, lam > 0 (a ridge's strong convexity bounds the
+    one-record change); ``scale()``, a scale or an array of per-step scales,
+    is then refused if an entry overflows or rounds to 0."""
     if math.isinf(cfg.epsilon):
-        return
-    if cfg.lam == 0:
+        return 0.0
+    if needs_ridge and cfg.lam == 0:
         raise ValueError("lam (lambda) must be positive when epsilon is finite")
     if rng is None:
         raise ValueError("a finite epsilon needs an RngStream to draw the noise from, got None")
+    # an overflow in the expression is the refusal below, not a warning
+    with np.errstate(over="ignore"):
+        value = scale()
+    if not np.isfinite(value).all():
+        raise ValueError(f"epsilon={cfg.epsilon} overflows the noise scale")
+    if not np.all(value):
+        raise ValueError(f"epsilon={cfg.epsilon} underflows the noise scale to 0")
+    return value
 
 
 def _frozen_array(values, ndim: int, name: str) -> np.ndarray:

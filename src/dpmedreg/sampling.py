@@ -124,7 +124,7 @@ def _l1_scale(dim: int, epsilon: float) -> float:
     _check_positive("epsilon", epsilon)
     scale = 4.0 / epsilon
     if not math.isfinite(scale):
-        raise ValueError(f"epsilon={epsilon} overflows the noise scale 4/epsilon")
+        raise ValueError(f"epsilon={epsilon} overflows the noise scale")
     return scale
 
 

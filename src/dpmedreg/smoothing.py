@@ -36,8 +36,8 @@ from .model import (
     Theta,
     _check_count,
     _check_positive,
-    _check_private_run,
     _MechanismConfig,
+    _noise_scale,
     _spd_solve,
     design_matrix,
 )
@@ -298,21 +298,15 @@ def fit_smoothed_private(data: Dataset, cfg: SmoothingConfig, rng: RngStream | N
     The release's noise is the tilt b, drawn by
     :func:`dpmedreg.sampling.sample_l1_perturbation` with exponential mean
     ``noise_scale`` = 4/epsilon, and ``solver_iters`` counts Newton steps
-    (gradient entries within ``_TOL``, at most ``_MAX_ITERS`` steps).
-    With epsilon = inf no draw is consumed (``rng`` may be None), the tilt
-    is exactly zero and the fit is the baseline.  A finite epsilon needs a
-    stream and lam > 0, checked before any draw: objective perturbation is
-    private only for a strongly convex regularizer (Chaudhuri, Monteleoni
-    and Sarwate, JMLR 2011), and without the ridge the tilt can make the
-    program unbounded below along a coefficient.  A tilt that overflows the
-    solve (a tiny epsilon) is a ValueError naming epsilon.
+    (gradient entries within ``_TOL``, at most ``_MAX_ITERS`` steps).  The
+    release rules are :func:`dpmedreg.model._noise_scale`'s; at epsilon =
+    inf the tilt is exactly zero and the fit is the baseline.  Their lam > 0
+    is the strong convexity objective perturbation needs (Chaudhuri,
+    Monteleoni and Sarwate, JMLR 2011).  A tilt that overflows the solve (a
+    tiny epsilon) is a ValueError naming epsilon.
     """
-    _check_private_run(cfg, rng)
-    if math.isinf(cfg.epsilon):
-        b, scale = np.zeros(data.d + 1), 0.0
-    else:
-        b = sample_l1_perturbation(data.d + 1, cfg.epsilon, rng)
-        scale = _l1_scale(data.d + 1, cfg.epsilon)
+    scale = _noise_scale(cfg, rng, lambda: _l1_scale(data.d + 1, cfg.epsilon))
+    b = sample_l1_perturbation(data.d + 1, cfg.epsilon, rng) if scale else np.zeros(data.d + 1)
     try:
         with np.errstate(over="raise", invalid="raise"):
             omega, iters, _ = _minimize_smoothed(data, cfg.lam, cfg.gamma, b / data.n, _TOL, _MAX_ITERS)

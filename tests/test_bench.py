@@ -17,6 +17,7 @@ from dpmedreg import (
     fit_smoothed_private,
     irls,
     irls_fit,
+    random_dataset,
 )
 from dpmedreg.bench import ALGORITHM_TABLE, ALGORITHMS, resolve_params, run_cell, run_fit
 from dpmedreg.gcd import _descend
@@ -79,16 +80,29 @@ def test_default_config_releases_at_protocol_epsilon(algo):
 
 @pytest.mark.parametrize("algo", FITTERS)
 def test_an_overflowing_noise_scale_is_refused_before_any_draw(algo):
-    # epsilon = 1e-320 is positive but 1/epsilon is not finite; each fitter
-    # names epsilon without a draw, a fit or a floating-point warning
+    # epsilon = 1e-320 is positive but 1/epsilon is not finite; all three
+    # fitters refuse it in the same words, without a draw, a fit or a
+    # floating-point warning
     config, fit = FITTERS[algo]
     data, _, _ = benchmark_instance(200, RngStream(23))
     stream = RngStream(24)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="^epsilon=1e-320 overflows the noise scale"):
+        with pytest.raises(ValueError, match="^epsilon=1e-320 overflows the noise scale$"):
             fit(data, config(epsilon=1e-320), stream)
     assert stream.uniform_open(1)[0] == RngStream(24).uniform_open(1)[0]
+
+
+@pytest.mark.parametrize("ell, batches", [(1e-30, 1), (1e-21, 4)], ids=["every-row", "last-row"])
+def test_a_noise_scale_that_rounds_to_zero_is_refused_before_any_draw(ell, batches):
+    # 2 eta_t/(epsilon n0) is below the smallest subnormal for every row, or
+    # for the last of four only; a finite epsilon used to release such a
+    # row's step with zero noise although its sensitivity is not 0
+    data = random_dataset(1000, 3, 1.0, RngStream(2))
+    stream = RngStream(3)
+    with pytest.raises(ValueError, match=r"^epsilon=1e\+300 underflows the noise scale to 0$"):
+        fit_gcd_private(data, GcdConfig(epsilon=1e300, ell=ell, batches=batches), stream)
+    assert stream.uniform_open(1)[0] == RngStream(3).uniform_open(1)[0]
 
 
 def test_resolve_params_overrides():

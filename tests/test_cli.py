@@ -54,6 +54,23 @@ def test_generate_d_follows_beta(tmp_path):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--box", "1"], "--box expects two comma-separated numbers lo,hi"),
+        (["--beta", "1,a"], "argument --beta: expected comma-separated floats, got '1,a'"),
+    ],
+    ids=["box-one-number", "beta-not-float"],
+)
+def test_generate_usage_errors_name_the_flag(tmp_path, capsys, flags, message):
+    out = tmp_path / "g.csv"
+    with pytest.raises(SystemExit) as info:
+        main(["generate", "--n", "10", *flags, "--out", str(out)])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value", [("--box", "-0.5,0.5"), ("--beta", "-4,0,3")])
 def test_generate_takes_negative_list_values_in_both_spellings(tmp_path, flag, value):
     # argparse took "-0.5,0.5" after a space for a flag and exited 2

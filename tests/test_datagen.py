@@ -178,6 +178,18 @@ def test_csv_header_checked(tmp_path):
         read_csv(path)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("", "empty file"), ("y\n", "header must name at least one covariate and y")],
+    ids=["empty", "y-only"],
+)
+def test_csv_refuses_a_file_that_names_no_covariate(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"bad\\.csv: {message}$"):
+        read_csv(path)
+
+
 def test_csv_malformed_row_names_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x1,y\n0.1,0.2\n0.1\n", encoding="utf-8")

@@ -190,6 +190,69 @@ def test_mechanisms_sum_rows_only_through_the_helper():
     assert {name: found[name] for name in MECHANISMS if found[name]} == {}
 
 
+def epsilon_infinity_tests(source: str) -> list[str]:
+    """Tests of an epsilon against infinity that the module makes outside
+    ``_noise_scale``, as ``name (line n)``: ``isinf`` or ``isfinite`` of an
+    epsilon, or a comparison of an epsilon with an infinity (``math.inf``,
+    ``np.inf``, ``inf``, ``float("inf")`` or an overflowing literal)."""
+    tree = ast.parse(source)
+    helper = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "_noise_scale":
+            helper |= {id(inner) for inner in ast.walk(node)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in helper:
+            continue
+        if isinstance(node, ast.Call) and name_of(node.func) in ("isinf", "isfinite"):
+            if any(name_of(arg) == "epsilon" for arg in node.args):
+                found.append(f"{name_of(node.func)} (line {node.lineno})")
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(name_of(o) == "epsilon" for o in operands) and any(map(is_infinity, operands)):
+                found.append(f"compare (line {node.lineno})")
+    return found
+
+
+def name_of(node: ast.expr) -> str | None:
+    """The name a Name or an Attribute ends in (``cfg.epsilon`` gives
+    ``epsilon``), else None."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def is_infinity(node: ast.expr) -> bool:
+    if name_of(node) == "inf":
+        return True
+    if isinstance(node, ast.Call) and name_of(node.func) == "float" and node.args:
+        return str(literal(node.args[0])).strip().lower().lstrip("+") in ("inf", "infinity")
+    return literal(node) == float("inf")
+
+
+def test_epsilon_infinity_finder_sees_every_spelling():
+    source = (
+        "import math\nimport numpy as np\n"
+        "def _noise_scale(cfg):\n    return math.isinf(cfg.epsilon)\n"
+        "a = math.isinf(cfg.epsilon)\n"
+        "b = np.isfinite(epsilon)\n"
+        "c = cfg.epsilon == math.inf\n"
+        "d = np.inf > epsilon\n"
+        "e = epsilon != float('inf')\n"
+        "f = 1e999 <= cfg.epsilon\n"
+        "g = math.isfinite(2.0 / epsilon) or epsilon > 0 or x == math.inf or {'epsilon': math.inf}\n"
+    )
+    found = epsilon_infinity_tests(source)
+    assert found == ["isinf (line 5)", "isfinite (line 6)"] + [f"compare (line {n})" for n in (7, 8, 9, 10)]
+
+
+def test_only_the_noise_scale_tests_epsilon_against_infinity():
+    # model._noise_scale holds the release rules every fitter shares, the
+    # epsilon = inf case first among them
+    found = {path.stem: epsilon_infinity_tests(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
 def test_upper_layers_import_only_public_names():
     # probes, benchmark plumbing and the CLI stay on the API the fitters
     # export, so they cannot drift from it

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -184,6 +185,65 @@ def test_neighbor_pair_rejects_out_of_domain(rng):
         make_neighbor_pair(base, index=0, replacement=(np.array([0.9, 0.9]), 0.0))
     with pytest.raises(ValueError):
         make_neighbor_pair(base, index=0, replacement=(np.array([0.1, 0.1]), 5.0))
+
+
+def _with_rows(data, rows, B=None):
+    """``data`` with Y negated in the given rows (none of which is 0) and
+    bound ``B`` (data.B by default)."""
+    Y = data.Y.copy()
+    Y[rows] *= -1.0
+    return Dataset(X=data.X, Y=Y, B=data.B if B is None else B)
+
+
+# each call takes random_dataset(10, 3, 1.0, RngStream(5)), whose Y_i are
+# all nonzero
+_BAD_NEIGHBOR_PAIRS = [
+    pytest.param(lambda base: make_neighbor_pair(base), ValueError, "need rng when index is omitted", id="no-rng-index"),
+    pytest.param(
+        lambda base: make_neighbor_pair(base, index=1), ValueError, "need rng when replacement is omitted",
+        id="no-rng-replacement",
+    ),
+    pytest.param(
+        lambda base: make_neighbor_pair(base, index=10, rng=RngStream(6)), IndexError,
+        "row index 10 out of range for n=10", id="index-past-end",
+    ),
+    pytest.param(
+        lambda base: make_neighbor_pair(base, index=-1, rng=RngStream(6)), IndexError,
+        "row index -1 out of range for n=10", id="index-negative",
+    ),
+    pytest.param(
+        lambda base: make_neighbor_pair(base, index=1, replacement=(np.zeros(2), 0.0)), ValueError,
+        "replacement row must have shape (3,)", id="replacement-shape",
+    ),
+    pytest.param(
+        lambda base: NeighborPair(a=base, b=Dataset(X=base.X[:, :2], Y=base.Y, B=base.B)), ValueError,
+        "paired datasets must share n, d and B", id="pair-shape",
+    ),
+    pytest.param(
+        lambda base: NeighborPair(a=base, b=_with_rows(base, [1], B=2.0)), ValueError,
+        "paired datasets must share n, d and B", id="pair-B",
+    ),
+    pytest.param(
+        lambda base: NeighborPair(a=base, b=base), ValueError, "pair must differ in exactly one row, found 0",
+        id="pair-same",
+    ),
+    pytest.param(
+        lambda base: NeighborPair(a=base, b=_with_rows(base, [1, 4])), ValueError,
+        "pair must differ in exactly one row, found 2", id="pair-two-rows",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, message", _BAD_NEIGHBOR_PAIRS)
+def test_neighbor_pair_refusals_name_the_fault_before_any_draw(call, error, message, monkeypatch):
+    base = random_dataset(10, 3, 1.0, RngStream(5))
+    assert base.Y.all()
+    draws = []
+    for name in ("integer", "laplaces", "uniform_open", "uniforms"):
+        monkeypatch.setattr(RngStream, name, lambda *args, name=name: draws.append(name))
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(base)
+    assert draws == []
 
 
 def test_neighbor_pair_random_replacement_valid(rng):
