@@ -140,6 +140,14 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
 
 
+def _check_scale_finite(epsilon: float, value) -> None:
+    """Refuse a noise scale, or an array of per-step scales, with an entry
+    that overflows: the one wording of that refusal for every sampler and
+    fitter."""
+    if not np.isfinite(value).all():
+        raise ValueError(f"epsilon={epsilon} overflows the noise scale")
+
+
 def _noise_scale(cfg: _MechanismConfig, rng, scale, needs_ridge: bool = True):
     """The scale a fitter draws its release's noise at, checked before any
     fit or draw: 0.0 at epsilon = inf, where ``scale`` is not called and
@@ -156,8 +164,7 @@ def _noise_scale(cfg: _MechanismConfig, rng, scale, needs_ridge: bool = True):
     # an overflow in the expression is the refusal below, not a warning
     with np.errstate(over="ignore"):
         value = scale()
-    if not np.isfinite(value).all():
-        raise ValueError(f"epsilon={cfg.epsilon} overflows the noise scale")
+    _check_scale_finite(cfg.epsilon, value)
     if not np.all(value):
         raise ValueError(f"epsilon={cfg.epsilon} underflows the noise scale to 0")
     return value

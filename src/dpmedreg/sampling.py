@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .model import _as_integer, _check_count, _check_epsilon, _check_nonnegative
-from .model import _check_positive, _check_probability, _row_sums
+from .model import _check_positive, _check_probability, _check_scale_finite, _row_sums
 
 __all__ = [
     "RngStream",
@@ -123,8 +123,7 @@ def _l1_scale(dim: int, epsilon: float) -> float:
     _check_count("dim", dim)
     _check_positive("epsilon", epsilon)
     scale = 4.0 / epsilon
-    if not math.isfinite(scale):
-        raise ValueError(f"epsilon={epsilon} overflows the noise scale")
+    _check_scale_finite(epsilon, scale)
     return scale
 
 

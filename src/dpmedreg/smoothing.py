@@ -17,10 +17,13 @@ samples, directions are Levenberg-damped when that matrix is rank-deficient,
 and the step length is the exact minimizer along the search direction (the
 restriction is convex and piecewise quadratic, with band-crossing breakpoints).
 The line search builds every breakpoint but stable-sorts only a growing
-prefix of them; it builds the slope and curvature increments and scans them
-one fixed-size block of that prefix at a time, and stops at the block that
-holds the root.  Its result is that of a stable sort of all breakpoints, bit
-for bit.
+prefix of them.  On a search with many breakpoints below the Newton step,
+the first prefix ends just past an upper bound on the root that a few direct
+slope evaluations (regula falsi) give, so it holds little more than the
+breakpoints below the root.  It builds the slope and curvature increments
+and scans them one fixed-size block of that prefix at a time, and stops at
+the block that holds the root.  Its result is that of a stable sort of all
+breakpoints, bit for bit.
 """
 
 from __future__ import annotations
@@ -73,11 +76,21 @@ class ConvergenceError(RuntimeError):
         self.iters = iters
 
 
-# breakpoints sorted beyond the count at or below alpha = 1 in the first prefix
+# breakpoints sorted beyond the count at or below alpha = 1 in a first prefix
+# that is not set by a bracket of the root
 _PREFIX_MARGIN = 16
 # sorted breakpoints whose slope and curvature increments are built and
-# scanned at a time
+# scanned at a time, and samples whose direct slopes are summed at a time
 _SCAN_BLOCK = 8192
+# the root is bracketed only when the breakpoints at or below alpha = 1
+# number at least this share of n: each slope evaluation of the bracket is a
+# pass over all n samples, which costs more than it saves on a short first
+# prefix (as on the Newton steps after the first, whose roots lie near 1)
+_BRACKET_SHARE = 0.25
+# slope evaluations of the bracket after phi'(1): with three, the n = 5000
+# and n = 2e5 pin fits sort 1.05 and 1.00 times the breakpoints below their
+# roots; one step leaves the first at 2.00, two the second at 1.13
+_BRACKET_STEPS = 3
 
 # the Newton solver's gradient tolerance and step cap, fixed: the privacy
 # proof covers the exact minimizer, not an early iterate
@@ -99,17 +112,27 @@ def _ridge(n: int, d: int, lam: float) -> np.ndarray:
     return ridge
 
 
-def _smoothed_terms(Xt: np.ndarray, Y: np.ndarray, omega: np.ndarray, gamma: float, ridge, tilt):
-    """(r, s, w, grad) of mean_i rho_gamma(r_i) + (1/2) sum_j ridge_j omega_j^2
-    + tilt'omega at r = Xt omega - Y: residuals, band signs (inclusive band),
-    in-band indicators 1 - s^2, and the gradient.  The per-sample factor,
-    r_i/gamma in the band and sign(r_i) outside, lies in [-1, 1], and its two
-    branches agree at |r_i| = gamma."""
-    r = Xt @ omega - Y
+def _huber_terms(r: np.ndarray, gamma: float):
+    """(s, w, factor) at the residuals r: band signs (inclusive band), in-band
+    indicators 1 - s^2, and rho_gamma'(r), the per-sample factor r/gamma in
+    the band and sign(r) outside.  The factor lies in [-1, 1], and its two
+    branches agree at |r| = gamma."""
     s = _band_signs(r, gamma)
     w = 1.0 - s * s
-    bracket = (w * r) / gamma + s
-    grad = Xt.T @ bracket / Y.shape[0] + ridge * omega + tilt
+    # (w r)/gamma + s, built in place: the same operations, so the same bits
+    factor = w * r
+    factor /= gamma
+    factor += s
+    return s, w, factor
+
+
+def _smoothed_terms(Xt: np.ndarray, Y: np.ndarray, omega: np.ndarray, gamma: float, ridge, tilt):
+    """(r, s, w, grad) of mean_i rho_gamma(r_i) + (1/2) sum_j ridge_j omega_j^2
+    + tilt'omega at r = Xt omega - Y: residuals, band signs, in-band
+    indicators and the gradient (see :func:`_huber_terms`)."""
+    r = Xt @ omega - Y
+    s, w, factor = _huber_terms(r, gamma)
+    grad = Xt.T @ factor / Y.shape[0] + ridge * omega + tilt
     return r, s, w, grad
 
 
@@ -142,6 +165,54 @@ def _sorted_rows(alphas, lo, hi):
     return rows, alphas[rows]
 
 
+def _kth_smallest(alphas, k):
+    """The k-th smallest alpha, inf when there are no more than k."""
+    return float(np.partition(alphas, k - 1)[k - 1]) if k < alphas.size else math.inf
+
+
+def _root_bracket(r, delta, gamma, n, q1, q2, A0):
+    """An alpha in (0, 1] at or above the root of phi' (see
+    :func:`_exact_line_search`), or None when phi'(1) < 0.
+
+    phi'(alpha) is evaluated directly, in O(n) and without a sort, from
+    rho_gamma' of :func:`_huber_terms`; regula falsi from
+    phi'(0) = A0 < 0 and phi'(1) >= 0 then narrows the bracket around the
+    root for ``_BRACKET_STEPS`` evaluations, and its upper end is returned.
+    These slopes agree with the line search's accumulated ones only up to
+    rounding, and a non-finite one gives up (None, or the upper end so far);
+    nothing here raises under the fit's ``errstate``.
+    """
+
+    def slope(alpha):
+        # summed one block of _SCAN_BLOCK samples at a time, so that no
+        # n-length temporary is held next to the breakpoints
+        total = 0.0
+        for at in range(0, r.size, _SCAN_BLOCK):
+            db = delta[at : at + _SCAN_BLOCK]
+            x = alpha * db
+            x += r[at : at + _SCAN_BLOCK]
+            total += float(_huber_terms(x, gamma)[2] @ db)
+        return total / n + q1 + q2 * alpha
+
+    with np.errstate(all="ignore"):
+        lo, f_lo, hi, f_hi = 0.0, A0, 1.0, slope(1.0)
+        if not (math.isfinite(f_hi) and f_hi >= 0.0):
+            return None
+        # f_lo < 0 <= f_hi throughout, so the secant's denominator is positive
+        for _ in range(_BRACKET_STEPS):
+            alpha = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+            if not lo < alpha < hi:
+                break
+            f = slope(alpha)
+            if not math.isfinite(f):
+                break
+            if f >= 0.0:
+                hi, f_hi = alpha, f
+            else:
+                lo, f_lo = alpha, f
+    return hi
+
+
 def _exact_line_search(r, s, delta, gamma, n, q1, q2):
     """Exact argmin over alpha >= 0 of the 1-d restriction.
 
@@ -152,16 +223,20 @@ def _exact_line_search(r, s, delta, gamma, n, q1, q2):
     nonnegative (descent ray is unbounded).
 
     The slope is accumulated over the breakpoints in stable sorted order,
-    but only over a prefix of that order that grows until it holds the root:
-    the first prefix is every breakpoint up to the k-th smallest, k the count
-    at or below the Newton step alpha = 1 plus a margin, and each further
-    prefix is eight times longer.  Each prefix is scanned in blocks of
-    ``_SCAN_BLOCK``: the slope and curvature increments are built for one
-    block's samples at a time, and the scan stops at the block that holds
-    the root.  The running sums carry from block to block and prefix to
-    prefix, so the hint and the block size decide only how much is sorted
-    and built; the sums, and so the returned alpha, are those of the full
-    sort.
+    but only over a prefix of that order that grows until it holds the root.
+    When at least ``_BRACKET_SHARE`` n breakpoints lie at or below the Newton
+    step alpha = 1, :func:`_root_bracket` bounds the root from above by
+    direct slope evaluations, and the first prefix ends at the first
+    breakpoint past that bound, so it holds the root's segment.  Otherwise,
+    or when phi'(1) < 0, the first prefix ends at the k-th smallest
+    breakpoint, k the count at or below alpha = 1 plus ``_PREFIX_MARGIN``.
+    Each further prefix ends at the (8m)-th smallest, m the count sorted so
+    far.  Each prefix is scanned in blocks of ``_SCAN_BLOCK``: the slope and
+    curvature increments are built for one block's samples at a time, and
+    the scan stops at the block that holds the root.  The running sums carry
+    from block to block and prefix to prefix, so the bracket, the count and
+    the block size decide only how much is sorted and built; the sums, and
+    so the returned alpha, are those of the full sort.
     """
     inband = s == 0.0
     A0 = float(np.where(inband, r * delta / gamma, s * delta).sum()) / n + q1
@@ -184,17 +259,24 @@ def _exact_line_search(r, s, delta, gamma, n, q1, q2):
     n_ent = ent.size
     del ent, ex
 
+    k = int(np.count_nonzero(alphas <= 1.0))
+    bound = _root_bracket(r, delta, gamma, n, q1, q2, A0) if k >= _BRACKET_SHARE * n else None
+    if bound is None:
+        cut = _kth_smallest(alphas, k + _PREFIX_MARGIN)
+    else:
+        # the first breakpoint past the bound ends the root's segment
+        cut = float(np.min(alphas, where=alphas > bound, initial=math.inf))
+
     # slope line (start, curve) on the segment that begins at breakpoint prev
     start, curve, prev = A0, B0, 0.0
     # running sums of the increments so far, None before the first block
     sum_A = sum_B = None
     done = -math.inf
-    k = int(np.count_nonzero(alphas <= 1.0)) + _PREFIX_MARGIN
+    n_sorted = 0
     while done < math.inf:
-        cut = float(np.partition(alphas, k - 1)[k - 1]) if k < alphas.size else math.inf
         rows, ordered = _sorted_rows(alphas, done, cut)
         done = cut
-        k *= 8
+        n_sorted += rows.size
         for lo in range(0, rows.size, _SCAN_BLOCK):
             at = rows[lo : lo + _SCAN_BLOCK]
             seg_alphas = ordered[lo : lo + _SCAN_BLOCK]
@@ -225,6 +307,7 @@ def _exact_line_search(r, s, delta, gamma, n, q1, q2):
                 # slope crossed zero exactly at the preceding breakpoint
                 return float(seg_alphas[j - 1]) if j > 0 else prev
             start, curve, prev = float(A_seg[-1]), float(B_seg[-1]), float(seg_alphas[-1])
+        cut = _kth_smallest(alphas, 8 * n_sorted)
     if curve <= 0.0:
         raise FloatingPointError("objective is unbounded along the search direction")
     return max(float(-start / curve), prev)

@@ -221,7 +221,8 @@ def test_criterion_4_table2_timing_ordering(table2_bench):
     _report(
         "4 (timing)",
         ok,
-        f"median seconds alg3 {t['alg3']:.2f} < alg2 {t['alg2']:.2f} < alg1 {t['alg1']:.2f}; "
+        f"median seconds alg3 {t['alg3']:.3f} < alg2 {t['alg2']:.3f} < alg1 {t['alg1']:.3f} "
+        f"(alg2/alg3 {t['alg2'] / t['alg3']:.2f}, alg1/alg2 {t['alg1'] / t['alg2']:.2f}); "
         f"total {table2_bench['elapsed']:.0f}s",
     )
     assert t["alg3"] < t["alg2"] < t["alg1"]

@@ -331,17 +331,47 @@ def _outcome(search, args):
         return type(exc), str(exc)
 
 
+# the solver's root bracket share as it stands, and 0, which puts every
+# search through the bracket
+BRACKET_SHARES = (smoothing._BRACKET_SHARE, 0.0)
+
+
 def _assert_same_as_full_sort(args):
     """The solver's line search returns the reference's float, sign of zero
-    included, or raises the same error; returns that outcome."""
+    included, or raises the same error, with and without its root bracket;
+    returns that outcome."""
     with np.errstate(over="ignore", invalid="ignore"):
         want = _outcome(_full_sort_line_search, args)
-        got = _outcome(smoothing._exact_line_search, args)
-    if isinstance(want, float):
-        assert type(got) is float and got.hex() == want.hex()
-    else:
-        assert got == want
+        for share in BRACKET_SHARES:
+            with mock.patch.object(smoothing, "_BRACKET_SHARE", share):
+                got = _outcome(smoothing._exact_line_search, args)
+            if isinstance(want, float):
+                assert type(got) is float and got.hex() == want.hex()
+            else:
+                assert got == want
     return got
+
+
+def _bracketed_search(args):
+    """(bound, prefixes) of the solver's line search of ``args`` put through
+    the root bracket: the bound :func:`smoothing._root_bracket` gave, and
+    the number of prefixes sorted."""
+    bounds, prefixes = [], []
+    bracket, sorted_rows = smoothing._root_bracket, smoothing._sorted_rows
+
+    def bracket_spy(*a):
+        bounds.append(bracket(*a))
+        return bounds[-1]
+
+    def sorted_rows_spy(*a):
+        prefixes.append(a[1:])
+        return sorted_rows(*a)
+
+    with mock.patch.object(smoothing, "_BRACKET_SHARE", 0.0), mock.patch.object(smoothing, "_root_bracket", bracket_spy):
+        with mock.patch.object(smoothing, "_sorted_rows", sorted_rows_spy):
+            smoothing._exact_line_search(*args)
+    (bound,) = bounds
+    return bound, len(prefixes)
 
 
 def _line_search_args(r, delta, q1, q2, gamma=1.0):
@@ -383,6 +413,50 @@ def test_line_search_grows_its_prefix_when_the_hint_undercounts():
     alpha = _assert_same_as_full_sort(_line_search_args(-1.0 - t, np.ones(200), 0.0, 0.0))
     assert np.count_nonzero(t <= 1.0) == 0
     assert np.count_nonzero(t < alpha) + np.count_nonzero(t + 2.0 < alpha) > 8 * smoothing._PREFIX_MARGIN
+
+
+# Searches put through the root bracket, each returning the full sort's float:
+# - at a breakpoint: two in-band samples exit the band at 0.5, where phi' is
+#   exactly 0, and two enter it at 0.8 and 3;
+# - inside a segment: the same samples, with the root at 0.6 and the bound
+#   below 0.8, so the first prefix must reach past the bound to hold the
+#   root's segment;
+# - past the last breakpoint: all three samples exit the band below the root
+#   2/3, and phi'(1) > 0, so the bound lies past them all;
+# - past one: phi'(1) < 0 (the root is 8.5), so the bracket gives no bound
+#   and the count at or below alpha = 1 sets the first prefix.
+BRACKET_SEARCHES = {
+    "root_at_a_breakpoint": (([0, 0, -2.6, -4], [2, 2, 2, 1], -0.75, 1.0), 0.5),
+    "root_inside_a_segment": (([0, 0, -2.6, -4], [2, 2, 2, 1], -0.85, 1.0), 0.6),
+    "root_past_the_last_breakpoint": (([0, 0.5, -0.5], [4, 4, -8], -8.0, 4.0), 2 / 3),
+    "root_past_one": (([0, 0, -2, 0.5], [2, 2, 1, -1], -10.0, 1.0), 8.5),
+}
+
+
+@pytest.mark.parametrize("name", list(BRACKET_SEARCHES))
+def test_line_search_brackets_the_root_on_named_cases(name):
+    case, root = BRACKET_SEARCHES[name]
+    args = _line_search_args(*case)
+    assert _assert_same_as_full_sort(args) == pytest.approx(root, rel=1e-14)
+    bound, prefixes = _bracketed_search(args)
+    if name == "root_past_one":
+        assert bound is None
+    else:
+        # one prefix: the first one holds the root's segment
+        assert root <= bound <= 1.0 and prefixes == 1
+
+
+def test_line_search_bracket_raises_nothing_under_the_fit_errstate():
+    # |delta| near 1.34e154, the largest whose square is finite: the search
+    # runs under the fit's errstate, where a floating-point error is a
+    # ConvergenceError, and its bracket must raise none the search does not
+    r = 1e154 * np.array([-0.5, -0.25, 0.3, 0.6, -0.9, 0.1])
+    delta = 1.3e154 * np.array([1.0, 1.0, -1.0, -1.0, 1.0, 0.5])
+    args = _line_search_args(r, delta, -1e153, 0.0)
+    want = _assert_same_as_full_sort(args)
+    assert _bracketed_search(args)[0] is not None
+    with np.errstate(over="raise", invalid="raise"), mock.patch.object(smoothing, "_BRACKET_SHARE", 0.0):
+        assert smoothing._exact_line_search(*args).hex() == want.hex()
 
 
 # residual and direction values on a grid make ties and exact band edges
@@ -456,9 +530,11 @@ def test_line_search_keeps_the_stable_order_of_tied_breakpoints(name, block):
     args = _line_search_args(*TIED_SEARCHES[name])
     with mock.patch.object(smoothing, "_PREFIX_MARGIN", 1), mock.patch.object(smoothing, "_SCAN_BLOCK", block):
         got = _assert_same_as_full_sort(args)
-        with mock.patch.object(smoothing, "_sorted_rows", _ties_reversed):
-            with np.errstate(over="ignore", invalid="ignore"):
-                assert repr(_outcome(smoothing._exact_line_search, args)) != repr(got)
+        for share in BRACKET_SHARES:
+            with mock.patch.object(smoothing, "_sorted_rows", _ties_reversed):
+                with mock.patch.object(smoothing, "_BRACKET_SHARE", share):
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        assert repr(_outcome(smoothing._exact_line_search, args)) != repr(got)
 
 
 def test_sorted_rows_is_the_stable_order():
@@ -475,10 +551,12 @@ def test_sorted_rows_is_the_stable_order():
 
 
 def test_fit_memory_stays_within_budget():
-    # the n = 2e5 pin's fit, traced above its input: 23.1 MB with the
-    # increments built per block of the sorted prefix (the first line search
-    # sets the peak; the pseudo-Hessian's assembly comes next at 19.3 MB),
-    # 45.8 MB when they were built for every crossing sample
+    # the n = 2e5 pin's fit, traced above its input: 20.0 MB with the first
+    # prefix ending just past the root's bracket and the increments built per
+    # block of it (the first line search sets the peak; the pseudo-Hessian's
+    # assembly comes next at 19.3 MB), 22.8 MB when the first prefix held
+    # every breakpoint at or below alpha = 1, 45.8 MB when the increments
+    # were built for every crossing sample
     make_data, cfg, seed, pinned = ALG1_PINS[1]
     data = make_data()
     release, peak = traced_peak(fit_smoothed_private, data, cfg, RngStream(seed))
@@ -527,6 +605,36 @@ ALG1_PINS = [
 def test_fixed_seed_fits_keep_their_bits(make_data, cfg, seed, pinned):
     release = fit_smoothed_private(make_data(), cfg, RngStream(seed))
     assert [float(v).hex() for v in release.theta.as_vector()] == pinned
+
+
+@pytest.mark.parametrize("make_data, cfg, seed, pinned", ALG1_PINS[:2], ids=["n5000", "n200000"])
+def test_line_search_sorts_little_more_than_the_breakpoints_below_its_roots(make_data, cfg, seed, pinned):
+    # over a fit's line searches, the rows stable-sorted against the
+    # breakpoints at or below each search's returned alpha: 1.05 and 1.00
+    # with the first prefix ending past the root's bracket, 2.00 and 2.07
+    # when it held every breakpoint at or below alpha = 1 (plus 16)
+    sorted_rows, exact_line_search = smoothing._sorted_rows, smoothing._exact_line_search
+    count = {"sorted": 0, "below": 0}
+    seen = {}
+
+    def counting_sorted_rows(alphas, lo, hi):
+        seen["alphas"] = alphas
+        rows, ordered = sorted_rows(alphas, lo, hi)
+        count["sorted"] += rows.size
+        return rows, ordered
+
+    def counting_line_search(*args):
+        seen.clear()
+        alpha = exact_line_search(*args)
+        if seen:
+            count["below"] += int(np.count_nonzero(seen["alphas"] <= alpha))
+        return alpha
+
+    with mock.patch.object(smoothing, "_sorted_rows", counting_sorted_rows):
+        with mock.patch.object(smoothing, "_exact_line_search", counting_line_search):
+            fit_smoothed_private(make_data(), cfg, RngStream(seed))
+    assert count["below"] > 0
+    assert count["sorted"] <= 1.25 * count["below"]
 
 
 ALG1_KINDS = ["one_row", "wide", "constant_y", "saturated_y", "zero_column", "duplicate_columns"]
