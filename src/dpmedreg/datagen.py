@@ -91,8 +91,11 @@ def generate(spec: GeneratorSpec, rng: RngStream):
     """
     lo, hi = spec.box
     X = rng.uniforms(lo, hi, spec.n * spec.d).reshape(spec.n, spec.d)
-    with np.errstate(over="ignore", invalid="ignore"):
+    try:  # laplaces refuses, before its draw, a noise_scale whose draws can overflow
         u = rng.laplaces(spec.noise_scale, spec.n)
+    except ValueError:
+        u = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
         Y = spec.mu + X @ spec.beta + u
     # every entry of X enters its row's Y, so a finite Y means a finite table
     if not np.isfinite(Y).all():

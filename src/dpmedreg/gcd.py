@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .irls import weighted_ridge_solve
+from .irls import _normal_solve
 from .model import Dataset, Release, Theta, _check_count, _check_nonnegative, _check_positive
-from .model import _coordinate_step, _MechanismConfig, _noise_scale
+from .model import _coordinate_step, _MechanismConfig, _noise_scale, design_matrix
 from .sampling import RngStream
 
 __all__ = [
@@ -126,11 +126,10 @@ def _descend(data: Dataset, cfg: GcdConfig, rng: RngStream) -> tuple[Release, np
     scales = np.broadcast_to(scale, cfg.batches)
     batches = split_batches(data.n, cfg.batches, rng)
     if cfg.init == "ridge":
-        theta0 = weighted_ridge_solve(data, np.ones(data.n), cfg.lam)
+        omega0 = _normal_solve(design_matrix(data.X), data.Y, np.ones(data.n), data.n * cfg.lam / 2.0)
     else:
-        theta0 = Theta(mu=0.0, beta=np.zeros(data.d))
-    mu = theta0.mu
-    beta = np.array(theta0.beta, dtype=float)
+        omega0 = np.zeros(data.d + 1)
+    mu, beta = float(omega0[0]), omega0[1:]
     # all noise in one call, row t scaled by scales[t], so noises[t, k] is
     # the (t d + k)-th draw after the batch permutation
     noises = np.zeros((cfg.batches, data.d))
@@ -138,7 +137,7 @@ def _descend(data: Dataset, cfg: GcdConfig, rng: RngStream) -> tuple[Release, np
         noises = rng.laplaces(1.0, cfg.batches * data.d).reshape(cfg.batches, data.d) * scales[:, None]
 
     iterates = np.empty((cfg.batches + 1, data.d + 1))
-    iterates[0] = theta0.as_vector()
+    iterates[0] = omega0
     # the loop runs on Python floats and in-place array operations: each is
     # the same IEEE operation as the out-of-place form on numpy scalars and
     # arrays, so every iterate keeps its bits

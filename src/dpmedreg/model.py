@@ -140,11 +140,17 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
 
 
-def _check_scale_finite(epsilon: float, value) -> None:
-    """Refuse a noise scale, or an array of per-step scales, with an entry
-    that overflows: the one wording of that refusal for every sampler and
-    fitter."""
-    if not np.isfinite(value).all():
+# RngStream.uniform_open's uniforms lie in [2**-54, 1 - 2**-54], so no draw at
+# unit scale exceeds 54 ln 2 = 37.43 in magnitude (an exponential's -ln u; a
+# Laplace's reaches 53 ln 2); 38 leaves room for the rounding of their sums.
+_UNIT_DRAW_BOUND = 38.0
+
+
+def _check_scale_finite(epsilon: float, largest: float) -> None:
+    """Refuse, before any draw, noise whose draws can overflow: ``largest``
+    is the largest scale times the number of draws summed into one entry.
+    The one wording of that refusal for every sampler and fitter."""
+    if not largest * _UNIT_DRAW_BOUND < math.inf:
         raise ValueError(f"epsilon={epsilon} overflows the noise scale")
 
 
@@ -154,7 +160,7 @@ def _noise_scale(cfg: _MechanismConfig, rng, scale, needs_ridge: bool = True):
     ``rng`` may be None.  A finite epsilon needs a stream and, if
     ``needs_ridge``, lam > 0 (a ridge's strong convexity bounds the
     one-record change); ``scale()``, a scale or an array of per-step scales,
-    is then refused if an entry overflows or rounds to 0."""
+    is then refused if its draws can overflow or an entry rounds to 0."""
     if math.isinf(cfg.epsilon):
         return 0.0
     if needs_ridge and cfg.lam == 0:
@@ -164,7 +170,7 @@ def _noise_scale(cfg: _MechanismConfig, rng, scale, needs_ridge: bool = True):
     # an overflow in the expression is the refusal below, not a warning
     with np.errstate(over="ignore"):
         value = scale()
-    _check_scale_finite(cfg.epsilon, value)
+    _check_scale_finite(cfg.epsilon, float(np.max(value)))
     if not np.all(value):
         raise ValueError(f"epsilon={cfg.epsilon} underflows the noise scale to 0")
     return value

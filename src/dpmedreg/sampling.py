@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .model import _as_integer, _check_count, _check_epsilon, _check_nonnegative
-from .model import _check_positive, _check_probability, _check_scale_finite, _row_sums
+from .model import _check_positive, _check_probability, _check_scale_finite, _UNIT_DRAW_BOUND, _row_sums
 
 __all__ = [
     "RngStream",
@@ -93,9 +93,11 @@ class RngStream:
 
     def laplaces(self, scale: float, k: int) -> np.ndarray:
         """k i.i.d. draws with density (1/2c) exp(-|x|/c), c = ``scale``
-        (positive and finite), one uniform each: the inverse CDF
-        x = -c sign(u - 1/2) ln(1 - 2|u - 1/2|)."""
+        (positive, and small enough that no draw overflows), one uniform
+        each: the inverse CDF x = -c sign(u - 1/2) ln(1 - 2|u - 1/2|)."""
         _check_positive("scale", scale)
+        if not float(scale) * _UNIT_DRAW_BOUND < math.inf:
+            raise ValueError(f"scale={scale} draws values that overflow the float range")
         return _laplace(self.uniform_open(k), scale)
 
     def uniforms(self, lo: float, hi: float, k: int) -> np.ndarray:
@@ -123,7 +125,7 @@ def _l1_scale(dim: int, epsilon: float) -> float:
     _check_count("dim", dim)
     _check_positive("epsilon", epsilon)
     scale = 4.0 / epsilon
-    _check_scale_finite(epsilon, scale)
+    _check_scale_finite(epsilon, dim * scale)  # the Gamma norm sums dim draws
     return scale
 
 

@@ -17,13 +17,13 @@ samples, directions are Levenberg-damped when that matrix is rank-deficient,
 and the step length is the exact minimizer along the search direction (the
 restriction is convex and piecewise quadratic, with band-crossing breakpoints).
 The line search builds every breakpoint but stable-sorts only a growing
-prefix of them.  On a search with many breakpoints below the Newton step,
-the first prefix ends just past an upper bound on the root that a few direct
-slope evaluations (regula falsi) give, so it holds little more than the
-breakpoints below the root.  It builds the slope and curvature increments
-and scans them one fixed-size block of that prefix at a time, and stops at
-the block that holds the root.  Its result is that of a stable sort of all
-breakpoints, bit for bit.
+prefix of them.  The first prefix ends at the first breakpoint past the
+Newton step or, on a search with many breakpoints below that step, past an
+upper bound on the root that a few direct slope evaluations (regula falsi)
+give, so it holds little more than the breakpoints below the root.  It
+builds the slope and curvature increments and scans them one fixed-size
+block of that prefix at a time, and stops at the block that holds the root.
+Its result is that of a stable sort of all breakpoints, bit for bit.
 """
 
 from __future__ import annotations
@@ -76,9 +76,6 @@ class ConvergenceError(RuntimeError):
         self.iters = iters
 
 
-# breakpoints sorted beyond the count at or below alpha = 1 in a first prefix
-# that is not set by a bracket of the root
-_PREFIX_MARGIN = 16
 # sorted breakpoints whose slope and curvature increments are built and
 # scanned at a time, and samples whose direct slopes are summed at a time
 _SCAN_BLOCK = 8192
@@ -172,14 +169,14 @@ def _kth_smallest(alphas, k):
 
 def _root_bracket(r, delta, gamma, n, q1, q2, A0):
     """An alpha in (0, 1] at or above the root of phi' (see
-    :func:`_exact_line_search`), or None when phi'(1) < 0.
+    :func:`_exact_line_search`), or the Newton step 1.0 when phi'(1) < 0.
 
     phi'(alpha) is evaluated directly, in O(n) and without a sort, from
     rho_gamma' of :func:`_huber_terms`; regula falsi from
     phi'(0) = A0 < 0 and phi'(1) >= 0 then narrows the bracket around the
     root for ``_BRACKET_STEPS`` evaluations, and its upper end is returned.
     These slopes agree with the line search's accumulated ones only up to
-    rounding, and a non-finite one gives up (None, or the upper end so far);
+    rounding, and a non-finite one gives up (1.0, or the upper end so far);
     nothing here raises under the fit's ``errstate``.
     """
 
@@ -197,7 +194,7 @@ def _root_bracket(r, delta, gamma, n, q1, q2, A0):
     with np.errstate(all="ignore"):
         lo, f_lo, hi, f_hi = 0.0, A0, 1.0, slope(1.0)
         if not (math.isfinite(f_hi) and f_hi >= 0.0):
-            return None
+            return hi
         # f_lo < 0 <= f_hi throughout, so the secant's denominator is positive
         for _ in range(_BRACKET_STEPS):
             alpha = lo - f_lo * (hi - lo) / (f_hi - f_lo)
@@ -224,19 +221,16 @@ def _exact_line_search(r, s, delta, gamma, n, q1, q2):
 
     The slope is accumulated over the breakpoints in stable sorted order,
     but only over a prefix of that order that grows until it holds the root.
-    When at least ``_BRACKET_SHARE`` n breakpoints lie at or below the Newton
-    step alpha = 1, :func:`_root_bracket` bounds the root from above by
-    direct slope evaluations, and the first prefix ends at the first
-    breakpoint past that bound, so it holds the root's segment.  Otherwise,
-    or when phi'(1) < 0, the first prefix ends at the k-th smallest
-    breakpoint, k the count at or below alpha = 1 plus ``_PREFIX_MARGIN``.
-    Each further prefix ends at the (8m)-th smallest, m the count sorted so
-    far.  Each prefix is scanned in blocks of ``_SCAN_BLOCK``: the slope and
-    curvature increments are built for one block's samples at a time, and
-    the scan stops at the block that holds the root.  The running sums carry
-    from block to block and prefix to prefix, so the bracket, the count and
-    the block size decide only how much is sorted and built; the sums, and
-    so the returned alpha, are those of the full sort.
+    The first prefix ends at the first breakpoint past a bound:
+    :func:`_root_bracket`'s upper end when at least ``_BRACKET_SHARE`` n
+    breakpoints lie at or below the Newton step alpha = 1, and alpha = 1
+    otherwise.  Each further prefix ends at the (8m)-th smallest breakpoint,
+    m the count sorted so far.  Each prefix is scanned in blocks of
+    ``_SCAN_BLOCK``: the slope and curvature increments are built for one
+    block's samples at a time, and the scan stops at the block that holds
+    the root.  The running sums carry from block to block and prefix to
+    prefix, so the bound and the block size decide only how much is sorted
+    and built: the sums, and the returned alpha, are the full sort's.
     """
     inband = s == 0.0
     A0 = float(np.where(inband, r * delta / gamma, s * delta).sum()) / n + q1
@@ -259,18 +253,14 @@ def _exact_line_search(r, s, delta, gamma, n, q1, q2):
     n_ent = ent.size
     del ent, ex
 
-    k = int(np.count_nonzero(alphas <= 1.0))
-    bound = _root_bracket(r, delta, gamma, n, q1, q2, A0) if k >= _BRACKET_SHARE * n else None
-    if bound is None:
-        cut = _kth_smallest(alphas, k + _PREFIX_MARGIN)
-    else:
-        # the first breakpoint past the bound ends the root's segment
-        cut = float(np.min(alphas, where=alphas > bound, initial=math.inf))
+    many = np.count_nonzero(alphas <= 1.0) >= _BRACKET_SHARE * n
+    bound = _root_bracket(r, delta, gamma, n, q1, q2, A0) if many else 1.0
+    cut = float(np.where(alphas > bound, alphas, math.inf).min(initial=math.inf))
 
     # slope line (start, curve) on the segment that begins at breakpoint prev
     start, curve, prev = A0, B0, 0.0
-    # running sums of the increments so far, None before the first block
-    sum_A = sum_B = None
+    # running sums of the increments so far
+    sum_A = sum_B = 0.0
     done = -math.inf
     n_sorted = 0
     while done < math.inf:
@@ -289,9 +279,8 @@ def _exact_line_search(r, s, delta, gamma, n, q1, q2):
             rb, db = r[i], delta[i]
             inc_A = (rb * db / gamma * side + np.sign(db) * db) / n
             inc_B = (db * db / gamma) / n * side
-            if sum_A is not None:
-                inc_A[0] += sum_A
-                inc_B[0] += sum_B
+            inc_A[0] += sum_A
+            inc_B[0] += sum_B
             run_A, run_B = np.cumsum(inc_A), np.cumsum(inc_B)
             sum_A, sum_B = run_A[-1], run_B[-1]
             A_seg, B_seg = A0 + run_A, B0 + run_B
@@ -313,18 +302,19 @@ def _exact_line_search(r, s, delta, gamma, n, q1, q2):
     return max(float(-start / curve), prev)
 
 
-def _minimize_smoothed(data: Dataset, lam, gamma, tilt, tol, max_iters):
-    """Minimize the tilted smoothed objective; returns (omega, iters, grad_norm)."""
+def _minimize_smoothed(data: Dataset, lam, gamma, tilt):
+    """Minimize the tilted smoothed objective to ``_TOL`` in at most
+    ``_MAX_ITERS`` Newton steps; returns (omega, iters, grad_norm)."""
     n, d = data.n, data.d
     Xt = design_matrix(data.X)
     ridge = _ridge(n, d, lam)
     omega = np.zeros(d + 1)
-    for it in range(max_iters + 1):
+    for it in range(_MAX_ITERS + 1):
         r, s, w, grad = _smoothed_terms(Xt, data.Y, omega, gamma, ridge, tilt)
         gnorm = float(np.abs(grad).max())
-        if gnorm <= tol:
+        if gnorm <= _TOL:
             return omega, it, gnorm
-        if it == max_iters:
+        if it == _MAX_ITERS:
             break
 
         H = (Xt.T * w) @ Xt / (n * gamma)
@@ -368,10 +358,10 @@ def _minimize_smoothed(data: Dataset, lam, gamma, tilt, tol, max_iters):
             )
         omega = omega + alpha * p
     raise ConvergenceError(
-        f"no convergence in {max_iters} iterations (grad norm {gnorm:.3e})",
+        f"no convergence in {_MAX_ITERS} iterations (grad norm {gnorm:.3e})",
         Theta.from_vector(omega),
         gnorm,
-        max_iters,
+        _MAX_ITERS,
     )
 
 
@@ -392,7 +382,7 @@ def fit_smoothed_private(data: Dataset, cfg: SmoothingConfig, rng: RngStream | N
     b = sample_l1_perturbation(data.d + 1, cfg.epsilon, rng) if scale else np.zeros(data.d + 1)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            omega, iters, _ = _minimize_smoothed(data, cfg.lam, cfg.gamma, b / data.n, _TOL, _MAX_ITERS)
+            omega, iters, _ = _minimize_smoothed(data, cfg.lam, cfg.gamma, b / data.n)
     except FloatingPointError as exc:
         raise ValueError(f"epsilon={cfg.epsilon} overflows the smoothed fit ({exc})") from None
     return Release(theta=Theta.from_vector(omega), noise=b, noise_scale=scale, solver_iters=iters)

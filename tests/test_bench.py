@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import fields
 
@@ -78,18 +79,29 @@ def test_default_config_releases_at_protocol_epsilon(algo):
     assert _bits(default) != _bits(fit(data, config(epsilon=math.inf), RngStream(22)).theta)
 
 
-@pytest.mark.parametrize("algo", FITTERS)
-def test_an_overflowing_noise_scale_is_refused_before_any_draw(algo):
-    # epsilon = 1e-320 is positive but 1/epsilon is not finite; all three
-    # fitters refuse it in the same words, without a draw, a fit or a
-    # floating-point warning
+# epsilon = 1e-320 is positive but 1/epsilon is not finite.  The "-draw"
+# cases give finite noise scales whose largest draws are not: the tilt's
+# Gamma norm sums four draws at 4/epsilon = 8e307, alg2 draws at 1e308 (d =
+# 3, n = 200, B = 2) and alg3's first row at 1.7e308 (n0 = 5); each used to
+# fail inside its fit, after the draw
+OVERFLOWING_EPSILONS = [pytest.param(algo, 1e-320, id=algo) for algo in FITTERS] + [
+    pytest.param("alg1", 5e-308, id="alg1-draw"),
+    pytest.param("alg2", irls.irls_sensitivity(3, 200, 2.0, 0.002, 0.2) / 1e308, id="alg2-draw"),
+    pytest.param("alg3", 2.3529411764706e-310, id="alg3-draw"),
+]
+
+
+@pytest.mark.parametrize("algo, epsilon", OVERFLOWING_EPSILONS)
+def test_an_overflowing_noise_scale_is_refused_before_any_draw(algo, epsilon):
+    # all three fitters refuse it in the same words, without a draw, a fit or
+    # a floating-point warning
     config, fit = FITTERS[algo]
     data, _, _ = benchmark_instance(200, RngStream(23))
     stream = RngStream(24)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="^epsilon=1e-320 overflows the noise scale$"):
-            fit(data, config(epsilon=1e-320), stream)
+        with pytest.raises(ValueError, match=f"^epsilon={re.escape(repr(epsilon))} overflows the noise scale$"):
+            fit(data, config(epsilon=epsilon), stream)
     assert stream.uniform_open(1)[0] == RngStream(24).uniform_open(1)[0]
 
 

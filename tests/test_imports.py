@@ -261,6 +261,84 @@ def test_upper_layers_import_only_public_names():
     assert {name: found[name] for name in ("verification", "bench", "cli") if found[name]} == {}
 
 
+def private_definitions(source: str) -> list[str]:
+    """Underscore-prefixed names the module binds at its top level, in order:
+    functions, classes and assigned constants, also inside a top-level
+    ``if``, ``try`` or ``with``; dunders such as ``__all__`` are not private."""
+    found, pending = [], list(ast.parse(source).body)
+    while pending:
+        node = pending.pop(0)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+        else:
+            # an if, try, except or with: the statements inside are top-level too
+            pending[:0] = [c for c in ast.iter_child_nodes(node) if isinstance(c, (ast.stmt, ast.excepthandler))]
+            continue
+        dunders = [name for name in names if name.startswith("__") and name.endswith("__")]
+        found += [name for name in names if name.startswith("_") and name not in dunders]
+    return found
+
+
+def read_names(source: str) -> set[str]:
+    """Names the module reads: loaded names, names it imports and attribute
+    names it reads (``model._TOL`` gives ``_TOL``)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(alias.name.split(".")[-1] for alias in node.names)
+    return found
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The private top-level names of ``sources`` (module name to source)
+    that no module among them reads, as ``module.name``."""
+    read = set().union(*map(read_names, sources.values()))
+    return [
+        f"{module}.{name}"
+        for module, source in sources.items()
+        for name in private_definitions(source)
+        if name not in read
+    ]
+
+
+def test_private_name_finder_sees_every_spelling():
+    sources = {
+        "a": (
+            "import numpy as np\n"
+            "__all__ = ['f']\n"
+            "_LOADED = 1\n"
+            "_IMPORTED: int = 2\n"
+            "_ATTR = _UNREAD = 3\n"
+            "if np:\n    def _in_if():\n        pass\n"
+            "try:\n    class _InTry:\n        pass\n"
+            "except ImportError:\n    _in_handler = None\n"
+            "def _stored():\n    _local = 4\n"
+            "def f():\n    return _LOADED\n"
+        ),
+        "b": "from .a import _IMPORTED\nimport a\n_stored = a._ATTR\n",
+    }
+    assert private_definitions(sources["a"]) == [
+        "_LOADED", "_IMPORTED", "_ATTR", "_UNREAD", "_in_if", "_InTry", "_in_handler", "_stored"
+    ]
+    unread = ["a._UNREAD", "a._in_if", "a._InTry", "a._in_handler", "a._stored", "b._stored"]
+    assert unread_private_names(sources) == unread
+
+
+def test_every_private_module_name_is_read():
+    # a private helper or constant that no module reads is dead code, and
+    # the tests' uses of it do not count
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert sum(len(private_definitions(source)) for source in sources.values()) > 60
+    assert unread_private_names(sources) == []
+
+
 def fresh_interpreter_prints(probe: str) -> str:
     """What ``probe`` prints in a new interpreter that imports dpmedreg from
     this source tree."""

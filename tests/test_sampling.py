@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -140,6 +142,29 @@ def test_uniform_open_strictly_interior():
 def test_laplaces_validation(scale, k, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         RngStream(0).laplaces(scale, k)
+
+
+# Draws whose scale is finite but whose largest value is not: each used to
+# return infinite entries with an overflow warning.  At 4/epsilon = 2e306 one
+# exponential is finite whatever its uniform, the Gamma norm's sum of four
+# need not be.
+@pytest.mark.parametrize(
+    "draw, message",
+    [
+        (lambda rng: rng.laplaces(1e308, 20), "scale=1e+308 draws values that overflow the float range"),
+        (lambda rng: sample_l1_perturbation(4, 5e-308, rng), "epsilon=5e-308 overflows the noise scale"),
+        (lambda rng: sample_l1_perturbations(4, 2e-306, rng, 3), "epsilon=2e-306 overflows the noise scale"),
+    ],
+    ids=["laplaces", "l1", "l1-gamma-sum"],
+)
+def test_a_draw_that_can_overflow_is_refused_before_any_draw(draw, message):
+    stream = RngStream(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            draw(stream)
+        assert np.isfinite(sample_l1_perturbation(1, 2e-306, RngStream(1))).all()
+    assert stream.uniform_open(1)[0] == RngStream(0).uniform_open(1)[0]
 
 
 def test_laplace_median_of_absolute_values():

@@ -134,9 +134,7 @@ def test_private_fit_gradient_and_shift_bound():
         base = smoothed_baseline(data, cfg)
         release = fit_smoothed_private(data, cfg, root.derive(rep, 1))
         # the solver's own gradient norm at the released point
-        omega, iters, grad_norm = smoothing._minimize_smoothed(
-            data, cfg.lam, cfg.gamma, release.noise / data.n, smoothing._TOL, smoothing._MAX_ITERS
-        )
+        omega, iters, grad_norm = smoothing._minimize_smoothed(data, cfg.lam, cfg.gamma, release.noise / data.n)
         assert omega.tobytes() == release.theta.as_vector().tobytes()
         assert release.solver_iters == iters and release.noise_scale == 4.0 / cfg.epsilon
         assert grad_norm <= smoothing._TOL
@@ -352,9 +350,10 @@ def _assert_same_as_full_sort(args):
     return got
 
 
-def _bracketed_search(args):
-    """(bound, prefixes) of the solver's line search of ``args`` put through
-    the root bracket: the bound :func:`smoothing._root_bracket` gave, and
+def _spied_search(args, share=0.0):
+    """(bounds, prefixes) of the solver's line search of ``args`` at the
+    root bracket share ``share`` (0 puts it through the bracket): the bounds
+    :func:`smoothing._root_bracket` gave, none where the share skips it, and
     the number of prefixes sorted."""
     bounds, prefixes = [], []
     bracket, sorted_rows = smoothing._root_bracket, smoothing._sorted_rows
@@ -367,11 +366,18 @@ def _bracketed_search(args):
         prefixes.append(a[1:])
         return sorted_rows(*a)
 
-    with mock.patch.object(smoothing, "_BRACKET_SHARE", 0.0), mock.patch.object(smoothing, "_root_bracket", bracket_spy):
-        with mock.patch.object(smoothing, "_sorted_rows", sorted_rows_spy):
-            smoothing._exact_line_search(*args)
-    (bound,) = bounds
-    return bound, len(prefixes)
+    with mock.patch.object(smoothing, "_BRACKET_SHARE", share), np.errstate(over="ignore", invalid="ignore"):
+        with mock.patch.object(smoothing, "_root_bracket", bracket_spy):
+            with mock.patch.object(smoothing, "_sorted_rows", sorted_rows_spy):
+                smoothing._exact_line_search(*args)
+    return bounds, len(prefixes)
+
+
+def _prefixes(args):
+    """The number of prefixes the solver's line search of ``args`` sorts, the
+    same with and without its root bracket."""
+    (count,) = {_spied_search(args, share)[1] for share in BRACKET_SHARES}
+    return count
 
 
 def _line_search_args(r, delta, q1, q2, gamma=1.0):
@@ -408,11 +414,13 @@ def test_line_search_matches_full_sort_on_named_cases():
 def test_line_search_grows_its_prefix_when_the_hint_undercounts():
     # 200 samples enter the band at alphas t = 2, 2.25, ... and exit it at
     # t + 2, none at or below 1, and the root lies past more breakpoints than
-    # the first two prefixes hold
+    # the first three prefixes hold (1, 8 and 64 rows), so a fourth is sorted
     t = 2.0 + 0.25 * np.arange(200)
-    alpha = _assert_same_as_full_sort(_line_search_args(-1.0 - t, np.ones(200), 0.0, 0.0))
+    args = _line_search_args(-1.0 - t, np.ones(200), 0.0, 0.0)
+    alpha = _assert_same_as_full_sort(args)
     assert np.count_nonzero(t <= 1.0) == 0
-    assert np.count_nonzero(t < alpha) + np.count_nonzero(t + 2.0 < alpha) > 8 * smoothing._PREFIX_MARGIN
+    assert np.count_nonzero(t < alpha) + np.count_nonzero(t + 2.0 < alpha) > 1 + 8 + 64
+    assert _prefixes(args) == 4
 
 
 # Searches put through the root bracket, each returning the full sort's float:
@@ -423,8 +431,8 @@ def test_line_search_grows_its_prefix_when_the_hint_undercounts():
 #   root's segment;
 # - past the last breakpoint: all three samples exit the band below the root
 #   2/3, and phi'(1) > 0, so the bound lies past them all;
-# - past one: phi'(1) < 0 (the root is 8.5), so the bracket gives no bound
-#   and the count at or below alpha = 1 sets the first prefix.
+# - past one: phi'(1) < 0 (the root is 8.5), so the bound is the Newton
+#   step 1 and the root lies past the first prefix, which grows once.
 BRACKET_SEARCHES = {
     "root_at_a_breakpoint": (([0, 0, -2.6, -4], [2, 2, 2, 1], -0.75, 1.0), 0.5),
     "root_inside_a_segment": (([0, 0, -2.6, -4], [2, 2, 2, 1], -0.85, 1.0), 0.6),
@@ -438,9 +446,9 @@ def test_line_search_brackets_the_root_on_named_cases(name):
     case, root = BRACKET_SEARCHES[name]
     args = _line_search_args(*case)
     assert _assert_same_as_full_sort(args) == pytest.approx(root, rel=1e-14)
-    bound, prefixes = _bracketed_search(args)
+    (bound,), prefixes = _spied_search(args)
     if name == "root_past_one":
-        assert bound is None
+        assert bound == 1.0 and prefixes == _prefixes(args) == 2
     else:
         # one prefix: the first one holds the root's segment
         assert root <= bound <= 1.0 and prefixes == 1
@@ -454,7 +462,7 @@ def test_line_search_bracket_raises_nothing_under_the_fit_errstate():
     delta = 1.3e154 * np.array([1.0, 1.0, -1.0, -1.0, 1.0, 0.5])
     args = _line_search_args(r, delta, -1e153, 0.0)
     want = _assert_same_as_full_sort(args)
-    assert _bracketed_search(args)[0] is not None
+    assert _spied_search(args)[0][0] < 1.0
     with np.errstate(over="raise", invalid="raise"), mock.patch.object(smoothing, "_BRACKET_SHARE", 0.0):
         assert smoothing._exact_line_search(*args).hex() == want.hex()
 
@@ -477,14 +485,10 @@ def line_search_inputs(draw):
     return _line_search_args(r, delta, q1, q2, gamma)
 
 
-# the first prefix's margin changes only how much is sorted: at margin 1
-# almost every search grows its prefix, and the result is the same
-@pytest.mark.parametrize("margin", [smoothing._PREFIX_MARGIN, 1])
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(args=line_search_inputs())
-def test_line_search_matches_full_sort(margin, args):
-    with mock.patch.object(smoothing, "_PREFIX_MARGIN", margin):
-        _assert_same_as_full_sort(args)
+def test_line_search_matches_full_sort(args):
+    _assert_same_as_full_sort(args)
 
 
 # the scan's block size changes only how many increments are built at a
@@ -494,7 +498,7 @@ def test_line_search_matches_full_sort(margin, args):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(args=line_search_inputs())
 def test_line_search_matches_full_sort_in_small_blocks(block, args):
-    with mock.patch.object(smoothing, "_PREFIX_MARGIN", 1), mock.patch.object(smoothing, "_SCAN_BLOCK", block):
+    with mock.patch.object(smoothing, "_SCAN_BLOCK", block):
         _assert_same_as_full_sort(args)
 
 
@@ -505,9 +509,10 @@ def _ties_reversed(alphas, lo, hi):
     return rows, alphas[rows]
 
 
-# At margin 1 the first prefix ends inside a run of tied breakpoints, and
-# blocks of 1 and 2 split the runs.  The order within the runs changes the
-# result, so only the stable order passes.
+# The first prefix ends at a run of tied breakpoints, the first past alpha =
+# 1, and the root lies past it, so a second prefix is sorted; blocks of 1
+# and 2 split the runs.  The order within the runs changes the result, so
+# only the stable order passes.
 TIED_SEARCHES = {
     # four samples on the band edges exit at -0.0, -0.0, 0.0 and 0.0, and two
     # enter together at alpha = 2, the fifth smallest breakpoint
@@ -528,7 +533,8 @@ TIED_SEARCHES = {
 @pytest.mark.parametrize("name", list(TIED_SEARCHES))
 def test_line_search_keeps_the_stable_order_of_tied_breakpoints(name, block):
     args = _line_search_args(*TIED_SEARCHES[name])
-    with mock.patch.object(smoothing, "_PREFIX_MARGIN", 1), mock.patch.object(smoothing, "_SCAN_BLOCK", block):
+    assert _prefixes(args) == 2
+    with mock.patch.object(smoothing, "_SCAN_BLOCK", block):
         got = _assert_same_as_full_sort(args)
         for share in BRACKET_SHARES:
             with mock.patch.object(smoothing, "_sorted_rows", _ties_reversed):
@@ -610,9 +616,12 @@ def test_fixed_seed_fits_keep_their_bits(make_data, cfg, seed, pinned):
 @pytest.mark.parametrize("make_data, cfg, seed, pinned", ALG1_PINS[:2], ids=["n5000", "n200000"])
 def test_line_search_sorts_little_more_than_the_breakpoints_below_its_roots(make_data, cfg, seed, pinned):
     # over a fit's line searches, the rows stable-sorted against the
-    # breakpoints at or below each search's returned alpha: 1.05 and 1.00
-    # with the first prefix ending past the root's bracket, 2.00 and 2.07
-    # when it held every breakpoint at or below alpha = 1 (plus 16)
+    # breakpoints at or below each search's returned alpha: 1.03 and 1.00
+    # (2982 / 2887 and 118459 / 118241) with every first prefix ending at
+    # the first breakpoint past the root's bracket or the Newton step; 1.05
+    # and 1.00 when a prefix the bracket did not set ended 16 breakpoints
+    # past those at or below alpha = 1; 2.00 and 2.07 when every first
+    # prefix did
     sorted_rows, exact_line_search = smoothing._sorted_rows, smoothing._exact_line_search
     count = {"sorted": 0, "below": 0}
     seen = {}
