@@ -97,10 +97,16 @@ def _emit(text: str, path: str | None, stream) -> None:
         stream.write(text)
 
 
-def _write_manifest(out: str | None, entries: dict) -> None:
-    """Sorted key=value lines to ``<out>.manifest``, or to stderr without ``out``."""
+def _write_manifest(args, seed: int, wall: float, fields: dict, dataset: tuple | None = None) -> None:
+    """Sorted key=value lines to ``<args.out>.manifest``, or to stderr without
+    ``args.out``: the command's own ``fields``, the fields every manifest
+    shares, and for ``dataset`` = (n, path) that table's fingerprint."""
+    entries = dict(fields, command=args.command, seed=seed, wall_time=wall, artifact_version=__version__)
+    if dataset is not None:
+        n, path = dataset
+        entries["dataset_fingerprint"] = f"n={n};sha256={_fingerprint(path)}"
     text = "".join(f"{key}={entries[key]}\n" for key in sorted(entries))
-    _emit(text, out + ".manifest" if out else None, sys.stderr)
+    _emit(text, args.out + ".manifest" if args.out else None, sys.stderr)
 
 
 def _cmd_generate(parser, args, seed: int) -> int:
@@ -117,20 +123,15 @@ def _cmd_generate(parser, args, seed: int) -> int:
     write_csv(args.out, X, Y)
     wall = time.perf_counter() - start
     manifest = {
-        "command": "generate",
         "n": spec.n,
         "d": spec.d,
         "mu": spec.mu,
         "beta": ",".join(repr(float(b)) for b in spec.beta),
         "noise_scale": spec.noise_scale,
         "box": f"{spec.box[0]},{spec.box[1]}",
-        "seed": seed,
         "out": args.out,
-        "dataset_fingerprint": f"n={spec.n};sha256={_fingerprint(args.out)}",
-        "wall_time": wall,
-        "artifact_version": __version__,
     }
-    _write_manifest(args.out, manifest)
+    _write_manifest(args, seed, wall, manifest, (spec.n, args.out))
     return 0
 
 
@@ -176,19 +177,14 @@ def _cmd_fit(parser, args, seed: int) -> int:
     _emit(text, args.out, sys.stdout)
     wall = time.perf_counter() - start
     manifest = {
-        "command": "fit",
         "algo": args.algo,
         "data": args.data,
         "target_b": args.target_b,
-        "seed": seed,
-        "dataset_fingerprint": f"n={data.n};sha256={_fingerprint(args.data)}",
         "x_scale": record.x_scale,
         "y_scale": record.y_scale,
-        "wall_time": wall,
-        "artifact_version": __version__,
     }
-    manifest.update({f"param_{k}": v for k, v in sorted(params.items())})
-    _write_manifest(args.out, manifest)
+    manifest.update({f"param_{k}": v for k, v in params.items()})
+    _write_manifest(args, seed, wall, manifest, (data.n, args.data))
     return 0
 
 
@@ -212,19 +208,15 @@ def _cmd_bench(parser, args, seed: int) -> int:
     text = rows_to_csv(cells) if args.format == "csv" else tables_to_markdown(cells)
     _emit(text, args.out, sys.stdout)
     manifest = {
-        "command": "bench",
         "replicates": args.replicates,
         "n_list": args.n_list,
         "algo_list": args.algo_list,
         "format": args.format,
-        "seed": seed,
-        "wall_time": wall,
-        "artifact_version": __version__,
     }
     for algo, params in resolved.items():
         for key, value in params.items():
             manifest[f"param_{algo}_{key}"] = value
-    _write_manifest(args.out, manifest)
+    _write_manifest(args, seed, wall, manifest)
     return 0
 
 

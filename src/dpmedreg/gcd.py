@@ -142,12 +142,11 @@ def _descend(data: Dataset, cfg: GcdConfig, rng: RngStream) -> tuple[Release, np
     # the same IEEE operation as the out-of-place form on numpy scalars and
     # arrays, so every iterate keeps its bits
     X, Y = data.X, data.Y
-    for t, (idx, noise) in enumerate(zip(batches, noises.tolist())):
+    for t, (idx, noise, eta) in enumerate(zip(batches, noises.tolist(), etas.tolist())):
         # one batch's rows at a time, so the copies stay batch-sized
         Xb = X.take(idx, axis=0)
         Yb = Y.take(idx)
         cols = Xb.T.copy()
-        eta = cfg.ell / (t + 1)
         # r = mu + Xb beta - Yb
         r = Xb @ beta
         r += mu

@@ -216,8 +216,9 @@ def _exact_line_search(r, s, delta, gamma, n, q1, q2):
     phi(alpha) = mean_i rho_gamma(r_i + alpha delta_i) + q1 alpha + (q2/2) alpha^2.
     phi' is continuous, piecewise linear and nondecreasing; its breakpoints are
     the alphas where a sample crosses the +/-gamma band.  ``s`` holds the band
-    signs of ``r``.  Requires phi'(0) < 0.  Raises if the slope never becomes
-    nonnegative (descent ray is unbounded).
+    signs of ``r``, and ``delta`` is finite (an overflow in the direction
+    raises under the fit's ``errstate`` first).  Requires phi'(0) < 0.
+    Raises if the slope never becomes nonnegative (descent ray is unbounded).
 
     The slope is accumulated over the breakpoints in stable sorted order,
     but only over a prefix of that order that grows until it holds the root.
@@ -233,21 +234,21 @@ def _exact_line_search(r, s, delta, gamma, n, q1, q2):
     and built: the sums, and the returned alpha, are the full sort's.
     """
     inband = s == 0.0
-    A0 = float(np.where(inband, r * delta / gamma, s * delta).sum()) / n + q1
+    # toward < 0: outside the band and moving toward it
+    toward = s * delta
+    A0 = float(np.where(inband, r * delta / gamma, toward).sum()) / n + q1
     B0 = float(np.where(inband, delta * delta / gamma, 0.0).sum()) / n + q2
     if A0 >= 0.0:
         return 0.0
 
-    d_pos = delta > 0
-    d_neg = delta < 0
-    below = s < 0.0
-    above = s > 0.0
     # Each residual trajectory r_i + alpha delta_i is monotone, so it enters
-    # the band at most once and exits at most once, each at an alpha >= 0
-    # (-0.0 for one that leaves from the lower edge).  Row j of the
-    # breakpoints is sample src[j]; the first n_ent rows enter, the rest exit.
-    ent = np.flatnonzero((d_pos & below) | (d_neg & above))
-    ex = np.flatnonzero((d_pos & ~above) | (d_neg & ~below))
+    # the band at most once (outside, moving toward it) and exits at most
+    # once (moving, and not away from it), each at an alpha >= 0 (-0.0 for
+    # one that leaves from the lower edge).  Row j of the breakpoints is
+    # sample src[j]; the first n_ent rows enter, the rest exit.
+    ent = np.flatnonzero(toward < 0.0)
+    ex = np.flatnonzero((toward <= 0.0) & (delta != 0.0))
+    del inband, toward
     alphas = np.concatenate([_crossing_alphas(ent, r, delta, -gamma), _crossing_alphas(ex, r, delta, gamma)])
     src = np.concatenate([ent, ex])
     n_ent = ent.size
@@ -273,11 +274,12 @@ def _exact_line_search(r, s, delta, gamma, n, q1, q2):
             # entering (side +1) replaces the outside slope -sign(delta) by the
             # in-band line, exiting (side -1) the reverse; the sign flip and
             # the order of the one addition are exact, so the bits are those
-            # of r delta/gamma + sign(delta) delta and its exiting counterpart
+            # of r delta/gamma + sign(delta) delta (|delta|: every crossing
+            # has a finite delta != 0) and its exiting counterpart
             side = np.where(at < n_ent, 1.0, -1.0)
             i = src[at]
             rb, db = r[i], delta[i]
-            inc_A = (rb * db / gamma * side + np.sign(db) * db) / n
+            inc_A = (rb * db / gamma * side + np.abs(db)) / n
             inc_B = (db * db / gamma) / n * side
             inc_A[0] += sum_A
             inc_B[0] += sum_B

@@ -557,18 +557,37 @@ def test_sorted_rows_is_the_stable_order():
 
 
 def test_fit_memory_stays_within_budget():
-    # the n = 2e5 pin's fit, traced above its input: 20.0 MB with the first
-    # prefix ending just past the root's bracket and the increments built per
-    # block of it (the first line search sets the peak; the pseudo-Hessian's
-    # assembly comes next at 19.3 MB), 22.8 MB when the first prefix held
-    # every breakpoint at or below alpha = 1, 45.8 MB when the increments
-    # were built for every crossing sample
+    # the n = 2e5 pin's fit, traced above its input: 19.3 MB, set by the
+    # pseudo-Hessian's assembly once each crossing is read off one sign
+    # product; 20.0 MB when four direction/band masks set the first line
+    # search's peak above it, 22.8 MB when the first prefix held every
+    # breakpoint at or below alpha = 1, 45.8 MB when the increments were
+    # built for every crossing sample
     make_data, cfg, seed, pinned = ALG1_PINS[1]
     data = make_data()
     release, peak = traced_peak(fit_smoothed_private, data, cfg, RngStream(seed))
     # the pin holds for the thread count it was recorded at (see ALG1_PINS)
     assert [float(v).hex() for v in release.theta.as_vector()] == pinned
     assert peak < 30e6
+
+
+def test_line_search_set_up_holds_one_sign_product():
+    # the n = 2e5 pin fit's second line search, traced above its arguments:
+    # 5.46 MB with each crossing read off the one product s delta, 6.46 MB
+    # with four direction/band masks and their combinations
+    make_data, cfg, seed, _ = ALG1_PINS[1]
+    exact_line_search = smoothing._exact_line_search
+    peaks = []
+
+    def traced_line_search(*args):
+        alpha, peak = traced_peak(exact_line_search, *args)
+        peaks.append(peak)
+        return alpha
+
+    with mock.patch.object(smoothing, "_exact_line_search", traced_line_search):
+        fit_smoothed_private(make_data(), cfg, RngStream(seed))
+    assert len(peaks) >= 2
+    assert peaks[1] < 6.0e6
 
 
 def _tied_table():
