@@ -89,6 +89,17 @@ def _fingerprint(path: str) -> str:
     return digest.hexdigest()
 
 
+def _same_file(path: str, other: str) -> bool:
+    """Whether the two paths name one file: the same real path, or, when both
+    exist, the same file by device and inode (a hard link)."""
+    if os.path.realpath(path) == os.path.realpath(other):
+        return True
+    try:
+        return os.path.samefile(path, other)
+    except OSError:
+        return False
+
+
 def _emit(text: str, path: str | None, stream) -> None:
     if path:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -153,6 +164,11 @@ def _fit_overrides(parser, args) -> dict:
 
 
 def _cmd_fit(parser, args, seed: int) -> int:
+    # the result or its manifest would overwrite the table, and the manifest
+    # would then fingerprint the result in place of the data
+    for target in (args.out, f"{args.out}.manifest") if args.out else ():
+        if _same_file(target, args.data):
+            parser.error(f"--out {args.out} would overwrite the --data file {args.data}")
     params = resolve_params(args.algo, _fit_overrides(parser, args))
     start = time.perf_counter()
     # the parsed table is released once normalized, before the fit runs

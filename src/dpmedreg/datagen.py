@@ -17,11 +17,23 @@ Blank lines are skipped; a malformed or non-finite row, or a line that is
 not UTF-8, is a ``ValueError`` naming ``path:line``.  Rows are parsed by
 numpy's parser, which also refuses tokens Python's ``float`` takes, such as
 digit-group underscores (``1_0``) and non-ASCII digits.
+
+Beside each CSV it writes to a regular file, :func:`write_csv` leaves a
+binary twin, ``<path>.dpmedreg-table``: a fixed header (format tag, the
+sha256 of the CSV bytes, the sha256 of the table bytes, the row and column
+counts) and then the (n, d + 1) table of little-endian doubles, y last,
+row by row.  :func:`read_csv` returns the twin's table when the CSV and the
+table still hash to the recorded digests, and parses the CSV otherwise, so
+both routes give the same arrays; the CSV stays the file of record, and is
+hashed only when a twin exists.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+import os
+import struct
 import warnings
 from dataclasses import dataclass
 
@@ -153,16 +165,51 @@ def unscale_theta(theta: Theta, rec: ScalingRecord) -> Theta:
     )
 
 
-# Rows formatted per write by :func:`write_csv`.
+# Rows per block as :func:`write_csv` formats the CSV and writes the twin.
 _CSV_BLOCK_ROWS = 8192
+# Bytes per read when a CSV is hashed.
+_READ_BLOCK = 1 << 20
+
+# The twin: this header, then the table's bytes.  The tag names the layout,
+# so a twin of another layout, or any other file at the twin's name, is
+# ignored.  Fields: tag, sha256 of the CSV, sha256 of the table bytes, rows,
+# columns.
+_TWIN_SUFFIX = ".dpmedreg-table"
+_TWIN_TAG = b"dpmedreg-table-1"
+_TWIN_HEADER = struct.Struct("<16s32s32sQQ")
+_TWIN_DTYPE = np.dtype("<f8")
 
 
 def _expected_header(d: int) -> list[str]:
     return [f"x{j}" for j in range(1, d + 1)] + ["y"]
 
 
+def _twin_path(path) -> str:
+    return os.fsdecode(path) + _TWIN_SUFFIX
+
+
+def _table_blocks(X: np.ndarray, Y: np.ndarray):
+    """The (n, d + 1) table, y last, a block of rows at a time: formatting or
+    writing one block at a time keeps only that block alive."""
+    for start in range(0, X.shape[0], _CSV_BLOCK_ROWS):
+        stop = start + _CSV_BLOCK_ROWS
+        yield np.column_stack([X[start:stop], Y[start:stop]])
+
+
+def _csv_bytes(X: np.ndarray, Y: np.ndarray):
+    """The CSV's bytes: the header line, then a block of rows at a time,
+    each encoded as it is formatted so that its text is gone by the write."""
+    width = X.shape[1] + 1
+    yield (",".join(_expected_header(width - 1)) + "\n").encode("utf-8")
+    for block in _table_blocks(X, Y):
+        # repr of a Python float is the shortest round-trip form
+        values = map(repr, block.ravel().tolist())
+        yield ("\n".join(map(",".join, zip(*[values] * width))) + "\n").encode("utf-8")
+
+
 def write_csv(path, X: np.ndarray, Y: np.ndarray) -> None:
-    """UTF-8, LF-terminated CSV with header x1,...,xd,y.
+    """UTF-8, LF-terminated CSV with header x1,...,xd,y, and when ``path`` is
+    a regular file its binary twin (see the module docstring).
 
     Floats are written with shortest round-trip formatting, so
     write-then-read reproduces the exact doubles.  Raises ``ValueError``
@@ -174,15 +221,29 @@ def write_csv(path, X: np.ndarray, Y: np.ndarray) -> None:
     _check_table_shape(X, Y)
     if not (np.isfinite(X).all() and np.isfinite(Y).all()):
         raise ValueError("non-finite value rejected")
-    width = X.shape[1] + 1
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(_expected_header(X.shape[1])) + "\n")
-        # Formatting a block at a time keeps the strings of only one block
-        # alive; repr of a Python float is the shortest round-trip form.
-        for start in range(0, X.shape[0], _CSV_BLOCK_ROWS):
-            stop = start + _CSV_BLOCK_ROWS
-            values = map(repr, np.column_stack([X[start:stop], Y[start:stop]]).ravel().tolist())
-            fh.write("\n".join(map(",".join, zip(*[values] * width))) + "\n")
+    csv_digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for data in _csv_bytes(X, Y):
+            csv_digest.update(data)
+            fh.write(data)
+    # a device or pipe gets no twin: there is no file to read back
+    if os.path.isfile(path):
+        _write_twin(path, X, Y, csv_digest.digest())
+
+
+def _write_twin(path, X: np.ndarray, Y: np.ndarray, csv_sha256: bytes) -> None:
+    """The twin of the CSV at ``path``.  Its header goes in last, so a write
+    cut short leaves a twin that :func:`read_csv` ignores."""
+    table_digest = hashlib.sha256()
+    with open(_twin_path(path), "wb") as fh:
+        fh.write(bytes(_TWIN_HEADER.size))
+        for block in _table_blocks(X, Y):
+            block = block.astype(_TWIN_DTYPE, copy=False)
+            table_digest.update(block)
+            fh.write(block)
+        fh.seek(0)
+        header = (_TWIN_TAG, csv_sha256, table_digest.digest(), X.shape[0], X.shape[1] + 1)
+        fh.write(_TWIN_HEADER.pack(*header))
 
 
 def _decode_line(path, lineno: int, raw: bytes) -> str:
@@ -219,12 +280,43 @@ def _first_bad_line(path, d: int, reason: str) -> ValueError:
     return ValueError(f"{path}: {reason}")
 
 
-def read_csv(path):
-    """Read a table written by :func:`write_csv`; d is inferred from the header.
+def _file_sha256(path) -> bytes:
+    """sha256 of the file's bytes, read one block at a time."""
+    digest = hashlib.sha256()
+    block = bytearray(_READ_BLOCK)
+    view = memoryview(block)
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(block):
+            digest.update(view[:size])
+    return digest.digest()
 
-    Blank lines are skipped.  A malformed or non-finite row, or a line that
-    is not UTF-8, raises ``ValueError`` naming ``path:line``.
-    """
+
+def _read_twin(path) -> np.ndarray | None:
+    """The (n, d + 1) table of ``path``'s twin, or None when there is no twin
+    or it does not hold this CSV's table: another tag or size, a CSV whose
+    bytes changed since the twin was written, or table bytes that changed."""
+    try:
+        fh = open(_twin_path(path), "rb")
+    except OSError:
+        return None
+    with fh:
+        header = fh.read(_TWIN_HEADER.size)
+        if len(header) != _TWIN_HEADER.size:
+            return None
+        tag, csv_sha256, table_sha256, n, width = _TWIN_HEADER.unpack(header)
+        size = _TWIN_HEADER.size + n * width * _TWIN_DTYPE.itemsize
+        if tag != _TWIN_TAG or n < 1 or width < 2 or os.fstat(fh.fileno()).st_size != size:
+            return None
+        if _file_sha256(path) != csv_sha256:
+            return None
+        table = np.empty((n, width), dtype=_TWIN_DTYPE)
+        if fh.readinto(table) != table.nbytes or hashlib.sha256(table).digest() != table_sha256:
+            return None
+    return table.astype(float, copy=False)
+
+
+def _parse_csv(path) -> np.ndarray:
+    """The (n, d + 1) table of the CSV at ``path``, parsed from its text."""
     # Only the header line is decoded here: a bad byte further down is left
     # to the parser and then named by line in _first_bad_line.
     with open(path, "rb") as fh:
@@ -252,4 +344,20 @@ def read_csv(path):
         raise ValueError(f"{path}: no data rows")
     if table.shape[1] != d + 1 or not np.isfinite(table).all():
         raise _first_bad_line(path, d, "malformed or non-finite row")
+    return table
+
+
+def read_csv(path):
+    """Read a table written by :func:`write_csv`; d is inferred from the header.
+
+    The table comes from the CSV's twin when that still matches the CSV
+    (see the module docstring), else from parsing the CSV, with the same
+    values, dtype, shape and strides.  Blank lines are skipped.  A
+    malformed or non-finite row, or a line that is not UTF-8, raises
+    ``ValueError`` naming ``path:line``.
+    """
+    table = _read_twin(path)
+    if table is None:
+        table = _parse_csv(path)
+    d = table.shape[1] - 1
     return table[:, :d], table[:, d]

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from dpmedreg import ProbeResult, verification
+from dpmedreg import ProbeResult, datagen, verification
 from dpmedreg.bench import ALGORITHM_TABLE
 from dpmedreg.cli import SEED_ENV, build_parser, main
 
@@ -418,8 +418,10 @@ def test_negative_seed_is_a_usage_error(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
-# sha256 of each fixed-seed CLI output, timing fields masked; the data file
-# is hashed as written
+# Files hashed as written: the CSV and its binary twin.
+DATA_FILES = ("data.csv", "data.csv.dpmedreg-table")
+# sha256 of each fixed-seed CLI output, timing fields masked; the data files
+# are hashed as written
 CLI_DIGESTS = {
     "alg1.csv": "090e6662d6f4732c31ba6617cdf1cf6d84568cafa3a1399192f2402e9c9b0ee8",
     "alg1.csv.manifest": "543dfc3c51751f507365fc6a9692a03ef336d1a1c98cc96034b92b631b165189",
@@ -435,6 +437,7 @@ CLI_DIGESTS = {
     "bench.csv.manifest": "2151ca1077fc2e94c78eb9ae485e9edd692dc2a1a8b106217d0b76ec7ec50d2e",
     "data.csv": "b3a636908d142ef319db8130de493928bbbc1c9ad7f6bc64943da6df0eccec3e",
     "data.csv.manifest": "2a7318574533b543b0df62bcc63797ea39149047cb138fa123c3dcfc6832dfd6",
+    "data.csv.dpmedreg-table": "6e9ff8099c331d47a14fc7232df469b79ba974bb4960f1f91ae38ae6346f7372",
     "probe alg2": "56b304200a739746d82c8bb68129afd5e11276fb55197b3a148ed80f39982145",
     "probe alg3": "5550dd10e127121dda240fb1a8454d1458353fff45b02dbcd468e8edfbe9b106",
     "probe samplers": "1d1cc77d122bdc283213c167fbd3de6af6c46a7c4c160750ab41fb562a1ae09a",
@@ -455,13 +458,15 @@ def test_fixed_seed_cli_outputs_keep_their_bytes(tmp_path, monkeypatch, capsys):
     assert main(["bench", *bench, "--format", "csv", "--out", "bench.csv"]) == 0
     outputs = {}
     for path in sorted(tmp_path.iterdir()):
-        text = path.read_text(encoding="utf-8")
-        outputs[path.name] = text if path.name == "data.csv" else mask_timing(text)
+        if path.name in DATA_FILES:
+            outputs[path.name] = path.read_bytes()
+        else:
+            outputs[path.name] = mask_timing(path.read_text(encoding="utf-8")).encode("utf-8")
     capsys.readouterr()
     for target in ("alg2", "alg3", "samplers", "bounds"):
         assert main(["probe", "--target", target, "--trials", "50", "--seed", "7"]) == 0
-        outputs[f"probe {target}"] = capsys.readouterr().out
-    digests = {name: hashlib.sha256(text.encode("utf-8")).hexdigest() for name, text in outputs.items()}
+        outputs[f"probe {target}"] = capsys.readouterr().out.encode("utf-8")
+    digests = {name: hashlib.sha256(raw).hexdigest() for name, raw in outputs.items()}
     assert digests == CLI_DIGESTS
 
 
@@ -478,12 +483,63 @@ def test_cli_digests_hold_with_one_blas_thread(tmp_path):
 
 
 def test_fit_releases_the_parsed_table_before_fitting(tmp_path, monkeypatch):
-    # alg1 on n = 2e4, d = 3: the parsed (n, 4) table is 0.64 MB, and the
-    # command's traced peak, set by the fit, is 3.9 MB without it and 4.5 MB
-    # with it still alive
+    # alg1 on n = 2e4, d = 3: the (n, 4) table, loaded from the twin and then,
+    # with the twin removed, parsed, is 0.64 MB, and the command's traced
+    # peak, set by the fit, is 3.9 MB without it and 4.5 MB with it still alive
     monkeypatch.chdir(tmp_path)
     assert main(["generate", "--n", "20000", "--seed", "5", "--out", "data.csv"]) == 0
     fit = ["fit", "--algo", "alg1", "--data", "data.csv", "--seed", "3", "--out", "alg1.csv"]
-    code, peak = traced_peak(main, fit)
-    assert code == 0
-    assert peak < 4.2e6
+    for twin in ("kept", "removed"):
+        if twin == "removed":
+            os.remove("data.csv.dpmedreg-table")
+        code, peak = traced_peak(main, fit)
+        assert code == 0
+        assert peak < 4.2e6, twin
+
+
+def test_fit_gives_the_same_bytes_with_and_without_the_twin(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "--n", "400", "--seed", "8", "--out", "data.csv"]) == 0
+    runs = {}
+    for twin in ("kept", "removed"):
+        with monkeypatch.context() as patch:
+            if twin == "kept":
+                # the twin must serve the fits: parsing the text fails the test
+                patch.setattr(datagen, "_parse_csv", lambda path: pytest.fail("parsed the CSV"))
+            else:
+                os.remove("data.csv.dpmedreg-table")
+            for algo, entry in ALGORITHM_TABLE.items():
+                seed = ["--seed", "3"] if entry.private else []
+                assert main(["fit", "--algo", algo, "--data", "data.csv", *seed, "--out", f"{algo}.csv"]) == 0
+                runs[twin, algo] = [
+                    mask_timing(Path(name).read_text(encoding="utf-8"))
+                    for name in (f"{algo}.csv", f"{algo}.csv.manifest")
+                ]
+    assert len(runs) == 10
+    for algo in ALGORITHM_TABLE:
+        assert runs["kept", algo] == runs["removed", algo], algo
+
+
+@pytest.mark.parametrize("spelling", ["same", "dot", "absolute", "symlink", "hard link", "manifest"])
+def test_fit_refuses_an_out_that_would_overwrite_its_data(tmp_path, monkeypatch, capsys, spelling):
+    # fit used to overwrite the table with its result and then fingerprint
+    # the result in place of the table
+    monkeypatch.chdir(tmp_path)
+    data = "d.manifest" if spelling == "manifest" else "d.csv"
+    assert main(["generate", "--n", "50", "--seed", "2", "--out", data]) == 0
+    out = {
+        "same": "d.csv", "dot": "./d.csv", "absolute": str(tmp_path / "d.csv"),
+        "symlink": "link.csv", "hard link": "hard.csv", "manifest": "d",
+    }[spelling]
+    if spelling == "symlink":
+        os.symlink("d.csv", "link.csv")
+    elif spelling == "hard link":
+        os.link("d.csv", "hard.csv")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert f"{data}.dpmedreg-table" in before
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        main(["fit", "--algo", "alg1", "--data", data, "--seed", "1", "--out", out])
+    assert info.value.code == 2
+    assert f"error: --out {out} would overwrite the --data file {data}" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before

@@ -1,5 +1,8 @@
 import math
+import os
+import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from dpmedreg import (
     RngStream,
     ScalingRecord,
     Theta,
+    datagen,
     default_generator_spec,
     generate,
     normalize,
@@ -16,10 +20,47 @@ from dpmedreg import (
     unscale_theta,
     write_csv,
 )
-from dpmedreg.datagen import _CSV_BLOCK_ROWS
+from dpmedreg.datagen import _CSV_BLOCK_ROWS, _READ_BLOCK, _TWIN_SUFFIX
 from dpmedreg.smoothing import SmoothingConfig
 
-from conftest import smoothed_baseline
+from conftest import smoothed_baseline, traced_peak
+
+
+def twin_of(path) -> Path:
+    return Path(f"{path}{_TWIN_SUFFIX}")
+
+
+def record_parses(patch) -> list:
+    """Patch read_csv's text parser to record each path it parses; returns
+    the record."""
+    parsed, parse = [], datagen._parse_csv
+    patch.setattr(datagen, "_parse_csv", lambda path: parsed.append(path) or parse(path))
+    return parsed
+
+
+def read_both_ways(path, monkeypatch):
+    """read_csv of a file write_csv wrote, first from its twin (the parser
+    must not run) and then, with the twin removed, from its text; both give
+    the same values, dtype, shape and strides, views of one C-order
+    (n, d + 1) float64 table, and are returned as (X, Y)."""
+    reads = []
+    for route in ("twin", "text"):
+        if route == "text":
+            twin_of(path).unlink()
+        with monkeypatch.context() as patch:
+            parsed = record_parses(patch)
+            X, Y = read_csv(path)
+        assert parsed == ([path] if route == "text" else [])
+        width = X.shape[1] + 1
+        assert X.dtype == Y.dtype == np.float64
+        assert X.strides == (8 * width, 8) and Y.strides == (8 * width,)
+        assert X.flags.writeable and Y.flags.writeable
+        reads.append((X, Y))
+    (X, Y), (X2, Y2) = reads
+    assert X.shape == X2.shape and Y.shape == Y2.shape
+    assert np.array_equal(X.view(np.int64), X2.view(np.int64))
+    assert np.array_equal(Y.view(np.int64), Y2.view(np.int64))
+    return X, Y
 
 
 def test_spec_validation():
@@ -158,12 +199,12 @@ def test_unscaled_fit_recovers_exact_linear():
     assert np.all(np.abs(est.beta - truth.beta) < 1e-6)
 
 
-def test_csv_round_trip_bit_identical(tmp_path, rng):
+def test_csv_round_trip_bit_identical(tmp_path, rng, monkeypatch):
     X = rng.uniforms(-1, 1, 30).reshape(10, 3)
     Y = rng.laplaces(2.0, 10)
     path = tmp_path / "t.csv"
     write_csv(path, X, Y)
-    X2, Y2 = read_csv(path)
+    X2, Y2 = read_both_ways(path, monkeypatch)
     assert np.array_equal(X, X2)
     assert np.array_equal(Y, Y2)
     raw1 = path.read_bytes()
@@ -218,10 +259,11 @@ def test_csv_rejects_non_finite(tmp_path):
         read_csv(path)
 
 
-def test_csv_infers_dimension(tmp_path):
+def test_csv_infers_dimension(tmp_path, monkeypatch):
     path = tmp_path / "t.csv"
-    path.write_text("x1,x2,x3,x4,y\n0.1,0.2,0.3,0.4,1.0\n", encoding="utf-8")
-    X, Y = read_csv(path)
+    write_csv(path, np.array([[0.1, 0.2, 0.3, 0.4]]), np.array([1.0]))
+    assert path.read_text(encoding="utf-8") == "x1,x2,x3,x4,y\n0.1,0.2,0.3,0.4,1.0\n"
+    X, Y = read_both_ways(path, monkeypatch)
     assert X.shape == (1, 4)
     assert Y.shape == (1,)
 
@@ -244,13 +286,13 @@ def test_csv_written_bytes_match_row_reference(tmp_path, n):
     assert path.read_bytes() == _reference_csv_bytes(X, Y)
 
 
-def test_csv_round_trip_edge_doubles(tmp_path):
+def test_csv_round_trip_edge_doubles(tmp_path, monkeypatch):
     edge = [5e-324, -0.0, 1e-05, 1e16, 1.7976931348623157e308, 1 / 3]
     X = np.array([edge, edge[::-1]])
     Y = np.array([-5e-324, -1.7976931348623157e308])
     path = tmp_path / "t.csv"
     write_csv(path, X, Y)
-    X2, Y2 = read_csv(path)
+    X2, Y2 = read_both_ways(path, monkeypatch)
     assert np.array_equal(X.view(np.int64), X2.view(np.int64))
     assert np.array_equal(Y.view(np.int64), Y2.view(np.int64))
 
@@ -294,10 +336,10 @@ def test_csv_header_only_raises_without_warning(tmp_path):
             read_csv(path)
 
 
-def test_csv_single_row_keeps_two_dimensions(tmp_path):
+def test_csv_single_row_keeps_two_dimensions(tmp_path, monkeypatch):
     path = tmp_path / "t.csv"
     write_csv(path, np.array([[0.5, -0.5]]), np.array([1.5]))
-    X, Y = read_csv(path)
+    X, Y = read_both_ways(path, monkeypatch)
     assert X.shape == (1, 2)
     assert Y.shape == (1,)
 
@@ -319,10 +361,106 @@ def test_write_csv_rejects_what_read_csv_refuses(tmp_path, X, Y, match):
     path = tmp_path / "t.csv"
     with pytest.raises(ValueError, match=match):
         write_csv(path, X, Y)
-    assert not path.exists()
+    assert not path.exists() and not twin_of(path).exists()
 
 
 @pytest.mark.parametrize("target_b", [math.nan, math.inf, -math.inf])
 def test_normalize_refuses_non_finite_target_b(target_b):
     with pytest.raises(ValueError, match="^target_b must be positive and finite"):
         normalize(np.array([[0.5], [2.0]]), np.array([1.0, -3.0]), target_b)
+
+
+def _flip(offset):
+    def edit(twin, csv):
+        raw = bytearray(twin.read_bytes())
+        raw[offset] ^= 0xFF
+        twin.write_bytes(bytes(raw))
+
+    return edit
+
+
+def _edit_csv(twin, csv):
+    # a hand edit: one value changed, so the twin's table is no longer the CSV's
+    csv.write_text(csv.read_text(encoding="utf-8").replace("\n0.", "\n0.5", 1), encoding="utf-8")
+
+
+# Each way a twin can fail to hold its CSV's table; offsets are in its
+# 96-byte header (tag, CSV sha256, table sha256, rows, columns) and table.
+TWIN_FAULTS = {
+    "stale": _edit_csv,
+    "truncated": lambda twin, csv: twin.write_bytes(twin.read_bytes()[:-1]),
+    "table byte flipped": _flip(96 + 8 * 5 + 3),
+    "wrong format tag": lambda twin, csv: twin.write_bytes(b"dpmedreg-table-2" + twin.read_bytes()[16:]),
+    "unrelated file": lambda twin, csv: twin.write_text("a file of someone else's\n", encoding="utf-8"),
+    "csv digest flipped": _flip(16),
+    "table digest flipped": _flip(48),
+    "row count flipped": _flip(80),
+    "column count flipped": _flip(88),
+    "empty": lambda twin, csv: twin.write_bytes(b""),
+}
+
+
+@pytest.mark.parametrize("fault", TWIN_FAULTS)
+def test_csv_ignores_a_twin_that_does_not_hold_its_table(tmp_path, monkeypatch, fault):
+    path = tmp_path / "t.csv"
+    X = np.array([[0.25, -1.5], [0.125, 3.0], [0.0625, -0.5]])
+    write_csv(path, X, np.array([1.0, 2.0, -3.0]))
+    TWIN_FAULTS[fault](twin_of(path), path)
+    reference = tmp_path / "reference.csv"
+    reference.write_bytes(path.read_bytes())
+    want = read_csv(reference)
+    parsed = record_parses(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = read_csv(path)
+    assert parsed == [path]
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b) and a.dtype == b.dtype and a.strides == b.strides
+
+
+@pytest.mark.parametrize("twin", ["stale", "unrelated file"])
+def test_csv_that_fails_to_parse_raises_whatever_twin_sits_beside_it(tmp_path, twin):
+    path = tmp_path / "t.csv"
+    write_csv(path, np.array([[0.5], [0.25]]), np.array([1.0, 2.0]))
+    if twin == "unrelated file":
+        TWIN_FAULTS[twin](twin_of(path), path)
+    path.write_text("x1,y\n0.5,1.0\n0.25\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"t\.csv:3: expected 2 fields, got 1"):
+        read_csv(path)
+
+
+def test_twin_is_byte_identical_and_holds_the_table(tmp_path):
+    X, Y, _ = generate(default_generator_spec(500), RngStream(2))
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for path in paths:
+        write_csv(path, X, Y)
+    raw = twin_of(paths[0]).read_bytes()
+    assert raw == twin_of(paths[1]).read_bytes()
+    assert raw[:16] == b"dpmedreg-table-1" and len(raw) == 96 + 500 * 4 * 8
+    table = np.frombuffer(raw[96:], dtype="<f8").reshape(500, 4)
+    assert np.array_equal(table[:, :3], X) and np.array_equal(table[:, 3], Y)
+
+
+def test_write_csv_to_a_pipe_writes_no_twin(tmp_path):
+    path = tmp_path / "pipe.csv"
+    os.mkfifo(path)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(path.read_bytes()))
+    reader.start()
+    write_csv(path, np.array([[0.5]]), np.array([1.0]))
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert received == [b"x1,y\n0.5,1.0\n"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe.csv"]
+
+
+def test_read_csv_through_the_twin_holds_the_table_and_one_read_block(tmp_path):
+    # n = 5e4, d = 3: the table is 1.6 MB and the CSV about 4 MB, so hashing
+    # the CSV from one whole-file read would pass the bound
+    X, Y, _ = generate(default_generator_spec(50_000), RngStream(3))
+    path = tmp_path / "t.csv"
+    write_csv(path, X, Y)
+    assert path.stat().st_size > X.nbytes + Y.nbytes + 2 * _READ_BLOCK
+    (X2, Y2), peak = traced_peak(read_csv, path)
+    assert np.array_equal(X2, X) and np.array_equal(Y2, Y)
+    assert peak < X.nbytes + Y.nbytes + _READ_BLOCK + 64 * 1024

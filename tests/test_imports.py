@@ -339,6 +339,54 @@ def test_every_private_module_name_is_read():
     assert unread_private_names(sources) == []
 
 
+# numpy's functions that read or write array files
+NUMPY_FILE_IO = {"load", "loadtxt", "genfromtxt", "fromfile", "save", "savez", "savetxt"}
+
+
+def numpy_file_calls(source: str) -> list[str]:
+    """Calls the module makes to numpy's file readers and writers, as
+    ``name (line n)``: ``np.load(...)``, ``numpy.load(...)``, or a name
+    imported from numpy (``from numpy import load as ld``, then ``ld(...)``)."""
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy"
+        for alias in node.names
+        if alias.name in NUMPY_FILE_IO
+    }
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            if func.value.id in ("np", "numpy") and func.attr in NUMPY_FILE_IO:
+                found.append(f"{func.attr} (line {node.lineno})")
+        elif isinstance(func, ast.Name) and func.id in imported:
+            found.append(f"{imported[func.id]} (line {node.lineno})")
+    return found
+
+
+def test_numpy_file_call_finder_sees_every_spelling():
+    source = (
+        "import numpy\nimport numpy as np\nfrom numpy import load as ld, zeros\n"
+        "a = np.loadtxt(path)\n"
+        "b = numpy.save(fh, a)\n"
+        "c = ld(fh, allow_pickle=False)\n"
+        "d = np.fromfile(fh) + zeros(3) + np.asarray(a) + fh.load()\n"
+    )
+    found = ["loadtxt (line 4)", "save (line 5)", "load (line 6)", "fromfile (line 7)"]
+    assert numpy_file_calls(source) == found
+
+
+def test_only_datagen_reads_and_writes_data_files():
+    # datagen owns the data-file format, the CSV and its binary twin alike
+    found = {path.stem: numpy_file_calls(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert found["datagen"]
+    assert {name: calls for name, calls in found.items() if calls and name != "datagen"} == {}
+
+
 def fresh_interpreter_prints(probe: str) -> str:
     """What ``probe`` prints in a new interpreter that imports dpmedreg from
     this source tree."""
