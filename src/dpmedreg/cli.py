@@ -11,7 +11,6 @@ elapsed/wall-time fields.  The default seed comes from DPMEDREG_SEED.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import re
 import sys
@@ -81,14 +80,6 @@ def _beta_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
 
 
-def _fingerprint(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
 def _same_file(path: str, other: str) -> bool:
     """Whether the two paths name one file: the same real path, or, when both
     exist, the same file by device and inode (a hard link)."""
@@ -111,11 +102,12 @@ def _emit(text: str, path: str | None, stream) -> None:
 def _write_manifest(args, seed: int, wall: float, fields: dict, dataset: tuple | None = None) -> None:
     """Sorted key=value lines to ``<args.out>.manifest``, or to stderr without
     ``args.out``: the command's own ``fields``, the fields every manifest
-    shares, and for ``dataset`` = (n, path) that table's fingerprint."""
+    shares, and for ``dataset`` = (n, sha256) that table's fingerprint, the
+    sha256 its CSV's bytes hashed to as they were written or read."""
     entries = dict(fields, command=args.command, seed=seed, wall_time=wall, artifact_version=__version__)
     if dataset is not None:
-        n, path = dataset
-        entries["dataset_fingerprint"] = f"n={n};sha256={_fingerprint(path)}"
+        n, sha256 = dataset
+        entries["dataset_fingerprint"] = f"n={n};sha256={sha256}"
     text = "".join(f"{key}={entries[key]}\n" for key in sorted(entries))
     _emit(text, args.out + ".manifest" if args.out else None, sys.stderr)
 
@@ -131,7 +123,7 @@ def _cmd_generate(parser, args, seed: int) -> int:
     spec = replace(default_generator_spec(), **{k: v for k, v in given.items() if v is not None})
     start = time.perf_counter()
     X, Y, truth = generate(spec, RngStream(seed))
-    write_csv(args.out, X, Y)
+    digest = write_csv(args.out, X, Y)
     wall = time.perf_counter() - start
     manifest = {
         "n": spec.n,
@@ -142,7 +134,7 @@ def _cmd_generate(parser, args, seed: int) -> int:
         "box": f"{spec.box[0]},{spec.box[1]}",
         "out": args.out,
     }
-    _write_manifest(args, seed, wall, manifest, (spec.n, args.out))
+    _write_manifest(args, seed, wall, manifest, (spec.n, digest))
     return 0
 
 
@@ -164,15 +156,16 @@ def _fit_overrides(parser, args) -> dict:
 
 
 def _cmd_fit(parser, args, seed: int) -> int:
-    # the result or its manifest would overwrite the table, and the manifest
-    # would then fingerprint the result in place of the data
+    # the result or its manifest would overwrite the table it was fitted on
     for target in (args.out, f"{args.out}.manifest") if args.out else ():
         if _same_file(target, args.data):
             parser.error(f"--out {args.out} would overwrite the --data file {args.data}")
     params = resolve_params(args.algo, _fit_overrides(parser, args))
     start = time.perf_counter()
     # the parsed table is released once normalized, before the fit runs
-    data, record = normalize(*read_csv(args.data), args.target_b)
+    *table, digest = read_csv(args.data)
+    data, record = normalize(*table, args.target_b)
+    del table
     theta, elapsed, _ = run_fit(args.algo, data, params, RngStream(seed))
     est = unscale_theta(theta, record)
     names = parameter_names(data.d)
@@ -200,7 +193,7 @@ def _cmd_fit(parser, args, seed: int) -> int:
         "y_scale": record.y_scale,
     }
     manifest.update({f"param_{k}": v for k, v in params.items()})
-    _write_manifest(args, seed, wall, manifest, (data.n, args.data))
+    _write_manifest(args, seed, wall, manifest, (data.n, digest))
     return 0
 
 

@@ -24,15 +24,18 @@ sha256 of the CSV bytes, the sha256 of the table bytes, the row and column
 counts) and then the (n, d + 1) table of little-endian doubles, y last,
 row by row.  :func:`read_csv` returns the twin's table when the CSV and the
 table still hash to the recorded digests, and parses the CSV otherwise, so
-both routes give the same arrays; the CSV stays the file of record, and is
-hashed only when a twin exists.
+both routes give the same arrays; the CSV stays the file of record.  Each
+CSV is hashed once, as its bytes pass: :func:`write_csv` returns the sha256
+of what it wrote and :func:`read_csv` that of what it read.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import os
+import stat
 import struct
 import warnings
 from dataclasses import dataclass
@@ -188,28 +191,10 @@ def _twin_path(path) -> str:
     return os.fsdecode(path) + _TWIN_SUFFIX
 
 
-def _table_blocks(X: np.ndarray, Y: np.ndarray):
-    """The (n, d + 1) table, y last, a block of rows at a time: formatting or
-    writing one block at a time keeps only that block alive."""
-    for start in range(0, X.shape[0], _CSV_BLOCK_ROWS):
-        stop = start + _CSV_BLOCK_ROWS
-        yield np.column_stack([X[start:stop], Y[start:stop]])
-
-
-def _csv_bytes(X: np.ndarray, Y: np.ndarray):
-    """The CSV's bytes: the header line, then a block of rows at a time,
-    each encoded as it is formatted so that its text is gone by the write."""
-    width = X.shape[1] + 1
-    yield (",".join(_expected_header(width - 1)) + "\n").encode("utf-8")
-    for block in _table_blocks(X, Y):
-        # repr of a Python float is the shortest round-trip form
-        values = map(repr, block.ravel().tolist())
-        yield ("\n".join(map(",".join, zip(*[values] * width))) + "\n").encode("utf-8")
-
-
-def write_csv(path, X: np.ndarray, Y: np.ndarray) -> None:
+def write_csv(path, X: np.ndarray, Y: np.ndarray) -> str:
     """UTF-8, LF-terminated CSV with header x1,...,xd,y, and when ``path`` is
-    a regular file its binary twin (see the module docstring).
+    a regular file its binary twin (see the module docstring); returns the
+    sha256 hex digest of the CSV bytes written.
 
     Floats are written with shortest round-trip formatting, so
     write-then-read reproduces the exact doubles.  Raises ``ValueError``
@@ -221,29 +206,37 @@ def write_csv(path, X: np.ndarray, Y: np.ndarray) -> None:
     _check_table_shape(X, Y)
     if not (np.isfinite(X).all() and np.isfinite(Y).all()):
         raise ValueError("non-finite value rejected")
-    csv_digest = hashlib.sha256()
+    n, width = X.shape[0], X.shape[1] + 1
+    csv_digest, table_digest = hashlib.sha256(), hashlib.sha256()
     with open(path, "wb") as fh:
-        for data in _csv_bytes(X, Y):
+        # a device or pipe gets no twin: there is no file to read back
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+        with open(_twin_path(path), "wb") if regular else contextlib.nullcontext() as twin:
+            data = (",".join(_expected_header(width - 1)) + "\n").encode("utf-8")
             csv_digest.update(data)
             fh.write(data)
-    # a device or pipe gets no twin: there is no file to read back
-    if os.path.isfile(path):
-        _write_twin(path, X, Y, csv_digest.digest())
-
-
-def _write_twin(path, X: np.ndarray, Y: np.ndarray, csv_sha256: bytes) -> None:
-    """The twin of the CSV at ``path``.  Its header goes in last, so a write
-    cut short leaves a twin that :func:`read_csv` ignores."""
-    table_digest = hashlib.sha256()
-    with open(_twin_path(path), "wb") as fh:
-        fh.write(bytes(_TWIN_HEADER.size))
-        for block in _table_blocks(X, Y):
-            block = block.astype(_TWIN_DTYPE, copy=False)
-            table_digest.update(block)
-            fh.write(block)
-        fh.seek(0)
-        header = (_TWIN_TAG, csv_sha256, table_digest.digest(), X.shape[0], X.shape[1] + 1)
-        fh.write(_TWIN_HEADER.pack(*header))
+            if twin:
+                twin.write(bytes(_TWIN_HEADER.size))
+            # a block of rows at a time: it is stacked once, then formatted
+            # into the CSV and appended to the twin
+            for start in range(0, n, _CSV_BLOCK_ROWS):
+                stop = start + _CSV_BLOCK_ROWS
+                block = np.column_stack([X[start:stop], Y[start:stop]])
+                # repr of a Python float is the shortest round-trip form
+                values = map(repr, block.ravel().tolist())
+                data = ("\n".join(map(",".join, zip(*[values] * width))) + "\n").encode("utf-8")
+                csv_digest.update(data)
+                fh.write(data)
+                if twin:
+                    block = block.astype(_TWIN_DTYPE, copy=False)
+                    table_digest.update(block)
+                    twin.write(block)
+            # the twin's header goes in last, so a write cut short leaves a
+            # twin that read_csv ignores
+            if twin:
+                twin.seek(0)
+                twin.write(_TWIN_HEADER.pack(_TWIN_TAG, csv_digest.digest(), table_digest.digest(), n, width))
+    return csv_digest.hexdigest()
 
 
 def _decode_line(path, lineno: int, raw: bytes) -> str:
@@ -291,10 +284,11 @@ def _file_sha256(path) -> bytes:
     return digest.digest()
 
 
-def _read_twin(path) -> np.ndarray | None:
+def _read_twin(path, csv_sha256: bytes) -> np.ndarray | None:
     """The (n, d + 1) table of ``path``'s twin, or None when there is no twin
-    or it does not hold this CSV's table: another tag or size, a CSV whose
-    bytes changed since the twin was written, or table bytes that changed."""
+    or it does not hold the table of the CSV whose bytes hash to
+    ``csv_sha256``: another tag or size, a CSV whose bytes changed since the
+    twin was written, or table bytes that changed."""
     try:
         fh = open(_twin_path(path), "rb")
     except OSError:
@@ -303,11 +297,11 @@ def _read_twin(path) -> np.ndarray | None:
         header = fh.read(_TWIN_HEADER.size)
         if len(header) != _TWIN_HEADER.size:
             return None
-        tag, csv_sha256, table_sha256, n, width = _TWIN_HEADER.unpack(header)
+        tag, written_sha256, table_sha256, n, width = _TWIN_HEADER.unpack(header)
         size = _TWIN_HEADER.size + n * width * _TWIN_DTYPE.itemsize
         if tag != _TWIN_TAG or n < 1 or width < 2 or os.fstat(fh.fileno()).st_size != size:
             return None
-        if _file_sha256(path) != csv_sha256:
+        if written_sha256 != csv_sha256:
             return None
         table = np.empty((n, width), dtype=_TWIN_DTYPE)
         if fh.readinto(table) != table.nbytes or hashlib.sha256(table).digest() != table_sha256:
@@ -348,16 +342,18 @@ def _parse_csv(path) -> np.ndarray:
 
 
 def read_csv(path):
-    """Read a table written by :func:`write_csv`; d is inferred from the header.
+    """Read a table written by :func:`write_csv` as (X, Y, sha256), the last
+    the hex digest of the CSV's bytes; d is inferred from the header.
 
-    The table comes from the CSV's twin when that still matches the CSV
-    (see the module docstring), else from parsing the CSV, with the same
-    values, dtype, shape and strides.  Blank lines are skipped.  A
-    malformed or non-finite row, or a line that is not UTF-8, raises
-    ``ValueError`` naming ``path:line``.
+    The CSV is hashed once.  The table comes from the CSV's twin when that
+    still matches the CSV (see the module docstring), else from parsing the
+    CSV, with the same values, dtype, shape and strides.  Blank lines are
+    skipped.  A malformed or non-finite row, or a line that is not UTF-8,
+    raises ``ValueError`` naming ``path:line``.
     """
-    table = _read_twin(path)
+    csv_sha256 = _file_sha256(path)
+    table = _read_twin(path, csv_sha256)
     if table is None:
         table = _parse_csv(path)
     d = table.shape[1] - 1
-    return table[:, :d], table[:, d]
+    return table[:, :d], table[:, d], csv_sha256.hex()

@@ -1,9 +1,11 @@
 import argparse
+import builtins
 import hashlib
 import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -499,7 +501,22 @@ def test_fit_releases_the_parsed_table_before_fitting(tmp_path, monkeypatch):
 
 def test_fit_gives_the_same_bytes_with_and_without_the_twin(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert main(["generate", "--n", "400", "--seed", "8", "--out", "data.csv"]) == 0
+    opened, real_open = [], builtins.open
+
+    def recording_open(file, *args, **kwargs):
+        opened.append((file, args[0] if args else kwargs.get("mode", "r")))
+        return real_open(file, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "open", recording_open)
+        assert main(["generate", "--n", "400", "--seed", "8", "--out", "data.csv"]) == 0
+    # generate hashes its CSV as it writes it, and never reads it back
+    assert [mode for file, mode in opened if file == "data.csv"] == ["wb"]
+    digest = hashlib.sha256(Path("data.csv").read_bytes()).hexdigest()
+    fingerprint = f"dataset_fingerprint=n=400;sha256={digest}\n"
+    assert fingerprint in Path("data.csv.manifest").read_text(encoding="utf-8")
+    hashed, file_sha256 = [], datagen._file_sha256
+    monkeypatch.setattr(datagen, "_file_sha256", lambda path: hashed.append(path) or file_sha256(path))
     runs = {}
     for twin in ("kept", "removed"):
         with monkeypatch.context() as patch:
@@ -510,14 +527,44 @@ def test_fit_gives_the_same_bytes_with_and_without_the_twin(tmp_path, monkeypatc
                 os.remove("data.csv.dpmedreg-table")
             for algo, entry in ALGORITHM_TABLE.items():
                 seed = ["--seed", "3"] if entry.private else []
+                hashed.clear()
                 assert main(["fit", "--algo", algo, "--data", "data.csv", *seed, "--out", f"{algo}.csv"]) == 0
+                # one hash of the data file per fit, whichever route read it
+                assert hashed == ["data.csv"], (twin, algo)
                 runs[twin, algo] = [
                     mask_timing(Path(name).read_text(encoding="utf-8"))
                     for name in (f"{algo}.csv", f"{algo}.csv.manifest")
                 ]
+                assert fingerprint in runs[twin, algo][1], (twin, algo)
     assert len(runs) == 10
     for algo in ALGORITHM_TABLE:
         assert runs["kept", algo] == runs["removed", algo], algo
+
+
+def test_generate_streams_to_a_fifo(tmp_path):
+    # reading --out back, to fingerprint it, would wait on the pipe for a
+    # writer that never comes; main runs in a child process, so that such a
+    # wait fails this test instead of stalling the suite
+    flags = ["generate", "--n", "300", "--seed", "4"]
+    assert main([*flags, "--out", str(tmp_path / "ref.csv")]) == 0
+    fifo = tmp_path / "data.csv"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    env = {**os.environ, "PYTHONPATH": str(Path(datagen.__file__).resolve().parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-m", "dpmedreg", *flags, "--out", str(fifo)],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert child.returncode == 0, child.stderr
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert received == [(tmp_path / "ref.csv").read_bytes()]
+    digest = hashlib.sha256(received[0]).hexdigest()
+    manifest = (tmp_path / "data.csv.manifest").read_text(encoding="utf-8")
+    assert f"dataset_fingerprint=n=300;sha256={digest}\n" in manifest
+    assert not (tmp_path / "data.csv.dpmedreg-table").exists()
 
 
 @pytest.mark.parametrize("spelling", ["same", "dot", "absolute", "symlink", "hard link", "manifest"])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import threading
@@ -38,19 +39,24 @@ def record_parses(patch) -> list:
     return parsed
 
 
+def sha256_of(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def read_both_ways(path, monkeypatch):
     """read_csv of a file write_csv wrote, first from its twin (the parser
     must not run) and then, with the twin removed, from its text; both give
     the same values, dtype, shape and strides, views of one C-order
-    (n, d + 1) float64 table, and are returned as (X, Y)."""
+    (n, d + 1) float64 table, and the CSV's sha256, and (X, Y) is returned."""
     reads = []
     for route in ("twin", "text"):
         if route == "text":
             twin_of(path).unlink()
         with monkeypatch.context() as patch:
             parsed = record_parses(patch)
-            X, Y = read_csv(path)
+            X, Y, digest = read_csv(path)
         assert parsed == ([path] if route == "text" else [])
+        assert digest == sha256_of(path)
         width = X.shape[1] + 1
         assert X.dtype == Y.dtype == np.float64
         assert X.strides == (8 * width, 8) and Y.strides == (8 * width,)
@@ -203,12 +209,12 @@ def test_csv_round_trip_bit_identical(tmp_path, rng, monkeypatch):
     X = rng.uniforms(-1, 1, 30).reshape(10, 3)
     Y = rng.laplaces(2.0, 10)
     path = tmp_path / "t.csv"
-    write_csv(path, X, Y)
+    assert write_csv(path, X, Y) == sha256_of(path)
     X2, Y2 = read_both_ways(path, monkeypatch)
     assert np.array_equal(X, X2)
     assert np.array_equal(Y, Y2)
     raw1 = path.read_bytes()
-    write_csv(path, X2, Y2)
+    assert write_csv(path, X2, Y2) == hashlib.sha256(raw1).hexdigest()
     assert path.read_bytes() == raw1
 
 
@@ -300,7 +306,7 @@ def test_csv_round_trip_edge_doubles(tmp_path, monkeypatch):
 def test_csv_accepts_crlf(tmp_path):
     path = tmp_path / "t.csv"
     path.write_bytes(b"x1,y\r\n0.5,1.0\r\n-0.25,2.0\r\n")
-    X, Y = read_csv(path)
+    X, Y, _ = read_csv(path)
     assert X.tolist() == [[0.5], [-0.25]]
     assert Y.tolist() == [1.0, 2.0]
 
@@ -308,7 +314,7 @@ def test_csv_accepts_crlf(tmp_path):
 def test_csv_skips_blank_lines_and_counts_them(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("x1,y\n0.5,1.0\n\n0.25,2.0\n\n", encoding="utf-8")
-    X, Y = read_csv(path)
+    X, Y, _ = read_csv(path)
     assert X.tolist() == [[0.5], [0.25]]
     assert Y.tolist() == [1.0, 2.0]
     path.write_text("x1,y\n0.5,1.0\n\nnan,2.0\n", encoding="utf-8")
@@ -408,13 +414,14 @@ def test_csv_ignores_a_twin_that_does_not_hold_its_table(tmp_path, monkeypatch, 
     TWIN_FAULTS[fault](twin_of(path), path)
     reference = tmp_path / "reference.csv"
     reference.write_bytes(path.read_bytes())
-    want = read_csv(reference)
+    *want, _ = read_csv(reference)
     parsed = record_parses(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = read_csv(path)
+        *got, digest = read_csv(path)
     assert parsed == [path]
-    for a, b in zip(got, want):
+    assert digest == sha256_of(path)
+    for a, b in zip(got, want, strict=True):
         assert np.array_equal(a, b) and a.dtype == b.dtype and a.strides == b.strides
 
 
@@ -447,10 +454,11 @@ def test_write_csv_to_a_pipe_writes_no_twin(tmp_path):
     received = []
     reader = threading.Thread(target=lambda: received.append(path.read_bytes()))
     reader.start()
-    write_csv(path, np.array([[0.5]]), np.array([1.0]))
+    digest = write_csv(path, np.array([[0.5]]), np.array([1.0]))
     reader.join(timeout=30)
     assert not reader.is_alive()
     assert received == [b"x1,y\n0.5,1.0\n"]
+    assert digest == hashlib.sha256(received[0]).hexdigest()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe.csv"]
 
 
@@ -461,6 +469,6 @@ def test_read_csv_through_the_twin_holds_the_table_and_one_read_block(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, X, Y)
     assert path.stat().st_size > X.nbytes + Y.nbytes + 2 * _READ_BLOCK
-    (X2, Y2), peak = traced_peak(read_csv, path)
+    (X2, Y2, _), peak = traced_peak(read_csv, path)
     assert np.array_equal(X2, X) and np.array_equal(Y2, Y)
     assert peak < X.nbytes + Y.nbytes + _READ_BLOCK + 64 * 1024

@@ -380,10 +380,38 @@ def test_numpy_file_call_finder_sees_every_spelling():
     assert numpy_file_calls(source) == found
 
 
+def hashlib_imports(source: str) -> list[str]:
+    """The module's imports of hashlib, as ``hashlib (line n)``: ``import
+    hashlib``, ``import hashlib as h`` or ``from hashlib import sha256``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [f"hashlib (line {node.lineno})" for name in names if name.split(".")[0] == "hashlib"]
+    return found
+
+
+def test_hashlib_import_finder_sees_every_spelling():
+    source = (
+        "import os, hashlib\n"
+        "import hashlib as h\n"
+        "from hashlib import sha256\n"
+        "from .hashlib import x\n"
+        "import hashlibx\n"
+    )
+    assert hashlib_imports(source) == ["hashlib (line 1)", "hashlib (line 2)", "hashlib (line 3)"]
+
+
 def test_only_datagen_reads_and_writes_data_files():
-    # datagen owns the data-file format, the CSV and its binary twin alike
-    found = {path.stem: numpy_file_calls(path.read_text(encoding="utf-8")) for path in SOURCES}
-    assert found["datagen"]
+    # datagen owns the data-file format, the CSV and its binary twin alike,
+    # and is the one module that hashes a data file: once, as its bytes pass
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    found = {name: numpy_file_calls(source) + hashlib_imports(source) for name, source in sources.items()}
+    assert numpy_file_calls(sources["datagen"]) and hashlib_imports(sources["datagen"])
     assert {name: calls for name, calls in found.items() if calls and name != "datagen"} == {}
 
 
