@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import re
+import stat
 import sys
 import time
 from dataclasses import replace
@@ -101,15 +102,18 @@ def _emit(text: str, path: str | None, stream) -> None:
 
 def _write_manifest(args, seed: int, wall: float, fields: dict, dataset: tuple | None = None) -> None:
     """Sorted key=value lines to ``<args.out>.manifest``, or to stderr without
-    ``args.out``: the command's own ``fields``, the fields every manifest
-    shares, and for ``dataset`` = (n, sha256) that table's fingerprint, the
-    sha256 its CSV's bytes hashed to as they were written or read."""
+    ``args.out`` or when it is not a regular file (a FIFO or a device, where
+    a sidecar would land in ``/dev``): the command's own ``fields``, the
+    fields every manifest shares, and for ``dataset`` = (n, sha256) that
+    table's fingerprint, the sha256 its CSV's bytes hashed to as they were
+    written or read."""
     entries = dict(fields, command=args.command, seed=seed, wall_time=wall, artifact_version=__version__)
     if dataset is not None:
         n, sha256 = dataset
         entries["dataset_fingerprint"] = f"n={n};sha256={sha256}"
     text = "".join(f"{key}={entries[key]}\n" for key in sorted(entries))
-    _emit(text, args.out + ".manifest" if args.out else None, sys.stderr)
+    beside = args.out and stat.S_ISREG(os.stat(args.out).st_mode)
+    _emit(text, args.out + ".manifest" if beside else None, sys.stderr)
 
 
 def _cmd_generate(parser, args, seed: int) -> int:

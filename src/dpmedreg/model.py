@@ -140,7 +140,7 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
 
 
-# RngStream.uniform_open's uniforms lie in [2**-54, 1 - 2**-54], so no draw at
+# RngStream.uniform_open's uniforms lie in [2**-54, 1 - 2**-53], so no draw at
 # unit scale exceeds 54 ln 2 = 37.43 in magnitude (an exponential's -ln u; a
 # Laplace's reaches 53 ln 2); 38 leaves room for the rounding of their sums.
 _UNIT_DRAW_BOUND = 38.0

@@ -4,11 +4,15 @@ Gamma-norm / uniform-L1-direction perturbation vector.
 Every sampler checks its arguments and is an inverse-CDF construction (no
 rejection steps), so a fixed (seed, stream) pair replays bit-identically.
 All randomness in the package flows through :class:`RngStream`.  Each uniform
-is the top 53 bits of one raw PCG64 output, ``((raw >> 11) + 0.5) / 2**53``:
-the same stream that ``Generator.integers(0, 2**53)`` gives, without its
-per-call overhead.  :func:`sample_l1_perturbations` draws its rows one after
-another from the stream it is given, so it equals ``count`` successive calls
-of :func:`sample_l1_perturbation` on that stream bit for bit.
+is one raw PCG64 output: ``Generator.random`` takes its top 53 bits m as
+m / 2**53, and adding 2**-54 gives ``(m + 0.5) / 2**53``, the midpoint of
+cell m, for m < 2**52.  Above 1/2 that midpoint falls between two doubles and
+the sum rounds to the even one, as ``(m + 0.5)`` rounds before its division,
+so the stream is the one ``Generator.integers(0, 2**53)`` gives.  The top
+cell would round to 1.0 and is clamped to 1 - 2**-53, so every uniform lies
+in [2**-54, 1 - 2**-53].  :func:`sample_l1_perturbations` draws its rows one
+after another from the stream it is given, so it equals ``count`` successive
+calls of :func:`sample_l1_perturbation` on that stream bit for bit.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ __all__ = [
     "sample_l1_perturbations",
     "gamma_tail_bound",
 ]
-
-_TWO53 = float(2**53)
 
 # Rows of :func:`sample_l1_perturbations` drawn and transformed together.
 _L1_BLOCK_ROWS = 8192
@@ -83,12 +85,13 @@ class RngStream:
 
     def uniform_open(self, k: int) -> np.ndarray:
         """k uniforms strictly inside (0, 1), one raw 64-bit output each: its
-        top 53 bits pick one of 2**53 equal cells and the uniform is the
-        cell's midpoint."""
+        top 53 bits pick one of 2**53 equal cells, and the uniform is the
+        cell's midpoint (above 1/2, the even double next to it), with the top
+        cell's 1.0 clamped to 1 - 2**-53."""
         _check_count("k", k)
-        u = (self._gen.bit_generator.random_raw(k) >> 11).astype(float)
-        u += 0.5
-        u /= _TWO53
+        u = self._gen.random(k)
+        u += 2.0**-54
+        np.minimum(u, 1.0 - 2.0**-53, out=u)
         return u
 
     def laplaces(self, scale: float, k: int) -> np.ndarray:

@@ -541,13 +541,12 @@ def test_fit_gives_the_same_bytes_with_and_without_the_twin(tmp_path, monkeypatc
         assert runs["kept", algo] == runs["removed", algo], algo
 
 
-def test_generate_streams_to_a_fifo(tmp_path):
-    # reading --out back, to fingerprint it, would wait on the pipe for a
-    # writer that never comes; main runs in a child process, so that such a
-    # wait fails this test instead of stalling the suite
-    flags = ["generate", "--n", "300", "--seed", "4"]
-    assert main([*flags, "--out", str(tmp_path / "ref.csv")]) == 0
-    fifo = tmp_path / "data.csv"
+def run_to_fifo(tmp_path, flags):
+    """Run ``dpmedreg <flags> --out <tmp_path>/out.fifo`` in a child process
+    and read the FIFO as it writes; returns the child and the bytes read.
+    The child has a timeout, so a command that waits on the pipe fails the
+    test instead of stalling the suite."""
+    fifo = tmp_path / "out.fifo"
     os.mkfifo(fifo)
     received = []
     reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
@@ -560,11 +559,32 @@ def test_generate_streams_to_a_fifo(tmp_path):
     assert child.returncode == 0, child.stderr
     reader.join(timeout=30)
     assert not reader.is_alive()
-    assert received == [(tmp_path / "ref.csv").read_bytes()]
-    digest = hashlib.sha256(received[0]).hexdigest()
-    manifest = (tmp_path / "data.csv.manifest").read_text(encoding="utf-8")
-    assert f"dataset_fingerprint=n=300;sha256={digest}\n" in manifest
-    assert not (tmp_path / "data.csv.dpmedreg-table").exists()
+    return child, received[0]
+
+
+def test_generate_streams_to_a_fifo(tmp_path):
+    # reading --out back, to fingerprint it, would wait on the pipe for a
+    # writer that never comes; the manifest goes to stderr, not beside the pipe
+    flags = ["generate", "--n", "300", "--seed", "4"]
+    assert main([*flags, "--out", str(tmp_path / "ref.csv")]) == 0
+    child, received = run_to_fifo(tmp_path, flags)
+    assert received == (tmp_path / "ref.csv").read_bytes()
+    digest = hashlib.sha256(received).hexdigest()
+    assert f"dataset_fingerprint=n=300;sha256={digest}\n" in child.stderr
+    assert sorted(path.name for path in tmp_path.glob("*.manifest")) == ["ref.csv.manifest"]
+    assert not (tmp_path / "out.fifo.dpmedreg-table").exists()
+
+
+def test_fit_to_a_fifo_writes_its_manifest_to_stderr(tmp_path):
+    # the same result bytes as to a regular file, and no sidecar beside the pipe
+    data = str(tmp_path / "d.csv")
+    assert main(["generate", "--n", "80", "--seed", "3", "--out", data]) == 0
+    flags = ["fit", "--algo", "alg3", "--data", data, "--seed", "5", "--format", "csv"]
+    assert main([*flags, "--out", str(tmp_path / "ref.csv")]) == 0
+    child, received = run_to_fifo(tmp_path, flags)
+    assert mask_timing(received.decode()) == mask_timing((tmp_path / "ref.csv").read_text(encoding="utf-8"))
+    assert mask_timing(child.stderr) == mask_timing((tmp_path / "ref.csv.manifest").read_text(encoding="utf-8"))
+    assert sorted(path.name for path in tmp_path.glob("*.manifest")) == ["d.csv.manifest", "ref.csv.manifest"]
 
 
 @pytest.mark.parametrize("spelling", ["same", "dot", "absolute", "symlink", "hard link", "manifest"])

@@ -415,6 +415,71 @@ def test_only_datagen_reads_and_writes_data_files():
     assert {name: calls for name, calls in found.items() if calls and name != "datagen"} == {}
 
 
+# attributes that reach a numpy bit generator, on whatever object they are read
+RNG_ATTRIBUTES = {"bit_generator", "random_raw"}
+
+
+def numpy_rng_uses(source: str) -> list[str]:
+    """The module's uses of numpy's random machinery, as ``name (line n)``:
+    ``random`` read from a name bound to numpy (``np.random``,
+    ``numpy.random``, ``import numpy as xp`` then ``xp.random``), an import
+    of ``numpy.random`` or of a name from it, and a read of a
+    ``bit_generator`` or ``random_raw`` attribute, also by ``getattr``."""
+    tree = ast.parse(source)
+    numpy_names = {"np", "numpy"} | {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "numpy"
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            if node.attr in RNG_ATTRIBUTES:
+                found.append((node.lineno, node.attr))
+            elif node.attr == "random" and isinstance(node.value, ast.Name) and node.value.id in numpy_names:
+                found.append((node.lineno, "numpy.random"))
+        elif isinstance(node, ast.Call) and name_of(node.func) == "getattr" and len(node.args) > 1:
+            if literal(node.args[1]) in RNG_ATTRIBUTES:
+                found.append((node.lineno, literal(node.args[1])))
+        elif isinstance(node, ast.Import):
+            if any(alias.name.startswith("numpy.random") for alias in node.names):
+                found.append((node.lineno, "numpy.random"))
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            module, names = node.module or "", [alias.name for alias in node.names]
+            if module.startswith("numpy.random") or (module == "numpy" and "random" in names):
+                found.append((node.lineno, "numpy.random"))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_numpy_rng_finder_sees_every_spelling():
+    source = (
+        "import numpy as np\nimport numpy as xp\n"
+        "a = np.random.default_rng(0)\n"
+        "b = xp.random.PCG64(1)\n"
+        "import numpy.random\n"
+        "from numpy import random as r, zeros\n"
+        "from numpy.random import Generator\n"
+        "c = gen.bit_generator.state\n"
+        "d = bg.random_raw(5)\n"
+        "e = getattr(gen, 'bit_generator')\n"
+        "f = gen.random(3) + random.random() + np.zeros(2) + getattr(gen, 'state') + obj.np.random\n"
+        "from .random import x\n"
+    )
+    found = [f"numpy.random (line {n})" for n in (3, 4, 5, 6, 7)]
+    found += ["bit_generator (line 8)", "random_raw (line 9)", "bit_generator (line 10)"]
+    assert numpy_rng_uses(source) == found
+
+
+def test_only_sampling_touches_numpy_rng():
+    # every draw goes through RngStream, so a fixed (seed, stream) replays
+    # and the stream tests in test_sampling.py cover every sampler
+    found = {path.stem: numpy_rng_uses(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert found["sampling"]
+    assert {name: uses for name, uses in found.items() if uses and name != "sampling"} == {}
+
+
 def fresh_interpreter_prints(probe: str) -> str:
     """What ``probe`` prints in a new interpreter that imports dpmedreg from
     this source tree."""

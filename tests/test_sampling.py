@@ -46,12 +46,15 @@ def test_distinct_streams_differ():
 @pytest.mark.parametrize("seed,path", STREAMS)
 def test_uniform_open_is_top_53_bits_of_the_documented_stream(seed, path):
     # the same stream Generator.integers(0, 2**53) gives, with the other
-    # draws interleaved so the shared state must advance identically
+    # draws interleaved so the shared state must advance identically; the
+    # state check after each draw pins one raw output per uniform, at the
+    # L1 sampler's block size (65 536) too
     rng = RngStream(seed, path[0]).derive(*path[1:])
     twin = _twin(seed, path)
-    for k in (1, 7, 100_000, 1, 7):
+    for k in (1, 7, 100_000, 1, 65_536, 7):
         ref = (twin.integers(0, 2**53, size=k, dtype=np.int64) + 0.5) / 2.0**53
         assert _same_bits(rng.uniform_open(k), ref)
+        assert rng._gen.bit_generator.state == twin.bit_generator.state
         assert rng.integer(-3, 1000) == int(twin.integers(-3, 1000))
         assert np.array_equal(rng.permutation(11), twin.permutation(11))
         u = (twin.integers(0, 2**53, size=5, dtype=np.int64) + 0.5) / 2.0**53 - 0.5
@@ -124,6 +127,27 @@ def test_uniform_open_strictly_interior():
     u = RngStream(0).uniform_open(100_000)
     assert u.min() > 0.0
     assert u.max() < 1.0
+
+
+class _EdgeCells:
+    """A generator whose ``random`` gives cells 0, 2**52 - 1, 2**52 and
+    2**53 - 1 of the 2**-53 lattice, the ends of both rounding regimes."""
+
+    def random(self, k):
+        assert k == 4
+        return np.array([0, 2**52 - 1, 2**52, 2**53 - 1], dtype=float) * 2.0**-53
+
+
+def test_uniform_open_edge_cells_stay_inside_the_stated_interval():
+    # the top cell's midpoint rounds to 1.0, where a Laplace draw is infinite
+    rng = RngStream(0)
+    rng._gen = _EdgeCells()
+    u = rng.uniform_open(4)
+    assert _same_bits(u, [2.0**-54, 0.5 - 2.0**-54, 0.5, 1.0 - 2.0**-53])
+    assert ((0.0 < u) & (u < 1.0)).all()
+    x = rng.laplaces(1.0, 4)
+    assert np.isfinite(x).all()
+    assert np.abs(x).max() <= 53 * math.log(2)
 
 
 @pytest.mark.parametrize(
