@@ -13,10 +13,16 @@ knowledge by the fitters; data-dependent scaling is not itself privatized.
 Data files are UTF-8 CSV with header x1,...,xd,y and LF line endings (CRLF
 is also read), one shortest round-trip float per field, so a generated file
 is byte-identical for a fixed seed and reads back to the exact doubles.
-Blank lines are skipped; a malformed or non-finite row, or a line that is
-not UTF-8, is a ``ValueError`` naming ``path:line``.  Rows are parsed by
-numpy's parser, which also refuses tokens Python's ``float`` takes, such as
-digit-group underscores (``1_0``) and non-ASCII digits.
+Each field is byte for byte Python's ``repr`` of its float.  :func:`write_csv`
+finds the digits in numpy, a batch of fields at a time, and calls ``repr``
+only for the values that search cannot settle exactly: those outside
+1e-4 <= |x| < 1e15 (zeros, subnormals and exponent forms), a power-of-two
+mantissa, and the rare value whose candidate digits tie or lie within 1e-9
+of the edge of its rounding interval.  Blank lines are skipped; a malformed
+or non-finite row, or a line that is not UTF-8, is a ``ValueError`` naming
+``path:line``.  Rows are parsed by numpy's parser, which also refuses tokens
+Python's ``float`` takes, such as digit-group underscores (``1_0``) and
+non-ASCII digits.
 
 Beside each CSV it writes to a regular file, :func:`write_csv` leaves a
 binary twin, ``<path>.dpmedreg-table``: a fixed header (format tag, the
@@ -168,10 +174,44 @@ def unscale_theta(theta: Theta, rec: ScalingRecord) -> Theta:
     )
 
 
-# Rows per block as :func:`write_csv` formats the CSV and writes the twin.
+# Rows per block as :func:`write_csv` fills its buffer and writes the twin.
 _CSV_BLOCK_ROWS = 8192
+# Fields per call of _format_rows; its scratch is about 0.2 kB a field.
+_FORMAT_FIELDS = 8192
 # Bytes per read when a CSV is hashed.
 _READ_BLOCK = 1 << 20
+
+# _format_rows lays each field out in a canvas row of _FIELD_BYTES bytes:
+# eight header bytes (sign, then "0." and the zeros of a value below 1),
+# digit j at 8 + 2j with the slot after it for the point of a decpt of
+# j + 1, and the separator.  NULs fill the rest and are dropped.
+_FIELD_BYTES = 42
+_MANTISSA_BITS = (1 << 52) - 1
+# Every power 10**s with s <= 22 is an exact double; Dekker's split of each
+# into two 26-bit halves makes a product with it exact as p + e.
+_POW10 = np.array([float(10**s) for s in range(23)])
+_SPLITTER = 2.0**27 + 1
+_POW10_HI = _SPLITTER * _POW10 - (_SPLITTER * _POW10 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+# A candidate this close, relative, to the edge of a value's rounding
+# interval goes to repr, which knows the edge's rounding rule.
+_EDGE = 1e-9
+# "0000" to "9999", the four ASCII digits of each read as one uint32
+_ASCII4 = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), axis=-1)
+_ASCII4 = _ASCII4.view(np.uint32).reshape(10000)
+
+
+def _uint64_rows(texts, size: int) -> np.ndarray:
+    """``texts`` NUL-padded to ``size`` bytes each, as (len, size // 8) uint64."""
+    return np.array(texts, dtype=f"S{size}").view(np.uint64).reshape(len(texts), size // 8)
+
+
+# Header bytes by 2 * -decpt + sign for decpt 0..-3, and 8 + sign for decpt >= 1.
+_HEADERS = _uint64_rows([sign + prefix for prefix in (b"0.", b"0.0", b"0.00", b"0.000", b"")
+                         for sign in (b"\0", b"-")], 8)[:, 0]
+# By the count of digits shown, a mask over the 24-byte digit string (seven
+# NULs, then the 17 digits) that keeps only those.
+_SHOWN = _uint64_rows([b"\0" * 7 + b"\xff" * count for count in range(18)], 24)
 
 # The twin: this header, then the table's bytes.  The tag names the layout,
 # so a twin of another layout, or any other file at the twin's name, is
@@ -191,6 +231,108 @@ def _twin_path(path) -> str:
     return os.fsdecode(path) + _TWIN_SUFFIX
 
 
+def _repr_fields(values: np.ndarray) -> np.ndarray:
+    """Canvas rows, less the separator, holding ``repr`` of each value."""
+    texts = [repr(value) for value in values.tolist()]
+    return np.array(texts, dtype=f"S{_FIELD_BYTES - 1}").view(np.uint8).reshape(-1, _FIELD_BYTES - 1)
+
+
+def _shortest_digits(x: np.ndarray):
+    """``repr``'s digits of each value of ``x`` as (N, count, decpt, slow):
+    the first ``count`` digits of the 17-digit integer N, read as
+    0.d1d2... * 10**decpt; ``slow`` marks the values left to ``repr``.
+
+    ``repr`` shows a value x with 1e-4 <= |x| < 1e15 from its shortest digits
+    that read back to x, the nearest such to x when more than one does.  With
+    E = floor(log10|x|), |x| 10**(16 - E) = p + e exactly (Dekker's
+    two-product), a 17-digit integer and a small remainder.  From N, p + e
+    rounded, drop one digit at a time while the correctly rounded candidate
+    lies strictly inside x's rounding interval, p + e -/+ h: if a shorter
+    one does, so does the nearest at each longer length.  A value is slow
+    when this cannot settle it exactly: outside that range (0, subnormals,
+    exponent forms), a power-of-two mantissa (the interval is not
+    symmetric), a wrong E from log10, a candidate on or within _EDGE of the
+    interval's edge, or a tie between two candidates inside it.
+    """
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e15) & ((x.view(np.int64) & _MANTISSA_BITS) != 0)
+    np.copyto(a, 1.5, where=~fast)  # any value in range: repr overwrites these
+    E = np.floor(np.log10(a)).astype(np.intp)
+    scale = _POW10[16 - E]
+    p = a * scale
+    split = _SPLITTER * a
+    a_hi = split - (split - a)
+    a_lo = a - a_hi
+    s_hi, s_lo = _POW10_HI[16 - E], _POW10_LO[16 - E]
+    e = ((a_hi * s_hi - p) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
+    e_near = np.rint(e)
+    slow = ~fast | (p <= 1e16) | (p >= 1e17)
+    p_int = p.astype(np.int64)
+    N = p_int + e_near.astype(np.int64)
+    h = np.spacing(a) * scale * 0.5  # exact: a power of two times 10**s
+    h_in, h_out = h * (1 - _EDGE), h * (1 + _EDGE)
+    count = np.full(x.size, 17, dtype=np.intp)
+    # The integer parts below stay under 2**53, so each float sum has the
+    # sign of the exact one and dist is within an ulp of it.
+    live = np.flatnonzero(~slow)
+    for dropped in range(1, 17):
+        if not live.size:
+            break
+        t = 10**dropped
+        p_live, e_live = p_int[live], e[live]
+        q = N[live] // t
+        above_half = (p_live - q * t - t // 2).astype(float) + e_live
+        q += above_half > 0
+        candidate = q * t
+        dist = np.abs((candidate - p_live).astype(float) - e_live)
+        keep = (dist < h_in[live]) & (above_half != 0)
+        slow[live[(dist <= h_out[live]) & ~keep]] = True
+        live = live[keep]
+        N[live] = candidate[keep]
+        count[live] = 17 - dropped
+    slow |= (count == 17) & (np.abs(e - e_near) == 0.5)  # a tie at 17 digits
+    # A value whose digits round up to 10**(E + 1) would need another decpt;
+    # none in range does (each power of ten there is a double, or, 0.1 to
+    # 0.001, lies below its nearest double), so repr is left the case.
+    slow |= N == 10**17
+    N[slow] = 10**16
+    return N, count, E + 1, slow
+
+
+def _format_rows(block: np.ndarray, canvas: np.ndarray) -> bytes:
+    """The CSV lines of ``block``, a C-ordered (rows, width) float array, each
+    field byte for byte ``repr`` of its value; ``canvas`` is uint8 scratch of
+    at least rows * width rows of _FIELD_BYTES."""
+    rows, width = block.shape
+    x = block.ravel()
+    N, count, decpt, slow = _shortest_digits(x)
+    # N as 24 ASCII bytes, seven zeros then its 17 digits, and NUL past the
+    # digits shown: its count, or through the one after the point when the
+    # value is integral ("1200.0").
+    hi, lo = np.divmod(N, 10**8)
+    hi_top, hi_low = np.divmod(hi.astype(np.uint32), 10**4)
+    lo_top, lo_low = np.divmod(lo.astype(np.uint32), 10**4)
+    text = np.empty((x.size, 6), dtype=np.uint32)
+    text[:, 0] = _ASCII4[0]
+    text[:, 1], text[:, 2] = _ASCII4[hi_top // 10**4], _ASCII4[hi_top % 10**4]
+    text[:, 3], text[:, 4], text[:, 5] = _ASCII4[hi_low], _ASCII4[lo_top], _ASCII4[lo_low]
+    text.view(np.uint64)[...] &= _SHOWN[np.maximum(count, decpt + 1)]
+
+    cells = canvas[: x.size]
+    cells[:, :8].view(np.uint64)[:, 0] = _HEADERS[np.where(decpt > 0, 8, -2 * decpt) + np.signbit(x)]
+    cells[:, 8:41:2] = text.view(np.uint8)[:, 7:]
+    cells[:, 9:41:2] = 0
+    point = np.flatnonzero(decpt > 0)
+    cells[point, 7 + 2 * decpt[point]] = ord(".")
+    fallback = np.flatnonzero(slow)
+    if fallback.size:
+        cells[fallback, :-1] = _repr_fields(x[fallback])
+    separators = cells.reshape(rows, width, _FIELD_BYTES)[:, :, -1]
+    separators[:, :-1] = ord(",")
+    separators[:, -1] = ord("\n")
+    return cells.tobytes().translate(None, b"\0")
+
+
 def write_csv(path, X: np.ndarray, Y: np.ndarray) -> str:
     """UTF-8, LF-terminated CSV with header x1,...,xd,y, and when ``path`` is
     a regular file its binary twin (see the module docstring); returns the
@@ -206,27 +348,30 @@ def write_csv(path, X: np.ndarray, Y: np.ndarray) -> str:
     _check_table_shape(X, Y)
     if not (np.isfinite(X).all() and np.isfinite(Y).all()):
         raise ValueError("non-finite value rejected")
-    n, width = X.shape[0], X.shape[1] + 1
+    (n, d), width = X.shape, X.shape[1] + 1
     csv_digest, table_digest = hashlib.sha256(), hashlib.sha256()
+    # a block of rows at a time is copied into one buffer, which is formatted
+    # into the CSV a batch of rows at a time and appended to the twin
+    buffer = np.empty((min(n, _CSV_BLOCK_ROWS), width))
+    batch_rows = max(1, _FORMAT_FIELDS // width)
+    canvas = np.empty((min(n, batch_rows) * width, _FIELD_BYTES), dtype=np.uint8)
     with open(path, "wb") as fh:
         # a device or pipe gets no twin: there is no file to read back
         regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
         with open(_twin_path(path), "wb") if regular else contextlib.nullcontext() as twin:
-            data = (",".join(_expected_header(width - 1)) + "\n").encode("utf-8")
+            data = (",".join(_expected_header(d)) + "\n").encode("utf-8")
             csv_digest.update(data)
             fh.write(data)
             if twin:
                 twin.write(bytes(_TWIN_HEADER.size))
-            # a block of rows at a time: it is stacked once, then formatted
-            # into the CSV and appended to the twin
             for start in range(0, n, _CSV_BLOCK_ROWS):
-                stop = start + _CSV_BLOCK_ROWS
-                block = np.column_stack([X[start:stop], Y[start:stop]])
-                # repr of a Python float is the shortest round-trip form
-                values = map(repr, block.ravel().tolist())
-                data = ("\n".join(map(",".join, zip(*[values] * width))) + "\n").encode("utf-8")
-                csv_digest.update(data)
-                fh.write(data)
+                block = buffer[: min(_CSV_BLOCK_ROWS, n - start)]
+                block[:, :d] = X[start : start + len(block)]
+                block[:, d] = Y[start : start + len(block)]
+                for row in range(0, len(block), batch_rows):
+                    data = _format_rows(block[row : row + batch_rows], canvas)
+                    csv_digest.update(data)
+                    fh.write(data)
                 if twin:
                     block = block.astype(_TWIN_DTYPE, copy=False)
                     table_digest.update(block)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dpmedreg import (
     GeneratorSpec,
@@ -290,6 +291,100 @@ def test_csv_written_bytes_match_row_reference(tmp_path, n):
     path = tmp_path / "t.csv"
     write_csv(path, X, Y)
     assert path.read_bytes() == _reference_csv_bytes(X, Y)
+
+
+def assert_writes_reference(path, X, Y):
+    """write_csv of (X, Y) writes the per-row repr reference and returns its sha256."""
+    want = _reference_csv_bytes(X, Y)
+    assert write_csv(path, X, Y) == hashlib.sha256(want).hexdigest()
+    assert Path(path).read_bytes() == want
+
+
+def count_repr_fallbacks(patch) -> list:
+    """Patch the block formatter's repr fallback to record how many values
+    each call formats; returns the record."""
+    counts, fallback = [], datagen._repr_fields
+    patch.setattr(datagen, "_repr_fields", lambda values: counts.append(values.size) or fallback(values))
+    return counts
+
+
+def double_of_bits(bits: int) -> float:
+    return float(np.uint64(bits).view(np.float64))
+
+
+# Any finite bit pattern, and ones with exponents near the positional range
+# 1e-4 <= |x| < 1e15 that the block formatter does not send to repr.
+finite_doubles = st.one_of(
+    st.integers(0, 2**64 - 1).map(double_of_bits),
+    st.builds(lambda sign, power, mantissa: double_of_bits(sign << 63 | power << 52 | mantissa),
+              st.integers(0, 1), st.integers(1023 - 16, 1023 + 52), st.integers(0, 2**52 - 1)),
+    st.floats(allow_nan=False, allow_infinity=False),
+).filter(math.isfinite)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), d=st.integers(1, 4), m=st.integers(1, 12), fields=st.sampled_from([1, 3, 8192]))
+def test_csv_fields_are_repr_for_any_finite_bits(tmp_path, data, d, m, fields):
+    table = np.array(data.draw(st.lists(finite_doubles, min_size=m * (d + 1), max_size=m * (d + 1))))
+    table = table.reshape(m, d + 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(datagen, "_FORMAT_FIELDS", fields)
+        assert_writes_reference(tmp_path / "t.csv", table[:, :d], table[:, d])
+
+
+def adversarial_doubles() -> np.ndarray:
+    """Values at the edges of the block formatter's cases, with both signs."""
+    tens = np.array([10.0**k for k in range(-5, 17)])
+    twos = np.ldexp(1.0, np.arange(-20, 60))
+    ties = np.concatenate([np.arange(1, 400, 2) / 2.0**j for j in range(1, 40, 3)])
+    near = np.concatenate([1e15 + np.arange(-40, 41), 2.0**53 + np.arange(-40, 41)])
+    # the two last-digit candidates tie, at 17 digits and at 16
+    halves = np.concatenate([1e14 + np.arange(1, 40, 2) / 8, 2.0**49 + np.arange(1, 40) / 8])
+    fixed = [9.5, 0.95, 0.0095, 99.99999999999999, 0.0, 5e-324, 1.7976931348623157e308, 1e300]
+    X, Y, _ = generate(default_generator_spec(4000), RngStream(17))
+    values = np.concatenate([
+        tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf),
+        twos, np.nextafter(twos, 0), np.nextafter(twos, np.inf),
+        ties, near, halves, fixed, X.ravel(), Y,
+    ])
+    return np.concatenate([values, -values])
+
+
+def test_csv_fields_are_repr_on_adversarial_values(tmp_path, monkeypatch):
+    values = adversarial_doubles()
+    assert_writes_reference(tmp_path / "t.csv", values[:, None], values[::-1])
+    # the layout of the rows and batches does not change a byte
+    monkeypatch.setattr(datagen, "_FORMAT_FIELDS", 37)
+    monkeypatch.setattr(datagen, "_CSV_BLOCK_ROWS", 1000)
+    table = values[: len(values) // 4 * 4].reshape(-1, 4)
+    assert_writes_reference(tmp_path / "t.csv", table[:, :3], table[:, 3])
+
+
+def test_csv_stock_fields_rarely_fall_back_to_repr(tmp_path, monkeypatch):
+    X, Y, _ = generate(default_generator_spec(8192), RngStream(5))
+    counts = count_repr_fallbacks(monkeypatch)
+    assert_writes_reference(tmp_path / "t.csv", X, Y)
+    assert sum(counts) < 0.01 * (X.size + Y.size)
+
+
+def test_csv_table_of_only_repr_fallbacks(tmp_path, monkeypatch):
+    # out of the positional range, a zero, a subnormal, a power-of-two
+    # mantissa, a tie of two 17-digit candidates, a tie of two 16-digit ones
+    X = np.array([[1e-300, 1e20, -0.0], [5e-324, -1e16, 0.5], [2.0**-30, 0.0, -1.25e-5]])
+    Y = np.array([-1.7976931348623157e308, 100000000000000.125, 562949953421312.25])
+    counts = count_repr_fallbacks(monkeypatch)
+    assert_writes_reference(tmp_path / "t.csv", X, Y)
+    assert sum(counts) == X.size + Y.size
+
+
+def test_write_csv_memory_stays_within_budget(tmp_path):
+    # n = 5e4, d = 3: 2e5 fields, formatted a batch at a time; 3 080 408 bytes
+    # is the peak of the former writer, which joined Python's repr of each
+    # field; a formatter of the whole table at once would pass it
+    X, Y, _ = generate(default_generator_spec(50_000), RngStream(3))
+    _, peak = traced_peak(write_csv, tmp_path / "t.csv", X, Y)
+    assert peak <= 3_080_408 + 64 * 1024
 
 
 def test_csv_round_trip_edge_doubles(tmp_path, monkeypatch):
