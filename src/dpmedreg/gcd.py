@@ -126,7 +126,8 @@ def _descend(data: Dataset, cfg: GcdConfig, rng: RngStream) -> tuple[Release, np
     scales = np.broadcast_to(scale, cfg.batches)
     batches = split_batches(data.n, cfg.batches, rng)
     if cfg.init == "ridge":
-        omega0 = _normal_solve(design_matrix(data.X), data.Y, np.ones(data.n), data.n * cfg.lam / 2.0)
+        Xt = design_matrix(data.X[None])
+        omega0 = _normal_solve(Xt, data.Y[None, :, None], np.ones((1, data.n, 1)), data.n * cfg.lam / 2.0)[0]
     else:
         omega0 = np.zeros(data.d + 1)
     mu, beta = float(omega0[0]), omega0[1:]

@@ -28,6 +28,7 @@ from .model import (
     _check_probability,
     _MechanismConfig,
     _noise_scale,
+    _row_sums,
     _spd_solve,
     design_matrix,
 )
@@ -40,6 +41,7 @@ __all__ = [
     "default_coefficient_bound",
     "weighted_ridge_solve",
     "irls_fit",
+    "irls_fits",
     "irls_sensitivity",
     "fit_irls_private",
     "irls_accuracy_bound",
@@ -112,8 +114,8 @@ def weighted_ridge_solve(data: Dataset, weights: np.ndarray, lam: float) -> Thet
     """Unique minimizer of (1/n) sum_i w_i r_i^2 + (lam/2) beta'beta.
 
     Checks the weights and lam, then solves the (d+1) x (d+1) normal
-    equations with :func:`_normal_solve`, the kernel every pass of
-    :func:`irls_fit` runs; the intercept is not penalized.
+    equations with :func:`_normal_solve` as a batch of one table, the kernel
+    every pass of :func:`irls_fits` runs; the intercept is not penalized.
     """
     w = np.asarray(weights, dtype=float)
     if w.shape != (data.n,):
@@ -121,53 +123,83 @@ def weighted_ridge_solve(data: Dataset, weights: np.ndarray, lam: float) -> Thet
     if not np.all(np.isfinite(w)) or not np.all(w > 0):
         raise ValueError("weights must be positive and finite")
     _check_nonnegative("lam", lam)
-    return Theta.from_vector(_normal_solve(design_matrix(data.X), data.Y, w, data.n * lam / 2.0))
+    omega = _normal_solve(design_matrix(data.X[None]), data.Y[None, :, None], w[None, :, None], data.n * lam / 2.0)
+    return Theta.from_vector(omega[0])
 
 
 def _normal_solve(Xt: np.ndarray, Y: np.ndarray, w: np.ndarray, ridge: float) -> np.ndarray:
-    """The vector omega = (mu, beta) solving (Xt' W Xt + ridge I_beta) omega
-    = Xt' W Y by the one Cholesky solve of :mod:`dpmedreg.model`, for the
-    design ``Xt`` = (1, X) and positive finite weights ``w``; ``ridge`` is
-    added to the beta block of the diagonal only."""
-    A = Xt.T @ (Xt * w[:, None])
-    # the beta block of the diagonal; A.flat writes into A whatever its layout
-    p = Xt.shape[1]
-    A.flat[p + 1 :: p + 1] += ridge
-    omega = _spd_solve(A, Xt.T @ (w * Y))
-    if omega is None:
+    """The (m, d + 1) rows omega = (mu, beta) solving (Xt' W Xt + ridge
+    I_beta) omega = Xt' W Y for a stack of m designs ``Xt`` = (1, X), (m, n,
+    d + 1), with responses ``Y`` and positive finite weights ``w`` as (m, n,
+    1) columns; ``ridge`` is added to the beta block of the diagonal only.
+
+    The stacked products make, for each table, the BLAS call of the 2-D
+    products ``Xt.T @ (Xt * w[:, None])`` and ``Xt.T @ (w * Y)``, and
+    :func:`dpmedreg.model._spd_solve` solves each system by itself, so a
+    table's bits do not depend on the rest of the stack.  A singular system
+    raises :class:`SingularSystemError`."""
+    XtT = Xt.transpose(0, 2, 1)
+    A = XtT @ (Xt * w)
+    # the beta block of each diagonal, a view through the C-ordered products
+    m, p = A.shape[:2]
+    diagonal = A.reshape(m, p * p)[:, p + 1 :: p + 1]
+    diagonal += ridge
+    omegas = _spd_solve(A, (XtT @ (w * Y))[..., 0])
+    if omegas is None:
         raise SingularSystemError(
             "weighted normal equations are singular (rank-deficient X with lam == 0?)"
         )
-    return omega
+    return omegas
 
 
-def irls_fit(data: Dataset, cfg: IrlsConfig) -> IrlsTrace:
-    """Iterate weighted ridge solves with w_i = 1/(|r_i| + e) until both the
-    intercept and the coefficient vector move at most tau in L1 norm, or
-    ``max_iters`` passes are exhausted.  Starts from the unit-weight solution.
+def _weight_bracket(d: int, B: float, cfg: IrlsConfig) -> tuple[float, float]:
+    """The bracket [1/(2(sqrt(d v)+B)+e), 1/e] that every weight of the
+    reweighted fit lies in at v = :func:`default_coefficient_bound` (B, lam,
+    e), each end widened by a relative 1e-12 for rounding."""
+    v = default_coefficient_bound(B, cfg.lam, cfg.e)
+    w_lo = 1.0 / (2.0 * (math.sqrt(d * v) + B) + cfg.e)
+    return w_lo * (1.0 - 1e-12), 1.0 / cfg.e * (1.0 + 1e-12)
 
-    The design matrix (1, X) and the ridge n lam / 2 are built once per fit
-    and every pass runs :func:`_normal_solve` on them, so each iterate is
-    bit for bit what :func:`weighted_ridge_solve` gives for the same weights.
-    The iterates stay vectors omega = (mu, beta); no :class:`Theta` is built.
-    The loop checks its own weights through the min and max the bracket test
-    computes: a weight that is not positive or not finite, as a non-finite
-    iterate gives, raises ValueError.
+
+def irls_fits(datasets: list[Dataset], cfg: IrlsConfig) -> list[IrlsTrace]:
+    """:func:`irls_fit` of every table of ``datasets``, which share one n, d
+    and B, as one batch: each pass reweights and solves the tables still
+    running as one stack (see :func:`_normal_solve`), and a table leaves the
+    stack at the pass where it converges.  Trace k is bit for bit
+    ``irls_fit(datasets[k], cfg)`` for a table in C order (every table the
+    package builds is).  An empty list, or tables that differ in n, d or B,
+    raise ValueError; a singular or non-finite pass of any table raises what
+    that table's own fit raises.
     """
-    v = default_coefficient_bound(data.B, cfg.lam, cfg.e)
-    w_lo = 1.0 / (2.0 * (math.sqrt(data.d * v) + data.B) + cfg.e)
-    w_hi = 1.0 / cfg.e
-    Xt = design_matrix(data.X)
-    ridge = data.n * cfg.lam / 2.0
-    omega = _normal_solve(Xt, data.Y, np.ones(data.n), ridge)
-    iterates = [omega]
-    converged = False
-    violations = 0
-    for _ in range(cfg.max_iters):
+    if not datasets:
+        raise ValueError("need at least one dataset")
+    first = datasets[0]
+    if any(data.X.shape != first.X.shape or data.B != first.B for data in datasets):
+        raise ValueError("batched datasets must share n, d and B")
+    w_lo, w_hi = _weight_bracket(first.d, first.B, cfg)
+    m = len(datasets)
+    # a batch of one is a view of its table, not a copy
+    if m == 1:
+        X, Y = first.X[None], first.Y[None, :, None]
+    else:
+        X = np.stack([data.X for data in datasets])
+        Y = np.stack([data.Y for data in datasets])[..., None]
+    Xt = design_matrix(X)
+    ridge = first.n * cfg.lam / 2.0
+    omega = _normal_solve(Xt, Y, np.ones(Y.shape), ridge)
+    # the tables still running, and per run of passes over the same tables
+    # (a segment) their indices and the iterates of each pass
+    running = np.arange(m)
+    rows = [omega]
+    segments = [(running, rows)]
+    passes = [cfg.max_iters] * m
+    converged = [False] * m
+    violations = [0] * m
+    for t in range(1, cfg.max_iters + 1):
         # 1/(|mu + X beta - Y| + e), built in place in the product's array
-        w = data.X @ omega[1:]
-        w += omega[0]
-        w -= data.Y
+        w = X @ omega[:, 1:, None]
+        w += omega[:, :1, None]
+        w -= Y
         np.abs(w, out=w)
         w += cfg.e
         np.divide(1.0, w, out=w)
@@ -175,19 +207,60 @@ def irls_fit(data: Dataset, cfg: IrlsConfig) -> IrlsTrace:
         w_max = float(w.max())
         if not (w_min > 0 and w_max < math.inf):
             raise ValueError("weights must be positive and finite")
-        if w_min < w_lo * (1.0 - 1e-12) or w_max > w_hi * (1.0 + 1e-12):
-            violations += 1
-        new = _normal_solve(Xt, data.Y, w, ridge)
-        dmu = abs(new[0] - omega[0])
-        dbeta = np.abs(new[1:] - omega[1:]).sum()
-        iterates.append(new)
+        if w_min < w_lo or w_max > w_hi:
+            for k, w_k in zip(running.tolist(), w):
+                if float(w_k.min()) < w_lo or float(w_k.max()) > w_hi:
+                    violations[k] += 1
+        new = _normal_solve(Xt, Y, w, ridge)
+        rows.append(new)
+        moved = np.abs(new - omega)
         omega = new
-        if dmu <= cfg.tau and dbeta <= cfg.tau:
-            converged = True
-            break
-    stacked = np.array(iterates)
-    stacked.setflags(write=False)
-    return IrlsTrace(iterates=stacked, converged=converged, bracket_violations=violations)
+        # converged: the intercept and then the coefficients moved at most
+        # tau; the coefficients' move is summed only once the intercept's is
+        near = moved[:, 0] <= cfg.tau
+        if True not in near.tolist():
+            continue
+        done = near & (_row_sums(moved[:, 1:]) <= cfg.tau)
+        if done.any():
+            for k in running[done].tolist():
+                passes[k] = t
+                converged[k] = True
+            if done.all():
+                break
+            keep = ~done
+            running, X, Y, Xt, omega = running[keep], X[keep], Y[keep], Xt[keep], omega[keep]
+            rows = []
+            segments.append((running, rows))
+    # pass t of table k; cells past a table's last pass are never read
+    stacked = np.empty((max(passes) + 1, m, first.d + 1))
+    start = 0
+    for tables, block in segments:
+        if block:
+            stacked[start : start + len(block), tables] = block
+            start += len(block)
+    traces = []
+    for k in range(m):
+        iterates = np.ascontiguousarray(stacked[: passes[k] + 1, k])
+        iterates.setflags(write=False)
+        traces.append(IrlsTrace(iterates=iterates, converged=converged[k], bracket_violations=violations[k]))
+    return traces
+
+
+def irls_fit(data: Dataset, cfg: IrlsConfig) -> IrlsTrace:
+    """Iterate weighted ridge solves with w_i = 1/(|r_i| + e) until both the
+    intercept and the coefficient vector move at most tau in L1 norm, or
+    ``max_iters`` passes are exhausted.  Starts from the unit-weight solution.
+
+    This is :func:`irls_fits` of one table: the design matrix (1, X) and the
+    ridge n lam / 2 are built once per fit and every pass runs
+    :func:`_normal_solve` on them, so each iterate is bit for bit what
+    :func:`weighted_ridge_solve` gives for the same weights.  The iterates
+    stay vectors omega = (mu, beta); no :class:`Theta` is built.  The loop
+    checks its own weights through the min and max the bracket test
+    computes: a weight that is not positive or not finite, as a non-finite
+    iterate gives, raises ValueError.
+    """
+    return irls_fits([data], cfg)[0]
 
 
 def irls_sensitivity(d: int, n: int, B: float, lam: float, e: float) -> float:

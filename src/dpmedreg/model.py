@@ -292,14 +292,23 @@ def objective_l1(theta: Theta, data: Dataset, lam: float, gamma: float = 0.0) ->
 
 
 def design_matrix(X: np.ndarray) -> np.ndarray:
-    """Intercept-augmented design (1, X), so that (1, X) @ (mu, beta) = mu + X beta."""
-    return np.column_stack([np.ones(X.shape[0]), X])
+    """Intercept-augmented design (1, X), so that (1, X) @ (mu, beta) = mu + X beta.
+
+    ``X`` may be a stack (..., n, d) of tables; the result is one C-ordered
+    float (..., n, d + 1) array, the ones column filled first."""
+    Xt = np.empty(X.shape[:-1] + (X.shape[-1] + 1,))
+    Xt[..., 0] = 1.0
+    Xt[..., 1:] = X
+    return Xt
 
 
 def _spd_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     """Solution of A x = rhs by Cholesky factorization of the symmetric
     matrix A (lower triangle), or None when A is not positive definite.
 
+    A stack of systems, A (m, p, p) and rhs (m, p), is checked once and
+    solved one system at a time by the same calls, so each row of x has the
+    bits of its own solve; None when any of them is not positive definite.
     These are the LAPACK calls and flags of scipy's cho_factor/cho_solve,
     without their batching and copying wrappers; A and rhs are not modified.
     ``dpotrf`` and ``dpotrs`` come from scipy's ``_flapack`` extension, not
@@ -308,6 +317,19 @@ def _spd_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     """
     if not (np.isfinite(A).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
+    if A.ndim == 2:
+        return _cholesky_solve(A, rhs)
+    x = np.empty(rhs.shape)
+    for k in range(A.shape[0]):
+        x_k = _cholesky_solve(A[k], rhs[k])
+        if x_k is None:
+            return None
+        x[k] = x_k
+    return x
+
+
+def _cholesky_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """:func:`_spd_solve` of one system whose entries are finite."""
     c, info = dpotrf(A, lower=True, overwrite_a=False, clean=False)
     if info > 0:
         return None

@@ -15,7 +15,7 @@ import numpy as np
 
 from .datagen import default_generator_spec, generate, normalize
 from .gcd import GcdConfig, coordinate_step_vector
-from .irls import IrlsConfig, fit_irls_private, irls_accuracy_bound, irls_fit, irls_sensitivity
+from .irls import IrlsConfig, fit_irls_private, irls_accuracy_bound, irls_fits, irls_sensitivity
 from .model import Dataset, Theta, design_matrix, objective_l1, residuals
 from .sampling import RngStream, gamma_tail_bound, sample_l1_perturbations
 from .smoothing import SmoothingConfig, fit_smoothed_private, smoothing_accuracy_bound
@@ -183,19 +183,29 @@ class ProbeResult:
     ok: bool
 
 
-def neighbor_probe(name: str, n: int, d: int, trials: int, bound: float, rng: RngStream, shift):
-    """Largest ``shift(pair, sub)`` over ``trials`` random neighbor pairs of
-    n x d datasets with B = 1, which must stay at or below ``bound``.
+# neighbor pairs drawn and handed to a probe's ``shifts`` at a time: enough
+# to batch the alg2 probe's fits, few enough that any trial count keeps its
+# stacked tables small
+_PROBE_CHUNK = 64
+
+
+def neighbor_probe(name: str, n: int, d: int, trials: int, bound: float, rng: RngStream, shifts):
+    """Largest shift over ``trials`` random neighbor pairs of n x d datasets
+    with B = 1, which must stay at or below ``bound``.
 
     Trial t draws the base dataset and then the replaced record from
-    ``sub = rng.derive(t)``; ``shift`` may draw further from ``sub``.
+    ``sub = rng.derive(t)``.  The trials run in chunks of
+    :data:`_PROBE_CHUNK`: ``shifts(pairs, subs)`` gets a chunk's pairs and
+    streams in trial order and returns one shift per pair; it may draw
+    further from each pair's own stream.
     """
     _check_at_least_one("trials", trials)
     worst = 0.0
-    for t in range(trials):
-        sub = rng.derive(t)
-        pair = make_neighbor_pair(random_dataset(n, d, 1.0, sub), rng=sub)
-        worst = max(worst, shift(pair, sub))
+    for start in range(0, trials, _PROBE_CHUNK):
+        subs = [rng.derive(t) for t in range(start, min(start + _PROBE_CHUNK, trials))]
+        pairs = [make_neighbor_pair(random_dataset(n, d, 1.0, sub), rng=sub) for sub in subs]
+        for shift in shifts(pairs, subs):
+            worst = max(worst, shift)
     return ProbeResult(name=name, observed=worst, bound=bound, ok=worst <= bound)
 
 
@@ -204,16 +214,21 @@ def irls_sensitivity_probe(n: int, d: int, trials: int, cfg: IrlsConfig, rng: Rn
 
     Generates random one-record-differing dataset pairs with B = 1, runs the
     noiseless reweighted fit on both sides, and reports the largest observed
-    L1 output difference against the analytic constant at B = 1.
+    L1 output difference against the analytic constant at B = 1.  A chunk's
+    pairs are fitted as one :func:`dpmedreg.irls.irls_fits` batch, each fit
+    bit for bit its own ``irls_fit``.
     """
     bound = irls_sensitivity(d, n, 1.0, cfg.lam, cfg.e)
 
-    def shift(pair, sub):
-        fit_a = irls_fit(pair.a, cfg).final
-        fit_b = irls_fit(pair.b, cfg).final
-        return abs(fit_a.mu - fit_b.mu) + float(np.abs(fit_a.beta - fit_b.beta).sum())
+    def shifts(pairs, subs):
+        tables = [data for pair in pairs for data in (pair.a, pair.b)]
+        fits = [trace.final for trace in irls_fits(tables, cfg)]
+        return [
+            abs(fit_a.mu - fit_b.mu) + float(np.abs(fit_a.beta - fit_b.beta).sum())
+            for fit_a, fit_b in zip(fits[::2], fits[1::2])
+        ]
 
-    return neighbor_probe("alg2_max_l1_shift", n, d, trials, bound, rng, shift)
+    return neighbor_probe("alg2_max_l1_shift", n, d, trials, bound, rng, shifts)
 
 
 def gcd_step_probe(n0: int, d: int, trials: int, cfg: GcdConfig, rng: RngStream) -> ProbeResult:
@@ -233,8 +248,11 @@ def gcd_step_probe(n0: int, d: int, trials: int, cfg: GcdConfig, rng: RngStream)
         s_b = coordinate_step_vector(theta, pair.b.X, pair.b.Y, cfg.lam, eta)
         return float(np.abs(s_a - s_b).sum())
 
+    def shifts(pairs, subs):
+        return map(shift, pairs, subs)
+
     bound = 2.0 * eta / n0 + 1e-12
-    return neighbor_probe("alg3_max_step_shift", n0, d, trials, bound, rng, shift)
+    return neighbor_probe("alg3_max_step_shift", n0, d, trials, bound, rng, shifts)
 
 
 def _probe_alg2(trials: int, seed: int) -> list[ProbeResult]:

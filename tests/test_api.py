@@ -27,7 +27,7 @@ PUBLIC = [
     "fit_smoothed_private", "smoothed_gradient", "smoothing_accuracy_bound",
     "IrlsConfig", "IrlsTrace", "SingularSystemError",
     "default_coefficient_bound", "weighted_ridge_solve", "irls_fit",
-    "irls_sensitivity", "fit_irls_private", "irls_accuracy_bound",
+    "irls_fits", "irls_sensitivity", "fit_irls_private", "irls_accuracy_bound",
     "GcdConfig", "split_batches",
     "coordinate_step_vector", "fit_gcd_private",
     "GeneratorSpec", "ScalingRecord", "default_generator_spec", "generate",
@@ -40,7 +40,7 @@ PUBLIC = [
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC) == 47
+    assert len(PUBLIC) == 48
     assert dpmedreg.__all__ == PUBLIC
     assert len(set(dpmedreg.__all__)) == len(dpmedreg.__all__)
     for name in dpmedreg.__all__:

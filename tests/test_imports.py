@@ -480,6 +480,68 @@ def test_only_sampling_touches_numpy_rng():
     assert {name: uses for name, uses in found.items() if uses and name != "sampling"} == {}
 
 
+# numpy names newer than the floor in pyproject.toml (numpy 1.24): the array
+# API spellings of numpy 2.0 and the vector products of numpy 2.2
+NEWER_NUMPY = {"matvec", "vecmat", "vecdot", "matrix_transpose", "permute_dims", "concat", "unstack"}
+
+
+def newer_numpy_names(source: str) -> list[str]:
+    """The module's uses of :data:`NEWER_NUMPY`, as ``name (line n)``: read
+    from a name bound to numpy or to a numpy submodule (``np.concat``,
+    ``numpy.linalg.vecdot``, ``import numpy as xp`` then ``xp.matvec``), by
+    ``getattr`` on one, or imported from numpy or a numpy submodule."""
+    tree = ast.parse(source)
+    numpy_names = {"np", "numpy"} | {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name.split(".")[0] == "numpy"
+    }
+
+    def on_numpy(node: ast.expr) -> bool:
+        while isinstance(node, ast.Attribute):
+            node = node.value
+        return isinstance(node, ast.Name) and node.id in numpy_names
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in NEWER_NUMPY and on_numpy(node.value):
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Call) and name_of(node.func) == "getattr" and len(node.args) > 1:
+            if literal(node.args[1]) in NEWER_NUMPY and on_numpy(node.args[0]):
+                found.append((node.lineno, literal(node.args[1])))
+        elif isinstance(node, ast.ImportFrom) and not node.level and (node.module or "").split(".")[0] == "numpy":
+            found += [(node.lineno, alias.name) for alias in node.names if alias.name in NEWER_NUMPY]
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_newer_numpy_finder_sees_every_spelling():
+    source = (
+        "import numpy as np\nimport numpy as xp\nimport numpy.linalg as la\n"
+        "a = np.matvec(A, x)\n"
+        "b = xp.concat([a, a])\n"
+        "c = np.linalg.vecdot(a, a) + la.matrix_transpose(A)\n"
+        "from numpy import unstack as u, zeros\n"
+        "from numpy.linalg import vecdot\n"
+        "f = getattr(np, 'permute_dims')\n"
+        "g = np.concatenate([a]) + obj.concat(a) + np.vecmat + getattr(obj, 'vecmat') + np.matmul(A, x)\n"
+        "from .numpy import concat\n"
+    )
+    found = ["matvec (line 4)", "concat (line 5)", "matrix_transpose (line 6)", "vecdot (line 6)"]
+    found += ["unstack (line 7)", "vecdot (line 8)", "permute_dims (line 9)", "vecmat (line 10)"]
+    assert newer_numpy_names(source) == found
+
+
+def test_package_uses_no_numpy_newer_than_its_floor():
+    # np.matvec would give the stacked products their bits only from numpy
+    # 2.2 on; matmul with a trailing unit axis gives them at the floor
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert '"numpy>=1.24"' in pyproject, "NEWER_NUMPY lists the names newer than numpy 1.24"
+    found = {path.stem: newer_numpy_names(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert {name: uses for name, uses in found.items() if uses} == {}
+
+
 def fresh_interpreter_prints(probe: str) -> str:
     """What ``probe`` prints in a new interpreter that imports dpmedreg from
     this source tree."""

@@ -160,7 +160,78 @@ def test_irls_fit_builds_one_design_matrix_per_fit(monkeypatch):
     data, _, _ = benchmark_instance(5000, RngStream(34))
     trace = irls_fit(data, IrlsConfig(lam=0.002, e=0.2))
     assert trace.iterations > 1
-    assert calls == [(5000, data.d)]
+    # one table, built once as a stack of one
+    assert calls == [(1, 5000, data.d)]
+    calls.clear()
+    tables = [random_dataset(50, 3, 1.0, RngStream(34).derive(k)) for k in range(3)]
+    assert all(trace.iterations > 1 for trace in irls.irls_fits(tables, IrlsConfig()))
+    assert calls == [(3, 50, 3)]
+
+
+def _assert_same_trace(got, want):
+    assert got.iterates.shape == want.iterates.shape
+    assert got.iterates.tobytes() == want.iterates.tobytes()
+    assert not got.iterates.flags.writeable and got.iterates.flags.c_contiguous
+    assert (got.converged, got.bracket_violations) == (want.converged, want.bracket_violations)
+
+
+def test_irls_fits_is_each_tables_own_fit_bit_for_bit():
+    # probe-size tables converge after 18 to 33 passes: at max_iters = 26 the
+    # batch loses tables at several passes and one runs out of passes
+    cfg = IrlsConfig(max_iters=26)
+    root = RngStream(34)
+    tables = [random_dataset(50, 3, 1.0, root.derive(k)) for k in range(8)]
+    singles = [irls_fit(data, cfg) for data in tables]
+    assert len({trace.iterations for trace in singles if trace.converged}) >= 4
+    assert not singles[0].converged and singles[0].iterations == 26
+    batch = irls.irls_fits(tables, cfg)
+    assert len(batch) == len(tables)
+    for got, want in zip(batch, singles):
+        _assert_same_trace(got, want)
+    # the order of the tables does not matter, nor a table given twice
+    for got, want in zip(irls.irls_fits(tables[::-1] + tables[:1], cfg), singles[::-1] + singles[:1]):
+        _assert_same_trace(got, want)
+
+
+def test_irls_fits_counts_each_tables_bracket_violations(monkeypatch):
+    # the derived bracket never fails; a narrower one makes each table
+    # escape it on its own passes: on none, some or all of them
+    monkeypatch.setattr(irls, "_weight_bracket", lambda d, B, cfg: (0.78, 5.0))
+    cfg = IrlsConfig()
+    tables = [random_dataset(50, 3, 1.0, RngStream(35).derive(k)) for k in range(6)]
+    singles = [irls_fit(data, cfg) for data in tables]
+    counts = [(trace.bracket_violations, trace.iterations) for trace in singles]
+    assert any(v == 0 for v, _ in counts) and any(v == t for v, t in counts)
+    assert any(0 < v < t for v, t in counts)
+    for got, want in zip(irls.irls_fits(tables, cfg), singles):
+        _assert_same_trace(got, want)
+
+
+def test_irls_fits_refuses_an_empty_or_mixed_batch():
+    data = random_dataset(50, 3, 1.0, RngStream(36))
+    with pytest.raises(ValueError, match="^need at least one dataset$"):
+        irls.irls_fits([], IrlsConfig())
+    others = [
+        random_dataset(49, 3, 1.0, RngStream(36)),
+        random_dataset(50, 2, 1.0, RngStream(36)),
+        Dataset(X=data.X, Y=data.Y, B=2.0),
+    ]
+    for other in others:
+        with pytest.raises(ValueError, match="^batched datasets must share n, d and B$"):
+            irls.irls_fits([data, other], IrlsConfig())
+
+
+def test_irls_fits_raises_what_a_singular_tables_own_fit_raises():
+    cfg = IrlsConfig(epsilon=math.inf, lam=0.0)
+    good = [random_dataset(20, 3, 1.0, RngStream(37).derive(k)) for k in range(2)]
+    X = good[1].X.copy()
+    X[:, 1] = 0.0
+    flat = Dataset(X=X, Y=good[1].Y, B=1.0)
+    with pytest.raises(SingularSystemError) as single:
+        irls_fit(flat, cfg)
+    with pytest.raises(SingularSystemError) as batch:
+        irls.irls_fits([good[0], flat, good[1]], cfg)
+    assert str(batch.value) == str(single.value)
 
 
 ALG2_PINS = [

@@ -25,7 +25,7 @@ from dpmedreg import (
 )
 from dpmedreg.model import design_matrix
 
-from conftest import benchmark_instance, bounded_instance, smoothed_baseline
+from conftest import benchmark_instance, bounded_instance, smoothed_baseline, traced_peak
 
 
 def test_oracle_intercept_only_median():
@@ -330,3 +330,33 @@ def test_sampler_probe_derives_a_fixed_number_of_streams(monkeypatch):
         verification._probe_samplers(trials, 3)
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+# The largest shift each pair probe observes at seed 69 after 1 trial, one
+# chunk of trials and one chunk + 3, recorded before the trials ran in chunks
+# (the alg2 probe's largest shift rises at trial 65)
+PROBE_OBSERVED_PINS = {
+    "alg2": ["0x1.551cacafdd742p-3", "0x1.3e432fe8d1eb2p-1", "0x1.c14cc163b394ap-1"],
+    "alg3": ["0x1.e183f933ff2cap-11", "0x1.cd01b1fc39ef8p-9", "0x1.cd01b1fc39ef8p-9"],
+}
+PAIR_PROBES = {
+    "alg2": lambda trials: irls_sensitivity_probe(50, 3, trials, IrlsConfig(), RngStream(69)),
+    "alg3": lambda trials: gcd_step_probe(50, 3, trials, GcdConfig(), RngStream(69)),
+}
+
+
+@pytest.mark.parametrize("target", sorted(PROBE_OBSERVED_PINS))
+def test_pair_probes_keep_their_observed_shift_across_chunks(target):
+    assert verification._PROBE_CHUNK == 64
+    observed = [PAIR_PROBES[target](trials).observed.hex() for trials in (1, 64, 67)]
+    assert observed == PROBE_OBSERVED_PINS[target]
+
+
+def test_alg2_probe_memory_stays_at_one_chunk():
+    # the pairs are drawn and fitted a chunk at a time, so four chunks of
+    # trials peak where one does: --trials 10**6 never stacks every pair
+    chunk = verification._PROBE_CHUNK
+    cfg = IrlsConfig()
+    _, one = traced_peak(irls_sensitivity_probe, 50, 3, chunk, cfg, RngStream(69))
+    _, four = traced_peak(irls_sensitivity_probe, 50, 3, 4 * chunk, cfg, RngStream(69))
+    assert four <= one + 64 * 1024
