@@ -14,8 +14,8 @@ Data files are UTF-8 CSV with header x1,...,xd,y and LF line endings (CRLF
 is also read), one shortest round-trip float per field, so a generated file
 is byte-identical for a fixed seed and reads back to the exact doubles.
 Each field is byte for byte Python's ``repr`` of its float.  :func:`write_csv`
-finds the digits in numpy, a batch of fields at a time, and calls ``repr``
-only for the values that search cannot settle exactly: those outside
+copies, formats and writes one batch of rows at a time, about 8192 fields;
+it finds the digits in numpy and calls ``repr`` only for the values that search cannot settle exactly: those outside
 1e-4 <= |x| < 1e15 (zeros, subnormals and exponent forms), a power-of-two
 mantissa, and the rare value whose candidate digits tie or lie within 1e-9
 of the edge of its rounding interval.  Blank lines are skipped; a malformed
@@ -31,14 +31,17 @@ counts) and then the (n, d + 1) table of little-endian doubles, y last,
 row by row.  :func:`read_csv` returns the twin's table when the CSV and the
 table still hash to the recorded digests, and parses the CSV otherwise, so
 both routes give the same arrays; the CSV stays the file of record.  Each
-CSV is hashed once, as its bytes pass: :func:`write_csv` returns the sha256
-of what it wrote and :func:`read_csv` that of what it read.
+CSV is opened once and hashed once, as its bytes pass: :func:`write_csv`
+returns the sha256 of what it wrote and :func:`read_csv` that of what it
+read.  A pipe's bytes can be read only once, so :func:`read_csv` keeps them
+in memory to hash and parse.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import math
 import os
 import stat
@@ -174,9 +177,8 @@ def unscale_theta(theta: Theta, rec: ScalingRecord) -> Theta:
     )
 
 
-# Rows per block as :func:`write_csv` fills its buffer and writes the twin.
-_CSV_BLOCK_ROWS = 8192
-# Fields per call of _format_rows; its scratch is about 0.2 kB a field.
+# Fields per batch of rows that write_csv copies, formats and writes to the
+# twin; _format_rows' scratch is about 0.2 kB a field.
 _FORMAT_FIELDS = 8192
 # Bytes per read when a CSV is hashed.
 _READ_BLOCK = 1 << 20
@@ -299,12 +301,12 @@ def _shortest_digits(x: np.ndarray):
     return N, count, E + 1, slow
 
 
-def _format_rows(block: np.ndarray, canvas: np.ndarray) -> bytes:
-    """The CSV lines of ``block``, a C-ordered (rows, width) float array, each
+def _format_rows(batch: np.ndarray, canvas: np.ndarray) -> bytes:
+    """The CSV lines of ``batch``, a C-ordered (rows, width) float array, each
     field byte for byte ``repr`` of its value; ``canvas`` is uint8 scratch of
     at least rows * width rows of _FIELD_BYTES."""
-    rows, width = block.shape
-    x = block.ravel()
+    rows, width = batch.shape
+    x = batch.ravel()
     N, count, decpt, slow = _shortest_digits(x)
     # N as 24 ASCII bytes, seven zeros then its 17 digits, and NUL past the
     # digits shown: its count, or through the one after the point when the
@@ -350,11 +352,11 @@ def write_csv(path, X: np.ndarray, Y: np.ndarray) -> str:
         raise ValueError("non-finite value rejected")
     (n, d), width = X.shape, X.shape[1] + 1
     csv_digest, table_digest = hashlib.sha256(), hashlib.sha256()
-    # a block of rows at a time is copied into one buffer, which is formatted
-    # into the CSV a batch of rows at a time and appended to the twin
-    buffer = np.empty((min(n, _CSV_BLOCK_ROWS), width))
+    # a batch of rows at a time is copied into one buffer, formatted into
+    # the CSV and appended to the twin
     batch_rows = max(1, _FORMAT_FIELDS // width)
-    canvas = np.empty((min(n, batch_rows) * width, _FIELD_BYTES), dtype=np.uint8)
+    buffer = np.empty((min(n, batch_rows), width))
+    canvas = np.empty((buffer.size, _FIELD_BYTES), dtype=np.uint8)
     with open(path, "wb") as fh:
         # a device or pipe gets no twin: there is no file to read back
         regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
@@ -364,18 +366,17 @@ def write_csv(path, X: np.ndarray, Y: np.ndarray) -> str:
             fh.write(data)
             if twin:
                 twin.write(bytes(_TWIN_HEADER.size))
-            for start in range(0, n, _CSV_BLOCK_ROWS):
-                block = buffer[: min(_CSV_BLOCK_ROWS, n - start)]
-                block[:, :d] = X[start : start + len(block)]
-                block[:, d] = Y[start : start + len(block)]
-                for row in range(0, len(block), batch_rows):
-                    data = _format_rows(block[row : row + batch_rows], canvas)
-                    csv_digest.update(data)
-                    fh.write(data)
+            for start in range(0, n, batch_rows):
+                batch = buffer[: min(batch_rows, n - start)]
+                batch[:, :d] = X[start : start + len(batch)]
+                batch[:, d] = Y[start : start + len(batch)]
+                data = _format_rows(batch, canvas)
+                csv_digest.update(data)
+                fh.write(data)
                 if twin:
-                    block = block.astype(_TWIN_DTYPE, copy=False)
-                    table_digest.update(block)
-                    twin.write(block)
+                    batch = batch.astype(_TWIN_DTYPE, copy=False)
+                    table_digest.update(batch)
+                    twin.write(batch)
             # the twin's header goes in last, so a write cut short leaves a
             # twin that read_csv ignores
             if twin:
@@ -395,37 +396,38 @@ def _decode_line(path, lineno: int, raw: bytes) -> str:
     return line.removesuffix("\n").removesuffix("\r")
 
 
-def _first_bad_line(path, d: int, reason: str) -> ValueError:
-    """The error for the first data line of ``path`` that is not d + 1
-    finite floats, naming it as ``path:line``; ``reason`` if every line
-    passes (a token Python's ``float`` accepts but numpy's parser refuses).
-    Line numbers count the header as line 1 and include blank lines."""
-    with open(path, "rb") as fh:
-        fh.readline()
-        for lineno, raw in enumerate(fh, start=2):
-            line = _decode_line(path, lineno, raw)
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != d + 1:
-                return ValueError(f"{path}:{lineno}: expected {d + 1} fields, got {len(parts)}")
-            try:
-                values = [float(p) for p in parts]
-            except ValueError as exc:
-                return ValueError(f"{path}:{lineno}: {exc}")
-            if not all(math.isfinite(v) for v in values):
-                return ValueError(f"{path}:{lineno}: non-finite value rejected")
+def _first_bad_line(path, fh, d: int, reason: str) -> ValueError:
+    """The error for the first data line of the CSV open as ``fh`` that is
+    not d + 1 finite floats, naming it as ``path:line``; ``reason`` if every
+    line passes (a token Python's ``float`` accepts but numpy's parser
+    refuses).  Line numbers count the header as line 1 and include blank
+    lines."""
+    fh.seek(0)
+    fh.readline()
+    for lineno, raw in enumerate(fh, start=2):
+        line = _decode_line(path, lineno, raw)
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != d + 1:
+            return ValueError(f"{path}:{lineno}: expected {d + 1} fields, got {len(parts)}")
+        try:
+            values = [float(p) for p in parts]
+        except ValueError as exc:
+            return ValueError(f"{path}:{lineno}: {exc}")
+        if not all(math.isfinite(v) for v in values):
+            return ValueError(f"{path}:{lineno}: non-finite value rejected")
     return ValueError(f"{path}: {reason}")
 
 
-def _file_sha256(path) -> bytes:
-    """sha256 of the file's bytes, read one block at a time."""
+def _stream_sha256(fh) -> bytes:
+    """sha256 of the bytes left in the binary file ``fh``, read one block at
+    a time."""
     digest = hashlib.sha256()
     block = bytearray(_READ_BLOCK)
     view = memoryview(block)
-    with open(path, "rb", buffering=0) as fh:
-        while size := fh.readinto(block):
-            digest.update(view[:size])
+    while size := fh.readinto(block):
+        digest.update(view[:size])
     return digest.digest()
 
 
@@ -454,12 +456,13 @@ def _read_twin(path, csv_sha256: bytes) -> np.ndarray | None:
     return table.astype(float, copy=False)
 
 
-def _parse_csv(path) -> np.ndarray:
-    """The (n, d + 1) table of the CSV at ``path``, parsed from its text."""
+def _parse_csv(path, fh) -> np.ndarray:
+    """The (n, d + 1) table of the CSV open as the seekable binary file
+    ``fh``, parsed from its text; ``path`` names it in errors."""
     # Only the header line is decoded here: a bad byte further down is left
     # to the parser and then named by line in _first_bad_line.
-    with open(path, "rb") as fh:
-        first = fh.readline()
+    fh.seek(0)
+    first = fh.readline()
     if not first:
         raise ValueError(f"{path}: empty file")
     header = _decode_line(path, 1, first).split(",")
@@ -474,15 +477,13 @@ def _parse_csv(path) -> np.ndarray:
         with warnings.catch_warnings():
             # A header-only file is reported below as "no data rows".
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            table = np.loadtxt(
-                path, delimiter=",", skiprows=1, comments=None, ndmin=2, encoding="utf-8"
-            )
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, encoding="utf-8")
     except ValueError as exc:
-        raise _first_bad_line(path, d, str(exc)) from None
+        raise _first_bad_line(path, fh, d, str(exc)) from None
     if table.shape[0] == 0:
         raise ValueError(f"{path}: no data rows")
     if table.shape[1] != d + 1 or not np.isfinite(table).all():
-        raise _first_bad_line(path, d, "malformed or non-finite row")
+        raise _first_bad_line(path, fh, d, "malformed or non-finite row")
     return table
 
 
@@ -490,15 +491,19 @@ def read_csv(path):
     """Read a table written by :func:`write_csv` as (X, Y, sha256), the last
     the hex digest of the CSV's bytes; d is inferred from the header.
 
-    The CSV is hashed once.  The table comes from the CSV's twin when that
-    still matches the CSV (see the module docstring), else from parsing the
-    CSV, with the same values, dtype, shape and strides.  Blank lines are
-    skipped.  A malformed or non-finite row, or a line that is not UTF-8,
-    raises ``ValueError`` naming ``path:line``.
+    The CSV is opened once and hashed once: a regular file as its blocks
+    pass, a pipe or other source that cannot seek from its bytes, read once
+    and kept.  The table comes from the CSV's twin when that still matches
+    the CSV (see the module docstring), else from parsing the CSV, with the
+    same values, dtype, shape and strides.  Blank lines are skipped.  A
+    malformed or non-finite row, or a line that is not UTF-8, raises
+    ``ValueError`` naming ``path:line``.
     """
-    csv_sha256 = _file_sha256(path)
-    table = _read_twin(path, csv_sha256)
-    if table is None:
-        table = _parse_csv(path)
+    with open(path, "rb") as fh:
+        source = fh if fh.seekable() else io.BytesIO(fh.read())
+        csv_sha256 = _stream_sha256(source)
+        table = _read_twin(path, csv_sha256)
+        if table is None:
+            table = _parse_csv(path, source)
     d = table.shape[1] - 1
     return table[:, :d], table[:, d], csv_sha256.hex()

@@ -165,11 +165,12 @@ def irls_fits(datasets: list[Dataset], cfg: IrlsConfig) -> list[IrlsTrace]:
     """:func:`irls_fit` of every table of ``datasets``, which share one n, d
     and B, as one batch: each pass reweights and solves the tables still
     running as one stack (see :func:`_normal_solve`), and a table leaves the
-    stack at the pass where it converges.  Trace k is bit for bit
-    ``irls_fit(datasets[k], cfg)`` for a table in C order (every table the
-    package builds is).  An empty list, or tables that differ in n, d or B,
-    raise ValueError; a singular or non-finite pass of any table raises what
-    that table's own fit raises.
+    stack at the pass where it converges.  Each pass is recorded as one
+    (tables solved, iterates) entry of one history, from which the traces
+    are built.  Trace k is bit for bit ``irls_fit(datasets[k], cfg)``.  An
+    empty list, or tables that differ in n, d or B, raise ValueError; a
+    singular or non-finite pass of any table raises what that table's own
+    fit raises.
     """
     if not datasets:
         raise ValueError("need at least one dataset")
@@ -187,11 +188,9 @@ def irls_fits(datasets: list[Dataset], cfg: IrlsConfig) -> list[IrlsTrace]:
     Xt = design_matrix(X)
     ridge = first.n * cfg.lam / 2.0
     omega = _normal_solve(Xt, Y, np.ones(Y.shape), ridge)
-    # the tables still running, and per run of passes over the same tables
-    # (a segment) their indices and the iterates of each pass
+    # the tables still running, and per pass their indices and iterates
     running = np.arange(m)
-    rows = [omega]
-    segments = [(running, rows)]
+    history = [(running, omega)]
     passes = [cfg.max_iters] * m
     converged = [False] * m
     violations = [0] * m
@@ -212,7 +211,7 @@ def irls_fits(datasets: list[Dataset], cfg: IrlsConfig) -> list[IrlsTrace]:
                 if float(w_k.min()) < w_lo or float(w_k.max()) > w_hi:
                     violations[k] += 1
         new = _normal_solve(Xt, Y, w, ridge)
-        rows.append(new)
+        history.append((running, new))
         moved = np.abs(new - omega)
         omega = new
         # converged: the intercept and then the coefficients moved at most
@@ -229,15 +228,10 @@ def irls_fits(datasets: list[Dataset], cfg: IrlsConfig) -> list[IrlsTrace]:
                 break
             keep = ~done
             running, X, Y, Xt, omega = running[keep], X[keep], Y[keep], Xt[keep], omega[keep]
-            rows = []
-            segments.append((running, rows))
     # pass t of table k; cells past a table's last pass are never read
-    stacked = np.empty((max(passes) + 1, m, first.d + 1))
-    start = 0
-    for tables, block in segments:
-        if block:
-            stacked[start : start + len(block), tables] = block
-            start += len(block)
+    stacked = np.empty((len(history), m, first.d + 1))
+    for t, (tables, rows) in enumerate(history):
+        stacked[t, tables] = rows
     traces = []
     for k in range(m):
         iterates = np.ascontiguousarray(stacked[: passes[k] + 1, k])

@@ -1,6 +1,6 @@
 """Data model, knob checks and solver kernels for median (L1) regression:
 the penalized L1 (or Huber-smoothed) objective value, the intercept-augmented
-design, the Cholesky solve and alg3's coordinate step.
+design, the Cholesky solve of a stack of systems and alg3's coordinate step.
 
 The Cholesky solve calls LAPACK's ``dpotrf`` and ``dpotrs`` through scipy's
 compiled ``scipy.linalg._flapack`` extension, which this module loads on its
@@ -177,7 +177,7 @@ def _noise_scale(cfg: _MechanismConfig, rng, scale, needs_ridge: bool = True):
 
 
 def _frozen_array(values, ndim: int, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+    arr = np.array(values, dtype=float, order="C")
     if arr.ndim != ndim:
         raise ValueError(f"{name} must have {ndim} dimension(s), got shape {arr.shape}")
     if arr.size and not np.isfinite(arr).all():
@@ -191,7 +191,9 @@ class Dataset:
     """Bounded regression data: ``n`` rows of predictors plus responses.
 
     Every row of ``X`` must have L1 norm at most 1 and every response must
-    satisfy ``|Y_i| <= B``; both are checked at construction.  Use
+    satisfy ``|Y_i| <= B``; both are checked at construction.  Both arrays
+    are kept as read-only C-ordered copies, so a table's fits do not depend
+    on the layout it was given in.  Use
     :func:`dpmedreg.datagen.normalize` to bring raw data into this domain.
     """
 
@@ -303,41 +305,31 @@ def design_matrix(X: np.ndarray) -> np.ndarray:
 
 
 def _spd_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    """Solution of A x = rhs by Cholesky factorization of the symmetric
-    matrix A (lower triangle), or None when A is not positive definite.
+    """Solutions x (m, p) of a stack of systems A x = rhs, A (m, p, p) and
+    rhs (m, p), by Cholesky factorization of each symmetric A (lower
+    triangle), or None when any A is not positive definite.
 
-    A stack of systems, A (m, p, p) and rhs (m, p), is checked once and
-    solved one system at a time by the same calls, so each row of x has the
-    bits of its own solve; None when any of them is not positive definite.
-    These are the LAPACK calls and flags of scipy's cho_factor/cho_solve,
-    without their batching and copying wrappers; A and rhs are not modified.
-    ``dpotrf`` and ``dpotrs`` come from scipy's ``_flapack`` extension, not
-    from ``scipy.linalg.lapack``, so that importing the package does not load
-    ``scipy.linalg`` (see the module docstring); they are the same functions.
+    The stack is checked once and solved one system at a time by the same
+    calls, so each row of x has the bits of its own solve; a single system
+    is a stack of one.  These are the LAPACK calls and flags of scipy's
+    cho_factor/cho_solve, without their batching and copying wrappers; A
+    and rhs are not modified.  ``dpotrf`` and ``dpotrs`` come from scipy's
+    ``_flapack`` extension, not from ``scipy.linalg.lapack``, so that
+    importing the package does not load ``scipy.linalg`` (see the module
+    docstring); they are the same functions.
     """
     if not (np.isfinite(A).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
-    if A.ndim == 2:
-        return _cholesky_solve(A, rhs)
     x = np.empty(rhs.shape)
     for k in range(A.shape[0]):
-        x_k = _cholesky_solve(A[k], rhs[k])
-        if x_k is None:
+        c, info = dpotrf(A[k], lower=True, overwrite_a=False, clean=False)
+        if info > 0:
             return None
-        x[k] = x_k
-    return x
-
-
-def _cholesky_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    """:func:`_spd_solve` of one system whose entries are finite."""
-    c, info = dpotrf(A, lower=True, overwrite_a=False, clean=False)
-    if info > 0:
-        return None
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of potrf")
-    x, info = dpotrs(c, rhs, lower=True, overwrite_b=False)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of potrs")
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of potrf")
+        x[k], info = dpotrs(c, rhs[k], lower=True, overwrite_b=False)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of potrs")
     return x
 
 

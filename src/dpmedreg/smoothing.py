@@ -325,8 +325,8 @@ def _minimize_smoothed(data: Dataset, lam, gamma, tilt):
         # freed before the line search, whose first call sets the fit's
         # memory peak
         del w
-        # Newton direction from the one Cholesky solve of dpmedreg.model;
-        # while H is not positive definite, retry with growing Levenberg damping.
+        # Newton direction from the Cholesky solve of dpmedreg.model, a stack
+        # of one; while H is not positive definite, retry with growing Levenberg damping.
         damp = 0.0
         base = max(float(np.trace(H)) / (d + 1), 1.0)
         for _ in range(10):
@@ -334,8 +334,9 @@ def _minimize_smoothed(data: Dataset, lam, gamma, tilt):
             if damp:
                 Hd = H.copy()
                 Hd.flat[:: d + 2] += damp
-            p = _spd_solve(Hd, -grad)
+            p = _spd_solve(Hd[None], -grad[None])
             if p is not None:
+                p = p[0]
                 break
             damp = max(damp * 10.0, 1e-12 * base)
         if p is None or not np.all(np.isfinite(p)) or float(grad @ p) >= 0.0:

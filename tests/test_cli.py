@@ -515,22 +515,26 @@ def test_fit_gives_the_same_bytes_with_and_without_the_twin(tmp_path, monkeypatc
     digest = hashlib.sha256(Path("data.csv").read_bytes()).hexdigest()
     fingerprint = f"dataset_fingerprint=n=400;sha256={digest}\n"
     assert fingerprint in Path("data.csv.manifest").read_text(encoding="utf-8")
-    hashed, file_sha256 = [], datagen._file_sha256
-    monkeypatch.setattr(datagen, "_file_sha256", lambda path: hashed.append(path) or file_sha256(path))
+    hashed, stream_sha256 = [], datagen._stream_sha256
+    monkeypatch.setattr(datagen, "_stream_sha256", lambda fh: hashed.append(fh.name) or stream_sha256(fh))
+    monkeypatch.setattr(builtins, "open", recording_open)
     runs = {}
     for twin in ("kept", "removed"):
         with monkeypatch.context() as patch:
             if twin == "kept":
                 # the twin must serve the fits: parsing the text fails the test
-                patch.setattr(datagen, "_parse_csv", lambda path: pytest.fail("parsed the CSV"))
+                patch.setattr(datagen, "_parse_csv", lambda path, fh: pytest.fail("parsed the CSV"))
             else:
                 os.remove("data.csv.dpmedreg-table")
             for algo, entry in ALGORITHM_TABLE.items():
                 seed = ["--seed", "3"] if entry.private else []
                 hashed.clear()
+                opened.clear()
                 assert main(["fit", "--algo", algo, "--data", "data.csv", *seed, "--out", f"{algo}.csv"]) == 0
-                # one hash of the data file per fit, whichever route read it
+                # one open and one hash of the data file per fit, whichever
+                # route read it
                 assert hashed == ["data.csv"], (twin, algo)
+                assert [mode for file, mode in opened if file == "data.csv"] == ["rb"], (twin, algo)
                 runs[twin, algo] = [
                     mask_timing(Path(name).read_text(encoding="utf-8"))
                     for name in (f"{algo}.csv", f"{algo}.csv.manifest")
@@ -585,6 +589,58 @@ def test_fit_to_a_fifo_writes_its_manifest_to_stderr(tmp_path):
     assert mask_timing(received.decode()) == mask_timing((tmp_path / "ref.csv").read_text(encoding="utf-8"))
     assert mask_timing(child.stderr) == mask_timing((tmp_path / "ref.csv.manifest").read_text(encoding="utf-8"))
     assert sorted(path.name for path in tmp_path.glob("*.manifest")) == ["d.csv.manifest", "ref.csv.manifest"]
+
+
+def fingerprint_line(manifest: str) -> str:
+    return next(line for line in manifest.splitlines() if line.startswith("dataset_fingerprint="))
+
+
+@pytest.mark.parametrize("source", ["named fifo", "anonymous pipe"])
+def test_fit_reads_its_data_from_a_pipe(tmp_path, source):
+    # a pipe's bytes can be read once: fit used to hash them and then find
+    # the pipe empty (an anonymous pipe, as bash's <(cat d.csv) gives) or
+    # wait on it for a writer that never came (a named FIFO)
+    data = tmp_path / "d.csv"
+    assert main(["generate", "--n", "2000", "--seed", "6", "--out", str(data)]) == 0
+    raw = data.read_bytes()
+    assert len(raw) > 1 << 16  # more than one pipe buffer
+    flags = ["fit", "--algo", "alg2", "--seed", "5", "--format", "csv"]
+    env = {**os.environ, "PYTHONPATH": str(Path(datagen.__file__).resolve().parents[1])}
+
+    def fit(path, **kwargs):
+        return subprocess.run(
+            [sys.executable, "-m", "dpmedreg", *flags, "--data", path],
+            env=env, capture_output=True, text=True, timeout=30, **kwargs,
+        )
+
+    if source == "named fifo":
+        path = tmp_path / "in.fifo"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_bytes, args=(raw,), daemon=True)
+        writer.start()
+        child = fit(str(path))
+    else:
+        read_end, write_end = os.pipe()
+
+        def write():
+            with open(write_end, "wb") as fh:
+                fh.write(raw)
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        try:
+            child = fit(f"/dev/fd/{read_end}", pass_fds=(read_end,))
+        finally:
+            os.close(read_end)
+    writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert child.returncode == 0, child.stderr
+    ref = fit(str(data))
+    assert ref.returncode == 0, ref.stderr
+    assert mask_timing(child.stdout) == mask_timing(ref.stdout)
+    digest = hashlib.sha256(raw).hexdigest()
+    fingerprint = f"dataset_fingerprint=n=2000;sha256={digest}"
+    assert fingerprint_line(child.stderr) == fingerprint_line(ref.stderr) == fingerprint
 
 
 @pytest.mark.parametrize("spelling", ["same", "dot", "absolute", "symlink", "hard link", "manifest"])

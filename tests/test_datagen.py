@@ -22,7 +22,7 @@ from dpmedreg import (
     unscale_theta,
     write_csv,
 )
-from dpmedreg.datagen import _CSV_BLOCK_ROWS, _READ_BLOCK, _TWIN_SUFFIX
+from dpmedreg.datagen import _FORMAT_FIELDS, _READ_BLOCK, _TWIN_SUFFIX
 from dpmedreg.smoothing import SmoothingConfig
 
 from conftest import smoothed_baseline, traced_peak
@@ -36,7 +36,7 @@ def record_parses(patch) -> list:
     """Patch read_csv's text parser to record each path it parses; returns
     the record."""
     parsed, parse = [], datagen._parse_csv
-    patch.setattr(datagen, "_parse_csv", lambda path: parsed.append(path) or parse(path))
+    patch.setattr(datagen, "_parse_csv", lambda path, fh: parsed.append(path) or parse(path, fh))
     return parsed
 
 
@@ -276,14 +276,15 @@ def test_csv_infers_dimension(tmp_path, monkeypatch):
 
 
 def _reference_csv_bytes(X, Y):
-    """Row-by-row formatting, the reference for the block-wise writer."""
+    """Row-by-row formatting, the reference for the batch-wise writer."""
     lines = [",".join([f"x{j}" for j in range(1, X.shape[1] + 1)] + ["y"])]
     for i in range(X.shape[0]):
         lines.append(",".join([repr(float(v)) for v in X[i]] + [repr(float(Y[i]))]))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-@pytest.mark.parametrize("n", [1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1])
+# two covariates and y: a format batch is _FORMAT_FIELDS // 3 rows
+@pytest.mark.parametrize("n", [1, _FORMAT_FIELDS // 3 - 1, _FORMAT_FIELDS // 3, _FORMAT_FIELDS // 3 + 1])
 def test_csv_written_bytes_match_row_reference(tmp_path, n):
     rng = RngStream(n)
     X = rng.uniforms(-1, 1, 2 * n).reshape(n, 2)
@@ -301,7 +302,7 @@ def assert_writes_reference(path, X, Y):
 
 
 def count_repr_fallbacks(patch) -> list:
-    """Patch the block formatter's repr fallback to record how many values
+    """Patch the batch formatter's repr fallback to record how many values
     each call formats; returns the record."""
     counts, fallback = [], datagen._repr_fields
     patch.setattr(datagen, "_repr_fields", lambda values: counts.append(values.size) or fallback(values))
@@ -313,7 +314,7 @@ def double_of_bits(bits: int) -> float:
 
 
 # Any finite bit pattern, and ones with exponents near the positional range
-# 1e-4 <= |x| < 1e15 that the block formatter does not send to repr.
+# 1e-4 <= |x| < 1e15 that the batch formatter does not send to repr.
 finite_doubles = st.one_of(
     st.integers(0, 2**64 - 1).map(double_of_bits),
     st.builds(lambda sign, power, mantissa: double_of_bits(sign << 63 | power << 52 | mantissa),
@@ -334,7 +335,7 @@ def test_csv_fields_are_repr_for_any_finite_bits(tmp_path, data, d, m, fields):
 
 
 def adversarial_doubles() -> np.ndarray:
-    """Values at the edges of the block formatter's cases, with both signs."""
+    """Values at the edges of the batch formatter's cases, with both signs."""
     tens = np.array([10.0**k for k in range(-5, 17)])
     twos = np.ldexp(1.0, np.arange(-20, 60))
     ties = np.concatenate([np.arange(1, 400, 2) / 2.0**j for j in range(1, 40, 3)])
@@ -356,7 +357,6 @@ def test_csv_fields_are_repr_on_adversarial_values(tmp_path, monkeypatch):
     assert_writes_reference(tmp_path / "t.csv", values[:, None], values[::-1])
     # the layout of the rows and batches does not change a byte
     monkeypatch.setattr(datagen, "_FORMAT_FIELDS", 37)
-    monkeypatch.setattr(datagen, "_CSV_BLOCK_ROWS", 1000)
     table = values[: len(values) // 4 * 4].reshape(-1, 4)
     assert_writes_reference(tmp_path / "t.csv", table[:, :3], table[:, 3])
 
@@ -532,15 +532,17 @@ def test_csv_that_fails_to_parse_raises_whatever_twin_sits_beside_it(tmp_path, t
 
 
 def test_twin_is_byte_identical_and_holds_the_table(tmp_path):
-    X, Y, _ = generate(default_generator_spec(500), RngStream(2))
-    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
-    for path in paths:
-        write_csv(path, X, Y)
-    raw = twin_of(paths[0]).read_bytes()
-    assert raw == twin_of(paths[1]).read_bytes()
-    assert raw[:16] == b"dpmedreg-table-1" and len(raw) == 96 + 500 * 4 * 8
-    table = np.frombuffer(raw[96:], dtype="<f8").reshape(500, 4)
-    assert np.array_equal(table[:, :3], X) and np.array_equal(table[:, 3], Y)
+    # 500 rows fit one format batch of _FORMAT_FIELDS // 4 rows; 5000 span three
+    for n in (500, 5000):
+        X, Y, _ = generate(default_generator_spec(n), RngStream(2))
+        paths = [tmp_path / f"a{n}.csv", tmp_path / f"b{n}.csv"]
+        for path in paths:
+            write_csv(path, X, Y)
+        raw = twin_of(paths[0]).read_bytes()
+        assert raw == twin_of(paths[1]).read_bytes()
+        assert raw[:16] == b"dpmedreg-table-1" and len(raw) == 96 + n * 4 * 8
+        table = np.frombuffer(raw[96:], dtype="<f8").reshape(n, 4)
+        assert np.array_equal(table[:, :3], X) and np.array_equal(table[:, 3], Y)
 
 
 def test_write_csv_to_a_pipe_writes_no_twin(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -17,8 +18,12 @@ from dpmedreg import (
     default_coefficient_bound,
     directional_derivatives,
     gamma_tail_bound,
+    default_generator_spec,
     gcd_step_probe,
+    generate,
+    irls_fits,
     irls_sensitivity,
+    normalize,
     objective_l1,
     perturbed_objective_le,
     residuals,
@@ -28,6 +33,7 @@ from dpmedreg import (
     split_batches,
     weighted_ridge_solve,
 )
+from dpmedreg.bench import resolve_params, run_fit
 from dpmedreg.model import _coordinate_step, _row_sums, _spd_solve, design_matrix
 from dpmedreg.smoothing import _band_signs, _ridge, _smoothed_terms
 from dpmedreg.verification import random_theta
@@ -50,6 +56,28 @@ def test_dataset_invariants_enforced():
     data = Dataset(X=np.array([[0.5]]), Y=np.array([0.5]), B=1.0)
     with pytest.raises(ValueError):
         data.X[0, 0] = 0.0  # immutable
+
+
+def test_fortran_ordered_tables_fit_as_their_c_copies():
+    # Dataset keeps C-ordered copies, so a Fortran-ordered table gives every
+    # fitter, and irls_fits, the bits of its C copy
+    X, Y, _ = generate(default_generator_spec(5000), RngStream(35))
+    c_data, _ = normalize(X, Y)
+    f_data = Dataset(X=np.asfortranarray(c_data.X), Y=c_data.Y, B=c_data.B)
+    # at the default epsilon alg2's noise can round a last-bit difference
+    # away; at epsilon = inf each release is its noiseless fit
+    for algo, epsilon in itertools.product(("alg1", "alg2", "alg3"), (None, math.inf)):
+        params = resolve_params(algo, {"epsilon": epsilon})
+        c_theta, _, c_extras = run_fit(algo, c_data, params, RngStream(7))
+        f_theta, _, f_extras = run_fit(algo, f_data, params, RngStream(7))
+        assert np.array_equal(c_theta.as_vector().view(np.int64), f_theta.as_vector().view(np.int64)), algo
+        assert np.array_equal(c_extras["noise"].view(np.int64), f_extras["noise"].view(np.int64)), algo
+    tables = [bounded_instance(RngStream(k), n=50, d=3)[0] for k in range(4)]
+    fortran = [Dataset(X=np.asfortranarray(data.X), Y=data.Y, B=data.B) for data in tables]
+    cfg = IrlsConfig(lam=0.002)
+    for c_trace, f_trace in zip(irls_fits(tables, cfg), irls_fits(fortran, cfg)):
+        assert np.array_equal(c_trace.iterates.view(np.int64), f_trace.iterates.view(np.int64))
+    assert f_data.X.flags.c_contiguous and all(data.X.flags.c_contiguous for data in fortran)
 
 
 def _row_sum_table(rng, n, d):
@@ -664,12 +692,16 @@ def test_perturbed_objective_forms(rng):
 
 
 def test_spd_solve_rejects_indefinite_and_non_finite():
-    assert _spd_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2)) is None
-    assert _spd_solve(np.zeros((2, 2)), np.ones(2)) is None
+    # systems go in as stacks: a single one is a stack of one
+    assert _spd_solve(np.array([[[1.0, 2.0], [2.0, 1.0]]]), np.ones((1, 2))) is None
+    assert _spd_solve(np.zeros((1, 2, 2)), np.ones((1, 2))) is None
+    # one system that is not positive definite refuses the whole stack
+    stack = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2)])
+    assert _spd_solve(stack, np.ones((3, 2))) is None
     with pytest.raises(ValueError, match="infs or NaNs"):
-        _spd_solve(np.array([[1.0, 0.0], [0.0, np.inf]]), np.ones(2))
+        _spd_solve(np.array([[[1.0, 0.0], [0.0, np.inf]]]), np.ones((1, 2)))
     with pytest.raises(ValueError, match="infs or NaNs"):
-        _spd_solve(np.eye(2), np.array([1.0, np.nan]))
+        _spd_solve(np.eye(2)[None], np.array([[1.0, np.nan]]))
 
 
 def test_spd_solve_bits_match_scipy_cholesky_on_newton_hessians(rng):
@@ -683,7 +715,7 @@ def test_spd_solve_bits_match_scipy_cholesky_on_newton_hessians(rng):
         H = (Xt.T * w) @ Xt / (n * gamma)
         H[np.diag_indices_from(H)] += ridge
         before = H.copy()
-        got = _spd_solve(H, -grad)
+        (got,) = _spd_solve(H[None], -grad[None])
         expected = cho_solve(cho_factor(H, lower=True), -grad)
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))
         assert np.array_equal(H, before)
