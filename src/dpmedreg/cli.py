@@ -11,9 +11,9 @@ elapsed/wall-time fields.  The default seed comes from DPMEDREG_SEED.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import re
-import stat
 import sys
 import time
 from dataclasses import replace
@@ -22,7 +22,6 @@ from . import __version__
 from .bench import (
     ALGORITHM_TABLE,
     ALGORITHMS,
-    CellResult,
     parameter_names,
     resolve_params,
     rows_to_csv,
@@ -101,19 +100,19 @@ def _emit(text: str, path: str | None, stream) -> None:
 
 
 def _write_manifest(args, seed: int, wall: float, fields: dict, dataset: tuple | None = None) -> None:
-    """Sorted key=value lines to ``<args.out>.manifest``, or to stderr without
-    ``args.out`` or when it is not a regular file (a FIFO or a device, where
-    a sidecar would land in ``/dev``): the command's own ``fields``, the
-    fields every manifest shares, and for ``dataset`` = (n, sha256) that
-    table's fingerprint, the sha256 its CSV's bytes hashed to as they were
-    written or read."""
+    """Sorted key=value lines to ``<real path of args.out>.manifest``, or to
+    stderr without ``args.out`` or when its real path is not a regular file
+    (a FIFO or a device, where a sidecar would land in ``/dev``): the
+    command's own ``fields``, the fields every manifest shares, and for
+    ``dataset`` = (n, sha256) that table's fingerprint, the sha256 its CSV's
+    bytes hashed to as they were written or read."""
     entries = dict(fields, command=args.command, seed=seed, wall_time=wall, artifact_version=__version__)
     if dataset is not None:
         n, sha256 = dataset
         entries["dataset_fingerprint"] = f"n={n};sha256={sha256}"
     text = "".join(f"{key}={entries[key]}\n" for key in sorted(entries))
-    beside = args.out and stat.S_ISREG(os.stat(args.out).st_mode)
-    _emit(text, args.out + ".manifest" if beside else None, sys.stderr)
+    real = args.out and os.path.realpath(args.out)
+    _emit(text, real + ".manifest" if real and os.path.isfile(real) else None, sys.stderr)
 
 
 def _cmd_generate(parser, args, seed: int) -> int:
@@ -161,7 +160,7 @@ def _fit_overrides(parser, args) -> dict:
 
 def _cmd_fit(parser, args, seed: int) -> int:
     # the result or its manifest would overwrite the table it was fitted on
-    for target in (args.out, f"{args.out}.manifest") if args.out else ():
+    for target in (args.out, os.path.realpath(args.out) + ".manifest") if args.out else ():
         if _same_file(target, args.data):
             parser.error(f"--out {args.out} would overwrite the --data file {args.data}")
     params = resolve_params(args.algo, _fit_overrides(parser, args))
@@ -207,16 +206,12 @@ def _cmd_bench(parser, args, seed: int) -> int:
         if algo not in ALGORITHMS:
             parser.error(f"unknown algorithm {algo!r} in --algo-list")
     n_values = [int(v) for v in args.n_list.split(",")]
-    cells: list[CellResult] = []
-    resolved: dict[str, dict] = {}
     wall_start = time.perf_counter()
-    cell_id = 0
-    for n in n_values:
-        for algo in algos:
-            params = resolve_params(algo, {})
-            resolved[algo] = params
-            cells.append(run_cell(algo, n, args.replicates, seed, cell_id, params))
-            cell_id += 1
+    resolved = {algo: resolve_params(algo, {}) for algo in algos}
+    cells = [
+        run_cell(algo, n, args.replicates, seed, cell_id, resolved[algo])
+        for cell_id, (n, algo) in enumerate(itertools.product(n_values, algos))
+    ]
     wall = time.perf_counter() - wall_start
     text = rows_to_csv(cells) if args.format == "csv" else tables_to_markdown(cells)
     _emit(text, args.out, sys.stdout)

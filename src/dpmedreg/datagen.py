@@ -25,12 +25,14 @@ Python's ``float`` takes, such as digit-group underscores (``1_0``) and
 non-ASCII digits.
 
 Beside each CSV it writes to a regular file, :func:`write_csv` leaves a
-binary twin, ``<path>.dpmedreg-table``: a fixed header (format tag, the
-sha256 of the CSV bytes, the sha256 of the table bytes, the row and column
-counts) and then the (n, d + 1) table of little-endian doubles, y last,
-row by row.  :func:`read_csv` returns the twin's table when the CSV and the
-table still hash to the recorded digests, and parses the CSV otherwise, so
-both routes give the same arrays; the CSV stays the file of record.  Each
+binary twin, ``<real path>.dpmedreg-table`` (a symlink's twin goes beside
+its target; a twin that cannot be opened is skipped): a fixed header
+(format tag, the sha256 of the CSV bytes, the sha256 of the table bytes,
+the row and column counts) and then the (n, d + 1) table of little-endian
+doubles, y last, row by row.  :func:`read_csv` looks for it beside the
+CSV's real path and returns its table when the CSV and the table still
+hash to the recorded digests, and parses the CSV otherwise, so both routes
+give the same arrays; the CSV stays the file of record.  Each
 CSV is opened once and hashed once, as its bytes pass: :func:`write_csv`
 returns the sha256 of what it wrote and :func:`read_csv` that of what it
 read.  A pipe's bytes can be read only once, so :func:`read_csv` keeps them
@@ -44,7 +46,6 @@ import hashlib
 import io
 import math
 import os
-import stat
 import struct
 import warnings
 from dataclasses import dataclass
@@ -229,10 +230,6 @@ def _expected_header(d: int) -> list[str]:
     return [f"x{j}" for j in range(1, d + 1)] + ["y"]
 
 
-def _twin_path(path) -> str:
-    return os.fsdecode(path) + _TWIN_SUFFIX
-
-
 def _repr_fields(values: np.ndarray) -> np.ndarray:
     """Canvas rows, less the separator, holding ``repr`` of each value."""
     texts = [repr(value) for value in values.tolist()]
@@ -336,9 +333,9 @@ def _format_rows(batch: np.ndarray, canvas: np.ndarray) -> bytes:
 
 
 def write_csv(path, X: np.ndarray, Y: np.ndarray) -> str:
-    """UTF-8, LF-terminated CSV with header x1,...,xd,y, and when ``path`` is
-    a regular file its binary twin (see the module docstring); returns the
-    sha256 hex digest of the CSV bytes written.
+    """UTF-8, LF-terminated CSV with header x1,...,xd,y, and when ``path``'s
+    real path is a regular file its binary twin (see the module docstring);
+    returns the sha256 hex digest of the CSV bytes written.
 
     Floats are written with shortest round-trip formatting, so
     write-then-read reproduces the exact doubles.  Raises ``ValueError``
@@ -358,9 +355,13 @@ def write_csv(path, X: np.ndarray, Y: np.ndarray) -> str:
     buffer = np.empty((min(n, batch_rows), width))
     canvas = np.empty((buffer.size, _FIELD_BYTES), dtype=np.uint8)
     with open(path, "wb") as fh:
-        # a device or pipe gets no twin: there is no file to read back
-        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-        with open(_twin_path(path), "wb") if regular else contextlib.nullcontext() as twin:
+        # the twin goes beside the CSV's real path when that is a regular
+        # file; it is a cache, so none is written where it cannot be opened
+        twin, real = None, os.path.realpath(os.fsdecode(path))
+        if os.path.isfile(real):
+            with contextlib.suppress(OSError):
+                twin = open(real + _TWIN_SUFFIX, "wb")
+        with twin or contextlib.nullcontext():
             data = (",".join(_expected_header(d)) + "\n").encode("utf-8")
             csv_digest.update(data)
             fh.write(data)
@@ -437,7 +438,7 @@ def _read_twin(path, csv_sha256: bytes) -> np.ndarray | None:
     ``csv_sha256``: another tag or size, a CSV whose bytes changed since the
     twin was written, or table bytes that changed."""
     try:
-        fh = open(_twin_path(path), "rb")
+        fh = open(os.path.realpath(os.fsdecode(path)) + _TWIN_SUFFIX, "rb")
     except OSError:
         return None
     with fh:

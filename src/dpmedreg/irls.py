@@ -188,11 +188,11 @@ def irls_fits(datasets: list[Dataset], cfg: IrlsConfig) -> list[IrlsTrace]:
     Xt = design_matrix(X)
     ridge = first.n * cfg.lam / 2.0
     omega = _normal_solve(Xt, Y, np.ones(Y.shape), ridge)
-    # the tables still running, and per pass their indices and iterates
+    # the tables still running, per pass their indices and iterates, and per
+    # table the pass at which it converged (None: it ran out of passes)
     running = np.arange(m)
     history = [(running, omega)]
-    passes = [cfg.max_iters] * m
-    converged = [False] * m
+    converged_at = [None] * m
     violations = [0] * m
     for t in range(1, cfg.max_iters + 1):
         # 1/(|mu + X beta - Y| + e), built in place in the product's array
@@ -222,8 +222,7 @@ def irls_fits(datasets: list[Dataset], cfg: IrlsConfig) -> list[IrlsTrace]:
         done = near & (_row_sums(moved[:, 1:]) <= cfg.tau)
         if done.any():
             for k in running[done].tolist():
-                passes[k] = t
-                converged[k] = True
+                converged_at[k] = t
             if done.all():
                 break
             keep = ~done
@@ -233,10 +232,10 @@ def irls_fits(datasets: list[Dataset], cfg: IrlsConfig) -> list[IrlsTrace]:
     for t, (tables, rows) in enumerate(history):
         stacked[t, tables] = rows
     traces = []
-    for k in range(m):
-        iterates = np.ascontiguousarray(stacked[: passes[k] + 1, k])
+    for k, t in enumerate(converged_at):
+        iterates = np.ascontiguousarray(stacked[: (cfg.max_iters if t is None else t) + 1, k])
         iterates.setflags(write=False)
-        traces.append(IrlsTrace(iterates=iterates, converged=converged[k], bracket_violations=violations[k]))
+        traces.append(IrlsTrace(iterates=iterates, converged=t is not None, bracket_violations=violations[k]))
     return traces
 
 

@@ -258,10 +258,9 @@ def _exact_line_search(r, s, delta, gamma, n, q1, q2):
     bound = _root_bracket(r, delta, gamma, n, q1, q2, A0) if many else 1.0
     cut = float(np.where(alphas > bound, alphas, math.inf).min(initial=math.inf))
 
-    # slope line (start, curve) on the segment that begins at breakpoint prev
-    start, curve, prev = A0, B0, 0.0
-    # running sums of the increments so far
-    sum_A = sum_B = 0.0
+    # running sums of the increments so far: the slope line on the segment
+    # that begins at breakpoint prev is (A0 + sum_A) + (B0 + sum_B) alpha
+    sum_A = sum_B = prev = 0.0
     done = -math.inf
     n_sorted = 0
     while done < math.inf:
@@ -281,14 +280,12 @@ def _exact_line_search(r, s, delta, gamma, n, q1, q2):
             rb, db = r[i], delta[i]
             inc_A = (rb * db / gamma * side + np.abs(db)) / n
             inc_B = (db * db / gamma) / n * side
-            inc_A[0] += sum_A
-            inc_B[0] += sum_B
-            run_A, run_B = np.cumsum(inc_A), np.cumsum(inc_B)
+            run_A = np.cumsum(np.concatenate(([sum_A], inc_A)))
+            run_B = np.cumsum(np.concatenate(([sum_B], inc_B)))
             sum_A, sum_B = run_A[-1], run_B[-1]
-            A_seg, B_seg = A0 + run_A, B0 + run_B
-            # slope at the right end of each bounded segment [prev, seg_alphas[j])
-            starts = np.concatenate([[start], A_seg[:-1]])
-            curves = np.concatenate([[curve], B_seg[:-1]])
+            # the line on each bounded segment [prev, seg_alphas[j]) and its
+            # slope at the right end (A0 + 0.0 is A0, B0 + 0.0 B0: A0 < 0 <= B0)
+            starts, curves = A0 + run_A[:-1], B0 + run_B[:-1]
             slope_end = starts + curves * seg_alphas
             hit = np.flatnonzero(slope_end >= 0.0)
             if hit.size:
@@ -297,8 +294,9 @@ def _exact_line_search(r, s, delta, gamma, n, q1, q2):
                     return float(-starts[j] / curves[j])
                 # slope crossed zero exactly at the preceding breakpoint
                 return float(seg_alphas[j - 1]) if j > 0 else prev
-            start, curve, prev = float(A_seg[-1]), float(B_seg[-1]), float(seg_alphas[-1])
+            prev = float(seg_alphas[-1])
         cut = _kth_smallest(alphas, 8 * n_sorted)
+    start, curve = A0 + sum_A, B0 + sum_B
     if curve <= 0.0:
         raise FloatingPointError("objective is unbounded along the search direction")
     return max(float(-start / curve), prev)

@@ -643,21 +643,28 @@ def test_fit_reads_its_data_from_a_pipe(tmp_path, source):
     assert fingerprint_line(child.stderr) == fingerprint_line(ref.stderr) == fingerprint
 
 
-@pytest.mark.parametrize("spelling", ["same", "dot", "absolute", "symlink", "hard link", "manifest"])
+@pytest.mark.parametrize(
+    "spelling", ["same", "dot", "absolute", "symlink", "hard link", "manifest", "manifest beside a link's target"]
+)
 def test_fit_refuses_an_out_that_would_overwrite_its_data(tmp_path, monkeypatch, capsys, spelling):
     # fit used to overwrite the table with its result and then fingerprint
-    # the result in place of the table
+    # the result in place of the table; the manifest goes beside --out's real
+    # path, so a link whose target is d gets d.manifest
     monkeypatch.chdir(tmp_path)
-    data = "d.manifest" if spelling == "manifest" else "d.csv"
+    data = "d.manifest" if spelling.startswith("manifest") else "d.csv"
     assert main(["generate", "--n", "50", "--seed", "2", "--out", data]) == 0
     out = {
         "same": "d.csv", "dot": "./d.csv", "absolute": str(tmp_path / "d.csv"),
         "symlink": "link.csv", "hard link": "hard.csv", "manifest": "d",
+        "manifest beside a link's target": "link",
     }[spelling]
     if spelling == "symlink":
         os.symlink("d.csv", "link.csv")
     elif spelling == "hard link":
         os.link("d.csv", "hard.csv")
+    elif spelling == "manifest beside a link's target":
+        Path("d").write_text("an earlier result\n", encoding="utf-8")
+        os.symlink("d", "link")
     before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
     assert f"{data}.dpmedreg-table" in before
     capsys.readouterr()
@@ -666,3 +673,61 @@ def test_fit_refuses_an_out_that_would_overwrite_its_data(tmp_path, monkeypatch,
     assert info.value.code == 2
     assert f"error: --out {out} would overwrite the --data file {data}" in capsys.readouterr().err
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+def test_sidecars_go_beside_the_real_path_of_out(tmp_path, monkeypatch, capsys):
+    # a/out.csv -> ../b/x.csv stands in for --out /dev/stdout with stdout
+    # redirected to a file: the twin and the manifests used to be named after
+    # the link, which put /dev/stdout.dpmedreg-table and /dev/stdout.manifest
+    # into /dev
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("a")
+    os.mkdir("b")
+    os.symlink("../b/x.csv", "a/out.csv")
+    assert main(["generate", "--n", "300", "--seed", "4", "--out", "a/out.csv"]) == 0
+    assert os.listdir("a") == ["out.csv"]
+    assert sorted(os.listdir("b")) == ["x.csv", "x.csv.dpmedreg-table", "x.csv.manifest"]
+    # the fit loads the twin beside the link's target: parsing fails the
+    # test; its result goes through a link too
+    os.symlink("../b/fit.csv", "a/fit.csv")
+    fit = ["fit", "--algo", "alg2", "--seed", "5"]
+    with monkeypatch.context() as patch:
+        patch.setattr(datagen, "_parse_csv", lambda path, fh: pytest.fail("parsed the CSV"))
+        assert main([*fit, "--data", "a/out.csv", "--out", "a/fit.csv"]) == 0
+    assert sorted(os.listdir("a")) == ["fit.csv", "out.csv"]
+    assert sorted(os.listdir("b")) == ["fit.csv", "fit.csv.manifest", "x.csv", "x.csv.dpmedreg-table", "x.csv.manifest"]
+    # the same bytes as a fit of the file itself, without the links
+    assert main([*fit, "--data", "b/x.csv", "--out", "ref.csv"]) == 0
+    assert mask_timing(Path("b/fit.csv").read_text(encoding="utf-8")) == mask_timing(
+        Path("ref.csv").read_text(encoding="utf-8")
+    )
+    fingerprint = fingerprint_line(Path("b/x.csv.manifest").read_text(encoding="utf-8"))
+    assert fingerprint_line(Path("b/fit.csv.manifest").read_text(encoding="utf-8")) == fingerprint
+
+
+def test_generate_keeps_its_csv_when_the_twin_cannot_be_opened(tmp_path, monkeypatch, capsys):
+    # write_csv used to truncate the CSV and then fail to open the twin (here
+    # a directory at its name), leaving an empty CSV and exit 1; the twin is
+    # a cache, so it is skipped and the CSV is written
+    monkeypatch.chdir(tmp_path)
+    for name in ("blocked", "twinned"):
+        os.mkdir(name)
+    Path("blocked/d.csv").write_text("keep me\n", encoding="utf-8")
+    os.mkdir("blocked/d.csv.dpmedreg-table")
+    for name in ("blocked", "twinned"):
+        assert main(["generate", "--n", "300", "--seed", "4", "--out", f"{name}/d.csv"]) == 0
+    assert Path("blocked/d.csv").read_bytes() == Path("twinned/d.csv").read_bytes()
+    assert os.listdir("blocked/d.csv.dpmedreg-table") == []
+    digest = hashlib.sha256(Path("blocked/d.csv").read_bytes()).hexdigest()
+    for name in ("blocked", "twinned"):
+        manifest = Path(f"{name}/d.csv.manifest").read_text(encoding="utf-8")
+        assert fingerprint_line(manifest) == f"dataset_fingerprint=n=300;sha256={digest}"
+    parsed, parse_csv = [], datagen._parse_csv
+    monkeypatch.setattr(datagen, "_parse_csv", lambda path, fh: parsed.append(path) or parse_csv(path, fh))
+    stdout = []
+    for name in ("blocked", "twinned"):
+        capsys.readouterr()
+        assert main(["fit", "--algo", "alg1", "--data", f"{name}/d.csv", "--seed", "3"]) == 0
+        stdout.append(mask_timing(capsys.readouterr().out))
+    assert parsed == ["blocked/d.csv"]
+    assert stdout[0] == stdout[1]

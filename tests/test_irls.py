@@ -36,6 +36,15 @@ def test_weighted_solve_intercept_only_sample():
     assert theta.beta[0] == pytest.approx(0.0)
 
 
+def test_fit_refuses_weights_that_are_not_positive_and_finite():
+    # at B = 1e308 the unit-weight start overflows to beta = inf, so every
+    # residual is infinite and every weight 1/(|r| + e) is 0; the loop names
+    # that before it solves with those weights
+    data = Dataset(X=np.array([[0.5], [-0.5]]), Y=np.array([1e308, -1e308]), B=1e308)
+    with pytest.raises(ValueError, match="^weights must be positive and finite$"):
+        fit_irls_private(data, IrlsConfig(epsilon=math.inf), None)
+
+
 def test_weighted_solve_equals_ols(rng):
     # unit weights, lam = 0, full-rank X: ordinary least squares
     X = rng.uniforms(-0.5, 0.5, 10).reshape(5, 2)

@@ -58,6 +58,19 @@ def test_dataset_invariants_enforced():
         data.X[0, 0] = 0.0  # immutable
 
 
+def test_dataset_and_theta_name_a_malformed_array():
+    with pytest.raises(ValueError, match=r"^X must have 2 dimension\(s\), got shape \(3,\)$"):
+        Dataset(X=np.zeros(3), Y=np.zeros(3), B=1.0)
+    with pytest.raises(ValueError, match=r"^beta must have 1 dimension\(s\), got shape \(1, 2\)$"):
+        Theta(mu=0.0, beta=np.zeros((1, 2)))
+    for rows in (2, 4):
+        with pytest.raises(ValueError, match=f"^X has 3 rows but Y has {rows} entries$"):
+            Dataset(X=np.zeros((3, 1)), Y=np.zeros(rows), B=1.0)
+    for mu in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^mu must be finite$"):
+            Theta(mu=mu, beta=np.zeros(1))
+
+
 def test_fortran_ordered_tables_fit_as_their_c_copies():
     # Dataset keeps C-ordered copies, so a Fortran-ordered table gives every
     # fitter, and irls_fits, the bits of its C copy

@@ -62,6 +62,11 @@ def test_uniform_open_is_top_53_bits_of_the_documented_stream(seed, path):
         assert _same_bits(rng.laplaces(0.7, 5), ref)
 
 
+def test_stream_repr_names_its_seed_and_stream():
+    assert repr(RngStream(7, stream=3)) == "RngStream(seed=7, stream=3)"
+    assert repr(RngStream(7).derive(2, 5)) == "RngStream(seed=7, stream=(0, 2, 5))"
+
+
 def test_derive_paths_compose():
     # derive(1, i), derive(1).derive(i) and the documented stream on the same
     # path agree

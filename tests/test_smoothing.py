@@ -173,6 +173,12 @@ def test_program_and_gradient_refuse_a_tilt_of_another_shape(size):
     assert smoothed_gradient(theta, data, cfg, np.ones(4)).shape == (4,)
 
 
+def test_gradient_refuses_a_theta_of_another_d():
+    data = Dataset(X=np.zeros((4, 3)), Y=np.zeros(4), B=1.0)
+    with pytest.raises(ValueError, match="^theta has d=2 but data has d=3$"):
+        smoothed_gradient(Theta(0.0, np.zeros(2)), data, SmoothingConfig(), np.zeros(4))
+
+
 def test_zero_column_without_ridge_takes_damped_newton_steps(rng, monkeypatch):
     # lam = 0 and a zero column leave every Newton matrix singular, so the
     # solver must fall back to its Levenberg-damped retry to make progress
@@ -205,6 +211,43 @@ def test_nonconvergence_carries_last_iterate(rng, monkeypatch):
     assert isinstance(info.value.last_theta, Theta)
     assert info.value.iters == 1
     assert info.value.grad_norm > 0
+
+
+def test_fit_falls_back_to_steepest_descent_without_a_newton_direction(monkeypatch):
+    # no Cholesky solve succeeds, damped or not, so every step goes along
+    # -grad; the exact line search still brings the fit to the tolerance
+    data, _ = bounded_instance(RngStream(5), n=16, d=2)
+    monkeypatch.setattr(smoothing, "_spd_solve", lambda A, rhs: None)
+    cfg = SmoothingConfig(epsilon=math.inf, lam=0.5, gamma=4.0)
+    release = fit_smoothed_private(data, cfg, None)
+    assert release.solver_iters > 1
+    assert float(np.abs(smoothed_gradient(release.theta, data, cfg, release.noise)).max()) <= smoothing._TOL
+
+
+def test_fit_reports_a_search_without_curvature_as_nonconvergence():
+    # a band of 1e-300 makes the Newton system so stiff that the third step
+    # is about 1e-289 long: its curvature q2 underflows to 0, and once the one
+    # in-band sample leaves the band the search finds no curvature at all.
+    # The solver reports the unbounded ray with its last iterate, not as an
+    # overflow of the tilt (the ValueError naming epsilon).
+    data, _ = bounded_instance(RngStream(5), n=40, d=2)
+    with pytest.raises(ConvergenceError, match="^objective is unbounded along the search direction$") as info:
+        fit_smoothed_private(data, SmoothingConfig(epsilon=math.inf, gamma=1e-300), None)
+    assert info.value.iters == 2
+    assert info.value.grad_norm > smoothing._TOL
+    assert np.all(np.isfinite(info.value.last_theta.as_vector()))
+
+
+def test_fit_refuses_a_line_search_that_stalls(rng, monkeypatch):
+    # a nonpositive exact step while the gradient is above tolerance would
+    # repeat the same iterate until the step cap; it is refused at once
+    data, _ = bounded_instance(rng, n=40, d=2)
+    monkeypatch.setattr(smoothing, "_exact_line_search", lambda *args: 0.0)
+    with pytest.raises(ConvergenceError, match="^line search stalled at gradient norm") as info:
+        fit_smoothed_private(data, SmoothingConfig(), RngStream(3))
+    assert info.value.iters == 0
+    assert info.value.last_theta.as_vector().tolist() == [0.0, 0.0, 0.0]
+    assert info.value.grad_norm > smoothing._TOL
 
 
 def test_accuracy_bound_value_and_monotonicity():
@@ -409,6 +452,34 @@ def test_line_search_matches_full_sort_on_named_cases():
             FloatingPointError,
             "objective is unbounded along the search direction",
         )
+
+
+@pytest.mark.parametrize("block", [smoothing._SCAN_BLOCK, 1])
+def test_line_search_returns_the_breakpoint_where_the_slope_reaches_zero(monkeypatch, block):
+    # sample 0 enters the band at 13/12 and leaves it at 55/36; sample 1
+    # enters at 30.  On [55/36, 30) phi' is exactly (2.25 - 0.25)/2 - 1 = 0,
+    # and the accumulated slope at 55/36 rounds below 0, so the search meets
+    # the flat segment's line (0, 0) and returns its left end: from inside a
+    # block, and, one segment per block, from the block before
+    monkeypatch.setattr(smoothing, "_SCAN_BLOCK", block)
+    args = _line_search_args([-2.9375, -8.0], [2.25, 0.25], -1.0, 0.0, gamma=0.5)
+    assert smoothing._exact_line_search(*args) == _full_sort_line_search(*args) == (0.5 + 2.9375) / 2.25
+
+
+def test_line_search_bracket_gives_up_at_a_non_finite_slope(monkeypatch):
+    # phi'(alpha) = alpha - 1/2 on one in-band sample, so regula falsi tries
+    # alpha = 1/2; a slope evaluation there that is +inf (a stand-in: the
+    # slopes of a real search are nondecreasing in alpha, finite at 1, so a
+    # non-finite one inside the bracket is -inf or NaN) must not become the
+    # bracket's upper end
+    huber_terms = smoothing._huber_terms
+
+    def inf_below_one(x, gamma):
+        s, w, factor = huber_terms(x, gamma)
+        return s, w, np.where(x < 1.0, np.inf, factor)
+
+    monkeypatch.setattr(smoothing, "_huber_terms", inf_below_one)
+    assert smoothing._root_bracket(np.zeros(1), np.ones(1), 1.0, 1, -0.5, 0.0, -0.5) == 1.0
 
 
 def test_line_search_grows_its_prefix_when_the_hint_undercounts():

@@ -1,5 +1,6 @@
 import hashlib
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,6 +33,18 @@ def test_oracle_intercept_only_median():
     data = Dataset(X=np.zeros((3, 1)), Y=np.array([1.0, 2.0, 9.0]), B=9.0)
     theta = oracle_l1_fit(data)
     assert abs(theta.mu - 2.0) <= 2e-4
+
+
+def test_oracle_refuses_an_lp_that_was_not_solved(monkeypatch):
+    # the LAD dual is always feasible and bounded, so a status other than
+    # optimal is the solver's own failure; its message is passed on
+    import scipy.optimize
+
+    failed = SimpleNamespace(status=4, message="Numerical difficulties encountered.")
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: failed)
+    data = Dataset(X=np.zeros((3, 1)), Y=np.array([1.0, 2.0, 9.0]), B=9.0)
+    with pytest.raises(RuntimeError, match="^LAD linear program not solved: Numerical difficulties encountered.$"):
+        oracle_l1_fit(data)
 
 
 def test_oracle_recovers_exact_linear(rng):
