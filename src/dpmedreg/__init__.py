@@ -12,7 +12,7 @@ synthetic-data generator with domain normalization, sensitivity probes, and a
 benchmark CLI.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 # Each module's __all__ is its public surface; the package re-exports them in
 # this order.

@@ -1,18 +1,18 @@
 """Seedable randomness: replayable streams, Laplace noise, and the
-Gamma-norm / uniform-L1-direction perturbation vector.
+objective-perturbation tilt, a vector of i.i.d. Laplace draws.
 
 Every sampler checks its arguments and is an inverse-CDF construction (no
 rejection steps), so a fixed (seed, stream) pair replays bit-identically.
-All randomness in the package flows through :class:`RngStream`.  Each uniform
+All randomness in the package flows through :class:`RngStream`, and every
+release's noise is drawn by :meth:`RngStream.laplaces`.  Each uniform
 is one raw PCG64 output: ``Generator.random`` takes its top 53 bits m as
 m / 2**53, and adding 2**-54 gives ``(m + 0.5) / 2**53``, the midpoint of
 cell m, for m < 2**52.  Above 1/2 that midpoint falls between two doubles and
 the sum rounds to the even one, as ``(m + 0.5)`` rounds before its division,
 so the stream is the one ``Generator.integers(0, 2**53)`` gives.  The top
 cell would round to 1.0 and is clamped to 1 - 2**-53, so every uniform lies
-in [2**-54, 1 - 2**-53].  :func:`sample_l1_perturbations` draws its rows one
-after another from the stream it is given, so it equals ``count`` successive
-calls of :func:`sample_l1_perturbation` on that stream bit for bit.
+in [2**-54, 1 - 2**-53].  Each draw takes one uniform, so successive draws
+from one stream have the bits of one draw of their total length.
 """
 
 from __future__ import annotations
@@ -22,36 +22,13 @@ import math
 import numpy as np
 
 from .model import _as_integer, _check_count, _check_epsilon, _check_nonnegative
-from .model import _check_positive, _check_probability, _check_scale_finite, _UNIT_DRAW_BOUND, _row_sums
+from .model import _check_positive, _check_probability, _check_scale_finite, _UNIT_DRAW_BOUND
 
 __all__ = [
     "RngStream",
     "sample_l1_perturbation",
-    "sample_l1_perturbations",
     "gamma_tail_bound",
 ]
-
-# Rows of :func:`sample_l1_perturbations` drawn and transformed together.
-_L1_BLOCK_ROWS = 8192
-
-
-def _exponential(u: np.ndarray, scale: float) -> np.ndarray:
-    """Inverse CDF of the exponential with mean ``scale``."""
-    return -float(scale) * np.log(u)
-
-
-def _laplace(u: np.ndarray, scale: float) -> np.ndarray:
-    """Inverse CDF of the Laplace with scale ``scale``, -scale sign(u - 1/2)
-    ln(1 - 2|u - 1/2|); ``u`` is left as it is.  After u - 1/2, which gives a
-    strided ``u`` a contiguous copy, every step runs in place and is the
-    formula's operation, so the bits are those of the out-of-place form."""
-    u = u - 0.5
-    out = np.sign(u)
-    out *= -float(scale)
-    np.abs(u, out=u)
-    u *= -2.0
-    out *= np.log1p(u, out=u)
-    return out
 
 
 class RngStream:
@@ -97,11 +74,20 @@ class RngStream:
     def laplaces(self, scale: float, k: int) -> np.ndarray:
         """k i.i.d. draws with density (1/2c) exp(-|x|/c), c = ``scale``
         (positive, and small enough that no draw overflows), one uniform
-        each: the inverse CDF x = -c sign(u - 1/2) ln(1 - 2|u - 1/2|)."""
+        each: the inverse CDF x = -c sign(u - 1/2) ln(1 - 2|u - 1/2|).  Every
+        step runs in place and is the formula's operation, so the bits are
+        those of the out-of-place form."""
         _check_positive("scale", scale)
         if not float(scale) * _UNIT_DRAW_BOUND < math.inf:
             raise ValueError(f"scale={scale} draws values that overflow the float range")
-        return _laplace(self.uniform_open(k), scale)
+        u = self.uniform_open(k)
+        u -= 0.5
+        out = np.sign(u)
+        out *= -float(scale)
+        np.abs(u, out=u)
+        u *= -2.0
+        out *= np.log1p(u, out=u)
+        return out
 
     def uniforms(self, lo: float, hi: float, k: int) -> np.ndarray:
         """k i.i.d. draws uniform on (lo, hi); the width hi - lo must be positive and finite."""
@@ -128,41 +114,18 @@ def _l1_scale(dim: int, epsilon: float) -> float:
     _check_count("dim", dim)
     _check_positive("epsilon", epsilon)
     scale = 4.0 / epsilon
-    _check_scale_finite(epsilon, dim * scale)  # the Gamma norm sums dim draws
+    _check_scale_finite(epsilon, dim * scale)  # the L1 norm sums dim draws
     return scale
 
 
 def sample_l1_perturbation(dim: int, epsilon: float, rng: RngStream) -> np.ndarray:
     """Random vector b with density proportional to exp(-epsilon ||b||_1 / 4).
 
-    ||b||_1 is drawn as the sum of ``dim`` i.i.d. exponentials of mean
-    4/epsilon (a Gamma(dim, 4/epsilon) variate), then multiplied by a
-    direction uniform on the L1 sphere (``dim`` unit-Laplace draws divided by
-    their L1 norm).  Draw order: norm first, then direction.
+    That density is the product of ``dim`` Laplace(4/epsilon) densities, so b
+    is ``rng.laplaces(4 / epsilon, dim)``, and ||b||_1, a sum of ``dim``
+    exponentials of mean 4/epsilon, is a Gamma(dim, 4/epsilon) variate.
     """
-    return sample_l1_perturbations(dim, epsilon, rng, 1)[0]
-
-
-def sample_l1_perturbations(dim: int, epsilon: float, rng: RngStream, count: int) -> np.ndarray:
-    """``count`` draws of :func:`sample_l1_perturbation` as a (count, dim)
-    array, drawn one after another from ``rng``: row i is the i-th of
-    ``count`` successive ``sample_l1_perturbation(dim, epsilon, rng)`` calls,
-    bit for bit, and the stream ends where those calls leave it.
-
-    Each row takes ``2 dim`` uniforms, the norm's then the direction's.  They
-    are drawn and transformed one block of rows at a time, so memory stays at
-    one block plus the result, whatever ``count`` is.
-    """
-    scale = _l1_scale(dim, epsilon)
-    _check_count("count", count)
-    out = np.empty((count, dim))
-    for start in range(0, count, _L1_BLOCK_ROWS):
-        rows = min(count - start, _L1_BLOCK_ROWS)
-        u = rng.uniform_open(2 * dim * rows).reshape(rows, 2 * dim)
-        norms = _row_sums(_exponential(u[:, :dim], scale))[:, None]
-        raw = _laplace(u[:, dim:], 1.0)
-        np.multiply(norms, raw / _row_sums(np.abs(raw))[:, None], out=out[start : start + rows])
-    return out
+    return rng.laplaces(_l1_scale(dim, epsilon), dim)
 
 
 def gamma_tail_bound(d: int, alpha: float, epsilon: float) -> float:

@@ -1,7 +1,7 @@
 """Smoothed median regression with objective perturbation.
 
-The private fit draws a random linear tilt b (Gamma L1 norm, uniform L1
-direction) and minimizes
+The private fit draws a random linear tilt b (d + 1 i.i.d. Laplace draws)
+and minimizes
 
     mean_i rho_gamma(r_i) + (lam/2) beta'beta + mu^2/sqrt(n) + b'omega/n,
 
@@ -218,7 +218,9 @@ def _exact_line_search(r, s, delta, gamma, n, q1, q2):
     the alphas where a sample crosses the +/-gamma band.  ``s`` holds the band
     signs of ``r``, and ``delta`` is finite (an overflow in the direction
     raises under the fit's ``errstate`` first).  Requires phi'(0) < 0.
-    Raises if the slope never becomes nonnegative (descent ray is unbounded).
+    Raises if the slope never becomes nonnegative: no curvature is left
+    along the direction (q2 is 0, which the fit's ridge gives only by
+    underflow, and no sample stays in the band).
 
     The slope is accumulated over the breakpoints in stable sorted order,
     but only over a prefix of that order that grows until it holds the root.
@@ -298,7 +300,7 @@ def _exact_line_search(r, s, delta, gamma, n, q1, q2):
         cut = _kth_smallest(alphas, 8 * n_sorted)
     start, curve = A0 + sum_A, B0 + sum_B
     if curve <= 0.0:
-        raise FloatingPointError("objective is unbounded along the search direction")
+        raise FloatingPointError("no curvature is left along the search direction")
     return max(float(-start / curve), prev)
 
 
@@ -370,9 +372,9 @@ def fit_smoothed_private(data: Dataset, cfg: SmoothingConfig, rng: RngStream | N
     """Objective-perturbed fit: tilt the smoothed program by b'omega/n.
 
     The release's noise is the tilt b, drawn by
-    :func:`dpmedreg.sampling.sample_l1_perturbation` with exponential mean
-    ``noise_scale`` = 4/epsilon, and ``solver_iters`` counts Newton steps
-    (gradient entries within ``_TOL``, at most ``_MAX_ITERS`` steps).  The
+    :func:`dpmedreg.sampling.sample_l1_perturbation` as d + 1 Laplace draws
+    of scale ``noise_scale`` = 4/epsilon, and ``solver_iters`` counts Newton
+    steps (gradient entries within ``_TOL``, at most ``_MAX_ITERS`` steps).  The
     release rules are :func:`dpmedreg.model._noise_scale`'s; at epsilon =
     inf the tilt is exactly zero and the fit is the baseline.  Their lam > 0
     is the strong convexity objective perturbation needs (Chaudhuri,

@@ -17,7 +17,7 @@ from .datagen import default_generator_spec, generate, normalize
 from .gcd import GcdConfig, coordinate_step_vector
 from .irls import IrlsConfig, fit_irls_private, irls_accuracy_bound, irls_fits, irls_sensitivity
 from .model import Dataset, Theta, design_matrix, objective_l1, residuals
-from .sampling import RngStream, gamma_tail_bound, sample_l1_perturbations
+from .sampling import RngStream, gamma_tail_bound, sample_l1_perturbation
 from .smoothing import SmoothingConfig, fit_smoothed_private, smoothing_accuracy_bound
 
 __all__ = [
@@ -263,6 +263,10 @@ def _probe_alg3(trials: int, seed: int) -> list[ProbeResult]:
     return [gcd_step_probe(50, 3, trials, GcdConfig(), RngStream(seed))]
 
 
+# tilts the sampler probe draws and reduces to their norms at a time
+_SAMPLER_BLOCK_ROWS = 8192
+
+
 def _probe_samplers(trials: int, seed: int) -> list[ProbeResult]:
     _check_at_least_one("trials", trials)
     rng = RngStream(seed)
@@ -277,9 +281,14 @@ def _probe_samplers(trials: int, seed: int) -> list[ProbeResult]:
 
     d = 3
     eps = SmoothingConfig().epsilon
-    # the rows are drawn one after another from the stream rng.derive(1)
-    values = sample_l1_perturbations(d + 1, eps, rng.derive(1), trials)
-    norms = np.abs(values, out=values).sum(axis=1)
+    # trial t's tilt is the t-th d + 1 draws of the stream rng.derive(1),
+    # drawn one block of rows at a time, so memory stays at one block
+    stream = rng.derive(1)
+    norms = np.empty(trials)
+    for start in range(0, trials, _SAMPLER_BLOCK_ROWS):
+        rows = min(trials - start, _SAMPLER_BLOCK_ROWS)
+        values = sample_l1_perturbation((d + 1) * rows, eps, stream).reshape(rows, d + 1)
+        np.abs(values, out=values).sum(axis=1, out=norms[start : start + rows])
     expect = (d + 1) * 4.0 / eps
     rel = abs(float(norms.mean()) - expect) / expect
     # the Gamma(d + 1) norm's relative standard error is 1/sqrt((d + 1) trials),

@@ -19,6 +19,7 @@ from dpmedreg import (
     irls,
     irls_fit,
     random_dataset,
+    split_batches,
 )
 from dpmedreg.bench import ALGORITHM_TABLE, ALGORITHMS, resolve_params, run_cell, run_fit
 from dpmedreg.gcd import _descend
@@ -79,9 +80,32 @@ def test_default_config_releases_at_protocol_epsilon(algo):
     assert _bits(default) != _bits(fit(data, config(epsilon=math.inf), RngStream(22)).theta)
 
 
+@pytest.mark.parametrize("algo", FITTERS)
+def test_release_noise_replays_laplaces(algo):
+    # every mechanism draws its noise with RngStream.laplaces: alg1's tilt and
+    # alg2's output noise are d + 1 draws at the release's scale, alg3's rows
+    # d unit draws each after the batch permutation, times the row's scale
+    config, fit = FITTERS[algo]
+    cfg = config(epsilon=0.1)
+    data, _, _ = benchmark_instance(500, RngStream(21))
+    release = fit(data, cfg, RngStream(23))
+    twin = RngStream(23)
+    if algo == "alg3":
+        batches = split_batches(data.n, cfg.batches, twin)
+        n0 = batches.shape[1]
+        scales = 2.0 * (cfg.ell / np.arange(1, cfg.batches + 1)) / (cfg.epsilon * n0)
+        expected = twin.laplaces(1.0, cfg.batches * data.d).reshape(cfg.batches, data.d) * scales[:, None]
+    else:
+        expected = twin.laplaces(release.noise_scale, data.d + 1)
+    if algo == "alg1":
+        assert release.noise_scale == 4.0 / cfg.epsilon
+    assert release.noise.shape == expected.shape
+    assert release.noise.tobytes() == expected.tobytes()
+
+
 # epsilon = 1e-320 is positive but 1/epsilon is not finite.  The "-draw"
-# cases give finite noise scales whose largest draws are not: the tilt's
-# Gamma norm sums four draws at 4/epsilon = 8e307, alg2 draws at 1e308 (d =
+# cases give finite noise scales whose largest draws are not: the tilt
+# draws at 4/epsilon = 8e307, alg2 draws at 1e308 (d =
 # 3, n = 200, B = 2) and alg3's first row at 1.7e308 (n0 = 5); each used to
 # fail inside its fit, after the draw
 OVERFLOWING_EPSILONS = [pytest.param(algo, 1e-320, id=algo) for algo in FITTERS] + [

@@ -422,27 +422,27 @@ def test_negative_seed_is_a_usage_error(tmp_path, monkeypatch, capsys):
 
 # Files hashed as written: the CSV and its binary twin.
 DATA_FILES = ("data.csv", "data.csv.dpmedreg-table")
-# sha256 of each fixed-seed CLI output, timing fields masked; the data files
-# are hashed as written
+# sha256 of each fixed-seed CLI output at artifact version 0.2.0, timing
+# fields masked; the data files are hashed as written
 CLI_DIGESTS = {
-    "alg1.csv": "090e6662d6f4732c31ba6617cdf1cf6d84568cafa3a1399192f2402e9c9b0ee8",
-    "alg1.csv.manifest": "543dfc3c51751f507365fc6a9692a03ef336d1a1c98cc96034b92b631b165189",
+    "alg1.csv": "776c14d507b0f8a36a74e54289e2d536cca93082e53cb84e21a256e321a8c893",
+    "alg1.csv.manifest": "99f8e6af313ae22b2f7718cb633796e242bcb8f0be9a5cf9aa6785437862ee9d",
     "alg2.csv": "2c139693754ba2ee2173f93f30a1e06f992fd4fa7a6d1f78043f74e4091a4fc7",
-    "alg2.csv.manifest": "9ad426fd70cab6b37f675df74e58fd6810fa3d32bd92de0dcaabcccc8c657c1a",
+    "alg2.csv.manifest": "1ef1c1c1699f71c854b3fe1d5b95b48a8bb3d415ea9d97294c8055d2ed923ade",
     "alg3.csv": "67c1591b499b20e523ee8ce96c6f406a77bff707e4f7fb82e9f1b2caef820061",
-    "alg3.csv.manifest": "81f17a302cf32ed4a6888da0082f774d528dbec5df82dc6ae54c1271b958c56a",
+    "alg3.csv.manifest": "8f78509c67626c447e7457742d2c3fbceee39e4b6dd4371ff5acb1585731fe77",
     "baseline-irls.csv": "17b2d3322eadcfff019bc2b45615918fb25cc79e99fa324fa1e556a8a368a0a8",
-    "baseline-irls.csv.manifest": "5ee6f2651b5e38ba2669deffdcc7d7046014133489a72c5604d5378db613e27e",
+    "baseline-irls.csv.manifest": "d6e76fe89465f8a693dd105d2237f4038f0205bd7d9a2db6efd861b81cd1ee68",
     "baseline-smooth.csv": "ead69c0847205b5246a0e8de8130140ca029620a6a6cfeedb15df78b64fa960e",
-    "baseline-smooth.csv.manifest": "81f01b4efea2caf1885d4acab912ce3867c799192c4930b1c676504f3b79a937",
-    "bench.csv": "06faf64e1abd9e6ec1901176645465a8edcff6a7ba3627190f1fd5798d4ca787",
-    "bench.csv.manifest": "2151ca1077fc2e94c78eb9ae485e9edd692dc2a1a8b106217d0b76ec7ec50d2e",
+    "baseline-smooth.csv.manifest": "aac110ecf5c36504d280ccd2389a4aaabb370b43d9655f4675d2b314d8e0908a",
+    "bench.csv": "b05c2154b96a3dac97c60d8177c8eaf4426537a4c80f881680f8c5ce07470834",
+    "bench.csv.manifest": "c44f9ad55807a17471fe22e8a595ce1ccea2a6fc90f155ef37bbc371ec83fdf6",
     "data.csv": "b3a636908d142ef319db8130de493928bbbc1c9ad7f6bc64943da6df0eccec3e",
-    "data.csv.manifest": "2a7318574533b543b0df62bcc63797ea39149047cb138fa123c3dcfc6832dfd6",
+    "data.csv.manifest": "beec2a5a61be1913b9485e3f0dc0bb7b68c9ae4884403f042ff2bd794f7fcf53",
     "data.csv.dpmedreg-table": "6e9ff8099c331d47a14fc7232df469b79ba974bb4960f1f91ae38ae6346f7372",
     "probe alg2": "56b304200a739746d82c8bb68129afd5e11276fb55197b3a148ed80f39982145",
     "probe alg3": "5550dd10e127121dda240fb1a8454d1458353fff45b02dbcd468e8edfbe9b106",
-    "probe samplers": "1d1cc77d122bdc283213c167fbd3de6af6c46a7c4c160750ab41fb562a1ae09a",
+    "probe samplers": "90e6c14ca2ae078ed09550399d84123774c707300f81d0e10e6e6166f02a7529",
     "probe bounds": "a959ae5f60c50634b5bb95546c9e3f5bced357953fcd6b5289f78231c4cc53b6",
 }
 

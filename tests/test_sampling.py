@@ -9,8 +9,6 @@ from dpmedreg import (
     RngStream,
     gamma_tail_bound,
     sample_l1_perturbation,
-    sample_l1_perturbations,
-    sampling,
 )
 
 STREAMS = [(0, (0,)), (7, (3,)), (20240901, (1, 5)), (2**40 + 3, (2, 9, 4))]
@@ -47,8 +45,8 @@ def test_distinct_streams_differ():
 def test_uniform_open_is_top_53_bits_of_the_documented_stream(seed, path):
     # the same stream Generator.integers(0, 2**53) gives, with the other
     # draws interleaved so the shared state must advance identically; the
-    # state check after each draw pins one raw output per uniform, at the
-    # L1 sampler's block size (65 536) too
+    # state check after each draw pins one raw output per uniform, at a
+    # large count (65 536) too
     rng = RngStream(seed, path[0]).derive(*path[1:])
     twin = _twin(seed, path)
     for k in (1, 7, 100_000, 1, 65_536, 7):
@@ -89,43 +87,15 @@ def test_numpy_integer_seeds_and_stream_ids_name_the_same_stream():
 
 @pytest.mark.parametrize("dim", [1, 2, 4, 9, 17])
 def test_l1_perturbation_matches_reference_formula(dim):
-    # the draw as a plain numpy computation on the documented stream:
-    # dim exponentials summed for the norm, then dim unit Laplaces
+    # the draw as a plain numpy computation on the documented stream: dim
+    # Laplaces of scale 4/eps
     for seed, path in STREAMS:
         rng = RngStream(seed, path[0]).derive(*path[1:])
         twin = _twin(seed, path)
         for eps in (0.1, 3.0):
-            u = (twin.integers(0, 2**53, size=2 * dim, dtype=np.int64) + 0.5) / 2.0**53
-            norm = float((-(4.0 / eps) * np.log(u[:dim])).sum())
-            c = u[dim:] - 0.5
-            raw = -1.0 * np.sign(c) * np.log1p(-2.0 * np.abs(c))
-            expected = norm * (raw / np.abs(raw).sum())
+            u = (twin.integers(0, 2**53, size=dim, dtype=np.int64) + 0.5) / 2.0**53 - 0.5
+            expected = -(4.0 / eps) * np.sign(u) * np.log1p(-2.0 * np.abs(u))
             assert _same_bits(sample_l1_perturbation(dim, eps, rng), expected)
-
-
-@pytest.mark.parametrize("dim", [1, 2, 9])
-def test_batched_perturbations_are_successive_single_draws(dim, monkeypatch):
-    # three-row blocks, so counts 1-10 cover one, several and a partial last block
-    monkeypatch.setattr(sampling, "_L1_BLOCK_ROWS", 3)
-    for count in range(1, 11):
-        rng, twin = RngStream(12).derive(dim, count), RngStream(12).derive(dim, count)
-        batch = sample_l1_perturbations(dim, 2.0, rng, count)
-        single = np.array([sample_l1_perturbation(dim, 2.0, twin) for _ in range(count)])
-        assert _same_bits(batch, single)
-        # the batch consumed exactly count draws' worth of the stream
-        assert _same_bits(rng.uniform_open(1), twin.uniform_open(1))
-
-
-def test_batched_perturbations_validation():
-    for dim, eps in ((0, 1.0), (4, 0.0), (4, -1.0), (4, math.inf), (4, math.nan)):
-        with pytest.raises(ValueError) as single:
-            sample_l1_perturbation(dim, eps, RngStream(0))
-        with pytest.raises(ValueError) as batch:
-            sample_l1_perturbations(dim, eps, RngStream(0), 10)
-        assert str(batch.value) == str(single.value)
-    for count in (2.5, True, 0, -1):
-        with pytest.raises(ValueError, match=f"^count must be a positive integer, got {count!r}$"):
-            sample_l1_perturbations(4, 1.0, RngStream(0), count)
 
 
 def test_uniform_open_strictly_interior():
@@ -175,14 +145,14 @@ def test_laplaces_validation(scale, k, message):
 
 # Draws whose scale is finite but whose largest value is not: each used to
 # return infinite entries with an overflow warning.  At 4/epsilon = 2e306 one
-# exponential is finite whatever its uniform, the Gamma norm's sum of four
+# Laplace draw is finite whatever its uniform, the L1 norm's sum of four
 # need not be.
 @pytest.mark.parametrize(
     "draw, message",
     [
         (lambda rng: rng.laplaces(1e308, 20), "scale=1e+308 draws values that overflow the float range"),
         (lambda rng: sample_l1_perturbation(4, 5e-308, rng), "epsilon=5e-308 overflows the noise scale"),
-        (lambda rng: sample_l1_perturbations(4, 2e-306, rng, 3), "epsilon=2e-306 overflows the noise scale"),
+        (lambda rng: sample_l1_perturbation(4, 2e-306, rng), "epsilon=2e-306 overflows the noise scale"),
     ],
     ids=["laplaces", "l1", "l1-gamma-sum"],
 )
@@ -219,25 +189,26 @@ def test_laplace_ks_distance():
 
 
 def test_l1_perturbation_norm_is_the_gamma_draw():
-    # replay the stream: the norm is the sum of dim exponentials drawn first
+    # replay the stream: the norm is the sum of dim |Laplace(4/eps)| draws,
+    # exponentials of mean 4/eps
     dim, eps = 4, 0.1
     vec = sample_l1_perturbation(dim, eps, RngStream(9, stream=2))
     replay = RngStream(9, stream=2)
-    expected_norm = float((-(4.0 / eps) * np.log(replay.uniform_open(dim))).sum())
+    expected_norm = float(np.abs(replay.laplaces(4.0 / eps, dim)).sum())
     assert float(np.abs(vec).sum()) == pytest.approx(expected_norm, rel=1e-12)
 
 
 def test_l1_perturbation_gamma_mean():
     dim, eps = 4, 0.1
     # the rows are successive draws from RngStream(5), bit for bit
-    norms = np.abs(sample_l1_perturbations(dim, eps, RngStream(5), 100_000)).sum(axis=1)
+    norms = np.abs(sample_l1_perturbation(dim * 100_000, eps, RngStream(5)).reshape(100_000, dim)).sum(axis=1)
     expected = dim * 4.0 / eps  # 160
     assert abs(float(norms.mean()) - expected) / expected < 0.02
 
 
 def test_l1_perturbation_sign_symmetry():
     rng = RngStream(6)
-    vals = sample_l1_perturbations(2, 1.0, rng, 100_000)
+    vals = sample_l1_perturbation(2 * 100_000, 1.0, rng).reshape(100_000, 2)
     for k in range(2):
         frac = float(np.mean(vals[:, k] > 0))
         assert abs(frac - 0.5) < 0.01
@@ -246,19 +217,16 @@ def test_l1_perturbation_sign_symmetry():
 def test_l1_perturbation_direction_shares_are_symmetric_dirichlet():
     rng = RngStream(7)
     dim = 4
-    v = np.abs(sample_l1_perturbations(dim, 0.5, rng, 100_000))
+    v = np.abs(sample_l1_perturbation(dim * 100_000, 0.5, rng).reshape(100_000, dim))
     shares = v / v.sum(axis=1, keepdims=True)
     means = shares.mean(axis=0)
     assert np.all(np.abs(means - 1.0 / dim) < 0.01 * (1.0 / dim))  # within 1% of 1/dim
 
 
 def test_l1_perturbation_validation():
-    with pytest.raises(ValueError):
-        sample_l1_perturbation(4, 0.0, RngStream(0))
-    with pytest.raises(ValueError):
-        sample_l1_perturbation(0, 1.0, RngStream(0))
-    with pytest.raises(ValueError):
-        sample_l1_perturbation(4, math.inf, RngStream(0))
+    for dim, eps in ((0, 1.0), (4, 0.0), (4, -1.0), (4, math.inf), (4, math.nan)):
+        with pytest.raises(ValueError):
+            sample_l1_perturbation(dim, eps, RngStream(0))
 
 
 def test_gamma_tail_bound_value():
@@ -283,7 +251,7 @@ def test_gamma_tail_bound_takes_a_numpy_integer_d():
 def test_gamma_tail_bound_empirical_coverage():
     d, eps = 3, 0.1
     rng = RngStream(8)
-    norms = np.abs(sample_l1_perturbations(d + 1, eps, rng, 100_000)).sum(axis=1)
+    norms = np.abs(sample_l1_perturbation((d + 1) * 100_000, eps, rng).reshape(100_000, d + 1)).sum(axis=1)
     for alpha in (0.5, 0.1, 0.01):
         bound = gamma_tail_bound(d, alpha, eps)
         assert float(np.mean(norms <= bound)) >= 1.0 - alpha

@@ -228,10 +228,10 @@ def test_fit_reports_a_search_without_curvature_as_nonconvergence():
     # a band of 1e-300 makes the Newton system so stiff that the third step
     # is about 1e-289 long: its curvature q2 underflows to 0, and once the one
     # in-band sample leaves the band the search finds no curvature at all.
-    # The solver reports the unbounded ray with its last iterate, not as an
-    # overflow of the tilt (the ValueError naming epsilon).
+    # The solver reports the missing curvature with its last iterate, not as
+    # an overflow of the tilt (the ValueError naming epsilon).
     data, _ = bounded_instance(RngStream(5), n=40, d=2)
-    with pytest.raises(ConvergenceError, match="^objective is unbounded along the search direction$") as info:
+    with pytest.raises(ConvergenceError, match="^no curvature is left along the search direction$") as info:
         fit_smoothed_private(data, SmoothingConfig(epsilon=math.inf, gamma=1e-300), None)
     assert info.value.iters == 2
     assert info.value.grad_norm > smoothing._TOL
@@ -361,7 +361,7 @@ def _full_sort_line_search(r, s, delta, gamma, n, q1, q2):
     else:
         A_tail, B_tail, lo = A0, B0, 0.0
     if B_tail <= 0.0:
-        raise FloatingPointError("objective is unbounded along the search direction")
+        raise FloatingPointError("no curvature is left along the search direction")
     return max(float(-A_tail / B_tail), lo)
 
 
@@ -450,7 +450,7 @@ def test_line_search_matches_full_sort_on_named_cases():
     for r, delta, q1 in (([0], [1], -5.0), ([2], [0], -1.0)):
         assert same(r, delta, q1, 0.0) == (
             FloatingPointError,
-            "objective is unbounded along the search direction",
+            "no curvature is left along the search direction",
         )
 
 
@@ -668,13 +668,14 @@ def _tied_table():
 
 
 # float.hex of alg1's theta = (mu, beta) on three fixed-seed fits, as the
-# full-sort line search gave them; a faster solver must keep these bits
+# full-sort line search gives them with the Laplace tilt of artifact version
+# 0.2.0; a faster solver must keep these bits
 ALG1_PINS = [
     (
         lambda: benchmark_instance(5000, RngStream(11))[0],
         SmoothingConfig(),
         12,
-        ["0x1.a418c6be21dcap-3", "0x1.6b644d5483632p-2", "-0x1.0d376281e8872p-5", "-0x1.1dc81d0a34b4fp-1"],
+        ["0x1.a0c7e66565c9fp-3", "0x1.b39daaf04782dp-2", "-0x1.3c3b653be031cp-9", "-0x1.3508e4d732e2bp-1"],
     ),
     # recorded with OpenBLAS at 2 threads: at this n the gradient's
     # transposed product Xt.T @ v sums in another order with 1 thread, so
@@ -684,7 +685,7 @@ ALG1_PINS = [
         lambda: benchmark_instance(200_000, RngStream(21))[0],
         SmoothingConfig(),
         22,
-        ["0x1.3f4f577dcb626p-3", "0x1.5a833faf46a3fp-2", "-0x1.059451f021525p-7", "-0x1.d29698c82a222p-2"],
+        ["0x1.3f8d6370c7e27p-3", "0x1.5ffeef0a9e93bp-2", "0x1.397775cab1128p-13", "-0x1.d19008072c00cp-2"],
     ),
     # 60 rows of 4 distinct predictors: many residuals start on the band edges
     # and their breakpoints tie
@@ -692,7 +693,7 @@ ALG1_PINS = [
         _tied_table,
         SmoothingConfig(gamma=0.5, lam=0.05),
         31,
-        ["-0x1.67ba96a84d162p+1", "0x1.9dd8f44f45e1ap+3", "-0x1.586a2f15ee2b4p+1"],
+        ["0x1.bea6bd592c485p-1", "0x1.b28c85354aaeep+2", "-0x1.12a7972fe6f1bp+2"],
     ),
 ]
 
@@ -707,11 +708,12 @@ def test_fixed_seed_fits_keep_their_bits(make_data, cfg, seed, pinned):
 def test_line_search_sorts_little_more_than_the_breakpoints_below_its_roots(make_data, cfg, seed, pinned):
     # over a fit's line searches, the rows stable-sorted against the
     # breakpoints at or below each search's returned alpha: 1.03 and 1.00
-    # (2982 / 2887 and 118459 / 118241) with every first prefix ending at
-    # the first breakpoint past the root's bracket or the Newton step; 1.05
-    # and 1.00 when a prefix the bracket did not set ended 16 breakpoints
-    # past those at or below alpha = 1; 2.00 and 2.07 when every first
-    # prefix did
+    # (3031 / 2953 and 118679 / 118452) with every first prefix ending at
+    # the first breakpoint past the root's bracket or the Newton step.  On
+    # the fits of artifact version 0.1.0 (2982 / 2887 and 118459 / 118241
+    # so): 1.05 and 1.00 when a prefix the bracket did not set ended 16
+    # breakpoints past those at or below alpha = 1; 2.00 and 2.07 when every
+    # first prefix did
     sorted_rows, exact_line_search = smoothing._sorted_rows, smoothing._exact_line_search
     count = {"sorted": 0, "below": 0}
     seen = {}

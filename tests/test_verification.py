@@ -373,3 +373,20 @@ def test_alg2_probe_memory_stays_at_one_chunk():
     _, one = traced_peak(irls_sensitivity_probe, 50, 3, chunk, cfg, RngStream(69))
     _, four = traced_peak(irls_sensitivity_probe, 50, 3, 4 * chunk, cfg, RngStream(69))
     assert four <= one + 64 * 1024
+
+
+def test_sampler_probe_memory_stays_at_one_block(monkeypatch):
+    # the tilts are drawn and reduced to their norms a block of rows at a
+    # time, so four blocks of trials peak above one block only by the
+    # per-trial arrays: the norms and the KS check's draws, sorted draws and
+    # CDF (5.3 arrays of three blocks' floats; 12 when every tilt is drawn
+    # at once)
+    block = verification._SAMPLER_BLOCK_ROWS
+    assert block == 8192
+    verification._probe_samplers(1, 3)  # leaves out a first call's one-time allocations
+    _, one = traced_peak(verification._probe_samplers, block, 3)
+    blocked, four = traced_peak(verification._probe_samplers, 4 * block, 3)
+    assert four <= one + 6 * 3 * block * 8 + 64 * 1024
+    # successive draws from the one stream have the bits of one long draw
+    monkeypatch.setattr(verification, "_SAMPLER_BLOCK_ROWS", 4 * block)
+    assert verification._probe_samplers(4 * block, 3) == blocked
