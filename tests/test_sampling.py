@@ -98,6 +98,20 @@ def test_l1_perturbation_matches_reference_formula(dim):
             assert _same_bits(sample_l1_perturbation(dim, eps, rng), expected)
 
 
+def test_batched_perturbations_validation():
+    # a block of rows is one draw of dim * rows values (as the sampler probe
+    # draws it); it refuses a bad dim or epsilon exactly as one row does
+    for dim, eps in ((0, 1.0), (4, 0.0), (4, -1.0), (4, math.inf), (4, math.nan), (4, 1e-320)):
+        with pytest.raises(ValueError) as single:
+            sample_l1_perturbation(dim, eps, RngStream(0))
+        with pytest.raises(ValueError) as batch:
+            sample_l1_perturbation(dim * 10, eps, RngStream(0))
+        assert str(batch.value) == str(single.value)
+    for count in (2.5, True, 0, -1):
+        with pytest.raises(ValueError, match=f"^dim must be a positive integer, got {count!r}$"):
+            sample_l1_perturbation(count, 1.0, RngStream(0))
+
+
 def test_uniform_open_strictly_interior():
     u = RngStream(0).uniform_open(100_000)
     assert u.min() > 0.0
